@@ -17,7 +17,6 @@
 #include "analysis/optimize.hh"
 #include "analysis/pipeline.hh"
 #include "common/table.hh"
-#include "txlib/elision.hh"
 
 using namespace whisper;
 using namespace whisper::bench;
@@ -51,6 +50,8 @@ int
 main()
 {
     const core::AppConfig config = analysisConfig();
+    core::AppConfig elided = config;
+    elided.elision = txlib::kElideAll;
     // The elision policy only has bits for the logging libraries, so
     // the interesting rows are the Mnemosyne and NVML apps.
     const std::vector<std::string> apps = {
@@ -62,15 +63,8 @@ main()
 
     bool all_fewer = true;
     for (const auto &name : apps) {
-        Counts before, after;
-        {
-            txlib::ScopedElisionPolicy off(txlib::kElideNone);
-            before = measure(name, config);
-        }
-        {
-            txlib::ScopedElisionPolicy on(txlib::kElideAll);
-            after = measure(name, config);
-        }
+        const Counts before = measure(name, config);
+        const Counts after = measure(name, elided);
         const std::uint64_t ops_before = before.flushes + before.fences;
         const std::uint64_t ops_after = after.flushes + after.fences;
         if (ops_after >= ops_before)

@@ -791,16 +791,12 @@ cmdCrashfuzz(int argc, char **argv)
     if (options.apps.empty())
         options.apps = suite;
     if (options.config.threads > 1 || options.config.lincheck) {
-        // Racing threads are only deterministic for the MOD and
-        // Hybrid layers — and the same apps are the ones carrying
-        // the lincheck workload surface; narrow the sweep to those
-        // apps instead of panicking.
-        std::vector<std::string> gateable;
-        for (const auto &name : options.apps)
-            if (name.rfind("mod-", 0) == 0 ||
-                name.rfind("halo-", 0) == 0)
-                gateable.push_back(name);
-        options.apps = std::move(gateable);
+        // Narrow the sweep to the apps the fuzzer can run this way
+        // instead of panicking on the first it cannot.
+        std::erase_if(options.apps, [&](const std::string &name) {
+            return !fuzz::sweepable(*core::createApp(name, {}),
+                                    options.config);
+        });
         if (options.apps.empty()) {
             std::fputs("--threads > 1 and --lincheck need MOD- or "
                        "Hybrid-layer apps (mod-hashmap, mod-vector, "

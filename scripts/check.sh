@@ -3,6 +3,7 @@
 #
 #   scripts/check.sh            # build + ctest + docs checks
 #   scripts/check.sh --docs-only
+#   scripts/check.sh --no-asan --no-tsan --no-perfbench
 #
 # Docs checks: (1) doxygen builds warning-clean over src/ and
 # examples/ (skipped with a notice when doxygen is not installed),
@@ -33,11 +34,13 @@ run_leg() {
 docs_only=0
 skip_asan=0
 skip_tsan=0
+skip_perfbench=0
 for arg in "$@"; do
     case "$arg" in
         --docs-only) docs_only=1 ;;
         --no-asan) skip_asan=1 ;;
         --no-tsan) skip_tsan=1 ;;
+        --no-perfbench) skip_perfbench=1 ;;
     esac
 done
 
@@ -313,6 +316,39 @@ if [[ "$docs_only" == 0 ]]; then
     else
         failures=$((failures + 1))
     fi
+fi
+
+# ---------------------------------------------------------------
+# perfbench compiles its own driver against runApp, Runtime, the
+# fuzz entry points and the WhisperApp workload surface; the
+# self-test builds it and runs every workload at a tiny size, so an
+# API change that breaks the benchmark fails here. Skip with
+# --no-perfbench.
+# ---------------------------------------------------------------
+if [[ "$docs_only" == 0 && "$skip_perfbench" == 0 ]]; then
+    echo "== perfbench: self-test =="
+    if run_leg python3 perfbench/run.py --self-test; then
+        echo "ok: perfbench self-test"
+    else
+        echo "FAIL: perfbench self-test"
+        failures=$((failures + 1))
+    fi
+fi
+
+# ---------------------------------------------------------------
+# One mixer: the splitmix64 finalizer lives in src/common/hash.hh
+# only. A private copy elsewhere would let digests drift apart, so
+# its multiplier may not appear anywhere else under src/.
+# ---------------------------------------------------------------
+echo "== source: single splitmix64 definition =="
+copies=$(grep -rniI '0xbf58476d1ce4e5b9' src |
+         grep -v '^src/common/hash\.hh:' || true)
+if [[ -n "$copies" ]]; then
+    echo "FAIL: splitmix64 constant outside src/common/hash.hh:"
+    echo "$copies"
+    failures=$((failures + 1))
+else
+    echo "ok: splitmix64 defined once (src/common/hash.hh)"
 fi
 
 # ---------------------------------------------------------------

@@ -14,6 +14,7 @@
 #include <mutex>
 
 #include "apps/apps.hh"
+#include "common/hash.hh"
 #include "common/logging.hh"
 #include "txlib/mnemosyne.hh"
 
@@ -444,11 +445,7 @@ class MemcachedApp : public WhisperApp
     expandValue(std::uint64_t seed, std::uint8_t out[kValueBytes])
     {
         for (std::size_t i = 0; i < kValueBytes; i += 8) {
-            seed += 0x9e3779b97f4a7c15ull;
-            std::uint64_t z = seed;
-            z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-            z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-            z ^= z >> 31;
+            const std::uint64_t z = splitmix64(seed);
             std::memcpy(out + i, &z, 8);
         }
     }

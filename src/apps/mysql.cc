@@ -17,6 +17,7 @@
 #include <mutex>
 
 #include "apps/apps.hh"
+#include "common/hash.hh"
 #include "common/logging.hh"
 #include "pmfs/pmfs.hh"
 #include "txlib/mnemosyne.hh" // foldChecksum
@@ -310,11 +311,7 @@ class MysqlApp : public WhisperApp
         row.version = value;
         std::uint64_t seed = value;
         for (std::size_t i = 0; i + 8 <= sizeof(row.payload); i += 8) {
-            seed += 0x9e3779b97f4a7c15ull;
-            std::uint64_t z = seed;
-            z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-            z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-            z ^= z >> 31;
+            const std::uint64_t z = splitmix64(seed);
             std::memcpy(row.payload + i, &z, 8);
         }
         row.checksum = rowChecksum(row);

@@ -16,6 +16,7 @@
 #include <cstring>
 
 #include "apps/apps.hh"
+#include "common/hash.hh"
 #include "common/logging.hh"
 #include "pmfs/pmfs.hh"
 
@@ -240,13 +241,8 @@ class NfsApp : public WhisperApp
         words[1] = value;
         words[2] = key ^ value;
         std::uint64_t seed = value;
-        for (std::size_t i = 3; i < kWlRecordBytes / 8; i++) {
-            seed += 0x9e3779b97f4a7c15ull;
-            std::uint64_t z = seed;
-            z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-            z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-            words[i] = z ^ (z >> 31);
-        }
+        for (std::size_t i = 3; i < kWlRecordBytes / 8; i++)
+            words[i] = splitmix64(seed);
         std::memcpy(out, words, kWlRecordBytes);
     }
 

@@ -30,6 +30,7 @@
 
 #include "alloc/buddy_alloc.hh"
 #include "apps/apps.hh"
+#include "common/hash.hh"
 #include "common/logging.hh"
 #include "txlib/mnemosyne.hh" // foldChecksum
 
@@ -103,7 +104,7 @@ std::uint64_t
 hashKey(std::uint64_t key)
 {
     key ^= key >> 30;
-    key *= 0xbf58476d1ce4e5b9ull;
+    key *= kMixMul1;
     key ^= key >> 27;
     return key;
 }

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "common/hash.hh"
 #include "common/logging.hh"
 
 namespace whisper
@@ -9,16 +10,6 @@ namespace whisper
 
 namespace
 {
-std::uint64_t
-splitmix64(std::uint64_t &x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    std::uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
 std::uint64_t
 rotl(std::uint64_t x, int k)
 {

@@ -28,6 +28,7 @@
 
 #include "core/runtime.hh"
 #include "core/verify_report.hh"
+#include "txlib/elision.hh"
 
 namespace whisper::core
 {
@@ -40,6 +41,8 @@ struct AppConfig
     std::uint64_t seed = 42;
     std::size_t poolBytes = 256 << 20;
     bool recordVolatile = false;
+    /** txlib elision bits every context of the run's Runtime carries. */
+    txlib::ElisionPolicy elision = txlib::kElideNone;
 
     /**
      * Scale every op count by @p f (benches use small smoke runs).

@@ -8,7 +8,7 @@ namespace whisper::core
 {
 
 Runtime::Runtime(std::size_t pool_bytes, unsigned max_threads,
-                 bool record_volatile)
+                 bool record_volatile, std::uint32_t elision)
     : pool_(std::make_unique<pm::PmPool>(pool_bytes)),
       traces_(record_volatile)
 {
@@ -16,7 +16,7 @@ Runtime::Runtime(std::size_t pool_bytes, unsigned max_threads,
     for (ThreadId tid = 0; tid < max_threads; tid++) {
         trace::TraceBuffer *buf = traces_.createBuffer(tid);
         contexts_.push_back(std::make_unique<pm::PmContext>(
-            *pool_, clock_, tid, buf));
+            *pool_, clock_, tid, buf, elision));
     }
 }
 

@@ -33,9 +33,10 @@ class Runtime
      * @param max_threads contexts/trace buffers created up front
      * @param record_volatile store DRAM events (needed by the timing
      *        simulator and Figure 6), not just counters
+     * @param elision txlib::ElisionPolicy mask every context carries
      */
     Runtime(std::size_t pool_bytes, unsigned max_threads,
-            bool record_volatile = false);
+            bool record_volatile = false, std::uint32_t elision = 0);
 
     pm::PmPool &pool() { return *pool_; }
     LogicalClock &clock() { return clock_; }

@@ -1,53 +1,22 @@
 #include "fuzz/crash_fuzz.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 
-#include <atomic>
-
+#include "common/hash.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
-#include "core/app.hh"
-#include "core/runtime.hh"
-#include "lincheck/checker.hh"
 #include "lincheck/history_io.hh"
-#include "lincheck/recorder.hh"
-#include "txlib/elision.hh"
 
 namespace whisper::fuzz
 {
 
 namespace
 {
-
-/** splitmix64 finalizer: the case-derivation and digest mixer. */
-std::uint64_t
-mix64(std::uint64_t z)
-{
-    z += 0x9e3779b97f4a7c15ull;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
-std::uint64_t
-fold(std::uint64_t h, std::uint64_t v)
-{
-    return mix64(h + v);
-}
-
-/** FNV-1a so the app name perturbs the case stream. */
-std::uint64_t
-hashName(const std::string &s)
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (const char ch : s)
-        h = (h ^ static_cast<std::uint8_t>(ch)) * 0x100000001b3ull;
-    return h;
-}
 
 core::AppConfig
 caseAppConfig(const FuzzConfig &config)
@@ -58,6 +27,7 @@ caseAppConfig(const FuzzConfig &config)
     cfg.seed = config.appSeed;
     cfg.poolBytes = config.poolBytes;
     cfg.recordVolatile = false;
+    cfg.elision = config.elide ? txlib::kElideAll : txlib::kElideNone;
     return cfg;
 }
 
@@ -73,44 +43,6 @@ constexpr std::size_t kSurvivalClassCount =
 constexpr std::uint32_t kPoisonClasses[] = {0, 1, 2, 4};
 constexpr double kTearClasses[] = {0.0, 0.25, 0.5};
 constexpr std::uint32_t kTransientClasses[] = {0, 7, 31};
-
-/** Racing threads are only meaningful where disjoint updates commute. */
-void
-requireGateable(const core::WhisperApp &app, unsigned threads)
-{
-    panic_if(threads > 1 &&
-                 app.layer() != core::AccessLayer::LibMod &&
-                 app.layer() != core::AccessLayer::Hybrid,
-             "multi-threaded crash fuzzing needs the MOD or Hybrid "
-             "layer, not %s", app.name().c_str());
-}
-
-/**
- * Run the (possibly armed) workload on every thread, gate-disciplined;
- * reports whether the crash point fired and the cut's global op index.
- * Threads that finish leave the gate's draw set so the others make
- * progress; the firing thread's throw opens the gate for the rest.
- */
-void
-runArmed(core::Runtime &rt, core::WhisperApp &app, unsigned threads,
-         bool &fired, std::uint64_t &op_index)
-{
-    std::atomic<bool> hit{false};
-    std::atomic<std::uint64_t> at{0};
-    rt.runThreads(threads, [&](pm::PmContext &ctx, ThreadId tid) {
-        try {
-            app.run(rt, ctx, tid);
-        } catch (const pm::CrashPointReached &cut) {
-            hit.store(true, std::memory_order_relaxed);
-            at.store(cut.opIndex, std::memory_order_relaxed);
-        }
-        if (pm::SchedGate *gate = ctx.schedGate())
-            gate->deactivate(tid);
-    });
-    fired = hit.load(std::memory_order_relaxed);
-    op_index = fired ? at.load(std::memory_order_relaxed)
-                     : rt.pmOpsSeen();
-}
 
 /** @{ \name Lincheck dimension (FuzzConfig::lincheck)
  *
@@ -138,14 +70,6 @@ lincheckKeymap(const core::AppConfig &cfg)
     map.threads = cfg.threads;
     map.insertsPerThread = 0;
     return map;
-}
-
-void
-requireLincheckable(const core::WhisperApp &app)
-{
-    panic_if(!app.supportsLincheck(),
-             "lincheck fuzzing needs the lincheck workload surface, "
-             "which %s does not implement", app.name().c_str());
 }
 
 /**
@@ -186,95 +110,104 @@ lincheckPlan(const core::WhisperApp &app, const core::AppConfig &cfg,
 }
 
 /**
- * Gate-disciplined armed run of the lincheck op plans. Mirrors
- * runArmed(); additionally records invoke/response events. A thread
- * stops recording the moment one of its own PM ops is dropped (the
- * machine is off; its later results never reached the pool) — the
- * drop delta is this thread's own, so the taint point is
+ * One thread's lincheck op plan, recording invoke/response events. A
+ * thread stops recording the moment one of its own PM ops is dropped
+ * (the machine is off; its later results never reached the pool) —
+ * the drop delta is this thread's own, so the taint point is
  * schedule-deterministic, unlike a racy crashInjected() read. The
  * first tainted op stays recorded as pending: the checker may include
  * its (possibly partial) effect or drop it.
+ *
+ * No workloadThreadDone() epilogue: the case power-cuts the pool
+ * right after the plan anyway, and the MOD epilogue flips the
+ * thread's GC online flag outside any gate turn — a wall-clock race
+ * that makes another thread's reclaim count (and so the global PM-op
+ * total) nondeterministic. Recovery sweeps the unreclaimed backlog,
+ * exactly as after any mid-run cut.
  */
 void
-runLincheckOps(core::Runtime &rt, core::WhisperApp &app,
-               const std::vector<std::vector<LcOp>> &plan,
-               unsigned threads, lincheck::HistoryRecorder *rec,
-               bool &fired, std::uint64_t &op_index)
+runLincheckOps(pm::PmContext &ctx, ThreadId tid, core::WhisperApp &app,
+               const std::vector<LcOp> &plan,
+               lincheck::HistoryRecorder &rec)
 {
-    std::atomic<bool> hit{false};
-    std::atomic<std::uint64_t> at{0};
-    rt.runThreads(threads, [&](pm::PmContext &ctx, ThreadId tid) {
-        bool tainted = false;
-        try {
-            for (const LcOp &op : plan[tid]) {
-                std::size_t handle = 0;
-                if (rec && !tainted) {
-                    handle =
-                        rec->invoke(tid, op.kind, op.key, op.arg);
-                }
-                const std::uint64_t dropped0 = ctx.droppedPmOps();
-                bool found = false;
-                std::uint64_t value = 0;
-                switch (op.kind) {
-                  case lincheck::OpKind::Get:
-                    found = app.workloadProbe(ctx, tid, op.key, value);
-                    break;
-                  case lincheck::OpKind::Put:
-                    app.workloadPut(ctx, tid, op.key, op.arg);
-                    break;
-                  case lincheck::OpKind::Rmw:
-                    found = app.workloadRmw(ctx, tid, op.key, op.arg);
-                    break;
-                  case lincheck::OpKind::Remove:
-                    found = app.workloadRemove(ctx, tid, op.key);
-                    break;
-                }
-                if (rec && !tainted) {
-                    if (ctx.droppedPmOps() != dropped0)
-                        tainted = true; // leave the op pending
-                    else
-                        rec->response(tid, handle, found, value);
-                }
-            }
-            // No workloadThreadDone() epilogue: the case power-cuts
-            // the pool right after this loop anyway, and the MOD
-            // epilogue flips the thread's GC online flag outside any
-            // gate turn — a wall-clock race that makes another
-            // thread's reclaim count (and so the global PM-op total)
-            // nondeterministic. Recovery sweeps the unreclaimed
-            // backlog, exactly as after any mid-run cut.
-        } catch (const pm::CrashPointReached &cut) {
-            hit.store(true, std::memory_order_relaxed);
-            at.store(cut.opIndex, std::memory_order_relaxed);
+    bool tainted = false;
+    for (const LcOp &op : plan) {
+        const std::size_t handle =
+            tainted ? 0 : rec.invoke(tid, op.kind, op.key, op.arg);
+        const std::uint64_t dropped0 = ctx.droppedPmOps();
+        bool found = false;
+        std::uint64_t value = 0;
+        switch (op.kind) {
+          case lincheck::OpKind::Get:
+            found = app.workloadProbe(ctx, tid, op.key, value);
+            break;
+          case lincheck::OpKind::Put:
+            app.workloadPut(ctx, tid, op.key, op.arg);
+            break;
+          case lincheck::OpKind::Rmw:
+            found = app.workloadRmw(ctx, tid, op.key, op.arg);
+            break;
+          case lincheck::OpKind::Remove:
+            found = app.workloadRemove(ctx, tid, op.key);
+            break;
         }
-        if (pm::SchedGate *gate = ctx.schedGate())
-            gate->deactivate(tid);
-    });
-    fired = hit.load(std::memory_order_relaxed);
-    op_index = fired ? at.load(std::memory_order_relaxed)
-                     : rt.pmOpsSeen();
-}
-
-/** Probe every key and report it to the recorder. */
-void
-probeKeys(core::Runtime &rt, core::WhisperApp &app,
-          const core::WorkloadKeymap &map,
-          lincheck::HistoryRecorder &rec, bool recovered)
-{
-    for (unsigned t = 0; t < map.threads; t++) {
-        const ThreadId tid = static_cast<ThreadId>(t);
-        for (std::uint64_t i = 0; i < map.perThread(); i++) {
-            const std::uint64_t key = map.lo(tid) + i;
-            std::uint64_t value = 0;
-            const bool found =
-                app.workloadProbe(rt.ctx(tid), tid, key, value);
-            if (recovered)
-                rec.noteRecovered(key, found, value);
-            else
-                rec.noteInitial(key, found, value);
-        }
+        if (tainted)
+            continue;
+        if (ctx.droppedPmOps() != dropped0)
+            tainted = true; // leave the op pending
+        else
+            rec.response(tid, handle, found, value);
     }
 }
+
+/** @} */
+
+/**
+ * Set a case's app up: loaded over the lincheck keymap for the
+ * lincheck dimension (recording from the baseline when @p record),
+ * setup() otherwise. Traces then start empty.
+ */
+core::WorkloadKeymap
+setUp(core::Session &s, const FuzzConfig &config,
+      const core::AppConfig &cfg, bool record)
+{
+    panic_if(!sweepable(s.app(), config),
+             "%s cannot be fuzzed here: racing threads need the MOD "
+             "or Hybrid layer, --lincheck the lincheck workload "
+             "surface", s.app().name().c_str());
+    core::WorkloadKeymap map;
+    if (config.lincheck) {
+        map = lincheckKeymap(cfg);
+        s.app().workloadSetup(s.rt(), map);
+        if (record)
+            s.record(map);
+    } else {
+        s.app().setup(s.rt());
+    }
+    s.rt().clearTraces();
+    return map;
+}
+
+/** Run the case's workload: run(), or the lincheck op plans. */
+core::RunOutcome
+runCaseWorkload(core::Session &s, const FuzzConfig &config,
+                const core::AppConfig &cfg,
+                const core::WorkloadKeymap &map)
+{
+    core::WhisperApp &app = s.app();
+    if (!config.lincheck) {
+        return s.run([&](pm::PmContext &ctx, ThreadId tid) {
+            app.run(s.rt(), ctx, tid);
+        });
+    }
+    const std::vector<std::vector<LcOp>> plan =
+        lincheckPlan(app, cfg, map);
+    return s.run([&](pm::PmContext &ctx, ThreadId tid) {
+        runLincheckOps(ctx, tid, app, plan[tid], s.recorder());
+    });
+}
+
+/** @{ \name Lincheck violation dumps */
 
 /**
  * Per-violation dump throttle (the buddy-recovery warn idiom): the
@@ -317,40 +250,26 @@ imageHash(const pm::PmPool &pool)
 
 } // namespace
 
+bool
+sweepable(const core::WhisperApp &app, const FuzzConfig &config)
+{
+    const bool gateable = app.layer() == core::AccessLayer::LibMod ||
+                          app.layer() == core::AccessLayer::Hybrid;
+    return (config.threads <= 1 || gateable) &&
+           (!config.lincheck || app.supportsLincheck());
+}
+
 std::uint64_t
 profilePmOps(const std::string &app, const FuzzConfig &config)
 {
-    // Racing pool workers store the same value, so the relaxed
-    // atomic policy write is race-free across a sweep.
-    txlib::setElisionPolicy(config.elide ? txlib::kElideAll
-                                         : txlib::kElideNone);
     const core::AppConfig cfg = caseAppConfig(config);
-    core::Runtime rt(cfg.poolBytes, cfg.threads, false);
-    std::unique_ptr<core::WhisperApp> a = core::createApp(app, cfg);
-    requireGateable(*a, cfg.threads);
-    bool fired = false;
-    std::uint64_t ops = 0;
-    if (config.lincheck) {
-        requireLincheckable(*a);
-        const core::WorkloadKeymap map = lincheckKeymap(cfg);
-        a->workloadSetup(rt, map);
-        rt.clearTraces();
-        rt.installCrashPlan(cfg.threads,
-                            mix64(config.sweepSeed ^ hashName(app)));
-        const std::vector<std::vector<LcOp>> plan =
-            lincheckPlan(*a, cfg, map);
-        runLincheckOps(rt, *a, plan, cfg.threads, nullptr, fired,
-                       ops);
-        return ops;
-    }
-    a->setup(rt);
-    rt.clearTraces();
+    core::Session s(app, cfg);
+    const core::WorkloadKeymap map = setUp(s, config, cfg, false);
     // Counts only; crashAt stays at "never". The gate schedule is
     // fixed per (sweep seed, app) so the profile is reproducible.
-    rt.installCrashPlan(cfg.threads,
-                        mix64(config.sweepSeed ^ hashName(app)));
-    runArmed(rt, *a, cfg.threads, fired, ops);
-    return ops;
+    s.rt().installCrashPlan(cfg.threads,
+                            mix64(config.sweepSeed ^ fnv1a(app)));
+    return runCaseWorkload(s, config, cfg, map).opIndex;
 }
 
 FuzzCase
@@ -360,8 +279,7 @@ deriveCase(const std::string &app, std::uint64_t case_id,
     FuzzCase c;
     c.app = app;
     c.caseId = case_id;
-    std::uint64_t h =
-        mix64(config.sweepSeed ^ hashName(app)) + case_id;
+    std::uint64_t h = mix64(config.sweepSeed ^ fnv1a(app)) + case_id;
     const std::uint64_t h1 = mix64(h);
     const std::uint64_t h2 = mix64(h1);
     const std::uint64_t h3 = mix64(h2);
@@ -396,48 +314,24 @@ runCase(const FuzzCase &c, const FuzzConfig &config,
         const std::vector<LineAddr> *survivor_override,
         std::uint64_t crash_at_override)
 {
-    txlib::setElisionPolicy(config.elide ? txlib::kElideAll
-                                         : txlib::kElideNone);
     const core::AppConfig cfg = caseAppConfig(config);
-    const unsigned threads = c.crash.threads < 1 ? 1 : c.crash.threads;
-    core::Runtime rt(cfg.poolBytes, threads, false);
-    std::unique_ptr<core::WhisperApp> app =
-        core::createApp(c.app, cfg);
-    requireGateable(*app, threads);
-    lincheck::HistoryRecorder rec;
-    core::WorkloadKeymap lcMap;
-    if (config.lincheck) {
-        requireLincheckable(*app);
-        lcMap = lincheckKeymap(cfg);
-        app->workloadSetup(rt, lcMap);
-        // Enable before the baseline probes: noteInitial() is a no-op
-        // on a disabled recorder.
-        rec.enable(threads);
-        probeKeys(rt, *app, lcMap, rec, false);
-    } else {
-        app->setup(rt);
-    }
-    rt.clearTraces();
+    core::Session s(c.app, cfg);
+    core::Runtime &rt = s.rt();
+    core::WhisperApp &app = s.app();
+    const core::WorkloadKeymap map = setUp(s, config, cfg, true);
 
     const std::uint64_t crash_at =
         crash_at_override != ~std::uint64_t(0) ? crash_at_override
                                                : c.crashAt;
-    rt.installCrashPlan(threads, c.crash.schedule);
+    rt.installCrashPlan(cfg.threads, c.crash.schedule);
     rt.armCrashPoint(crash_at);
     if (!c.fault.none())
         rt.pool().setFaultPlan(c.fault);
 
     CaseOutcome out;
-    if (config.lincheck) {
-        const std::vector<std::vector<LcOp>> plan =
-            lincheckPlan(*app, cfg, lcMap);
-        for (ThreadId tid = 0; tid < rt.maxThreads(); tid++)
-            rt.ctx(tid).setFenceObserver(&rec);
-        runLincheckOps(rt, *app, plan, threads, &rec, out.fired,
-                       out.opIndex);
-    } else {
-        runArmed(rt, *app, threads, out.fired, out.opIndex);
-    }
+    const core::RunOutcome cut = runCaseWorkload(s, config, cfg, map);
+    out.fired = cut.fired;
+    out.opIndex = cut.opIndex;
 
     // Resolve the power cut. The survivor set is either dictated (the
     // shrinker), seeded (the sweep), or empty (crashHard class).
@@ -456,58 +350,32 @@ runCase(const FuzzCase &c, const FuzzConfig &config,
     else
         rt.crashWithFaults(out.survivors, faults);
 
-    // The machine is back on: recovery runs un-counted. Crash plans
-    // must be detached BEFORE the scrub — a fired plan keeps dropping
-    // PM mutations, which would silently discard the scrub's repairs.
-    for (ThreadId tid = 0; tid < rt.maxThreads(); tid++) {
-        rt.ctx(tid).setCrashPlan(nullptr);
-        // Likewise the fence observer: recovery's fences must not
-        // extend the recorded durability coverage.
-        rt.ctx(tid).setFenceObserver(nullptr);
-    }
-
-    core::VerifyReport verdict = app->scrubRecovered(rt);
-    app->recover(rt);
-
+    core::VerifyReport verdict = s.recover();
     const core::VerifyReport invariants =
-        app->checkRecoveryInvariants(rt);
+        app.checkRecoveryInvariants(rt);
     verdict.merge(invariants);
     if (invariants.ok())
-        verdict.merge(app->verifyRecovered(rt));
+        verdict.merge(app.verifyRecovered(rt));
 
-    lincheck::CheckResult lc;
+    core::HistoryCheck hc;
     if (config.lincheck) {
-        // Every case crashes (at the armed point or at workload end),
-        // so the history is a crashed one either way.
-        rec.setCrashed(true);
-        probeKeys(rt, *app, lcMap, rec, true);
-        const lincheck::History hist = rec.finish();
-        lc = lincheck::check(hist);
-        out.lincheckRan = true;
-        out.lincheckOk = lc.ok;
-        out.lincheckBudget = lc.budgetExhausted;
-        out.lincheckKeys = lc.keys.size();
         // A prior Degraded entry (scrub-named media loss) licenses a
         // missing witness the same way it licenses a verifyRecovered
         // violation: the data really is gone, and the scrub said so.
         const bool excused = verdict.degraded();
-        for (const lincheck::KeyVerdict &kv : lc.keys) {
-            if (kv.ok)
-                continue;
-            out.lincheckViolations++;
-            char head[40];
-            std::snprintf(head, sizeof(head), "key 0x%llx: ",
-                          (unsigned long long)kv.key);
-            verdict.fail("lincheck", head + kv.why);
-        }
-        if (lc.budgetExhausted)
-            verdict.degrade("lincheck-budget",
-                            "witness search budget exhausted; "
-                            "verdict incomplete, not a violation");
+        // Every case crashes (at the armed point or at workload end),
+        // so the history is a crashed one either way.
+        hc = s.checkHistory(verdict);
+        const lincheck::CheckResult &lc = hc.result;
+        out.lincheckRan = true;
+        out.lincheckOk = lc.ok;
+        out.lincheckBudget = lc.budgetExhausted;
+        out.lincheckKeys = lc.keys.size();
+        out.lincheckViolations = hc.violations;
         if (!lc.ok && !excused) {
             const std::string path = lincheckDumpPath(c);
             if (lincheck::writeHistoryFile(
-                    path, lincheck::minimizeViolation(hist)))
+                    path, lincheck::minimizeViolation(hc.history)))
                 out.lincheckDump = path;
             const unsigned seen = lincheckDumpWarns.fetch_add(
                 1, std::memory_order_relaxed);
@@ -536,7 +404,7 @@ runCase(const FuzzCase &c, const FuzzConfig &config,
     out.linesPoisoned = rt.pool().stats().linesPoisoned;
     out.transientFaults = rt.pool().stats().transientFaults;
 
-    std::uint64_t h = fold(hashName(c.app), c.caseId);
+    std::uint64_t h = fold(fnv1a(c.app), c.caseId);
     h = fold(h, crash_at);
     h = fold(h, out.fired ? 1 : 0);
     h = fold(h, out.opIndex);
@@ -546,7 +414,7 @@ runCase(const FuzzCase &c, const FuzzConfig &config,
     h = fold(h, rt.pool().stats().linesSurvivedCrash);
     h = fold(h, rt.pool().dirtyLineCount());
     h = fold(h, verdict.ok() ? 1 : 0);
-    h = fold(h, hashName(out.why));
+    h = fold(h, fnv1a(out.why));
     h = fold(h, out.imageHash);
     if (!c.fault.none()) {
         // Fold the plan and its resolution: a replay that tears or
@@ -574,7 +442,7 @@ runCase(const FuzzCase &c, const FuzzConfig &config,
         h = fold(h, out.lincheckOk ? 1 : 0);
         h = fold(h, out.lincheckBudget ? 1 : 0);
         h = fold(h, out.lincheckKeys);
-        h = fold(h, lc.digest());
+        h = fold(h, hc.result.digest());
     }
     out.digest = h;
     if (std::getenv("WHISPER_FUZZ_DEBUG")) {

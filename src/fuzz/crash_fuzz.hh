@@ -21,8 +21,8 @@
  * --replay with the same schedule is bit-identical.
  *
  * Every case is derived deterministically from (sweep seed, app name,
- * case id), runs in its own Runtime, and folds its outcome into a
- * digest — so a sweep is bit-identical at any --jobs and any single
+ * case id), runs in its own core::Session, and folds its outcome into
+ * a digest — so a sweep is bit-identical at any --jobs and any single
  * failure replays from its case id alone. Violations are shrunk to a
  * minimal reproducer (latest failing crash point within a bounded
  * window, then a ddmin-style pass over the surviving-line set) and
@@ -61,8 +61,9 @@ struct FuzzConfig
     bool faults = false;
     /**
      * Run every case (and the profile pass) with the full txlib
-     * elision policy enabled (txlib/elision.hh): the sweep then
-     * proves the elided fences/flushes were really redundant — same
+     * elision policy enabled (txlib/elision.hh; it becomes each
+     * case's core::AppConfig::elision): the sweep then proves the
+     * elided fences/flushes were really redundant — same
      * zero-violation contract over a different (smaller) op schedule.
      */
     bool elide = false;
@@ -160,6 +161,15 @@ struct SweepOptions
     std::uint64_t maxReproducers = 4; //!< shrink at most this many
     bool keepReports = false; //!< retain per-case VerifyReports (--json)
 };
+
+/**
+ * Whether @p app can be swept under @p config: racing threads
+ * (threads > 1) are only deterministic where disjoint updates commute
+ * — the MOD and Hybrid layers — and the lincheck dimension needs the
+ * app's lincheck workload surface (WhisperApp::supportsLincheck).
+ * profilePmOps() and runCase() refuse anything else.
+ */
+bool sweepable(const core::WhisperApp &app, const FuzzConfig &config);
 
 /**
  * Profiling pass: run @p app's workload under a counting (never

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/hash.hh"
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
 
@@ -10,27 +11,6 @@ namespace whisper::halo
 {
 
 using pm::DataClass;
-
-namespace
-{
-
-/** splitmix64 finalizer for the rebuild digest chain. */
-std::uint64_t
-mix64(std::uint64_t z)
-{
-    z += 0x9e3779b97f4a7c15ull;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
-
-std::uint64_t
-fold(std::uint64_t h, std::uint64_t v)
-{
-    return mix64(h + v);
-}
-
-} // namespace
 
 HaloStore::HaloStore(const Config &config)
     : config_(config),

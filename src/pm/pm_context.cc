@@ -8,8 +8,8 @@ namespace whisper::pm
 {
 
 PmContext::PmContext(PmPool &pool, LogicalClock &clock, ThreadId tid,
-                     trace::TraceBuffer *tb)
-    : pool_(pool), clock_(clock), tid_(tid), tb_(tb),
+                     trace::TraceBuffer *tb, std::uint32_t elision)
+    : pool_(pool), clock_(clock), tid_(tid), tb_(tb), elision_(elision),
       // Spread tx ids across threads so they are globally unique.
       nextTx_(static_cast<TxId>(tid) << 40)
 {

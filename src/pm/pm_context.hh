@@ -107,12 +107,19 @@ struct FenceObserver
 class PmContext
 {
   public:
+    /**
+     * @param elision the txlib::ElisionPolicy mask the logging layers
+     *        consult on this context (txlib/elision.hh); fixed for
+     *        the context's life, so concurrent runs never share it
+     */
     PmContext(PmPool &pool, LogicalClock &clock, ThreadId tid,
-              trace::TraceBuffer *tb = nullptr);
+              trace::TraceBuffer *tb = nullptr,
+              std::uint32_t elision = 0);
 
     PmPool &pool() { return pool_; }
     ThreadId tid() const { return tid_; }
     trace::TraceBuffer *traceBuffer() { return tb_; }
+    std::uint32_t elisionPolicy() const { return elision_; }
 
     /** @{ \name Persistent stores */
 
@@ -336,6 +343,7 @@ class PmContext
     LogicalClock &clock_;
     ThreadId tid_;
     trace::TraceBuffer *tb_;
+    const std::uint32_t elision_;
     CrashPlan *plan_ = nullptr;
     FenceObserver *fenceObs_ = nullptr;
 

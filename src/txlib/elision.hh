@@ -33,14 +33,18 @@
  * (eliding it could mark torn data committed). The optimizer reports
  * those sites with an empty policy name.
  *
- * The policy is a process-global atomic bitmask: the fuzz harness and
- * benches flip it per run, and racing contexts only ever read it.
+ * The policy belongs to a run, not the process: it is fixed when the
+ * Runtime is built (core::AppConfig::elision, which
+ * fuzz::FuzzConfig::elide maps onto) and every PmContext carries it,
+ * so two runs in one process cannot change each other's schedule.
  */
 
 #ifndef WHISPER_TXLIB_ELISION_HH
 #define WHISPER_TXLIB_ELISION_HH
 
 #include <cstdint>
+
+#include "pm/pm_context.hh"
 
 namespace whisper::txlib
 {
@@ -62,36 +66,12 @@ enum : ElisionPolicy
                 kElideNvmlCommitFence,
 };
 
-/** Current process-global policy. */
-ElisionPolicy elisionPolicy();
-
-/** Replace the process-global policy (atomic; takes effect at once). */
-void setElisionPolicy(ElisionPolicy policy);
-
-/** True when every bit of @p bits is enabled. */
-bool elisionEnabled(ElisionPolicy bits);
-
-/** Short name of a single policy bit (CLI/report labels). */
-const char *elisionPolicyName(ElisionPolicy bit);
-
-/** RAII policy override, restoring the previous mask (tests/benches). */
-class ScopedElisionPolicy
+/** True when every bit of @p bits is enabled on @p ctx. */
+inline bool
+elisionEnabled(const pm::PmContext &ctx, ElisionPolicy bits)
 {
-  public:
-    explicit ScopedElisionPolicy(ElisionPolicy policy)
-        : prev_(elisionPolicy())
-    {
-        setElisionPolicy(policy);
-    }
-
-    ~ScopedElisionPolicy() { setElisionPolicy(prev_); }
-
-    ScopedElisionPolicy(const ScopedElisionPolicy &) = delete;
-    ScopedElisionPolicy &operator=(const ScopedElisionPolicy &) = delete;
-
-  private:
-    ElisionPolicy prev_;
-};
+    return (ctx.elisionPolicy() & bits) == bits;
+}
 
 } // namespace whisper::txlib
 

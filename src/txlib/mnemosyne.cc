@@ -371,7 +371,8 @@ Transaction::commit()
 {
     panic_if(state_ != State::Active, "double commit");
 
-    const bool elide = txlib::elisionEnabled(txlib::kElideMneCommitApply);
+    const bool elide =
+        txlib::elisionEnabled(ctx_, txlib::kElideMneCommitApply);
 
     // Commit record makes the transaction durable: after this fence a
     // crash replays the log. Under elision an empty write set takes

@@ -421,7 +421,7 @@ TxContext::commit()
         for (const auto &[off, n] : modified_)
             ctx_.flush(off, n);
         if (!modified_.empty() ||
-            !txlib::elisionEnabled(txlib::kElideNvmlCommitFence)) {
+            !txlib::elisionEnabled(ctx_, txlib::kElideNvmlCommitFence)) {
             ctx_.fence(FenceKind::Durability);
         }
     }
@@ -474,7 +474,7 @@ void
 TxContext::clearLog()
 {
     pm::OriginScope origin(ctx_, trace::Origin::NvmlClearLog);
-    if (txlib::elisionEnabled(txlib::kElideNvmlClearLog)) {
+    if (txlib::elisionEnabled(ctx_, txlib::kElideNvmlClearLog)) {
         // Batched retirement: every end record stored, every record
         // line flushed, one fence. The per-record fences are the
         // optimizer's category (c) — consecutive clear epochs touch

@@ -1,5 +1,6 @@
 #include "workload/keydist.hh"
 
+#include "common/hash.hh"
 #include "common/logging.hh"
 
 namespace whisper::workload
@@ -47,12 +48,7 @@ std::uint64_t
 KeyChooser::scramble(std::uint64_t x)
 {
     // FNV-1a over the 8 little-endian bytes of x (YCSB's fnvhash64).
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (unsigned b = 0; b < 8; b++) {
-        h ^= (x >> (b * 8)) & 0xff;
-        h *= 0x100000001b3ull;
-    }
-    return h;
+    return fnv1aWord(kFnvOffset, x);
 }
 
 std::uint64_t

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "common/hash.hh"
+
 namespace whisper::workload
 {
 
@@ -48,15 +50,8 @@ LatencyHistogram::quantile(double q) const
 std::uint64_t
 LatencyHistogram::digest() const
 {
-    constexpr std::uint64_t kOffset = 0xcbf29ce484222325ull;
-    constexpr std::uint64_t kPrime = 0x100000001b3ull;
-    std::uint64_t h = kOffset;
-    auto mix = [&h](std::uint64_t v) {
-        for (unsigned b = 0; b < 8; b++) {
-            h ^= (v >> (b * 8)) & 0xff;
-            h *= kPrime;
-        }
-    };
+    std::uint64_t h = kFnvOffset;
+    auto mix = [&h](std::uint64_t v) { h = fnv1aWord(h, v); };
     mix(count_);
     mix(sum_);
     mix(minValue());

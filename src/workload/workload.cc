@@ -6,10 +6,10 @@
 #include <cstdlib>
 #include <vector>
 
+#include "common/hash.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
-#include "lincheck/checker.hh"
-#include "lincheck/recorder.hh"
+#include "core/harness.hh"
 
 namespace whisper::workload
 {
@@ -90,14 +90,8 @@ WorkloadResult::throughputOpsPerSec() const
 std::uint64_t
 WorkloadResult::digest() const
 {
-    constexpr std::uint64_t kPrime = 0x100000001b3ull;
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    auto mix = [&h](std::uint64_t v) {
-        for (unsigned b = 0; b < 8; b++) {
-            h ^= (v >> (b * 8)) & 0xff;
-            h *= kPrime;
-        }
-    };
+    std::uint64_t h = kFnvOffset;
+    auto mix = [&h](std::uint64_t v) { h = fnv1aWord(h, v); };
     mix(ops.reads);
     mix(ops.readsFound);
     mix(ops.updates);
@@ -209,16 +203,16 @@ runWorkload(const WorkloadOptions &opts)
 
     WorkloadResult result;
     result.options = opts;
-    result.runtime = std::make_shared<core::Runtime>(
-        cfg.poolBytes, cfg.threads, cfg.recordVolatile);
-    std::unique_ptr<core::WhisperApp> app =
-        core::createApp(opts.app, cfg);
-    result.layerName = core::accessLayerName(app->layer());
-    if (!app->supportsWorkload())
+    core::Session s(opts.app, cfg);
+    core::Runtime &rt = s.rt();
+    core::WhisperApp &app = s.app();
+    result.runtime = s.world().runtime;
+    result.layerName = core::accessLayerName(app.layer());
+    if (!app.supportsWorkload())
         fatal("app '%s' does not support generated workloads "
               "(see `whisper_cli apps`)",
               opts.app.c_str());
-    if (opts.lincheck && !app->supportsLincheck())
+    if (opts.lincheck && !app.supportsLincheck())
         fatal("--lincheck needs the lincheck workload surface, which "
               "app '%s' does not implement (use mod-hashmap, "
               "mod-vector or halo-hashmap)",
@@ -229,36 +223,20 @@ runWorkload(const WorkloadOptions &opts)
     map.threads = opts.threads;
     map.insertsPerThread =
         opts.mix.insert > 0.0 ? opts.opsPerThread : 0;
-
-    core::Runtime &rt = *result.runtime;
-    app->workloadSetup(rt, map);
+    app.workloadSetup(rt, map);
 
     // Recording mode: an unarmed crash plan (crashAt stays "never")
     // attaches a seeded SchedGate so every PM op runs under a
     // deterministic cross-thread schedule, and the recorder captures
-    // each op's invoke/response plus fence coverage. The baseline
-    // probes must precede the run and follow enable() — noteInitial()
-    // is a no-op on a disabled recorder.
-    lincheck::HistoryRecorder rec;
+    // each op's invoke/response plus fence coverage.
     if (opts.lincheck) {
         if (opts.threads > 1) {
             Rng gateRng(opts.seed ^ 0x11c0de5eedull);
             rt.installCrashPlan(opts.threads, gateRng());
         }
-        rec.enable(opts.threads);
-        for (unsigned t = 0; t < opts.threads; t++) {
-            const ThreadId tid = static_cast<ThreadId>(t);
-            for (std::uint64_t i = 0; i < map.perThread(); i++) {
-                const std::uint64_t key = map.lo(tid) + i;
-                std::uint64_t value = 0;
-                const bool found =
-                    app->workloadProbe(rt.ctx(tid), tid, key, value);
-                rec.noteInitial(key, found, value);
-            }
-        }
-        for (unsigned t = 0; t < opts.threads; t++)
-            rt.ctx(static_cast<ThreadId>(t)).setFenceObserver(&rec);
+        s.record(map);
     }
+    lincheck::HistoryRecorder &rec = s.recorder();
     rt.clearTraces();
 
     // Per-thread state, all derived on this thread in tid order so
@@ -282,7 +260,8 @@ runWorkload(const WorkloadOptions &opts)
     const double cInsert = cUpdate + mix.insert;
     const double cRmw = cInsert + mix.rmw;
 
-    rt.runThreads(opts.threads, [&](pm::PmContext &ctx, ThreadId tid) {
+    // The recorder's entry points are no-ops unless s.record() ran.
+    s.run([&](pm::PmContext &ctx, ThreadId tid) {
         Rng &rng = rngs[tid];
         KeyChooser &chooser = choosers[tid];
         LatencyHistogram &hist = hists[tid];
@@ -294,59 +273,46 @@ runWorkload(const WorkloadOptions &opts)
             if (pick < cRead) {
                 const std::uint64_t key = chooser.next(rng);
                 c.reads++;
-                std::size_t h = 0;
-                if (opts.lincheck)
-                    h = rec.invoke(tid, lincheck::OpKind::Get, key, 0);
-                const bool found = app->workloadGet(ctx, tid, key);
+                const std::size_t h =
+                    rec.invoke(tid, lincheck::OpKind::Get, key, 0);
+                const bool found = app.workloadGet(ctx, tid, key);
                 if (found)
                     c.readsFound++;
-                if (opts.lincheck) {
-                    // The get answers presence only; re-probe for the
-                    // value. Keys are thread-partitioned, so nothing
-                    // wrote the key between the two reads.
-                    std::uint64_t value = 0;
-                    if (found)
-                        app->workloadProbe(ctx, tid, key, value);
-                    rec.response(tid, h, found, value);
-                }
+                // The get answers presence only; re-probe for the
+                // value. Keys are thread-partitioned, so nothing wrote
+                // the key between the two reads.
+                std::uint64_t value = 0;
+                if (opts.lincheck && found)
+                    app.workloadProbe(ctx, tid, key, value);
+                rec.response(tid, h, found, value);
             } else if (pick < cUpdate) {
                 const std::uint64_t key = chooser.next(rng);
                 const std::uint64_t val = rng();
                 c.updates++;
-                std::size_t h = 0;
-                if (opts.lincheck)
-                    h = rec.invoke(tid, lincheck::OpKind::Put, key,
-                                   val);
-                app->workloadPut(ctx, tid, key, val);
-                if (opts.lincheck)
-                    rec.response(tid, h, false, 0);
+                const std::size_t h =
+                    rec.invoke(tid, lincheck::OpKind::Put, key, val);
+                app.workloadPut(ctx, tid, key, val);
+                rec.response(tid, h, false, 0);
             } else if (pick < cInsert) {
                 const std::uint64_t key =
                     map.insertKey(tid, chooser.insertedCount());
                 const std::uint64_t val = rng();
                 c.inserts++;
-                std::size_t h = 0;
-                if (opts.lincheck)
-                    h = rec.invoke(tid, lincheck::OpKind::Put, key,
-                                   val);
-                app->workloadPut(ctx, tid, key, val);
-                if (opts.lincheck)
-                    rec.response(tid, h, false, 0);
+                const std::size_t h =
+                    rec.invoke(tid, lincheck::OpKind::Put, key, val);
+                app.workloadPut(ctx, tid, key, val);
+                rec.response(tid, h, false, 0);
                 chooser.noteInsert();
             } else if (pick < cRmw) {
                 const std::uint64_t key = chooser.next(rng);
                 const std::uint64_t delta = rng.next(1000) + 1;
                 c.rmws++;
-                std::size_t h = 0;
-                if (opts.lincheck)
-                    h = rec.invoke(tid, lincheck::OpKind::Rmw, key,
-                                   delta);
-                const bool found =
-                    app->workloadRmw(ctx, tid, key, delta);
+                const std::size_t h =
+                    rec.invoke(tid, lincheck::OpKind::Rmw, key, delta);
+                const bool found = app.workloadRmw(ctx, tid, key, delta);
                 if (found)
                     c.rmwsFound++;
-                if (opts.lincheck)
-                    rec.response(tid, h, found, 0);
+                rec.response(tid, h, found, 0);
             } else {
                 // Scans stay unrecorded: the history model is
                 // single-key, and a scan mutates nothing.
@@ -354,17 +320,15 @@ runWorkload(const WorkloadOptions &opts)
                 const std::uint64_t len =
                     rng.next(mix.scanLen ? mix.scanLen : 1) + 1;
                 c.scans++;
-                c.scannedKeys +=
-                    app->workloadScan(ctx, tid, key, len);
+                c.scannedKeys += app.workloadScan(ctx, tid, key, len);
             }
             hist.record(ctx.localTicks() - t0);
         }
-        app->workloadThreadDone(ctx, tid);
-        if (pm::SchedGate *gate = ctx.schedGate())
-            gate->deactivate(tid);
+        app.workloadThreadDone(ctx, tid);
         ticks[tid] = ctx.localTicks() - start;
     });
 
+    std::vector<std::uint64_t> inserted(opts.threads);
     for (unsigned t = 0; t < opts.threads; t++) {
         result.latency.merge(hists[t]);
         result.ops.reads += counts[t].reads;
@@ -377,51 +341,18 @@ runWorkload(const WorkloadOptions &opts)
         result.ops.scannedKeys += counts[t].scannedKeys;
         result.elapsedTicks = std::max(result.elapsedTicks, ticks[t]);
         result.totalTicks += ticks[t];
+        inserted[t] = counts[t].inserts;
     }
 
-    result.check = app->workloadCheck(rt);
+    result.check = app.workloadCheck(rt);
 
     if (opts.lincheck) {
-        for (unsigned t = 0; t < opts.threads; t++)
-            rt.ctx(static_cast<ThreadId>(t)).setFenceObserver(nullptr);
-        // Final probes over every key the run could have touched: the
-        // loaded partitions plus each thread's actually-inserted keys
-        // (a key absent from the probes reads as absent to the
-        // checker, which would turn an unprobed put into a false
-        // violation).
-        for (unsigned t = 0; t < opts.threads; t++) {
-            const ThreadId tid = static_cast<ThreadId>(t);
-            auto probe = [&](std::uint64_t key) {
-                std::uint64_t value = 0;
-                const bool found =
-                    app->workloadProbe(rt.ctx(tid), tid, key, value);
-                rec.noteRecovered(key, found, value);
-            };
-            for (std::uint64_t i = 0; i < map.perThread(); i++)
-                probe(map.lo(tid) + i);
-            for (std::uint64_t j = 0; j < counts[t].inserts; j++)
-                probe(map.insertKey(tid, j));
-        }
-        // crashed stays false: the cut must sit at the end of the
-        // history, i.e. plain linearizability against the probes.
-        const lincheck::History recorded = rec.finish();
-        const lincheck::CheckResult lc = lincheck::check(recorded);
+        const core::HistoryCheck hc =
+            s.checkHistory(result.check, inserted);
         result.lincheckRan = true;
-        result.lincheckBudget = lc.budgetExhausted;
-        result.lincheckKeys = lc.keys.size();
-        for (const lincheck::KeyVerdict &kv : lc.keys) {
-            if (kv.ok)
-                continue;
-            result.lincheckViolations++;
-            char head[40];
-            std::snprintf(head, sizeof(head), "key 0x%llx: ",
-                          static_cast<unsigned long long>(kv.key));
-            result.check.fail("lincheck", head + kv.why);
-        }
-        if (lc.budgetExhausted)
-            result.check.degrade("lincheck-budget",
-                                 "witness search budget exhausted; "
-                                 "verdict incomplete, not a violation");
+        result.lincheckBudget = hc.result.budgetExhausted;
+        result.lincheckKeys = hc.result.keys.size();
+        result.lincheckViolations = hc.violations;
     }
 
     result.verified = result.check.ok();

@@ -85,6 +85,15 @@ struct CrashCase
     std::uint64_t seed;
 };
 
+// gtest's default printer dumps the raw object bytes, which include the
+// std::string's heap pointer; that would put an address into every
+// discovered test name and change it from run to run.
+void
+PrintTo(const CrashCase &cc, std::ostream *os)
+{
+    *os << cc.app << " seed " << cc.seed;
+}
+
 class AppCrashSweep : public ::testing::TestWithParam<CrashCase>
 {
 };

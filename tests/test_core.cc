@@ -155,6 +155,26 @@ TEST(Harness, RunAppProducesTraces)
     EXPECT_EQ(result.layer, AccessLayer::LibNvml);
     EXPECT_GT(result.lastTick, result.firstTick);
     EXPECT_EQ(result.totalOps, 60u);
+
+    // Single-thread trace fingerprints, one app per access layer.
+    config.threads = 1;
+    config.poolBytes = 48 << 20;
+    const struct {
+        const char *app;
+        std::size_t events;
+        Tick lastTick;
+    } golden[] = {{"echo", 1348, 185656},
+                  {"hashmap", 1501, 409056},
+                  {"vacation", 1248, 846242},
+                  {"nfs", 6094, 2409464},
+                  {"mod-hashmap", 16871, 423656},
+                  {"halo-hashmap", 179, 244832}};
+    for (const auto &g : golden) {
+        const RunResult run = runApp(g.app, config);
+        EXPECT_TRUE(run.verified) << g.app;
+        EXPECT_EQ(run.runtime->traces().totalEvents(), g.events) << g.app;
+        EXPECT_EQ(run.lastTick, g.lastTick) << g.app;
+    }
 }
 
 TEST(Harness, CrashAndVerifyCycle)

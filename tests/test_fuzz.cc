@@ -42,6 +42,17 @@ TEST(CrashFuzz, CaseDerivationIsPure)
                                               config);
     EXPECT_NE(a.crash.seed, c.crash.seed);
     EXPECT_NE(a.crash.schedule, c.crash.schedule);
+
+    // Profile totals at the default FuzzConfig for one app per access
+    // layer: crash points are drawn from [0, total), so these pin
+    // every case of every default sweep.
+    const fuzz::FuzzConfig defaults;
+    const std::pair<const char *, std::uint64_t> totals[] = {
+        {"echo", 1030},      {"hashmap", 1066},
+        {"vacation", 694},   {"nfs", 2568},
+        {"mod-hashmap", 296}, {"halo-hashmap", 76}};
+    for (const auto &[app, total] : totals)
+        EXPECT_EQ(fuzz::profilePmOps(app, defaults), total) << app;
 }
 
 TEST(CrashFuzz, CaseReplayIsBitIdentical)

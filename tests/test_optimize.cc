@@ -8,10 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "analysis/optimize.hh"
 #include "core/harness.hh"
 #include "fuzz/crash_fuzz.hh"
-#include "txlib/elision.hh"
 
 namespace whisper::analysis
 {
@@ -282,7 +283,26 @@ TEST(Elision, ReducesPmOpsOnBothLayers)
         const std::uint64_t after = fuzz::profilePmOps(app, elided);
         EXPECT_LT(after, before) << app;
     }
-    txlib::setElisionPolicy(txlib::kElideNone);
+
+    // The policy belongs to each run: an elided and a plain profile
+    // racing in one process must each match their solo totals.
+    const fuzz::FuzzConfig plain;
+    fuzz::FuzzConfig elide;
+    elide.elide = true;
+    EXPECT_EQ(fuzz::profilePmOps("hashmap", plain), 1066u);
+    EXPECT_EQ(fuzz::profilePmOps("hashmap", elide), 1024u);
+    std::uint64_t raced_plain = 0;
+    std::uint64_t raced_elide = 0;
+    std::thread a([&] {
+        raced_plain = fuzz::profilePmOps("hashmap", plain);
+    });
+    std::thread b([&] {
+        raced_elide = fuzz::profilePmOps("hashmap", elide);
+    });
+    a.join();
+    b.join();
+    EXPECT_EQ(raced_plain, 1066u);
+    EXPECT_EQ(raced_elide, 1024u);
 }
 
 TEST(Elision, CrashfuzzSmokeMnemosyne)
@@ -307,7 +327,6 @@ TEST(Elision, CrashfuzzSmokeMnemosyne)
                           report.reproducers[0].command);
         EXPECT_GT(report.casesFired, 0u);
     }
-    txlib::setElisionPolicy(txlib::kElideNone);
 }
 
 TEST(Elision, CrashfuzzSmokeNvml)
@@ -329,7 +348,6 @@ TEST(Elision, CrashfuzzSmokeNvml)
                           report.reproducers[0].command);
         EXPECT_GT(report.casesFired, 0u);
     }
-    txlib::setElisionPolicy(txlib::kElideNone);
 }
 
 } // namespace

@@ -287,6 +287,29 @@ TEST(WorkloadDriver, DigestDeterministicAcrossRuns)
     EXPECT_EQ(a.latency.count(), a.ops.total());
     EXPECT_GT(a.elapsedTicks, 0u);
     EXPECT_GE(a.totalTicks, a.elapsedTicks);
+
+    // Pinned digests of larger runs (the `whisper_cli workload` lines
+    // in docs/WORKLOADS.md): every op and every Rng draw must replay.
+    WorkloadOptions big;
+    big.app = "hashmap";
+    big.keys = 10000;
+    big.threads = 4;
+    big.opsPerThread = 2000;
+    big.seed = 1;
+    big.mix = MixSpec::ycsb('A');
+    EXPECT_EQ(runWorkload(big).digest(), 0x889c1d96ee3d2488ull);
+    big.mix = MixSpec::ycsb('C');
+    EXPECT_EQ(runWorkload(big).digest(), 0xa44d9a78b867caf3ull);
+    big.app = "mod-hashmap";
+    big.keys = 3000;
+    big.threads = 3;
+    big.opsPerThread = 300;
+    big.mix = MixSpec::ycsb('A');
+    big.lincheck = true;
+    const WorkloadResult lc = runWorkload(big);
+    EXPECT_TRUE(lc.lincheckRan);
+    EXPECT_EQ(lc.lincheckViolations, 0u);
+    EXPECT_EQ(lc.digest(), 0x6dd5c9f826fa5794ull);
 }
 
 TEST(WorkloadDriver, SeedChangesDigest)
