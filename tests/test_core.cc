@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <iterator>
 #include <thread>
 
 #include "core/harness.hh"
@@ -156,7 +157,7 @@ TEST(Harness, RunAppProducesTraces)
     EXPECT_GT(result.lastTick, result.firstTick);
     EXPECT_EQ(result.totalOps, 60u);
 
-    // Single-thread trace fingerprints, one app per access layer.
+    // Single-thread trace fingerprints of every registered app.
     config.threads = 1;
     config.poolBytes = 48 << 20;
     const struct {
@@ -168,7 +169,16 @@ TEST(Harness, RunAppProducesTraces)
                   {"vacation", 1248, 846242},
                   {"nfs", 6094, 2409464},
                   {"mod-hashmap", 16871, 423656},
-                  {"halo-hashmap", 179, 244832}};
+                  {"halo-hashmap", 179, 244832},
+                  {"ctree", 2114, 482984},
+                  {"redis", 588, 284468},
+                  {"memcached", 325, 1379022},
+                  {"exim", 20287, 360639372},
+                  {"mysql", 4471, 21192544},
+                  {"ycsb", 6817, 824414},
+                  {"tpcc", 19519, 1210522},
+                  {"mod-vector", 901, 279984}};
+    EXPECT_EQ(std::size(golden), registeredApps().size());
     for (const auto &g : golden) {
         const RunResult run = runApp(g.app, config);
         EXPECT_TRUE(run.verified) << g.app;

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/rng.hh"
+#include "core/app.hh"
 #include "workload/keydist.hh"
 #include "workload/latency_histogram.hh"
 #include "workload/workload.hh"
@@ -310,6 +311,42 @@ TEST(WorkloadDriver, DigestDeterministicAcrossRuns)
     EXPECT_TRUE(lc.lincheckRan);
     EXPECT_EQ(lc.lincheckViolations, 0u);
     EXPECT_EQ(lc.digest(), 0x6dd5c9f826fa5794ull);
+}
+
+TEST(WorkloadDriver, SingleThreadDigestPinnedForEveryApp)
+{
+    // `whisper_cli workload --app <app> --mix A --keys 2000
+    // --threads 1 --ops 300 --pool-mb 64`: every app's preload, op
+    // path and padding must replay bit-identically.
+    const std::map<std::string, std::uint64_t> golden = {
+        {"echo", 0xa1a7e605ef29f3f1ull},
+        {"ycsb", 0x703623558535d0beull},
+        {"tpcc", 0x703623558535d0beull},
+        {"redis", 0x83b74aa48dcacbeaull},
+        {"ctree", 0xd9257e73e9106961ull},
+        {"hashmap", 0x3f09102db246362eull},
+        {"vacation", 0x3a616596f2468383ull},
+        {"memcached", 0x5a8e5f8f3988a050ull},
+        {"nfs", 0x712bc26cf9b5ceb4ull},
+        {"exim", 0xbbe8aed1a1fc9e44ull},
+        {"mysql", 0x9a0e8de2082b5a04ull},
+        {"mod-hashmap", 0x786138fe54b9de7cull},
+        {"mod-vector", 0x99e2a3491604d107ull},
+        {"halo-hashmap", 0xcfad7726b447a822ull}};
+    EXPECT_EQ(golden.size(), core::registeredApps().size());
+    for (const auto &[app, digest] : golden) {
+        WorkloadOptions opts;
+        opts.app = app;
+        opts.mix = MixSpec::ycsb('A');
+        opts.keys = 2000;
+        opts.threads = 1;
+        opts.opsPerThread = 300;
+        opts.poolBytes = 64 << 20;
+        const WorkloadResult r = runWorkload(opts);
+        EXPECT_TRUE(r.verified) << app << ":\n" << r.check.describe();
+        EXPECT_EQ(r.digest(), digest)
+            << app << " 0x" << std::hex << r.digest();
+    }
 }
 
 TEST(WorkloadDriver, SeedChangesDigest)
