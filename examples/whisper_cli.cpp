@@ -894,6 +894,35 @@ cmdLincheck(int argc, char **argv)
     return result.ok ? 0 : 1;
 }
 
+int
+cmdList(int, char **)
+{
+    for (const auto &name : core::registeredApps())
+        std::printf("%s\n", name.c_str());
+    return 0;
+}
+
+int
+cmdHelp(int, char **)
+{
+    printUsage(stdout);
+    return 0;
+}
+
+/** Subcommand dispatch: argv[1] -> handler(argc, argv). */
+const struct
+{
+    const char *name;
+    int (*run)(int argc, char **argv);
+} kCommands[] = {
+    {"record", cmdRecord},       {"analyze", cmdAnalyze},
+    {"optimize", cmdOptimize},   {"simulate", cmdSimulate},
+    {"apps", cmdApps},           {"workload", cmdWorkload},
+    {"crashfuzz", cmdCrashfuzz}, {"lincheck", cmdLincheck},
+    {"list", cmdList},           {"help", cmdHelp},
+    {"--help", cmdHelp},
+};
+
 } // namespace
 
 int
@@ -901,31 +930,8 @@ main(int argc, char **argv)
 {
     if (argc < 2)
         return usage();
-    if (std::strcmp(argv[1], "list") == 0) {
-        for (const auto &name : core::registeredApps())
-            std::printf("%s\n", name.c_str());
-        return 0;
-    }
-    if (std::strcmp(argv[1], "record") == 0)
-        return cmdRecord(argc, argv);
-    if (std::strcmp(argv[1], "analyze") == 0)
-        return cmdAnalyze(argc, argv);
-    if (std::strcmp(argv[1], "optimize") == 0)
-        return cmdOptimize(argc, argv);
-    if (std::strcmp(argv[1], "simulate") == 0)
-        return cmdSimulate(argc, argv);
-    if (std::strcmp(argv[1], "apps") == 0)
-        return cmdApps(argc, argv);
-    if (std::strcmp(argv[1], "workload") == 0)
-        return cmdWorkload(argc, argv);
-    if (std::strcmp(argv[1], "crashfuzz") == 0)
-        return cmdCrashfuzz(argc, argv);
-    if (std::strcmp(argv[1], "lincheck") == 0)
-        return cmdLincheck(argc, argv);
-    if (std::strcmp(argv[1], "help") == 0 ||
-        std::strcmp(argv[1], "--help") == 0) {
-        printUsage(stdout);
-        return 0;
-    }
+    for (const auto &cmd : kCommands)
+        if (std::strcmp(argv[1], cmd.name) == 0)
+            return cmd.run(argc, argv);
     return usage();
 }

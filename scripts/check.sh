@@ -352,6 +352,22 @@ else
 fi
 
 # ---------------------------------------------------------------
+# One pool-slicing rule: the workload adapters carve per-thread
+# instance slices with core::PoolSlices (src/core/app.hh). A private
+# copy of the arithmetic under src/apps/ would let the layouts of
+# the apps drift apart again.
+# ---------------------------------------------------------------
+echo "== source: single workload pool-slicing helper =="
+copies=$(grep -rnF 'lineBase(config_.poolBytes /' src/apps || true)
+if [[ -n "$copies" ]]; then
+    echo "FAIL: pool slicing outside core::PoolSlices:"
+    echo "$copies"
+    failures=$((failures + 1))
+else
+    echo "ok: workload pool slices come from core::PoolSlices"
+fi
+
+# ---------------------------------------------------------------
 # Docs check 1: doxygen must run warning-clean.
 # ---------------------------------------------------------------
 echo "== docs: doxygen =="

@@ -1,6 +1,7 @@
 /**
  * @file
- * Factories for the ten WHISPER applications.
+ * Factories for the fourteen WHISPER applications, plus the
+ * invariant check the three PMFS applications share.
  *
  * Table 1 of the paper maps each application to its access layer and
  * driving workload; registerSuiteApps() (register.cc) wires these
@@ -20,6 +21,7 @@
 #include <memory>
 
 #include "core/app.hh"
+#include "pmfs/pmfs.hh"
 
 namespace whisper::apps
 {
@@ -43,6 +45,19 @@ std::unique_ptr<core::WhisperApp>
 makeModVectorApp(const core::AppConfig &);
 std::unique_ptr<core::WhisperApp>
 makeHaloHashmapApp(const core::AppConfig &);
+
+/**
+ * PMFS recovery invariants of one volume: journal retired
+ * ("journal-quiescent") and fsck-clean ("fsck").
+ */
+inline void
+checkPmfs(pm::PmContext &ctx, pmfs::Pmfs &fs, core::VerifyReport &rep)
+{
+    std::string why;
+    rep.check(fs.journalQuiescent(ctx, &why), "journal-quiescent", why);
+    why.clear();
+    rep.check(fs.fsck(ctx, &why), "fsck", why);
+}
 
 } // namespace whisper::apps
 

@@ -66,6 +66,209 @@ untag(Addr tagged)
     return tagged & ~kInternalTag;
 }
 
+/** One tree: the root in front of its own NvmlPool. */
+struct Instance
+{
+    Addr rootOff = 0;
+    std::unique_ptr<nvml::NvmlPool> pool;
+};
+
+/** Format an empty tree over [@p base, @p base + @p bytes). */
+Instance
+formatTree(pm::PmContext &ctx, Addr base, std::size_t bytes,
+           unsigned lanes)
+{
+    Instance t;
+    t.rootOff = base;
+    const Addr pool_base =
+        lineBase(base + sizeof(CtRoot) + kCacheLineSize);
+    t.pool = std::make_unique<nvml::NvmlPool>(
+        ctx, pool_base, base + bytes - pool_base, lanes);
+    CtRoot root{CtRoot::kMagic, kNullAddr, 0};
+    ctx.store(base, &root, sizeof(root), DataClass::User);
+    ctx.flush(base, sizeof(root));
+    ctx.fence(FenceKind::Durability);
+    return t;
+}
+
+/** Client-side key generation and buffers (paper Fig. 6: ctree is
+ *  ~3.3% PM accesses). */
+void
+pad(pm::PmContext &ctx, const void *base)
+{
+    ctx.vBurst(base, 1 << 14, 520, 220);
+    ctx.compute(11000);
+}
+
+/** Descend to @p key's leaf; its offset (value out) or null. */
+Addr
+find(pm::PmContext &ctx, const Instance &t, std::uint64_t key,
+     std::uint64_t &value)
+{
+    Addr cur = ctx.pool().at<CtRoot>(t.rootOff)->top;
+    while (isInternal(cur)) {
+        const CtInternal *node = ctx.pool().at<CtInternal>(untag(cur));
+        CtInternal probe{};
+        ctx.load(untag(cur), &probe, sizeof(probe));
+        cur = node->child[(key >> node->bit) & 1];
+    }
+    if (cur == kNullAddr)
+        return kNullAddr;
+    CtLeaf leaf{};
+    ctx.load(cur, &leaf, sizeof(leaf));
+    if (leaf.key != key)
+        return kNullAddr;
+    value = leaf.value;
+    return cur;
+}
+
+/** Insert-or-update in one undo-logged transaction. */
+void
+insert(pm::PmContext &ctx, Instance &t, std::uint64_t key,
+       std::uint64_t value)
+{
+    CtRoot *r = ctx.pool().at<CtRoot>(t.rootOff);
+
+    if (r->top == kNullAddr) {
+        nvml::TxContext tx(*t.pool, ctx);
+        const Addr leaf_off = tx.txAlloc(sizeof(CtLeaf));
+        if (leaf_off == kNullAddr) {
+            tx.abort();
+            return;
+        }
+        CtLeaf leaf{key, value, key ^ value ^ CtLeaf::kSalt};
+        tx.directStore(leaf_off, &leaf, sizeof(leaf), DataClass::User);
+        tx.set(r->top, leaf_off, DataClass::User);
+        const std::uint64_t n = r->count + 1;
+        tx.set(r->count, n, DataClass::User);
+        tx.commit();
+        return;
+    }
+
+    // Find the existing leaf this key diverges from.
+    Addr cur = r->top;
+    while (isInternal(cur)) {
+        const CtInternal *node = ctx.pool().at<CtInternal>(untag(cur));
+        cur = node->child[(key >> node->bit) & 1];
+    }
+    const CtLeaf *other = ctx.pool().at<CtLeaf>(cur);
+    const std::uint64_t diff = other->key ^ key;
+    if (diff == 0) {
+        // Key exists: update the value in place (logged).
+        nvml::TxContext tx(*t.pool, ctx);
+        tx.set(ctx.pool().at<CtLeaf>(cur)->value, value,
+               DataClass::User);
+        const std::uint64_t sum = key ^ value ^ CtLeaf::kSalt;
+        tx.set(ctx.pool().at<CtLeaf>(cur)->checksum, sum,
+               DataClass::User);
+        tx.commit();
+        return;
+    }
+    const std::uint32_t crit =
+        63 - static_cast<std::uint32_t>(__builtin_clzll(diff));
+
+    nvml::TxContext tx(*t.pool, ctx);
+    const Addr leaf_off = tx.txAlloc(sizeof(CtLeaf));
+    if (leaf_off == kNullAddr) {
+        tx.abort();
+        return;
+    }
+    CtLeaf leaf{key, value, key ^ value ^ CtLeaf::kSalt};
+    tx.directStore(leaf_off, &leaf, sizeof(leaf), DataClass::User);
+
+    // Build the new internal node (fresh: direct stores).
+    const Addr inode_off = tx.txAlloc(sizeof(CtInternal));
+    if (inode_off == kNullAddr) {
+        tx.abort();
+        return;
+    }
+
+    // Walk again to the splice point: the first link whose subtree's
+    // critical bit is below ours.
+    Addr *link = &r->top;
+    Addr link_holder = t.rootOff + offsetof(CtRoot, top);
+    while (isInternal(*link)) {
+        CtInternal *node = ctx.pool().at<CtInternal>(untag(*link));
+        if (node->bit < crit)
+            break;
+        const unsigned dir = (key >> node->bit) & 1;
+        link_holder = untag(*link) + offsetof(CtInternal, child) +
+                      dir * sizeof(Addr);
+        link = &node->child[dir];
+    }
+
+    CtInternal inode{};
+    inode.bit = crit;
+    inode.child[(key >> crit) & 1] = leaf_off;
+    inode.child[((key >> crit) & 1) ^ 1] = *link;
+    tx.directStore(inode_off, &inode, sizeof(inode), DataClass::User);
+
+    // Splice: one logged pointer update.
+    tx.addRange(link_holder, 8);
+    const Addr tagged = inode_off | kInternalTag;
+    ctx.store(link_holder, &tagged, 8, DataClass::User);
+
+    const std::uint64_t n = r->count + 1;
+    tx.set(r->count, n, DataClass::User);
+    tx.commit();
+}
+
+/** Crit-bit order, leaf checksums and the committed count. */
+bool
+checkTree(pm::PmContext &ctx, const Instance &t, std::string *why)
+{
+    const CtRoot *r = ctx.pool().at<CtRoot>(t.rootOff);
+    if (r->magic != CtRoot::kMagic) {
+        if (why)
+            *why = "bad root magic";
+        return false;
+    }
+    std::uint64_t leaves = 0;
+    bool ok = true;
+    std::string err;
+    // Iterative DFS validating structure and checksums.
+    std::vector<std::pair<Addr, std::uint32_t>> stack; // node,max bit
+    if (r->top != kNullAddr)
+        stack.push_back({r->top, 64});
+    std::uint64_t guard = 0;
+    while (!stack.empty() && ok) {
+        if (++guard > 50'000'000) {
+            ok = false;
+            err = "tree cycle";
+            break;
+        }
+        auto [cur, maxbit] = stack.back();
+        stack.pop_back();
+        if (isInternal(cur)) {
+            const CtInternal *node =
+                ctx.pool().at<CtInternal>(untag(cur));
+            if (node->bit >= maxbit) {
+                ok = false;
+                err = "crit-bit order violated";
+                break;
+            }
+            stack.push_back({node->child[0], node->bit});
+            stack.push_back({node->child[1], node->bit});
+        } else {
+            const CtLeaf *leaf = ctx.pool().at<CtLeaf>(cur);
+            if (leaf->checksum !=
+                (leaf->key ^ leaf->value ^ CtLeaf::kSalt)) {
+                ok = false;
+                err = "leaf checksum mismatch";
+                break;
+            }
+            leaves++;
+        }
+    }
+    if (ok && leaves < r->count) {
+        ok = false;
+        err = "fewer leaves than committed count";
+    }
+    if (!ok && why)
+        *why = err;
+    return ok;
+}
+
 class CtreeApp : public WhisperApp
 {
   public:
@@ -77,59 +280,47 @@ class CtreeApp : public WhisperApp
     void
     setup(Runtime &rt) override
     {
-        pm::PmContext &ctx = rt.ctx(0);
-        rootOff_ = 0;
-        const Addr pool_base = lineBase(sizeof(CtRoot) + kCacheLineSize);
-        pool_ = std::make_unique<nvml::NvmlPool>(
-            ctx, pool_base, config_.poolBytes - pool_base,
-            config_.threads);
-        CtRoot root{CtRoot::kMagic, kNullAddr, 0};
-        ctx.store(rootOff_, &root, sizeof(root), DataClass::User);
-        ctx.flush(rootOff_, sizeof(root));
-        ctx.fence(FenceKind::Durability);
+        inst_.clear();
+        inst_.push_back(formatTree(rt.ctx(0), 0, config_.poolBytes,
+                                   config_.threads));
     }
 
     void
     run(Runtime &rt, pm::PmContext &ctx, ThreadId tid) override
     {
         (void)rt;
+        Instance &t = inst_[0];
         Rng rng(config_.seed * 73 + tid);
         for (std::uint64_t op = 0; op < config_.opsPerThread; op++) {
             // Unique keys per thread (clients insert disjoint ranges).
             const std::uint64_t key =
                 (static_cast<std::uint64_t>(tid) << 48) | rng() >> 16;
-            // Client-side key generation and buffers (paper Fig. 6:
-            // ctree is ~3.3% PM accesses).
-            ctx.vBurst(&rng, 1 << 14, 520, 220);
-            ctx.compute(11000);
-            insert(ctx, key, rng());
+            pad(ctx, &rng);
+            const std::uint64_t value = rng();
+            {
+                std::lock_guard<std::mutex> guard(treeLock_);
+                insert(ctx, t, key, value);
+            }
             // Occasional lookups between inserts.
-            if (op % 4 == 0)
-                lookup(ctx, key);
+            if (op % 4 == 0) {
+                std::lock_guard<std::mutex> guard(treeLock_);
+                std::uint64_t found = 0;
+                find(ctx, t, key, found);
+            }
         }
     }
 
-    VerifyReport
-    verify(Runtime &rt) override
-    {
-        VerifyReport rep = report();
-        std::string why;
-        rep.check(checkTree(rt, &why), "tree-intact", why);
-        return rep;
-    }
+    VerifyReport verify(Runtime &rt) override { return verifyRecovered(rt); }
 
-    void
-    recover(Runtime &rt) override
-    {
-        pool_->recover(rt.ctx(0));
-    }
+    void recover(Runtime &rt) override { inst_[0].pool->recover(rt.ctx(0)); }
 
     VerifyReport
     verifyRecovered(Runtime &rt) override
     {
         VerifyReport rep = report();
         std::string why;
-        rep.check(checkTree(rt, &why), "tree-intact", why);
+        rep.check(checkTree(rt.ctx(0), inst_[0], &why), "tree-intact",
+                  why);
         return rep;
     }
 
@@ -138,7 +329,7 @@ class CtreeApp : public WhisperApp
     {
         VerifyReport rep = report();
         std::string why;
-        rep.check(pool_->logsQuiescent(rt.ctx(0), &why),
+        rep.check(inst_[0].pool->logsQuiescent(rt.ctx(0), &why),
                   "logs-quiescent", why);
         return rep;
     }
@@ -148,7 +339,7 @@ class CtreeApp : public WhisperApp
     scrubLayer(Runtime &rt, std::vector<LineAddr> &lines,
                VerifyReport &rep) override
     {
-        pool_->scrub(rt.ctx(0), lines, rep);
+        inst_[0].pool->scrub(rt.ctx(0), lines, rep);
     }
 
     /** @{ \name Generated-workload surface
@@ -166,33 +357,17 @@ class CtreeApp : public WhisperApp
     workloadSetup(Runtime &rt, const WorkloadKeymap &map) override
     {
         wlMap_ = map;
-        wlShards_.clear();
-        const std::size_t region =
-            lineBase(config_.poolBytes / config_.threads);
-        panic_if(region <= sizeof(CtRoot) + (2u << 20),
-                 "ctree: pool too small for per-thread workload "
-                 "shards");
+        inst_.clear();
+        const PoolSlices slices(config_.poolBytes, map.threads,
+                                sizeof(CtRoot) + (2u << 20), "ctree");
         for (unsigned t = 0; t < map.threads; t++) {
             pm::PmContext &ctx = rt.ctx(t);
-            WlShard shard;
-            shard.rootOff = static_cast<Addr>(t) * region;
-            const Addr pool_base = lineBase(
-                shard.rootOff + sizeof(CtRoot) + kCacheLineSize);
-            shard.pool = std::make_unique<nvml::NvmlPool>(
-                ctx, pool_base,
-                shard.rootOff + region - pool_base, 1);
-            CtRoot root{CtRoot::kMagic, kNullAddr, 0};
-            ctx.store(shard.rootOff, &root, sizeof(root),
-                      DataClass::User);
-            ctx.flush(shard.rootOff, sizeof(root));
-            ctx.fence(FenceKind::Durability);
-            wlShards_.push_back(std::move(shard));
+            inst_.push_back(
+                formatTree(ctx, slices.base(t), slices.bytes, 1));
             const ThreadId tid = static_cast<ThreadId>(t);
             for (std::uint64_t i = 0; i < map.perThread(); i++) {
                 const std::uint64_t key = map.lo(tid) + i;
-                insertAt(ctx, *wlShards_[t].pool,
-                         wlShards_[t].rootOff, key,
-                         key * 0x9e3779b97f4a7c15ull);
+                insert(ctx, inst_[t], key, key * 0x9e3779b97f4a7c15ull);
             }
         }
     }
@@ -201,32 +376,27 @@ class CtreeApp : public WhisperApp
     workloadGet(pm::PmContext &ctx, ThreadId tid,
                 std::uint64_t key) override
     {
-        pad(ctx);
+        pad(ctx, this);
         std::uint64_t value = 0;
-        return findAt(ctx, wlShards_[tid].rootOff, key, value) !=
-               kNullAddr;
+        return find(ctx, inst_[tid], key, value) != kNullAddr;
     }
 
     void
     workloadPut(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
                 std::uint64_t value) override
     {
-        pad(ctx);
-        insertAt(ctx, *wlShards_[tid].pool, wlShards_[tid].rootOff,
-                 key, value);
+        pad(ctx, this);
+        insert(ctx, inst_[tid], key, value);
     }
 
     bool
     workloadRmw(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
                 std::uint64_t delta) override
     {
-        pad(ctx);
+        pad(ctx, this);
         std::uint64_t value = 0;
-        const bool found =
-            findAt(ctx, wlShards_[tid].rootOff, key, value) !=
-            kNullAddr;
-        insertAt(ctx, *wlShards_[tid].pool, wlShards_[tid].rootOff,
-                 key, value + delta);
+        const bool found = find(ctx, inst_[tid], key, value) != kNullAddr;
+        insert(ctx, inst_[tid], key, value + delta);
         return found;
     }
 
@@ -234,13 +404,12 @@ class CtreeApp : public WhisperApp
     workloadScan(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
                  std::uint64_t len) override
     {
-        pad(ctx);
+        pad(ctx, this);
         std::uint64_t found = 0;
         std::uint64_t value = 0;
         for (std::uint64_t j = 0; j < len; j++)
-            if (findAt(ctx, wlShards_[tid].rootOff,
-                       wlMap_.scanKey(tid, key, j), value) !=
-                kNullAddr)
+            if (find(ctx, inst_[tid], wlMap_.scanKey(tid, key, j),
+                     value) != kNullAddr)
                 found++;
         return found;
     }
@@ -249,13 +418,12 @@ class CtreeApp : public WhisperApp
     workloadCheck(Runtime &rt) override
     {
         VerifyReport rep = report();
-        for (unsigned t = 0; t < wlShards_.size(); t++) {
+        for (unsigned t = 0; t < inst_.size(); t++) {
             std::string why;
-            rep.check(checkTreeAt(rt, wlShards_[t].rootOff, &why),
+            rep.check(checkTree(rt.ctx(0), inst_[t], &why),
                       "tree-intact",
                       "shard " + std::to_string(t) + ": " + why);
-            rep.check(wlShards_[t].pool->logsQuiescent(rt.ctx(0),
-                                                       &why),
+            rep.check(inst_[t].pool->logsQuiescent(rt.ctx(0), &why),
                       "logs-quiescent", why);
         }
         return rep;
@@ -264,221 +432,14 @@ class CtreeApp : public WhisperApp
     /** @} */
 
   private:
-    struct WlShard
-    {
-        Addr rootOff = 0;
-        std::unique_ptr<nvml::NvmlPool> pool;
-    };
-
-    CtRoot *root(pm::PmContext &ctx) { return ctx.pool().at<CtRoot>(
-        rootOff_); }
-
-    /** run()'s client-side DRAM padding (paper Fig. 6 proportions). */
-    void
-    pad(pm::PmContext &ctx)
-    {
-        ctx.vBurst(this, 1 << 14, 520, 220);
-        ctx.compute(11000);
-    }
-
-    /** Descend to @p key's leaf; its offset (value out) or null. */
-    Addr
-    findAt(pm::PmContext &ctx, Addr root_off, std::uint64_t key,
-           std::uint64_t &value)
-    {
-        Addr cur = ctx.pool().at<CtRoot>(root_off)->top;
-        while (isInternal(cur)) {
-            const CtInternal *node =
-                ctx.pool().at<CtInternal>(untag(cur));
-            CtInternal probe{};
-            ctx.load(untag(cur), &probe, sizeof(probe));
-            cur = node->child[(key >> node->bit) & 1];
-        }
-        if (cur == kNullAddr)
-            return kNullAddr;
-        CtLeaf leaf{};
-        ctx.load(cur, &leaf, sizeof(leaf));
-        if (leaf.key != key)
-            return kNullAddr;
-        value = leaf.value;
-        return cur;
-    }
-
-    bool
-    lookup(pm::PmContext &ctx, std::uint64_t key)
-    {
-        std::lock_guard<std::mutex> guard(treeLock_);
-        std::uint64_t value = 0;
-        return findAt(ctx, rootOff_, key, value) != kNullAddr;
-    }
-
-    void
-    insert(pm::PmContext &ctx, std::uint64_t key, std::uint64_t value)
-    {
-        std::lock_guard<std::mutex> guard(treeLock_);
-        insertAt(ctx, *pool_, rootOff_, key, value);
-    }
-
-    void
-    insertAt(pm::PmContext &ctx, nvml::NvmlPool &pool, Addr root_off,
-             std::uint64_t key, std::uint64_t value)
-    {
-        CtRoot *r = ctx.pool().at<CtRoot>(root_off);
-
-        if (r->top == kNullAddr) {
-            nvml::TxContext tx(pool, ctx);
-            const Addr leaf_off = tx.txAlloc(sizeof(CtLeaf));
-            if (leaf_off == kNullAddr) {
-                tx.abort();
-                return;
-            }
-            CtLeaf leaf{key, value, key ^ value ^ CtLeaf::kSalt};
-            tx.directStore(leaf_off, &leaf, sizeof(leaf),
-                           DataClass::User);
-            tx.set(r->top, leaf_off, DataClass::User);
-            const std::uint64_t n = r->count + 1;
-            tx.set(r->count, n, DataClass::User);
-            tx.commit();
-            return;
-        }
-
-        // Find the existing leaf this key diverges from.
-        Addr cur = r->top;
-        while (isInternal(cur)) {
-            const CtInternal *node =
-                ctx.pool().at<CtInternal>(untag(cur));
-            cur = node->child[(key >> node->bit) & 1];
-        }
-        const CtLeaf *other = ctx.pool().at<CtLeaf>(cur);
-        const std::uint64_t diff = other->key ^ key;
-        if (diff == 0) {
-            // Key exists: update the value in place (logged).
-            nvml::TxContext tx(pool, ctx);
-            tx.set(ctx.pool().at<CtLeaf>(cur)->value, value,
-                   DataClass::User);
-            const std::uint64_t sum = key ^ value ^ CtLeaf::kSalt;
-            tx.set(ctx.pool().at<CtLeaf>(cur)->checksum, sum,
-                   DataClass::User);
-            tx.commit();
-            return;
-        }
-        const std::uint32_t crit =
-            63 - static_cast<std::uint32_t>(__builtin_clzll(diff));
-
-        nvml::TxContext tx(pool, ctx);
-        const Addr leaf_off = tx.txAlloc(sizeof(CtLeaf));
-        if (leaf_off == kNullAddr) {
-            tx.abort();
-            return;
-        }
-        CtLeaf leaf{key, value, key ^ value ^ CtLeaf::kSalt};
-        tx.directStore(leaf_off, &leaf, sizeof(leaf), DataClass::User);
-
-        // Build the new internal node (fresh: direct stores).
-        const Addr inode_off = tx.txAlloc(sizeof(CtInternal));
-        if (inode_off == kNullAddr) {
-            tx.abort();
-            return;
-        }
-
-        // Walk again to the splice point: the first link whose
-        // subtree's critical bit is below ours.
-        Addr *link = &r->top;
-        Addr link_holder = root_off + offsetof(CtRoot, top);
-        while (isInternal(*link)) {
-            CtInternal *node = ctx.pool().at<CtInternal>(untag(*link));
-            if (node->bit < crit)
-                break;
-            const unsigned dir = (key >> node->bit) & 1;
-            link_holder = untag(*link) + offsetof(CtInternal, child) +
-                          dir * sizeof(Addr);
-            link = &node->child[dir];
-        }
-
-        CtInternal inode{};
-        inode.bit = crit;
-        inode.child[(key >> crit) & 1] = leaf_off;
-        inode.child[((key >> crit) & 1) ^ 1] = *link;
-        tx.directStore(inode_off, &inode, sizeof(inode),
-                       DataClass::User);
-
-        // Splice: one logged pointer update.
-        tx.addRange(link_holder, 8);
-        const Addr tagged = inode_off | kInternalTag;
-        ctx.store(link_holder, &tagged, 8, DataClass::User);
-
-        const std::uint64_t n = r->count + 1;
-        tx.set(r->count, n, DataClass::User);
-        tx.commit();
-    }
-
-    bool
-    checkTree(Runtime &rt, std::string *why)
-    {
-        return checkTreeAt(rt, rootOff_, why);
-    }
-
-    bool
-    checkTreeAt(Runtime &rt, Addr root_off, std::string *why)
-    {
-        pm::PmContext &ctx = rt.ctx(0);
-        CtRoot *r = ctx.pool().at<CtRoot>(root_off);
-        if (r->magic != CtRoot::kMagic) {
-            if (why)
-                *why = "bad root magic";
-            return false;
-        }
-        std::uint64_t leaves = 0;
-        bool ok = true;
-        std::string err;
-        // Iterative DFS validating structure and checksums.
-        std::vector<std::pair<Addr, std::uint32_t>> stack; // node,max bit
-        if (r->top != kNullAddr)
-            stack.push_back({r->top, 64});
-        std::uint64_t guard = 0;
-        while (!stack.empty() && ok) {
-            if (++guard > 50'000'000) {
-                ok = false;
-                err = "tree cycle";
-                break;
-            }
-            auto [cur, maxbit] = stack.back();
-            stack.pop_back();
-            if (isInternal(cur)) {
-                const CtInternal *node =
-                    ctx.pool().at<CtInternal>(untag(cur));
-                if (node->bit >= maxbit) {
-                    ok = false;
-                    err = "crit-bit order violated";
-                    break;
-                }
-                stack.push_back({node->child[0], node->bit});
-                stack.push_back({node->child[1], node->bit});
-            } else {
-                const CtLeaf *leaf = ctx.pool().at<CtLeaf>(cur);
-                if (leaf->checksum !=
-                    (leaf->key ^ leaf->value ^ CtLeaf::kSalt)) {
-                    ok = false;
-                    err = "leaf checksum mismatch";
-                    break;
-                }
-                leaves++;
-            }
-        }
-        if (ok && leaves < r->count) {
-            ok = false;
-            err = "fewer leaves than committed count";
-        }
-        if (!ok && why)
-            *why = err;
-        return ok;
-    }
-
-    std::unique_ptr<nvml::NvmlPool> pool_;
-    Addr rootOff_ = 0;
+    /**
+     * The paper run's one tree over the whole pool (setup()), or one
+     * tree per workload thread (workloadSetup()).
+     */
+    std::vector<Instance> inst_;
+    /** Serializes run()'s threads on the shared tree. */
     std::mutex treeLock_;
     WorkloadKeymap wlMap_;
-    std::vector<WlShard> wlShards_;
 };
 
 } // namespace

@@ -107,6 +107,221 @@ hashKey(std::uint64_t key)
     return key;
 }
 
+/**
+ * One store: [root][client logs][buddy heap] over its own pool range.
+ * The paper run's store serves every client; a workload thread's
+ * store has one client, itself.
+ */
+struct Instance
+{
+    Addr rootOff = 0;
+    Addr logsOff = 0;
+    Addr heapOff = 0;
+    unsigned clients = 0;
+    std::uint64_t logCursor = 0; //!< next workload log slot
+    std::unique_ptr<alloc::BuddyAllocator> heap;
+
+    Addr
+    logOff(unsigned client, std::uint64_t slot) const
+    {
+        return logsOff +
+               (static_cast<Addr>(client) * kLogEntriesPerClient +
+                slot) * sizeof(LogEntry);
+    }
+
+    Addr logsEnd() const { return logOff(clients, 0); }
+};
+
+/** Format an empty store for @p clients over [@p base, +@p bytes). */
+Instance
+formatStore(pm::PmContext &ctx, Addr base, std::size_t bytes,
+            unsigned clients)
+{
+    Instance st;
+    st.rootOff = base;
+    st.clients = clients;
+    st.logsOff = lineBase(base + sizeof(EchoRoot) + kCacheLineSize);
+    st.heapOff = lineBase(st.logsEnd() + kCacheLineSize);
+    st.heap = std::make_unique<alloc::BuddyAllocator>(
+        ctx, st.heapOff, base + bytes - st.heapOff);
+
+    EchoRoot root{};
+    root.magic = EchoRoot::kMagic;
+    root.nextTs = 1;
+    for (auto &bucket : root.buckets)
+        bucket.head = kNullAddr;
+    ctx.store(base, &root, sizeof(root), DataClass::User);
+    ctx.flush(base, sizeof(root));
+
+    LogEntry empty{0, 0, 0, 1};
+    for (Addr off = st.logsOff; off < st.logsEnd();
+         off += sizeof(LogEntry))
+        ctx.store(off, &empty, sizeof(empty), DataClass::Log);
+    ctx.flush(st.logsOff, st.logsEnd() - st.logsOff);
+    ctx.fence(FenceKind::Durability);
+    return st;
+}
+
+/** Client-side batching/serialization (paper Fig. 6: Echo is ~5.5%
+ *  PM accesses). */
+void
+pad(pm::PmContext &ctx, const void *base)
+{
+    ctx.vBurst(base, 1 << 16, 160, 70);
+    ctx.compute(3200);
+}
+
+EchoRoot *
+root(pm::PmContext &ctx, const Instance &st)
+{
+    return ctx.pool().at<EchoRoot>(st.rootOff);
+}
+
+/** Find (or create) the Entry for @p key; master lock held. */
+Addr
+findOrCreateEntry(pm::PmContext &ctx, Instance &st, std::uint64_t key)
+{
+    Bucket &bucket = root(ctx, st)->buckets[hashKey(key) % kBuckets];
+    Addr cur = ctx.loadField(bucket.head);
+    while (cur != kNullAddr) {
+        Entry *ent = ctx.pool().at<Entry>(cur);
+        if (ctx.loadField(ent->key) == key)
+            return cur;
+        cur = ent->next;
+    }
+    // Create: buddy alloc (VOLATILE) -> init with descriptor
+    // INPROGRESS -> link -> CREATED -> PERSISTENT. The status
+    // double-write on one line is the paper's Echo self-dep.
+    const Addr off = st.heap->alloc(ctx, sizeof(Entry));
+    panic_if(off == kNullAddr, "echo heap exhausted");
+    Entry ent{key, kInProgress, kNullAddr, ctx.loadField(bucket.head)};
+    ctx.store(off, &ent, sizeof(ent), DataClass::User);
+    ctx.flush(off, sizeof(ent));
+    ctx.fence(FenceKind::Ordering);
+    ctx.storeField(bucket.head, off, DataClass::User);
+    ctx.flush(ctx.pool().offsetOf(&bucket.head), 8);
+    ctx.fence(FenceKind::Ordering);
+    Entry *pent = ctx.pool().at<Entry>(off);
+    const std::uint64_t created = kCreated;
+    ctx.storeField(pent->status, created, DataClass::User);
+    ctx.flush(off + offsetof(Entry, status), 8);
+    ctx.fence(FenceKind::Ordering);
+    st.heap->setState(ctx, off, alloc::BlockState::Persistent);
+    return off;
+}
+
+/** Read-only bucket walk: Entry for @p key or kNullAddr. */
+Addr
+findEntry(pm::PmContext &ctx, const Instance &st, std::uint64_t key)
+{
+    Addr cur = root(ctx, st)->buckets[hashKey(key) % kBuckets].head;
+    while (cur != kNullAddr) {
+        std::uint64_t probe = 0;
+        ctx.load(cur + offsetof(Entry, key), &probe, 8);
+        if (probe == key)
+            return cur;
+        cur = ctx.pool().at<Entry>(cur)->next;
+    }
+    return kNullAddr;
+}
+
+/** Publish a new newest version (value, ts) of @p key. */
+void
+applyUpdate(pm::PmContext &ctx, Instance &st, std::uint64_t key,
+            std::uint64_t value, std::uint64_t ts)
+{
+    const Addr entry_off = findOrCreateEntry(ctx, st, key);
+    const Addr voff = st.heap->alloc(ctx, sizeof(Version));
+    panic_if(voff == kNullAddr, "echo heap exhausted");
+    Entry *ent = ctx.pool().at<Entry>(entry_off);
+    Version ver{value, ts, value ^ ts ^ key,
+                ctx.loadField(ent->versions), key};
+    ctx.store(voff, &ver, sizeof(ver), DataClass::User);
+    ctx.flush(voff, sizeof(ver));
+    ctx.fence(FenceKind::Ordering);
+    // Publish: single 8-byte pointer flip.
+    ctx.storeField(ent->versions, voff, DataClass::User);
+    ctx.flush(entry_off + offsetof(Entry, versions), 8);
+    ctx.fence(FenceKind::Ordering);
+    st.heap->setState(ctx, voff, alloc::BlockState::Persistent);
+}
+
+/** Bump the store's global batch timestamp; returns the old one. */
+std::uint64_t
+takeTimestamp(pm::PmContext &ctx, const Instance &st)
+{
+    EchoRoot *r = root(ctx, st);
+    const std::uint64_t ts = ctx.loadField(r->nextTs);
+    const std::uint64_t next_ts = ts + 1;
+    ctx.storeField(r->nextTs, next_ts, DataClass::User);
+    ctx.flush(st.rootOff + offsetof(EchoRoot, nextTs), 8);
+    ctx.fence(FenceKind::Ordering);
+    return ts;
+}
+
+/** Mark log slot @p off applied (flushed; the caller fences). */
+void
+markApplied(pm::PmContext &ctx, Addr off)
+{
+    const std::uint64_t one = 1;
+    auto *ent = ctx.pool().at<LogEntry>(off);
+    ctx.storeField(ent->applied, one, DataClass::Log);
+    ctx.flush(off + offsetof(LogEntry, applied), 8);
+}
+
+/** Structural + checksum walk over the whole persistent store. */
+bool
+checkStore(pm::PmContext &ctx, const Instance &st, std::string *why)
+{
+    const EchoRoot *r = root(ctx, st);
+    if (r->magic != EchoRoot::kMagic) {
+        if (why)
+            *why = "bad root magic";
+        return false;
+    }
+    for (std::uint64_t b = 0; b < kBuckets; b++) {
+        Addr cur = r->buckets[b].head;
+        std::uint64_t guard = 0;
+        while (cur != kNullAddr) {
+            if (++guard > 10'000'000) {
+                if (why)
+                    *why = "bucket chain cycle";
+                return false;
+            }
+            const Entry *ent = ctx.pool().at<Entry>(cur);
+            if (ent->status != kCreated) {
+                if (why)
+                    *why = "entry with unfinished descriptor";
+                return false;
+            }
+            if (hashKey(ent->key) % kBuckets != b) {
+                if (why)
+                    *why = "entry in wrong bucket";
+                return false;
+            }
+            std::uint64_t prev_ts = ~std::uint64_t(0);
+            Addr v = ent->versions;
+            while (v != kNullAddr) {
+                const Version *ver = ctx.pool().at<Version>(v);
+                if (ver->checksum != (ver->value ^ ver->ts ^ ver->key)) {
+                    if (why)
+                        *why = "version checksum mismatch";
+                    return false;
+                }
+                if (ver->key != ent->key || ver->ts > prev_ts) {
+                    if (why)
+                        *why = "version chain out of order";
+                    return false;
+                }
+                prev_ts = ver->ts;
+                v = ver->next;
+            }
+            cur = ent->next;
+        }
+    }
+    return true;
+}
+
 class EchoApp : public WhisperApp
 {
   public:
@@ -118,40 +333,15 @@ class EchoApp : public WhisperApp
     void
     setup(Runtime &rt) override
     {
-        pm::PmContext &ctx = rt.ctx(0);
-        // Layout: [root][client logs][buddy heap].
-        rootOff_ = 0;
-        const Addr logs_off =
-            lineBase(sizeof(EchoRoot) + kCacheLineSize);
-        logsOff_ = logs_off;
-        const std::size_t logs_bytes = config_.threads *
-                                       kLogEntriesPerClient *
-                                       sizeof(LogEntry);
-        heapOff_ = lineBase(logs_off + logs_bytes + kCacheLineSize);
-        heap_ = std::make_unique<alloc::BuddyAllocator>(
-            ctx, heapOff_, config_.poolBytes - heapOff_);
-
-        EchoRoot root{};
-        root.magic = EchoRoot::kMagic;
-        root.nextTs = 1;
-        for (auto &bucket : root.buckets)
-            bucket.head = kNullAddr;
-        ctx.store(rootOff_, &root, sizeof(root), DataClass::User);
-        ctx.flush(rootOff_, sizeof(root));
-
-        LogEntry empty{0, 0, 0, 1};
-        for (std::uint64_t i = 0;
-             i < config_.threads * kLogEntriesPerClient; i++) {
-            ctx.store(logsOff_ + i * sizeof(LogEntry), &empty,
-                      sizeof(empty), DataClass::Log);
-        }
-        ctx.flush(logsOff_, logs_bytes);
-        ctx.fence(FenceKind::Durability);
+        inst_.clear();
+        inst_.push_back(formatStore(rt.ctx(0), 0, config_.poolBytes,
+                                    config_.threads));
     }
 
     void
     run(Runtime &rt, pm::PmContext &ctx, ThreadId tid) override
     {
+        (void)rt;
         Rng rng(config_.seed + tid * 7919);
         const std::uint64_t key_space =
             std::max<std::uint64_t>(1024, config_.opsPerThread);
@@ -182,41 +372,33 @@ class EchoApp : public WhisperApp
                         ctx.vLoad(&it->second, 8);
                 }
                 ops.emplace_back(key, value);
-                // Client-side batching/serialization (paper Fig. 6:
-                // Echo is ~5.5% PM accesses).
-                ctx.vBurst(&local, 1 << 16, 160, 70);
-                ctx.compute(3200);
+                pad(ctx, &local);
             }
-            submitBatch(rt, ctx, tid, ops);
+            std::lock_guard<std::mutex> guard(masterLock_);
+            submitBatch(ctx, inst_[0], tid, ops);
             done += batch;
         }
     }
 
-    VerifyReport
-    verify(Runtime &rt) override
-    {
-        VerifyReport rep = report();
-        std::string why;
-        rep.check(checkStore(rt, &why), "store-intact", why);
-        return rep;
-    }
+    VerifyReport verify(Runtime &rt) override { return verifyRecovered(rt); }
 
     void
     recover(Runtime &rt) override
     {
         pm::PmContext &ctx = rt.ctx(0);
+        Instance &st = inst_[0];
         // Before the heap reclaims VOLATILE blocks, unlink anything
         // the crash left half-published: entries whose descriptor
         // never reached CREATED (or whose block never reached
         // PERSISTENT) and version-chain heads still VOLATILE.
-        EchoRoot *r = root(ctx);
+        EchoRoot *r = root(ctx, st);
         for (std::uint64_t b = 0; b < kBuckets; b++) {
             Bucket &bucket = r->buckets[b];
             // Prune the chain head while it is unfinished.
             while (bucket.head != kNullAddr) {
                 Entry *ent = ctx.pool().at<Entry>(bucket.head);
                 if (ent->status == kCreated &&
-                    heap_->state(ctx, bucket.head) ==
+                    st.heap->state(ctx, bucket.head) ==
                         alloc::BlockState::Persistent) {
                     break;
                 }
@@ -229,7 +411,7 @@ class EchoApp : public WhisperApp
             for (Addr cur = bucket.head; cur != kNullAddr;) {
                 Entry *ent = ctx.pool().at<Entry>(cur);
                 while (ent->versions != kNullAddr &&
-                       heap_->state(ctx, ent->versions) !=
+                       st.heap->state(ctx, ent->versions) !=
                            alloc::BlockState::Persistent) {
                     const Version *ver =
                         ctx.pool().at<Version>(ent->versions);
@@ -241,13 +423,13 @@ class EchoApp : public WhisperApp
                 cur = ent->next;
             }
         }
-        heap_->recover(ctx);
+        st.heap->recover(ctx);
         // Re-apply any batch whose log entries were durable but not
         // yet marked applied (idempotent thanks to the version ts).
-        for (unsigned client = 0; client < config_.threads; client++) {
+        for (unsigned client = 0; client < st.clients; client++) {
             for (std::uint64_t slot = 0; slot < kLogEntriesPerClient;
                  slot++) {
-                const Addr off = logOff(client, slot);
+                const Addr off = st.logOff(client, slot);
                 LogEntry ent{};
                 ctx.load(off, &ent, sizeof(ent));
                 if (ent.applied || ent.ts == 0)
@@ -255,14 +437,10 @@ class EchoApp : public WhisperApp
                 if (ent.key ^ ent.value ^ ent.ts) {
                     // Entry is well-formed only if a matching version
                     // is absent; apply then mark.
-                    if (!versionExists(rt, ctx, ent.key, ent.ts))
-                        applyUpdate(rt, ctx, ent.key, ent.value,
-                                    ent.ts);
+                    if (!versionExists(ctx, st, ent.key, ent.ts))
+                        applyUpdate(ctx, st, ent.key, ent.value, ent.ts);
                 }
-                const std::uint64_t one = 1;
-                auto *slot_ent = ctx.pool().at<LogEntry>(off);
-                ctx.storeField(slot_ent->applied, one, DataClass::Log);
-                ctx.flush(off + offsetof(LogEntry, applied), 8);
+                markApplied(ctx, off);
                 ctx.fence(FenceKind::Ordering);
             }
         }
@@ -273,7 +451,8 @@ class EchoApp : public WhisperApp
     {
         VerifyReport rep = report();
         std::string why;
-        rep.check(checkStore(rt, &why), "store-intact", why);
+        rep.check(checkStore(rt.ctx(0), inst_[0], &why), "store-intact",
+                  why);
         return rep;
     }
 
@@ -285,18 +464,19 @@ class EchoApp : public WhisperApp
         // and VOLATILE -> PERSISTENT; recover() prunes stragglers.
         pm::PmContext &ctx = rt.ctx(0);
         VerifyReport rep = report();
-        EchoRoot *r = root(ctx);
+        const Instance &st = inst_[0];
+        EchoRoot *r = root(ctx, st);
         for (std::uint64_t b = 0; b < kBuckets; b++) {
             for (Addr cur = r->buckets[b].head; cur != kNullAddr;) {
                 const Entry *ent = ctx.pool().at<Entry>(cur);
                 if (!rep.check(ent->status == kCreated &&
-                                   heap_->state(ctx, cur) ==
+                                   st.heap->state(ctx, cur) ==
                                        alloc::BlockState::Persistent,
                                "descriptors-settled",
                                "echo entry with unsettled descriptor"))
                     return rep;
                 for (Addr v = ent->versions; v != kNullAddr;) {
-                    if (!rep.check(heap_->state(ctx, v) ==
+                    if (!rep.check(st.heap->state(ctx, v) ==
                                        alloc::BlockState::Persistent,
                                    "versions-persistent",
                                    "echo version still VOLATILE"))
@@ -326,18 +506,19 @@ class EchoApp : public WhisperApp
                VerifyReport &rep) override
     {
         pm::PmContext &ctx = rt.ctx(0);
-        const Addr logs_end =
-            logsOff_ + static_cast<Addr>(config_.threads) *
-                           kLogEntriesPerClient * sizeof(LogEntry);
+        const Instance &st = inst_[0];
+        const Addr root_off = st.rootOff;
+        const Addr heap_off = st.heapOff;
+        const Addr logs_end = st.logsEnd();
         std::vector<LineAddr> root_lines, log_lines, heap_lines, rest;
         for (const LineAddr line : lines) {
             const Addr off = static_cast<Addr>(line) << kCacheLineBits;
-            if (off < rootOff_ + sizeof(EchoRoot))
+            if (off < root_off + sizeof(EchoRoot))
                 root_lines.push_back(line);
-            else if (off >= logsOff_ && off < logs_end)
+            else if (off >= st.logsOff && off < logs_end)
                 log_lines.push_back(line);
-            else if (off >= heapOff_ &&
-                     off < heapOff_ + heap_->heapSize())
+            else if (off >= heap_off &&
+                     off < heap_off + st.heap->heapSize())
                 heap_lines.push_back(line);
             else
                 rest.push_back(line);
@@ -350,13 +531,13 @@ class EchoApp : public WhisperApp
         for (const LineAddr line : root_lines) {
             const Addr lo = static_cast<Addr>(line) << kCacheLineBits;
             const Addr hi = std::min<Addr>(
-                lo + kCacheLineSize, rootOff_ + sizeof(EchoRoot));
+                lo + kCacheLineSize, root_off + sizeof(EchoRoot));
             for (Addr w = lo; w < hi; w += 8) {
-                if (w == rootOff_ + offsetof(EchoRoot, magic)) {
+                if (w == root_off + offsetof(EchoRoot, magic)) {
                     const std::uint64_t magic = EchoRoot::kMagic;
                     ctx.store(w, &magic, 8, DataClass::User);
                 } else if (w ==
-                           rootOff_ + offsetof(EchoRoot, nextTs)) {
+                           root_off + offsetof(EchoRoot, nextTs)) {
                     ts_lost = true;
                 } else {
                     const Addr null = kNullAddr;
@@ -370,8 +551,8 @@ class EchoApp : public WhisperApp
         // poisoned or its address no longer lands inside the heap
         // (the referrer's pointer word itself was zeroed).
         const auto node_lost = [&](Addr off, std::size_t n) {
-            if (off < heapOff_ + sizeof(alloc::BuddyHeader) ||
-                off + n > heapOff_ + heap_->heapSize())
+            if (off < heap_off + sizeof(alloc::BuddyHeader) ||
+                off + n > heap_off + st.heap->heapSize())
                 return true;
             for (LineAddr l = lineOf(off); l <= lineOf(off + n - 1);
                  l++) {
@@ -389,7 +570,7 @@ class EchoApp : public WhisperApp
         std::uint64_t chains_cut = 0;
         std::uint64_t max_ts = 0;
         for (std::uint64_t b = 0; b < kBuckets; b++) {
-            Addr slot = rootOff_ + offsetof(EchoRoot, buckets) +
+            Addr slot = root_off + offsetof(EchoRoot, buckets) +
                         b * sizeof(Bucket);
             Addr cur = 0;
             ctx.load(slot, &cur, 8);
@@ -420,9 +601,9 @@ class EchoApp : public WhisperApp
         }
         if (ts_lost) {
             const std::uint64_t next_ts = max_ts + 1;
-            ctx.store(rootOff_ + offsetof(EchoRoot, nextTs), &next_ts,
+            ctx.store(root_off + offsetof(EchoRoot, nextTs), &next_ts,
                       8, DataClass::User);
-            ctx.persist(rootOff_ + offsetof(EchoRoot, nextTs), 8);
+            ctx.persist(root_off + offsetof(EchoRoot, nextTs), 8);
         }
 
         if (!root_lines.empty()) {
@@ -450,115 +631,11 @@ class EchoApp : public WhisperApp
     }
 
   private:
-    Addr
-    logOff(unsigned client, std::uint64_t slot) const
+    static bool
+    versionExists(pm::PmContext &ctx, const Instance &st,
+                  std::uint64_t key, std::uint64_t ts)
     {
-        return logsOff_ +
-               (static_cast<Addr>(client) * kLogEntriesPerClient +
-                slot) * sizeof(LogEntry);
-    }
-
-    EchoRoot *root(pm::PmContext &ctx) { return ctx.pool().at<EchoRoot>(
-        rootOff_); }
-
-    /** Find (or create) the Entry for @p key; master lock held. */
-    Addr
-    findOrCreateEntry(Runtime &rt, pm::PmContext &ctx,
-                      std::uint64_t key)
-    {
-        (void)rt;
-        return findOrCreateEntryAt(ctx, *heap_, rootOff_, key);
-    }
-
-    Addr
-    findOrCreateEntryAt(pm::PmContext &ctx,
-                        alloc::BuddyAllocator &heap, Addr root_off,
-                        std::uint64_t key)
-    {
-        EchoRoot *r = ctx.pool().at<EchoRoot>(root_off);
-        Bucket &bucket = r->buckets[hashKey(key) % kBuckets];
-        Addr cur = ctx.loadField(bucket.head);
-        while (cur != kNullAddr) {
-            Entry *ent = ctx.pool().at<Entry>(cur);
-            if (ctx.loadField(ent->key) == key)
-                return cur;
-            cur = ent->next;
-        }
-        // Create: buddy alloc (VOLATILE) -> init with descriptor
-        // INPROGRESS -> link -> CREATED -> PERSISTENT. The status
-        // double-write on one line is the paper's Echo self-dep.
-        const Addr off = heap.alloc(ctx, sizeof(Entry));
-        panic_if(off == kNullAddr, "echo heap exhausted");
-        Entry ent{key, kInProgress, kNullAddr,
-                  ctx.loadField(bucket.head)};
-        ctx.store(off, &ent, sizeof(ent), DataClass::User);
-        ctx.flush(off, sizeof(ent));
-        ctx.fence(FenceKind::Ordering);
-        ctx.storeField(bucket.head, off, DataClass::User);
-        ctx.flush(ctx.pool().offsetOf(&bucket.head), 8);
-        ctx.fence(FenceKind::Ordering);
-        Entry *pent = ctx.pool().at<Entry>(off);
-        const std::uint64_t created = kCreated;
-        ctx.storeField(pent->status, created, DataClass::User);
-        ctx.flush(off + offsetof(Entry, status), 8);
-        ctx.fence(FenceKind::Ordering);
-        heap.setState(ctx, off, alloc::BlockState::Persistent);
-        return off;
-    }
-
-    /** Read-only bucket walk: Entry for @p key or kNullAddr. */
-    Addr
-    findEntryAt(pm::PmContext &ctx, Addr root_off, std::uint64_t key)
-    {
-        const EchoRoot *r = ctx.pool().at<EchoRoot>(root_off);
-        Addr cur = r->buckets[hashKey(key) % kBuckets].head;
-        while (cur != kNullAddr) {
-            std::uint64_t probe = 0;
-            ctx.load(cur + offsetof(Entry, key), &probe, 8);
-            if (probe == key)
-                return cur;
-            cur = ctx.pool().at<Entry>(cur)->next;
-        }
-        return kNullAddr;
-    }
-
-    void
-    applyUpdate(Runtime &rt, pm::PmContext &ctx, std::uint64_t key,
-                std::uint64_t value, std::uint64_t ts)
-    {
-        (void)rt;
-        applyUpdateAt(ctx, *heap_, rootOff_, key, value, ts);
-    }
-
-    void
-    applyUpdateAt(pm::PmContext &ctx, alloc::BuddyAllocator &heap,
-                  Addr root_off, std::uint64_t key,
-                  std::uint64_t value, std::uint64_t ts)
-    {
-        const Addr entry_off =
-            findOrCreateEntryAt(ctx, heap, root_off, key);
-        const Addr voff = heap.alloc(ctx, sizeof(Version));
-        panic_if(voff == kNullAddr, "echo heap exhausted");
-        Entry *ent = ctx.pool().at<Entry>(entry_off);
-        Version ver{value, ts, value ^ ts ^ key,
-                    ctx.loadField(ent->versions), key};
-        ctx.store(voff, &ver, sizeof(ver), DataClass::User);
-        ctx.flush(voff, sizeof(ver));
-        ctx.fence(FenceKind::Ordering);
-        // Publish: single 8-byte pointer flip.
-        ctx.storeField(ent->versions, voff, DataClass::User);
-        ctx.flush(entry_off + offsetof(Entry, versions), 8);
-        ctx.fence(FenceKind::Ordering);
-        heap.setState(ctx, voff, alloc::BlockState::Persistent);
-    }
-
-    bool
-    versionExists(Runtime &rt, pm::PmContext &ctx, std::uint64_t key,
-                  std::uint64_t ts)
-    {
-        (void)rt;
-        EchoRoot *r = root(ctx);
-        Addr cur = r->buckets[hashKey(key) % kBuckets].head;
+        Addr cur = root(ctx, st)->buckets[hashKey(key) % kBuckets].head;
         while (cur != kNullAddr) {
             Entry *ent = ctx.pool().at<Entry>(cur);
             if (ent->key == key) {
@@ -576,126 +653,76 @@ class EchoApp : public WhisperApp
         return false;
     }
 
-    void
+    /** One durable batch of client @p tid; master lock held. */
+    static void
     submitBatch(
-        Runtime &rt, pm::PmContext &ctx, ThreadId tid,
+        pm::PmContext &ctx, Instance &st, ThreadId tid,
         const std::vector<std::pair<std::uint64_t, std::uint64_t>> &ops)
     {
-        std::lock_guard<std::mutex> guard(masterLock_);
         const TxId tx = ctx.txBegin();
-
-        EchoRoot *r = root(ctx);
-        const std::uint64_t ts = ctx.loadField(r->nextTs);
-        const std::uint64_t next_ts = ts + 1;
         // Global timestamp bump: a shared persistent variable written
         // by every client — the cross-dependency source.
-        ctx.storeField(r->nextTs, next_ts, DataClass::User);
-        ctx.flush(offsetof(EchoRoot, nextTs), 8);
-        ctx.fence(FenceKind::Ordering);
+        const std::uint64_t ts = takeTimestamp(ctx, st);
 
         // 1. Persist the batch into this client's log slots.
         for (std::size_t i = 0; i < ops.size(); i++) {
             LogEntry ent{ops[i].first, ops[i].second, ts, 0};
-            ctx.ntStore(logOff(tid, i), &ent, sizeof(ent),
+            ctx.ntStore(st.logOff(tid, i), &ent, sizeof(ent),
                         DataClass::Log);
         }
         ctx.fence(FenceKind::Ordering);
 
         // 2. Master applies each update to the persistent KVS.
         for (const auto &[key, value] : ops)
-            applyUpdate(rt, ctx, key, value, ts);
+            applyUpdate(ctx, st, key, value, ts);
 
         // 3. Mark the log entries applied (one epoch for the batch).
-        for (std::size_t i = 0; i < ops.size(); i++) {
-            const std::uint64_t one = 1;
-            auto *ent = ctx.pool().at<LogEntry>(logOff(tid, i));
-            ctx.storeField(ent->applied, one, DataClass::Log);
-            ctx.flush(logOff(tid, i) + offsetof(LogEntry, applied), 8);
-        }
+        for (std::size_t i = 0; i < ops.size(); i++)
+            markApplied(ctx, st.logOff(tid, i));
         ctx.fence(FenceKind::Durability);
         ctx.txEnd(tx);
-    }
-
-    /** Structural + checksum walk over the whole persistent store. */
-    bool
-    checkStore(Runtime &rt, std::string *why)
-    {
-        return checkStoreAt(rt.ctx(0), rootOff_, why);
-    }
-
-    bool
-    checkStoreAt(pm::PmContext &ctx, Addr root_off, std::string *why)
-    {
-        EchoRoot *r = ctx.pool().at<EchoRoot>(root_off);
-        if (r->magic != EchoRoot::kMagic) {
-            if (why)
-                *why = "bad root magic";
-            return false;
-        }
-        for (std::uint64_t b = 0; b < kBuckets; b++) {
-            Addr cur = r->buckets[b].head;
-            std::uint64_t guard = 0;
-            while (cur != kNullAddr) {
-                if (++guard > 10'000'000) {
-                    if (why)
-                        *why = "bucket chain cycle";
-                    return false;
-                }
-                const Entry *ent = ctx.pool().at<Entry>(cur);
-                if (ent->status != kCreated) {
-                    if (why)
-                        *why = "entry with unfinished descriptor";
-                    return false;
-                }
-                if (hashKey(ent->key) % kBuckets != b) {
-                    if (why)
-                        *why = "entry in wrong bucket";
-                    return false;
-                }
-                std::uint64_t prev_ts = ~std::uint64_t(0);
-                Addr v = ent->versions;
-                while (v != kNullAddr) {
-                    const Version *ver = ctx.pool().at<Version>(v);
-                    if (ver->checksum !=
-                        (ver->value ^ ver->ts ^ ver->key)) {
-                        if (why)
-                            *why = "version checksum mismatch";
-                        return false;
-                    }
-                    if (ver->key != ent->key || ver->ts > prev_ts) {
-                        if (why)
-                            *why = "version chain out of order";
-                        return false;
-                    }
-                    prev_ts = ver->ts;
-                    v = ver->next;
-                }
-                cur = ent->next;
-            }
-        }
-        return true;
     }
 
     // ---- Unified workload driver surface ------------------------------
     //
     // Echo's client/master split maps naturally onto partitioned
     // workload threads: each thread is a client *and* the master for
-    // its own key range, with a private root, client log, and buddy
-    // heap over a disjoint pool slice. Every put keeps Echo's
-    // log-then-apply shape (persist the update into a log slot, apply
-    // it as a new version, mark the slot applied), so the access mix
-    // matches run()'s single-update granularity.
+    // its own key range, with a private one-client store over a
+    // disjoint pool slice. Every put keeps Echo's log-then-apply shape
+    // (persist the update into a log slot, apply it as a new version,
+    // mark the slot applied), so the access mix matches run()'s
+    // single-update granularity.
 
-    /** Client-side staging work, matching run()'s per-op shape. */
-    void
+    /** run()'s per-update client staging over one probe word. */
+    static void
     wlPad(pm::PmContext &ctx, std::uint64_t key)
     {
         std::uint64_t probe = key;
         ctx.vStore(&probe, 8);
         for (int r = 0; r < 6; r++)
             ctx.vLoad(&probe, 8);
-        ctx.vBurst(&probe, 1 << 16, 160, 70);
-        ctx.compute(3200);
+        pad(ctx, &probe);
+    }
+
+    /**
+     * Read entry @p ent's newest version: just its value into
+     * @p value when given, else the whole version. Returns whether
+     * the entry has a version.
+     */
+    static bool
+    loadNewest(pm::PmContext &ctx, Addr ent, std::uint64_t *value)
+    {
+        Addr voff = 0;
+        ctx.load(ent + offsetof(Entry, versions), &voff, 8);
+        if (voff == kNullAddr)
+            return false;
+        if (value) {
+            ctx.load(voff + offsetof(Version, value), value, 8);
+        } else {
+            Version ver{};
+            ctx.load(voff, &ver, sizeof(ver));
+        }
+        return true;
     }
 
   public:
@@ -705,44 +732,20 @@ class EchoApp : public WhisperApp
     workloadSetup(Runtime &rt, const core::WorkloadKeymap &map) override
     {
         wlMap_ = map;
-        wlShards_.clear();
-        wlShards_.resize(map.threads);
-        const Addr region = lineBase(config_.poolBytes / map.threads);
-        const Addr logs_bytes =
-            kLogEntriesPerClient * sizeof(LogEntry);
-        panic_if(region <= sizeof(EchoRoot) + logs_bytes + (4u << 20),
-                 "echo workload: pool too small for %u shards",
-                 map.threads);
+        inst_.clear();
+        const PoolSlices slices(
+            config_.poolBytes, map.threads,
+            sizeof(EchoRoot) + kLogEntriesPerClient * sizeof(LogEntry) +
+                (4u << 20),
+            "echo");
         for (unsigned t = 0; t < map.threads; t++) {
             pm::PmContext &ctx = rt.ctx(t);
-            WlShard &sh = wlShards_[t];
-            sh.rootOff = static_cast<Addr>(t) * region;
-            sh.logsOff =
-                lineBase(sh.rootOff + sizeof(EchoRoot) + kCacheLineSize);
-            const Addr heap_off =
-                lineBase(sh.logsOff + logs_bytes + kCacheLineSize);
-            sh.heap = std::make_unique<alloc::BuddyAllocator>(
-                ctx, heap_off, sh.rootOff + region - heap_off);
-
-            EchoRoot root{};
-            root.magic = EchoRoot::kMagic;
-            root.nextTs = 1;
-            for (auto &bucket : root.buckets)
-                bucket.head = kNullAddr;
-            ctx.store(sh.rootOff, &root, sizeof(root), DataClass::User);
-            ctx.flush(sh.rootOff, sizeof(root));
-            LogEntry empty{0, 0, 0, 1};
-            for (std::uint64_t i = 0; i < kLogEntriesPerClient; i++) {
-                ctx.store(sh.logsOff + i * sizeof(LogEntry), &empty,
-                          sizeof(empty), DataClass::Log);
-            }
-            ctx.flush(sh.logsOff, logs_bytes);
-            ctx.fence(FenceKind::Durability);
-
+            inst_.push_back(
+                formatStore(ctx, slices.base(t), slices.bytes, 1));
             for (std::uint64_t i = 0; i < map.perThread(); i++) {
                 const std::uint64_t key = map.lo(t) + i;
-                applyUpdateAt(ctx, *sh.heap, sh.rootOff, key,
-                              key * 0x9e3779b97f4a7c15ull, 1);
+                applyUpdate(ctx, inst_[t], key,
+                            key * 0x9e3779b97f4a7c15ull, 1);
             }
         }
     }
@@ -751,17 +754,11 @@ class EchoApp : public WhisperApp
     workloadGet(pm::PmContext &ctx, ThreadId tid,
                 std::uint64_t key) override
     {
-        WlShard &sh = wlShards_[tid];
         wlPad(ctx, key);
-        const Addr ent = findEntryAt(ctx, sh.rootOff, key);
+        const Addr ent = findEntry(ctx, inst_[tid], key);
         if (ent == kNullAddr)
             return false;
-        Addr voff = 0;
-        ctx.load(ent + offsetof(Entry, versions), &voff, 8);
-        if (voff != kNullAddr) {
-            Version ver{};
-            ctx.load(voff, &ver, sizeof(ver));
-        }
+        loadNewest(ctx, ent, nullptr);
         return true;
     }
 
@@ -769,26 +766,18 @@ class EchoApp : public WhisperApp
     workloadPut(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
                 std::uint64_t value) override
     {
-        WlShard &sh = wlShards_[tid];
+        Instance &st = inst_[tid];
         wlPad(ctx, key);
-        EchoRoot *r = ctx.pool().at<EchoRoot>(sh.rootOff);
-        const std::uint64_t ts = ctx.loadField(r->nextTs);
-        ctx.storeField(r->nextTs, ts + 1, DataClass::User);
-        ctx.flush(sh.rootOff + offsetof(EchoRoot, nextTs), 8);
-        ctx.fence(FenceKind::Ordering);
+        const std::uint64_t ts = takeTimestamp(ctx, st);
 
         // Log-then-apply, a one-update batch in run()'s terms.
         const Addr slot_off =
-            sh.logsOff + (sh.logCursor++ % kLogEntriesPerClient) *
-                             sizeof(LogEntry);
+            st.logOff(0, st.logCursor++ % kLogEntriesPerClient);
         LogEntry ent{key, value, ts, 0};
         ctx.ntStore(slot_off, &ent, sizeof(ent), DataClass::Log);
         ctx.fence(FenceKind::Ordering);
-        applyUpdateAt(ctx, *sh.heap, sh.rootOff, key, value, ts);
-        const std::uint64_t one = 1;
-        auto *slot = ctx.pool().at<LogEntry>(slot_off);
-        ctx.storeField(slot->applied, one, DataClass::Log);
-        ctx.flush(slot_off + offsetof(LogEntry, applied), 8);
+        applyUpdate(ctx, st, key, value, ts);
+        markApplied(ctx, slot_off);
         ctx.fence(FenceKind::Durability);
     }
 
@@ -796,18 +785,10 @@ class EchoApp : public WhisperApp
     workloadRmw(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
                 std::uint64_t delta) override
     {
-        WlShard &sh = wlShards_[tid];
-        const Addr ent = findEntryAt(ctx, sh.rootOff, key);
+        const Addr ent = findEntry(ctx, inst_[tid], key);
         std::uint64_t value = 0;
-        bool found = false;
-        if (ent != kNullAddr) {
-            Addr voff = 0;
-            ctx.load(ent + offsetof(Entry, versions), &voff, 8);
-            if (voff != kNullAddr) {
-                ctx.load(voff + offsetof(Version, value), &value, 8);
-                found = true;
-            }
-        }
+        const bool found =
+            ent != kNullAddr && loadNewest(ctx, ent, &value);
         workloadPut(ctx, tid, key, value + delta);
         return found;
     }
@@ -816,20 +797,14 @@ class EchoApp : public WhisperApp
     workloadScan(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
                  std::uint64_t len) override
     {
-        WlShard &sh = wlShards_[tid];
         wlPad(ctx, key);
         std::uint64_t found = 0;
         for (std::uint64_t j = 0; j < len; j++) {
-            const Addr ent = findEntryAt(
-                ctx, sh.rootOff, wlMap_.scanKey(tid, key, j));
+            const Addr ent =
+                findEntry(ctx, inst_[tid], wlMap_.scanKey(tid, key, j));
             if (ent == kNullAddr)
                 continue;
-            Addr voff = 0;
-            ctx.load(ent + offsetof(Entry, versions), &voff, 8);
-            if (voff != kNullAddr) {
-                Version ver{};
-                ctx.load(voff, &ver, sizeof(ver));
-            }
+            loadNewest(ctx, ent, nullptr);
             found++;
         }
         return found;
@@ -839,31 +814,22 @@ class EchoApp : public WhisperApp
     workloadCheck(Runtime &rt) override
     {
         VerifyReport rep = report();
-        for (unsigned t = 0; t < wlMap_.threads; t++) {
+        for (unsigned t = 0; t < inst_.size(); t++) {
             std::string why;
-            rep.check(checkStoreAt(rt.ctx(t), wlShards_[t].rootOff,
-                                   &why),
+            rep.check(checkStore(rt.ctx(t), inst_[t], &why),
                       "store-intact", why);
         }
         return rep;
     }
 
   private:
-    struct WlShard
-    {
-        Addr rootOff = 0;
-        Addr logsOff = 0;
-        std::uint64_t logCursor = 0;
-        std::unique_ptr<alloc::BuddyAllocator> heap;
-    };
-
-    Addr rootOff_ = 0;
-    Addr logsOff_ = 0;
-    Addr heapOff_ = 0;
-    std::unique_ptr<alloc::BuddyAllocator> heap_;
+    /**
+     * The paper run's one store over the whole pool (setup()), or one
+     * store per workload thread (workloadSetup()).
+     */
+    std::vector<Instance> inst_;
     std::mutex masterLock_;
     core::WorkloadKeymap wlMap_;
-    std::vector<WlShard> wlShards_;
 };
 
 } // namespace

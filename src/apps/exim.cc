@@ -26,6 +26,56 @@ using namespace core;
 namespace
 {
 
+constexpr unsigned kMailboxes = 32;
+
+std::string
+mailboxPath(unsigned m)
+{
+    return "/mail/user" + std::to_string(m);
+}
+
+/** One mail server: a PMFS volume with mailboxes and a delivery log. */
+struct Instance
+{
+    std::unique_ptr<pmfs::Pmfs> fs;
+    pmfs::Ino log = pmfs::kInvalidIno;
+    pmfs::Ino boxes[kMailboxes] = {};
+};
+
+/**
+ * Format a volume over [@p base, @p base + @p bytes): the spool
+ * directory (when @p spool), the mailboxes and the delivery log.
+ */
+Instance
+formatVolume(pm::PmContext &ctx, Addr base, std::size_t bytes,
+             bool spool)
+{
+    Instance v;
+    v.fs = std::make_unique<pmfs::Pmfs>(ctx, base, bytes);
+    if (spool)
+        v.fs->mkdir(ctx, "/spool");
+    v.fs->mkdir(ctx, "/mail");
+    v.log = v.fs->create(ctx, "/mainlog");
+    panic_if(v.log == pmfs::kInvalidIno, "exim setup failed");
+    for (unsigned m = 0; m < kMailboxes; m++) {
+        v.boxes[m] = v.fs->create(ctx, mailboxPath(m));
+        panic_if(v.boxes[m] == pmfs::kInvalidIno,
+                 "mailbox create failed");
+    }
+    return v;
+}
+
+/** SMTP session latency, process spawning (Exim forks three children
+ *  per delivery), header rewriting. This dominates the wall clock:
+ *  Table 1 measures only 6250 epochs/second for exim. */
+void
+pad(pm::PmContext &ctx, const void *base)
+{
+    ctx.vStore(base, 128);
+    ctx.vBurst(base, 1 << 14, 400, 200);
+    ctx.compute(12'000'000);
+}
+
 class EximApp : public WhisperApp
 {
   public:
@@ -37,23 +87,16 @@ class EximApp : public WhisperApp
     void
     setup(Runtime &rt) override
     {
-        pm::PmContext &ctx = rt.ctx(0);
-        fs_ = std::make_unique<pmfs::Pmfs>(ctx, 0, config_.poolBytes);
-        fs_->mkdir(ctx, "/spool");
-        fs_->mkdir(ctx, "/mail");
-        logIno_ = fs_->create(ctx, "/mainlog");
-        panic_if(logIno_ == pmfs::kInvalidIno, "exim setup failed");
-        for (unsigned m = 0; m < kMailboxes; m++) {
-            const pmfs::Ino ino = fs_->create(ctx, mailboxPath(m));
-            panic_if(ino == pmfs::kInvalidIno, "mailbox create failed");
-            mailboxIno_[m] = ino;
-        }
+        inst_.clear();
+        inst_.push_back(
+            formatVolume(rt.ctx(0), 0, config_.poolBytes, true));
     }
 
     void
     run(Runtime &rt, pm::PmContext &ctx, ThreadId tid) override
     {
         (void)rt;
+        Instance &v = inst_[0];
         Rng rng(config_.seed * 59 + tid);
         // Message bodies: 8-24 KB (the postal 100 KB profile scaled
         // to the run size; the access pattern — multi-block appends —
@@ -67,29 +110,22 @@ class EximApp : public WhisperApp
             const std::size_t bytes = (8 << 10) + rng.next(16 << 10);
             const unsigned mbox =
                 static_cast<unsigned>(rng.next(kMailboxes));
-
-            // SMTP session latency, process spawning (Exim forks
-            // three children per delivery), header rewriting. This
-            // dominates the wall clock: Table 1 measures only 6250
-            // epochs/second for exim.
-            ctx.vStore(msg.data(), 128);
-            ctx.vBurst(msg.data(), 1 << 14, 400, 200);
-            ctx.compute(12'000'000);
+            pad(ctx, msg.data());
 
             // 1. Receive into the spool.
             const std::string spool =
                 "/spool/m" + std::to_string(id);
-            const pmfs::Ino sino = fs_->create(ctx, spool);
+            const pmfs::Ino sino = v.fs->create(ctx, spool);
             if (sino == pmfs::kInvalidIno)
                 continue;
-            fs_->write(ctx, sino, 0, msg.data(), bytes);
+            v.fs->write(ctx, sino, 0, msg.data(), bytes);
 
             // 2. Deliver: append to the recipient's mailbox. The
             // counter is charged first so that a crash point inside
             // the append can only lose the delivery, never leave the
             // mailbox ahead of the counter (verifyRecovered's bound).
             delivered_[mbox].fetch_add(bytes);
-            fs_->append(ctx, mailboxIno_[mbox], msg.data(), bytes);
+            v.fs->append(ctx, v.boxes[mbox], msg.data(), bytes);
 
             // 3. Log the delivery.
             char line[96];
@@ -98,67 +134,29 @@ class EximApp : public WhisperApp
                 "%llu delivered msg %llu to mbox %u (%zu bytes)\n",
                 static_cast<unsigned long long>(ctx.now()),
                 static_cast<unsigned long long>(id), mbox, bytes);
-            fs_->append(ctx, logIno_, line,
-                        static_cast<std::size_t>(n));
+            v.fs->append(ctx, v.log, line, static_cast<std::size_t>(n));
 
             // 4. Remove the spool file.
-            fs_->unlink(ctx, spool);
+            v.fs->unlink(ctx, spool);
         }
     }
 
-    VerifyReport
-    verify(Runtime &rt) override
-    {
-        pm::PmContext &ctx = rt.ctx(0);
-        VerifyReport rep = report();
-        std::string why;
-        rep.check(fs_->fsck(ctx, &why), "fsck", why);
-        // Every completed delivery is in its mailbox.
-        for (unsigned m = 0; m < kMailboxes; m++) {
-            if (!rep.check(fs_->fileSize(ctx, mailboxIno_[m]) ==
-                               delivered_[m].load(),
-                           "mailbox-sizes",
-                           "mailbox " + std::to_string(m) +
-                               " size mismatch"))
-                break;
-        }
-        return rep;
-    }
+    VerifyReport verify(Runtime &rt) override { return checkRun(rt, false); }
 
-    void recover(Runtime &rt) override { fs_->mount(rt.ctx(0)); }
+    void recover(Runtime &rt) override { inst_[0].fs->mount(rt.ctx(0)); }
 
     VerifyReport
     checkRecoveryInvariants(Runtime &rt) override
     {
-        pm::PmContext &ctx = rt.ctx(0);
         VerifyReport rep = report();
-        std::string why;
-        rep.check(fs_->journalQuiescent(ctx, &why),
-                  "journal-quiescent", why);
-        why.clear();
-        rep.check(fs_->fsck(ctx, &why), "fsck", why);
+        checkPmfs(rt.ctx(0), *inst_[0].fs, rep);
         return rep;
     }
 
     VerifyReport
     verifyRecovered(Runtime &rt) override
     {
-        pm::PmContext &ctx = rt.ctx(0);
-        VerifyReport rep = report();
-        std::string why;
-        rep.check(fs_->fsck(ctx, &why), "fsck", why);
-        // After a crash, a mailbox may have lost the last in-flight
-        // delivery but can never exceed what was handed to the FS,
-        // and sizes must still be block-map consistent (fsck above).
-        for (unsigned m = 0; m < kMailboxes; m++) {
-            if (!rep.check(fs_->fileSize(ctx, mailboxIno_[m]) <=
-                               delivered_[m].load(),
-                           "mailbox-sizes",
-                           "mailbox " + std::to_string(m) +
-                               " grew beyond deliveries"))
-                break;
-        }
-        return rep;
+        return checkRun(rt, true);
     }
 
   protected:
@@ -166,46 +164,56 @@ class EximApp : public WhisperApp
     scrubLayer(Runtime &rt, std::vector<LineAddr> &lines,
                VerifyReport &rep) override
     {
-        fs_->scrub(rt.ctx(0), lines, rep);
+        inst_[0].fs->scrub(rt.ctx(0), lines, rep);
     }
 
   private:
-    static constexpr unsigned kMailboxes = 32;
-
-    static std::string
-    mailboxPath(unsigned m)
+    /**
+     * fsck, and every completed delivery in its mailbox. After a
+     * crash (@p post_crash) a mailbox may have lost the last in-flight
+     * delivery but can never exceed what was handed to the FS, and
+     * sizes must still be block-map consistent (fsck).
+     */
+    VerifyReport
+    checkRun(Runtime &rt, bool post_crash)
     {
-        return "/mail/user" + std::to_string(m);
+        pm::PmContext &ctx = rt.ctx(0);
+        Instance &v = inst_[0];
+        VerifyReport rep = report();
+        std::string why;
+        rep.check(v.fs->fsck(ctx, &why), "fsck", why);
+        for (unsigned m = 0; m < kMailboxes; m++) {
+            const std::uint64_t size = v.fs->fileSize(ctx, v.boxes[m]);
+            const std::uint64_t sent = delivered_[m].load();
+            if (!rep.check(post_crash ? size <= sent : size == sent,
+                           "mailbox-sizes",
+                           "mailbox " + std::to_string(m) +
+                               (post_crash ? " grew beyond deliveries"
+                                           : " size mismatch")))
+                break;
+        }
+        return rep;
     }
 
     // ---- Unified workload driver surface ------------------------------
     //
-    // Each workload thread runs a private Exim instance (spool +
-    // mailboxes + delivery log) on its own PMFS volume over a disjoint
-    // pool slice. A key is a message slot inside one of the mailbox
-    // files (256-byte summaries in place of full bodies); a put is a
+    // Each workload thread runs a private Exim instance (mailboxes +
+    // delivery log) on its own PMFS volume over a disjoint pool slice.
+    // A key is a message slot inside one of the mailbox files
+    // (256-byte summaries in place of full bodies); a put is a
     // delivery — rewrite the slot, then append a line to the shared
     // per-volume delivery log, preserving Exim's journaled-append
     // profile at KV-op granularity.
 
     static constexpr std::size_t kWlRecordBytes = 256;
 
-    struct WlVolume
-    {
-        std::unique_ptr<pmfs::Pmfs> fs;
-        pmfs::Ino log = pmfs::kInvalidIno;
-        pmfs::Ino boxes[kMailboxes] = {};
-    };
-
-    /** SMTP session + process spawning, matching run()'s shape. */
-    void
+    /** run()'s per-delivery padding over a key-stamped header. */
+    static void
     wlPad(pm::PmContext &ctx, std::uint64_t key)
     {
         std::uint8_t buf[128] = {};
         std::memcpy(buf, &key, 8);
-        ctx.vStore(buf, sizeof(buf));
-        ctx.vBurst(buf, 1 << 14, 400, 200);
-        ctx.compute(12'000'000);
+        pad(ctx, buf);
     }
 
     static void
@@ -230,16 +238,15 @@ class EximApp : public WhisperApp
         slot = local_index / kMailboxes;
     }
 
-    void
-    wlLogDelivery(pm::PmContext &ctx, WlVolume &vol, std::uint64_t key,
+    static void
+    wlLogDelivery(pm::PmContext &ctx, Instance &v, std::uint64_t key,
                   unsigned box)
     {
         char line[64];
         const int n = std::snprintf(
             line, sizeof(line), "delivered msg %llu to mbox %u\n",
             static_cast<unsigned long long>(key), box);
-        vol.fs->append(ctx, vol.log, line,
-                       static_cast<std::size_t>(n));
+        v.fs->append(ctx, v.log, line, static_cast<std::size_t>(n));
     }
 
   public:
@@ -249,26 +256,14 @@ class EximApp : public WhisperApp
     workloadSetup(Runtime &rt, const core::WorkloadKeymap &map) override
     {
         wlMap_ = map;
-        wlVols_.clear();
-        wlVols_.resize(map.threads);
-        const Addr region = lineBase(config_.poolBytes / map.threads);
-        panic_if(region <= (8u << 20),
-                 "exim workload: pool too small for %u volumes",
-                 map.threads);
+        inst_.clear();
+        const PoolSlices slices(config_.poolBytes, map.threads, 8u << 20,
+                                "exim");
         for (unsigned t = 0; t < map.threads; t++) {
             pm::PmContext &ctx = rt.ctx(t);
-            WlVolume &vol = wlVols_[t];
-            vol.fs = std::make_unique<pmfs::Pmfs>(
-                ctx, static_cast<Addr>(t) * region, region);
-            vol.fs->mkdir(ctx, "/mail");
-            vol.log = vol.fs->create(ctx, "/mainlog");
-            panic_if(vol.log == pmfs::kInvalidIno,
-                     "exim workload setup failed");
-            for (unsigned m = 0; m < kMailboxes; m++) {
-                vol.boxes[m] = vol.fs->create(ctx, mailboxPath(m));
-                panic_if(vol.boxes[m] == pmfs::kInvalidIno,
-                         "exim workload mailbox create failed");
-            }
+            inst_.push_back(
+                formatVolume(ctx, slices.base(t), slices.bytes, false));
+            Instance &v = inst_[t];
             // Preload in bounded syscalls: each write journals
             // per-block metadata in one transaction, so whole-mailbox
             // writes at large key counts would overflow a journal
@@ -292,8 +287,8 @@ class EximApp : public WhisperApp
                      off += kPreloadChunkBytes) {
                     const std::uint64_t n = std::min<std::uint64_t>(
                         kPreloadChunkBytes, buf.size() - off);
-                    vol.fs->write(ctx, vol.boxes[m], off,
-                                  buf.data() + off, n);
+                    v.fs->write(ctx, v.boxes[m], off, buf.data() + off,
+                                n);
                 }
             }
         }
@@ -303,14 +298,14 @@ class EximApp : public WhisperApp
     workloadGet(pm::PmContext &ctx, ThreadId tid,
                 std::uint64_t key) override
     {
-        WlVolume &vol = wlVols_[tid];
+        Instance &v = inst_[tid];
         wlPad(ctx, key);
         unsigned box = 0;
         std::uint64_t slot = 0;
         wlSlot(wlMap_.localIndex(tid, key), box, slot);
         std::uint8_t rec[kWlRecordBytes];
-        vol.fs->read(ctx, vol.boxes[box], slot * kWlRecordBytes, rec,
-                     sizeof(rec));
+        v.fs->read(ctx, v.boxes[box], slot * kWlRecordBytes, rec,
+                   sizeof(rec));
         std::uint64_t stored = 0;
         std::memcpy(&stored, rec, 8);
         return stored == key;
@@ -320,38 +315,38 @@ class EximApp : public WhisperApp
     workloadPut(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
                 std::uint64_t value) override
     {
-        WlVolume &vol = wlVols_[tid];
+        Instance &v = inst_[tid];
         wlPad(ctx, key);
         unsigned box = 0;
         std::uint64_t slot = 0;
         wlSlot(wlMap_.localIndex(tid, key), box, slot);
         std::uint8_t rec[kWlRecordBytes];
         wlFillRecord(key, value, rec);
-        vol.fs->write(ctx, vol.boxes[box], slot * kWlRecordBytes, rec,
-                      sizeof(rec));
-        wlLogDelivery(ctx, vol, key, box);
+        v.fs->write(ctx, v.boxes[box], slot * kWlRecordBytes, rec,
+                    sizeof(rec));
+        wlLogDelivery(ctx, v, key, box);
     }
 
     bool
     workloadRmw(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
                 std::uint64_t delta) override
     {
-        WlVolume &vol = wlVols_[tid];
+        Instance &v = inst_[tid];
         wlPad(ctx, key);
         unsigned box = 0;
         std::uint64_t slot = 0;
         wlSlot(wlMap_.localIndex(tid, key), box, slot);
         std::uint8_t rec[kWlRecordBytes];
-        vol.fs->read(ctx, vol.boxes[box], slot * kWlRecordBytes, rec,
-                     sizeof(rec));
+        v.fs->read(ctx, v.boxes[box], slot * kWlRecordBytes, rec,
+                   sizeof(rec));
         std::uint64_t stored = 0, value = 0;
         std::memcpy(&stored, rec, 8);
         std::memcpy(&value, rec + 8, 8);
         const bool found = stored == key;
         wlFillRecord(key, (found ? value : 0) + delta, rec);
-        vol.fs->write(ctx, vol.boxes[box], slot * kWlRecordBytes, rec,
-                      sizeof(rec));
-        wlLogDelivery(ctx, vol, key, box);
+        v.fs->write(ctx, v.boxes[box], slot * kWlRecordBytes, rec,
+                    sizeof(rec));
+        wlLogDelivery(ctx, v, key, box);
         return found;
     }
 
@@ -359,7 +354,7 @@ class EximApp : public WhisperApp
     workloadScan(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
                  std::uint64_t len) override
     {
-        WlVolume &vol = wlVols_[tid];
+        Instance &v = inst_[tid];
         wlPad(ctx, key);
         std::uint64_t found = 0;
         for (std::uint64_t j = 0; j < len; j++) {
@@ -368,8 +363,8 @@ class EximApp : public WhisperApp
             std::uint64_t slot = 0;
             wlSlot(wlMap_.localIndex(tid, k), box, slot);
             std::uint8_t rec[kWlRecordBytes];
-            vol.fs->read(ctx, vol.boxes[box], slot * kWlRecordBytes,
-                         rec, sizeof(rec));
+            v.fs->read(ctx, v.boxes[box], slot * kWlRecordBytes, rec,
+                       sizeof(rec));
             std::uint64_t stored = 0;
             std::memcpy(&stored, rec, 8);
             if (stored == k)
@@ -382,29 +377,25 @@ class EximApp : public WhisperApp
     workloadCheck(Runtime &rt) override
     {
         VerifyReport rep = report();
-        for (unsigned t = 0; t < wlMap_.threads; t++) {
+        for (unsigned t = 0; t < inst_.size(); t++) {
             // A clean run leaves the descriptor COMMITTED (commit is
             // lazy about the FREE transition); mount-time recovery
             // retires it, exactly like the run path's recover().
-            wlVols_[t].fs->mount(rt.ctx(t));
-            std::string why;
-            rep.check(wlVols_[t].fs->journalQuiescent(rt.ctx(t), &why),
-                      "journal-quiescent", why);
-            why.clear();
-            rep.check(wlVols_[t].fs->fsck(rt.ctx(t), &why), "fsck",
-                      why);
+            inst_[t].fs->mount(rt.ctx(t));
+            checkPmfs(rt.ctx(t), *inst_[t].fs, rep);
         }
         return rep;
     }
 
   private:
-    std::unique_ptr<pmfs::Pmfs> fs_;
-    pmfs::Ino logIno_ = pmfs::kInvalidIno;
-    pmfs::Ino mailboxIno_[kMailboxes] = {};
+    /**
+     * The paper run's one server over the whole pool (setup()), or
+     * one server per workload thread (workloadSetup()).
+     */
+    std::vector<Instance> inst_;
     std::atomic<std::uint64_t> nextMsg_{0};
     std::atomic<std::uint64_t> delivered_[kMailboxes] = {};
     core::WorkloadKeymap wlMap_;
-    std::vector<WlVolume> wlVols_;
 };
 
 } // namespace

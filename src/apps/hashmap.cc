@@ -53,6 +53,177 @@ hashKey(std::uint64_t key)
     return key;
 }
 
+/** One map: the bucket-array root in front of its own NvmlPool. */
+struct Instance
+{
+    Addr rootOff = 0;
+    std::unique_ptr<nvml::NvmlPool> pool;
+};
+
+/** Format an empty map over [@p base, @p base + @p bytes). */
+Instance
+formatMap(pm::PmContext &ctx, Addr base, std::size_t bytes,
+          unsigned lanes)
+{
+    Instance m;
+    m.rootOff = base;
+    const Addr pool_base =
+        lineBase(base + sizeof(MapRoot) + kCacheLineSize);
+    m.pool = std::make_unique<nvml::NvmlPool>(
+        ctx, pool_base, base + bytes - pool_base, lanes);
+    MapRoot root{};
+    root.magic = MapRoot::kMagic;
+    for (auto &b : root.buckets)
+        b = kNullAddr;
+    ctx.store(base, &root, sizeof(root), DataClass::User);
+    ctx.flush(base, sizeof(root));
+    ctx.fence(FenceKind::Durability);
+    return m;
+}
+
+/** Client-side DRAM work per op (paper Fig. 6: ~2.6% PM accesses). */
+void
+pad(pm::PmContext &ctx, const void *base)
+{
+    ctx.vBurst(base, 1 << 14, 560, 240);
+    ctx.compute(6500);
+}
+
+/** Chain walk; entry offset (value out) or kNullAddr. */
+Addr
+find(pm::PmContext &ctx, const Instance &m, std::uint64_t key,
+     std::uint64_t &value)
+{
+    const MapRoot *r = ctx.pool().at<MapRoot>(m.rootOff);
+    Addr cur = r->buckets[hashKey(key) % kBuckets];
+    while (cur != kNullAddr) {
+        MapEntry probe{};
+        ctx.load(cur, &probe, sizeof(probe));
+        if (probe.key == key) {
+            value = probe.value;
+            return cur;
+        }
+        cur = probe.next;
+    }
+    return kNullAddr;
+}
+
+enum class PutResult { Updated, Inserted, Full };
+
+/**
+ * Insert-or-update @p key := @p value in one undo-logged transaction:
+ * an existing key's value is overwritten in place; a new entry is
+ * chained at its bucket head. A full pool aborts the transaction.
+ */
+PutResult
+put(pm::PmContext &ctx, Instance &m, std::uint64_t key,
+    std::uint64_t value)
+{
+    MapRoot *r = ctx.pool().at<MapRoot>(m.rootOff);
+    Addr &bucket = r->buckets[hashKey(key) % kBuckets];
+    std::uint64_t old = 0;
+    const Addr existing = find(ctx, m, key, old);
+    nvml::TxContext tx(*m.pool, ctx);
+    if (existing != kNullAddr) {
+        MapEntry *e = ctx.pool().at<MapEntry>(existing);
+        tx.set(e->value, value, DataClass::User);
+        const std::uint64_t sum = key ^ value ^ MapEntry::kSalt;
+        tx.set(e->checksum, sum, DataClass::User);
+        tx.commit();
+        return PutResult::Updated;
+    }
+    const Addr off = tx.txAlloc(sizeof(MapEntry));
+    if (off == kNullAddr) {
+        tx.abort();
+        return PutResult::Full;
+    }
+    MapEntry e{key, value, key ^ value ^ MapEntry::kSalt, bucket};
+    tx.directStore(off, &e, sizeof(e), DataClass::User);
+    tx.set(bucket, off, DataClass::User);
+    const std::uint64_t n = r->count + 1;
+    tx.set(r->count, n, DataClass::User);
+    tx.commit();
+    return PutResult::Inserted;
+}
+
+/** put() into a workload shard, which is sized never to run full. */
+void
+putOrPanic(pm::PmContext &ctx, Instance &m, std::uint64_t key,
+           std::uint64_t value)
+{
+    panic_if(put(ctx, m, key, value) == PutResult::Full,
+             "hashmap: workload shard full");
+}
+
+/** Transactional unlink + free of @p key's entry, if present. */
+void
+remove(pm::PmContext &ctx, Instance &m, std::uint64_t key)
+{
+    MapRoot *r = ctx.pool().at<MapRoot>(m.rootOff);
+    Addr holder = m.rootOff + offsetof(MapRoot, buckets) +
+                  (hashKey(key) % kBuckets) * sizeof(Addr);
+    Addr cur = *ctx.pool().at<Addr>(holder);
+    while (cur != kNullAddr) {
+        MapEntry probe{};
+        ctx.load(cur, &probe, sizeof(probe));
+        if (probe.key == key) {
+            nvml::TxContext tx(*m.pool, ctx);
+            tx.addRange(holder, 8);
+            ctx.store(holder, &probe.next, 8, DataClass::User);
+            tx.txFree(cur);
+            const std::uint64_t n = r->count - 1;
+            tx.set(r->count, n, DataClass::User);
+            tx.commit();
+            return;
+        }
+        holder = cur + offsetof(MapEntry, next);
+        cur = probe.next;
+    }
+}
+
+/** Root magic, entry checksums, bucket placement and the count. */
+bool
+checkMap(pm::PmContext &ctx, const Instance &m, std::string *why)
+{
+    const MapRoot *r = ctx.pool().at<MapRoot>(m.rootOff);
+    if (r->magic != MapRoot::kMagic) {
+        if (why)
+            *why = "bad root magic";
+        return false;
+    }
+    std::uint64_t seen = 0;
+    for (std::uint64_t b = 0; b < kBuckets; b++) {
+        Addr cur = r->buckets[b];
+        std::uint64_t guard = 0;
+        while (cur != kNullAddr) {
+            if (++guard > 10'000'000) {
+                if (why)
+                    *why = "bucket cycle";
+                return false;
+            }
+            const MapEntry *e = ctx.pool().at<MapEntry>(cur);
+            if (e->checksum != (e->key ^ e->value ^ MapEntry::kSalt)) {
+                if (why)
+                    *why = "entry checksum mismatch";
+                return false;
+            }
+            if (hashKey(e->key) % kBuckets != b) {
+                if (why)
+                    *why = "entry in wrong bucket";
+                return false;
+            }
+            seen++;
+            cur = e->next;
+        }
+    }
+    if (seen != r->count) {
+        if (why)
+            *why = "count does not match reachable entries";
+        return false;
+    }
+    return true;
+}
+
 class HashmapApp : public WhisperApp
 {
   public:
@@ -64,39 +235,30 @@ class HashmapApp : public WhisperApp
     void
     setup(Runtime &rt) override
     {
-        pm::PmContext &ctx = rt.ctx(0);
-        rootOff_ = 0;
-        const Addr pool_base =
-            lineBase(sizeof(MapRoot) + kCacheLineSize);
-        pool_ = std::make_unique<nvml::NvmlPool>(
-            ctx, pool_base, config_.poolBytes - pool_base,
-            config_.threads);
-        MapRoot root{};
-        root.magic = MapRoot::kMagic;
-        for (auto &b : root.buckets)
-            b = kNullAddr;
-        ctx.store(rootOff_, &root, sizeof(root), DataClass::User);
-        ctx.flush(rootOff_, sizeof(root));
-        ctx.fence(FenceKind::Durability);
+        inst_.clear();
+        inst_.push_back(formatMap(rt.ctx(0), 0, config_.poolBytes,
+                                  config_.threads));
     }
 
     void
     run(Runtime &rt, pm::PmContext &ctx, ThreadId tid) override
     {
         (void)rt;
+        Instance &m = inst_[0];
         Rng rng(config_.seed * 271 + tid);
         const std::uint64_t keyspace = config_.opsPerThread * 4 + 64;
         std::vector<std::uint64_t> inserted;
         inserted.reserve(config_.opsPerThread);
 
         for (std::uint64_t op = 0; op < config_.opsPerThread; op++) {
-            // Paper Fig. 6: hashmap is ~2.6% PM accesses.
-            ctx.vBurst(inserted.data(), 1 << 14, 560, 240);
-            ctx.compute(6500);
+            pad(ctx, inserted.data());
             if (!inserted.empty() && rng.chance(0.1)) {
                 // REMOVE a previously inserted key.
                 const std::size_t idx = rng.next(inserted.size());
-                remove(ctx, inserted[idx]);
+                {
+                    std::lock_guard<std::mutex> guard(mapLock_);
+                    remove(ctx, m, inserted[idx]);
+                }
                 inserted[idx] = inserted.back();
                 inserted.pop_back();
                 ctx.vStore(inserted.data() + idx, 8);
@@ -104,7 +266,11 @@ class HashmapApp : public WhisperApp
                 const std::uint64_t key =
                     (static_cast<std::uint64_t>(tid) << 48) |
                     rng.next(keyspace);
-                if (insert(ctx, key, rng())) {
+                const std::uint64_t value = rng();
+                std::unique_lock<std::mutex> guard(mapLock_);
+                const PutResult res = put(ctx, m, key, value);
+                guard.unlock();
+                if (res == PutResult::Inserted) {
                     inserted.push_back(key);
                     ctx.vStore(&inserted.back(), 8);
                 }
@@ -112,23 +278,16 @@ class HashmapApp : public WhisperApp
         }
     }
 
-    VerifyReport
-    verify(Runtime &rt) override
-    {
-        VerifyReport rep = report();
-        std::string why;
-        rep.check(checkMap(rt, &why), "map-intact", why);
-        return rep;
-    }
+    VerifyReport verify(Runtime &rt) override { return verifyRecovered(rt); }
 
-    void recover(Runtime &rt) override { pool_->recover(rt.ctx(0)); }
+    void recover(Runtime &rt) override { inst_[0].pool->recover(rt.ctx(0)); }
 
     VerifyReport
     verifyRecovered(Runtime &rt) override
     {
         VerifyReport rep = report();
         std::string why;
-        rep.check(checkMap(rt, &why), "map-intact", why);
+        rep.check(checkMap(rt.ctx(0), inst_[0], &why), "map-intact", why);
         return rep;
     }
 
@@ -137,18 +296,18 @@ class HashmapApp : public WhisperApp
     {
         VerifyReport rep = report();
         std::string why;
-        rep.check(pool_->logsQuiescent(rt.ctx(0), &why),
+        rep.check(inst_[0].pool->logsQuiescent(rt.ctx(0), &why),
                   "logs-quiescent", why);
         return rep;
     }
 
     /** @{ \name Generated-workload surface
      *
-     * One private NvmlPool + bucket array per worker thread over a
+     * One private map (root + NvmlPool) per worker thread over a
      * disjoint slice of the device — the YCSB one-client-per-thread
      * model. Partitioning keeps chain walks (and thus latencies)
-     * independent of scheduling; the undo-log discipline per op is
-     * identical to run()'s.
+     * independent of scheduling and needs no lock; the undo-log
+     * discipline per op is run()'s.
      */
 
     bool supportsWorkload() const override { return true; }
@@ -157,36 +316,20 @@ class HashmapApp : public WhisperApp
     workloadSetup(Runtime &rt, const WorkloadKeymap &map) override
     {
         wlMap_ = map;
-        wlShards_.clear();
+        inst_.clear();
         scratch_.assign(config_.threads,
                         std::vector<std::uint64_t>(2048));
-        const std::size_t region =
-            lineBase(config_.poolBytes / config_.threads);
-        panic_if(region <= sizeof(MapRoot) + (2u << 20),
-                 "hashmap: pool too small for per-thread workload "
-                 "shards");
+        const PoolSlices slices(config_.poolBytes, map.threads,
+                                sizeof(MapRoot) + (2u << 20),
+                                "hashmap");
         for (unsigned t = 0; t < map.threads; t++) {
             pm::PmContext &ctx = rt.ctx(t);
-            WlShard shard;
-            shard.rootOff = static_cast<Addr>(t) * region;
-            const Addr pool_base = lineBase(
-                shard.rootOff + sizeof(MapRoot) + kCacheLineSize);
-            shard.pool = std::make_unique<nvml::NvmlPool>(
-                ctx, pool_base,
-                shard.rootOff + region - pool_base, 1);
-            MapRoot root{};
-            root.magic = MapRoot::kMagic;
-            for (auto &b : root.buckets)
-                b = kNullAddr;
-            ctx.store(shard.rootOff, &root, sizeof(root),
-                      DataClass::User);
-            ctx.flush(shard.rootOff, sizeof(root));
-            ctx.fence(FenceKind::Durability);
-            wlShards_.push_back(std::move(shard));
+            inst_.push_back(
+                formatMap(ctx, slices.base(t), slices.bytes, 1));
             const ThreadId tid = static_cast<ThreadId>(t);
             for (std::uint64_t i = 0; i < map.perThread(); i++) {
                 const std::uint64_t key = map.lo(tid) + i;
-                wlPut(ctx, tid, key, key * 0x9e3779b97f4a7c15ull);
+                putOrPanic(ctx, inst_[t], key, key * 0x9e3779b97f4a7c15ull);
             }
         }
     }
@@ -195,31 +338,32 @@ class HashmapApp : public WhisperApp
     workloadGet(pm::PmContext &ctx, ThreadId tid,
                 std::uint64_t key) override
     {
-        pad(ctx, tid);
+        pad(ctx, scratch_[tid].data());
         std::uint64_t value = 0;
-        return wlFind(ctx, tid, key, value) != kNullAddr;
+        return find(ctx, inst_[tid], key, value) != kNullAddr;
     }
 
     void
     workloadPut(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
                 std::uint64_t value) override
     {
-        pad(ctx, tid);
-        wlPut(ctx, tid, key, value);
+        pad(ctx, scratch_[tid].data());
+        putOrPanic(ctx, inst_[tid], key, value);
     }
 
     bool
     workloadRmw(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
                 std::uint64_t delta) override
     {
-        pad(ctx, tid);
+        pad(ctx, scratch_[tid].data());
+        Instance &m = inst_[tid];
         std::uint64_t value = 0;
-        const Addr off = wlFind(ctx, tid, key, value);
+        const Addr off = find(ctx, m, key, value);
         if (off == kNullAddr) {
-            wlPut(ctx, tid, key, delta);
+            putOrPanic(ctx, m, key, delta);
             return false;
         }
-        nvml::TxContext tx(*wlShards_[tid].pool, ctx);
+        nvml::TxContext tx(*m.pool, ctx);
         MapEntry *e = ctx.pool().at<MapEntry>(off);
         const std::uint64_t nv = value + delta;
         tx.set(e->value, nv, DataClass::User);
@@ -233,12 +377,12 @@ class HashmapApp : public WhisperApp
     workloadScan(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
                  std::uint64_t len) override
     {
-        pad(ctx, tid);
+        pad(ctx, scratch_[tid].data());
         std::uint64_t found = 0;
         std::uint64_t value = 0;
         for (std::uint64_t j = 0; j < len; j++)
-            if (wlFind(ctx, tid, wlMap_.scanKey(tid, key, j),
-                       value) != kNullAddr)
+            if (find(ctx, inst_[tid], wlMap_.scanKey(tid, key, j),
+                     value) != kNullAddr)
                 found++;
         return found;
     }
@@ -247,13 +391,11 @@ class HashmapApp : public WhisperApp
     workloadCheck(Runtime &rt) override
     {
         VerifyReport rep = report();
-        for (unsigned t = 0; t < wlShards_.size(); t++) {
+        for (unsigned t = 0; t < inst_.size(); t++) {
             std::string why;
-            rep.check(checkMapAt(rt, wlShards_[t].rootOff, &why),
-                      "map-intact",
+            rep.check(checkMap(rt.ctx(0), inst_[t], &why), "map-intact",
                       "shard " + std::to_string(t) + ": " + why);
-            rep.check(wlShards_[t].pool->logsQuiescent(rt.ctx(0),
-                                                       &why),
+            rep.check(inst_[t].pool->logsQuiescent(rt.ctx(0), &why),
                       "logs-quiescent", why);
         }
         return rep;
@@ -266,199 +408,18 @@ class HashmapApp : public WhisperApp
     scrubLayer(Runtime &rt, std::vector<LineAddr> &lines,
                VerifyReport &rep) override
     {
-        pool_->scrub(rt.ctx(0), lines, rep);
+        inst_[0].pool->scrub(rt.ctx(0), lines, rep);
     }
 
   private:
-    /** Per-worker workload shard: private root + private pool. */
-    struct WlShard
-    {
-        Addr rootOff = 0;
-        std::unique_ptr<nvml::NvmlPool> pool;
-    };
-
-    void
-    pad(pm::PmContext &ctx, ThreadId tid)
-    {
-        ctx.vBurst(scratch_[tid].data(), 1 << 14, 560, 240);
-        ctx.compute(6500);
-    }
-
-    /** Chain walk in @p tid's shard; entry offset or kNullAddr. */
-    Addr
-    wlFind(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
-           std::uint64_t &value)
-    {
-        const MapRoot *r =
-            ctx.pool().at<MapRoot>(wlShards_[tid].rootOff);
-        Addr cur = r->buckets[hashKey(key) % kBuckets];
-        while (cur != kNullAddr) {
-            MapEntry probe{};
-            ctx.load(cur, &probe, sizeof(probe));
-            if (probe.key == key) {
-                value = probe.value;
-                return cur;
-            }
-            cur = probe.next;
-        }
-        return kNullAddr;
-    }
-
-    /** Insert-or-update in @p tid's shard (run()'s insert(), minus
-     *  the shared-map lock the partitioning makes unnecessary). */
-    void
-    wlPut(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
-          std::uint64_t value)
-    {
-        WlShard &shard = wlShards_[tid];
-        MapRoot *r = ctx.pool().at<MapRoot>(shard.rootOff);
-        Addr &bucket = r->buckets[hashKey(key) % kBuckets];
-        std::uint64_t old = 0;
-        const Addr existing = wlFind(ctx, tid, key, old);
-        if (existing != kNullAddr) {
-            nvml::TxContext tx(*shard.pool, ctx);
-            MapEntry *e = ctx.pool().at<MapEntry>(existing);
-            tx.set(e->value, value, DataClass::User);
-            const std::uint64_t sum = key ^ value ^ MapEntry::kSalt;
-            tx.set(e->checksum, sum, DataClass::User);
-            tx.commit();
-            return;
-        }
-        nvml::TxContext tx(*shard.pool, ctx);
-        const Addr off = tx.txAlloc(sizeof(MapEntry));
-        panic_if(off == kNullAddr, "hashmap: workload shard full");
-        MapEntry e{key, value, key ^ value ^ MapEntry::kSalt, bucket};
-        tx.directStore(off, &e, sizeof(e), DataClass::User);
-        tx.set(bucket, off, DataClass::User);
-        const std::uint64_t n = r->count + 1;
-        tx.set(r->count, n, DataClass::User);
-        tx.commit();
-    }
-
-    MapRoot *root(pm::PmContext &ctx) { return ctx.pool().at<MapRoot>(
-        rootOff_); }
-
-    bool
-    insert(pm::PmContext &ctx, std::uint64_t key, std::uint64_t value)
-    {
-        std::lock_guard<std::mutex> guard(mapLock_);
-        MapRoot *r = root(ctx);
-        Addr &bucket = r->buckets[hashKey(key) % kBuckets];
-
-        // Existing key: transactional value overwrite.
-        for (Addr cur = bucket; cur != kNullAddr;) {
-            MapEntry probe{};
-            ctx.load(cur, &probe, sizeof(probe));
-            if (probe.key == key) {
-                nvml::TxContext tx(*pool_, ctx);
-                MapEntry *e = ctx.pool().at<MapEntry>(cur);
-                tx.set(e->value, value, DataClass::User);
-                const std::uint64_t sum =
-                    key ^ value ^ MapEntry::kSalt;
-                tx.set(e->checksum, sum, DataClass::User);
-                tx.commit();
-                return false;
-            }
-            cur = probe.next;
-        }
-
-        nvml::TxContext tx(*pool_, ctx);
-        const Addr off = tx.txAlloc(sizeof(MapEntry));
-        if (off == kNullAddr) {
-            tx.abort();
-            return false;
-        }
-        MapEntry e{key, value, key ^ value ^ MapEntry::kSalt, bucket};
-        tx.directStore(off, &e, sizeof(e), DataClass::User);
-        tx.set(bucket, off, DataClass::User);
-        const std::uint64_t n = r->count + 1;
-        tx.set(r->count, n, DataClass::User);
-        tx.commit();
-        return true;
-    }
-
-    void
-    remove(pm::PmContext &ctx, std::uint64_t key)
-    {
-        std::lock_guard<std::mutex> guard(mapLock_);
-        MapRoot *r = root(ctx);
-        Addr holder =
-            rootOff_ + offsetof(MapRoot, buckets) +
-            (hashKey(key) % kBuckets) * sizeof(Addr);
-        Addr cur = *ctx.pool().at<Addr>(holder);
-        while (cur != kNullAddr) {
-            MapEntry probe{};
-            ctx.load(cur, &probe, sizeof(probe));
-            if (probe.key == key) {
-                nvml::TxContext tx(*pool_, ctx);
-                tx.addRange(holder, 8);
-                ctx.store(holder, &probe.next, 8, DataClass::User);
-                tx.txFree(cur);
-                const std::uint64_t n = r->count - 1;
-                tx.set(r->count, n, DataClass::User);
-                tx.commit();
-                return;
-            }
-            holder = cur + offsetof(MapEntry, next);
-            cur = probe.next;
-        }
-    }
-
-    bool
-    checkMap(Runtime &rt, std::string *why)
-    {
-        return checkMapAt(rt, rootOff_, why);
-    }
-
-    bool
-    checkMapAt(Runtime &rt, Addr root_off, std::string *why)
-    {
-        pm::PmContext &ctx = rt.ctx(0);
-        MapRoot *r = ctx.pool().at<MapRoot>(root_off);
-        if (r->magic != MapRoot::kMagic) {
-            if (why)
-                *why = "bad root magic";
-            return false;
-        }
-        std::uint64_t seen = 0;
-        for (std::uint64_t b = 0; b < kBuckets; b++) {
-            Addr cur = r->buckets[b];
-            std::uint64_t guard = 0;
-            while (cur != kNullAddr) {
-                if (++guard > 10'000'000) {
-                    if (why)
-                        *why = "bucket cycle";
-                    return false;
-                }
-                const MapEntry *e = ctx.pool().at<MapEntry>(cur);
-                if (e->checksum !=
-                    (e->key ^ e->value ^ MapEntry::kSalt)) {
-                    if (why)
-                        *why = "entry checksum mismatch";
-                    return false;
-                }
-                if (hashKey(e->key) % kBuckets != b) {
-                    if (why)
-                        *why = "entry in wrong bucket";
-                    return false;
-                }
-                seen++;
-                cur = e->next;
-            }
-        }
-        if (seen != r->count) {
-            if (why)
-                *why = "count does not match reachable entries";
-            return false;
-        }
-        return true;
-    }
-
-    std::unique_ptr<nvml::NvmlPool> pool_;
-    Addr rootOff_ = 0;
+    /**
+     * The paper run's one map over the whole pool (setup()), or one
+     * map per workload thread (workloadSetup()).
+     */
+    std::vector<Instance> inst_;
+    /** Serializes run()'s threads on the shared map. */
     std::mutex mapLock_;
     WorkloadKeymap wlMap_;
-    std::vector<WlShard> wlShards_;
     std::vector<std::vector<std::uint64_t>> scratch_;
 };
 

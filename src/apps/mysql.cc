@@ -13,7 +13,6 @@
  * this role in real InnoDB).
  */
 
-#include <atomic>
 #include <mutex>
 
 #include "apps/apps.hh"
@@ -54,6 +53,105 @@ rowChecksum(const Row &row)
            static_cast<std::uint32_t>(row.version);
 }
 
+/** One database: table, secondary index and binlog on a PMFS volume. */
+struct Instance
+{
+    std::unique_ptr<pmfs::Pmfs> fs;
+    pmfs::Ino table = pmfs::kInvalidIno;
+    pmfs::Ino index = pmfs::kInvalidIno;
+    pmfs::Ino binlog = pmfs::kInvalidIno;
+    std::uint64_t commits = 0; //!< workload binlog records appended
+};
+
+/** Format an empty database over [@p base, @p base + @p bytes). */
+Instance
+formatDb(pm::PmContext &ctx, Addr base, std::size_t bytes)
+{
+    Instance db;
+    db.fs = std::make_unique<pmfs::Pmfs>(ctx, base, bytes);
+    db.fs->mkdir(ctx, "/data");
+    db.table = db.fs->create(ctx, "/data/sbtest.ibd");
+    db.index = db.fs->create(ctx, "/data/sbtest_k.ibd");
+    db.binlog = db.fs->create(ctx, "/data/binlog.000001");
+    panic_if(db.table == pmfs::kInvalidIno ||
+                 db.index == pmfs::kInvalidIno ||
+                 db.binlog == pmfs::kInvalidIno,
+             "mysql setup failed");
+    return db;
+}
+
+void
+readRow(pm::PmContext &ctx, Instance &db, std::uint64_t slot, Row &row)
+{
+    db.fs->read(ctx, db.table, slot * kRowBytes, &row, sizeof(row));
+}
+
+/** Commit record of @p tid's op @p op (group commit of one). */
+void
+appendCommit(pm::PmContext &ctx, Instance &db, ThreadId tid,
+             std::uint64_t op)
+{
+    char rec[64];
+    const int n = std::snprintf(
+        rec, sizeof(rec), "COMMIT tid=%u op=%llu\n", tid,
+        static_cast<unsigned long long>(op));
+    db.fs->append(ctx, db.binlog, rec, static_cast<std::size_t>(n));
+}
+
+/**
+ * fsck, then every row in slots [0, @p rows) must carry id
+ * @p first_id + slot and a valid checksum, and the binlog must end at
+ * a record boundary. Row images are non-journaled user data; PMFS
+ * guarantees metadata consistency only, so a crash can tear an
+ * in-flight page write — exactly the PMFS contract. The filesystem
+ * fences at every journal commit, which bounds the exposure to the
+ * writes of the last in-flight transaction: the one index and one
+ * non-index update, i.e. at most two rows. With @p post_crash set
+ * that many invalid rows are tolerated (a real InnoDB would rebuild
+ * them from its redo log); after a *clean* run every row must
+ * validate.
+ */
+bool
+checkDb(pm::PmContext &ctx, Instance &db, std::uint64_t first_id,
+        std::uint64_t rows, bool post_crash, std::string *why)
+{
+    std::string fsck_why;
+    if (!db.fs->fsck(ctx, &fsck_why)) {
+        if (why)
+            *why = "fsck: " + fsck_why;
+        return false;
+    }
+    const std::uint64_t torn_budget = post_crash ? 2 : 0;
+    std::uint64_t torn = 0;
+    for (std::uint64_t r = 0; r < rows; r++) {
+        Row row{};
+        readRow(ctx, db, r, row);
+        if (row.id != first_id + r || row.checksum != rowChecksum(row)) {
+            torn++;
+            if (torn > torn_budget) {
+                if (why) {
+                    *why = post_crash ? "more torn rows than one "
+                                        "transaction can leave"
+                                      : "row id/checksum mismatch";
+                }
+                return false;
+            }
+        }
+    }
+    // Binlog sanity: size grew monotonically and is readable.
+    const std::uint64_t blog = db.fs->fileSize(ctx, db.binlog);
+    if (blog > 0) {
+        char c = 0;
+        db.fs->read(ctx, db.binlog, blog - 1, &c, 1);
+        if (c != '\n') {
+            if (why)
+                *why = "binlog does not end at a record boundary";
+            return false;
+        }
+    }
+    return true;
+}
+
 class MysqlApp : public WhisperApp
 {
   public:
@@ -66,15 +164,9 @@ class MysqlApp : public WhisperApp
     setup(Runtime &rt) override
     {
         pm::PmContext &ctx = rt.ctx(0);
-        fs_ = std::make_unique<pmfs::Pmfs>(ctx, 0, config_.poolBytes);
-        fs_->mkdir(ctx, "/data");
-        tableIno_ = fs_->create(ctx, "/data/sbtest.ibd");
-        indexIno_ = fs_->create(ctx, "/data/sbtest_k.ibd");
-        binlogIno_ = fs_->create(ctx, "/data/binlog.000001");
-        panic_if(tableIno_ == pmfs::kInvalidIno ||
-                     indexIno_ == pmfs::kInvalidIno ||
-                     binlogIno_ == pmfs::kInvalidIno,
-                 "mysql setup failed");
+        inst_.clear();
+        inst_.push_back(formatDb(ctx, 0, config_.poolBytes));
+        Instance &db = inst_[0];
 
         rows_ = std::max<std::uint64_t>(
             512, std::min<std::uint64_t>(config_.opsPerThread * 4,
@@ -93,8 +185,8 @@ class MysqlApp : public WhisperApp
                     b = static_cast<std::uint8_t>(rng());
                 row.checksum = rowChecksum(row);
             }
-            fs_->write(ctx, tableIno_, r * kRowBytes, chunk.data(),
-                       n * kRowBytes);
+            db.fs->write(ctx, db.table, r * kRowBytes, chunk.data(),
+                         n * kRowBytes);
         }
         // Index file: one 16-byte entry per row.
         std::vector<std::uint64_t> idx(rows_ * 2);
@@ -102,14 +194,15 @@ class MysqlApp : public WhisperApp
             idx[r * 2] = r;
             idx[r * 2 + 1] = r * kRowBytes;
         }
-        fs_->write(ctx, indexIno_, 0, idx.data(),
-                   idx.size() * sizeof(std::uint64_t));
+        db.fs->write(ctx, db.index, 0, idx.data(),
+                     idx.size() * sizeof(std::uint64_t));
     }
 
     void
     run(Runtime &rt, pm::PmContext &ctx, ThreadId tid) override
     {
         (void)rt;
+        Instance &db = inst_[0];
         Rng rng(config_.seed * 241 + tid);
         ZipfianGenerator zipf(rows_);
 
@@ -117,7 +210,7 @@ class MysqlApp : public WhisperApp
             // OLTP-complex: 10 point selects.
             for (int i = 0; i < 10; i++) {
                 Row row{};
-                readRow(ctx, zipf.next(rng), row);
+                readRow(ctx, db, zipf.next(rng), row);
                 ctx.vStore(&row, 64); // result set buffering
             }
             // SQL parsing, optimizer, buffer-pool management,
@@ -127,18 +220,12 @@ class MysqlApp : public WhisperApp
             ctx.vBurst(&rng, 1 << 14, 300, 120);
             ctx.compute(700'000);
 
-            // 1 index update + 1 non-index update.
+            // 1 index update + 1 non-index update, then the commit
+            // record.
             std::lock_guard<std::mutex> guard(dbLock_);
-            updateRow(ctx, zipf.next(rng), rng, true);
-            updateRow(ctx, zipf.next(rng), rng, false);
-
-            // Commit record to the binlog (group commit of one).
-            char rec[64];
-            const int n = std::snprintf(
-                rec, sizeof(rec), "COMMIT tid=%u op=%llu\n", tid,
-                static_cast<unsigned long long>(op));
-            fs_->append(ctx, binlogIno_, rec,
-                        static_cast<std::size_t>(n));
+            updateRow(ctx, db, zipf.next(rng), rng, true);
+            updateRow(ctx, db, zipf.next(rng), rng, false);
+            appendCommit(ctx, db, tid, op);
         }
     }
 
@@ -147,31 +234,28 @@ class MysqlApp : public WhisperApp
     {
         VerifyReport rep = report();
         std::string why;
-        rep.check(checkDb(rt, &why, false), "db-intact", why);
+        rep.check(checkDb(rt.ctx(0), inst_[0], 0, rows_, false, &why),
+                  "db-intact", why);
         return rep;
     }
 
-    void recover(Runtime &rt) override { fs_->mount(rt.ctx(0)); }
+    void recover(Runtime &rt) override { inst_[0].fs->mount(rt.ctx(0)); }
 
     VerifyReport
     verifyRecovered(Runtime &rt) override
     {
         VerifyReport rep = report();
         std::string why;
-        rep.check(checkDb(rt, &why, true), "db-intact", why);
+        rep.check(checkDb(rt.ctx(0), inst_[0], 0, rows_, true, &why),
+                  "db-intact", why);
         return rep;
     }
 
     VerifyReport
     checkRecoveryInvariants(Runtime &rt) override
     {
-        pm::PmContext &ctx = rt.ctx(0);
         VerifyReport rep = report();
-        std::string why;
-        rep.check(fs_->journalQuiescent(ctx, &why),
-                  "journal-quiescent", why);
-        why.clear();
-        rep.check(fs_->fsck(ctx, &why), "fsck", why);
+        checkPmfs(rt.ctx(0), *inst_[0].fs, rep);
         return rep;
     }
 
@@ -180,30 +264,26 @@ class MysqlApp : public WhisperApp
     scrubLayer(Runtime &rt, std::vector<LineAddr> &lines,
                VerifyReport &rep) override
     {
-        fs_->scrub(rt.ctx(0), lines, rep);
+        inst_[0].fs->scrub(rt.ctx(0), lines, rep);
     }
 
   private:
-    void
-    readRow(pm::PmContext &ctx, std::uint64_t id, Row &row)
+    /**
+     * run()'s row mutation. InnoDB writes whole pages: read the 4 KB
+     * page containing the row, mutate the row image, write the page
+     * back. This is what keeps MySQL's PMFS amplification near the
+     * other filesystem applications' ~0.1x and its writes NTI-heavy.
+     */
+    static void
+    updateRow(pm::PmContext &ctx, Instance &db, std::uint64_t id,
+              Rng &rng, bool index_update)
     {
-        fs_->read(ctx, tableIno_, id * kRowBytes, &row, sizeof(row));
-    }
-
-    void
-    updateRow(pm::PmContext &ctx, std::uint64_t id, Rng &rng,
-              bool index_update)
-    {
-        // InnoDB writes whole pages: read the 4 KB page containing
-        // the row, mutate the row image, write the page back. This
-        // is what keeps MySQL's PMFS amplification near the other
-        // filesystem applications' ~0.1x and its writes NTI-heavy.
         const std::uint64_t rows_per_page =
             pmfs::kBlockSize / kRowBytes;
         const std::uint64_t page = id / rows_per_page;
         alignas(64) std::uint8_t page_buf[pmfs::kBlockSize];
-        fs_->read(ctx, tableIno_, page * pmfs::kBlockSize, page_buf,
-                  sizeof(page_buf));
+        db.fs->read(ctx, db.table, page * pmfs::kBlockSize, page_buf,
+                    sizeof(page_buf));
         auto *row = reinterpret_cast<Row *>(
             page_buf + (id % rows_per_page) * kRowBytes);
         for (int i = 0; i < 10; i++) {
@@ -212,90 +292,29 @@ class MysqlApp : public WhisperApp
         }
         row->version++;
         row->checksum = rowChecksum(*row);
-        fs_->write(ctx, tableIno_, page * pmfs::kBlockSize, page_buf,
-                   sizeof(page_buf));
+        db.fs->write(ctx, db.table, page * pmfs::kBlockSize, page_buf,
+                     sizeof(page_buf));
         if (index_update) {
             const std::uint64_t entry[2] = {id, id * kRowBytes};
-            fs_->write(ctx, indexIno_, id * 16, entry, sizeof(entry));
+            db.fs->write(ctx, db.index, id * 16, entry, sizeof(entry));
         }
-    }
-
-    bool
-    checkDb(Runtime &rt, std::string *why, bool post_crash)
-    {
-        pm::PmContext &ctx = rt.ctx(0);
-        std::string fsck_why;
-        if (!fs_->fsck(ctx, &fsck_why)) {
-            if (why)
-                *why = "fsck: " + fsck_why;
-            return false;
-        }
-        // Row images are non-journaled user data; PMFS guarantees
-        // metadata consistency only, so a crash can tear an in-flight
-        // page write — exactly the PMFS contract. The filesystem
-        // fences at every journal commit, which bounds the exposure
-        // to the writes of the last in-flight transaction: the one
-        // index and one non-index update, i.e. at most two rows. With
-        // @p post_crash set that many invalid rows are tolerated (a
-        // real InnoDB would rebuild them from its redo log); after a
-        // *clean* run every row must validate.
-        const std::uint64_t torn_budget = post_crash ? 2 : 0;
-        std::uint64_t torn = 0;
-        for (std::uint64_t r = 0; r < rows_; r++) {
-            Row row{};
-            readRow(ctx, r, row);
-            if (row.id != r || row.checksum != rowChecksum(row)) {
-                torn++;
-                if (torn > torn_budget) {
-                    if (why) {
-                        *why = post_crash
-                                   ? "more torn rows than one "
-                                     "transaction can leave"
-                                   : "row id/checksum mismatch";
-                    }
-                    return false;
-                }
-            }
-        }
-        // Binlog sanity: size grew monotonically and is readable.
-        const std::uint64_t blog = fs_->fileSize(ctx, binlogIno_);
-        if (blog > 0) {
-            char c = 0;
-            fs_->read(ctx, binlogIno_, blog - 1, &c, 1);
-            if (c != '\n') {
-                if (why)
-                    *why = "binlog does not end at a record boundary";
-                return false;
-            }
-        }
-        return true;
     }
 
     // ---- Unified workload driver surface ------------------------------
     //
-    // Each workload thread gets its own database instance — table,
-    // secondary index and binlog on a private PMFS volume over a
+    // Each workload thread gets its own database instance over a
     // disjoint pool slice (sysbench against per-core server shards).
     // A key is a row id; row slot = the keymap's dense local index.
-    // Writes keep InnoDB's shape: read the 4 KB page, mutate the row
-    // image, write the page back, update the index entry, append a
-    // commit record to the binlog.
-
-    struct WlDb
-    {
-        std::unique_ptr<pmfs::Pmfs> fs;
-        pmfs::Ino table = pmfs::kInvalidIno;
-        pmfs::Ino index = pmfs::kInvalidIno;
-        pmfs::Ino binlog = pmfs::kInvalidIno;
-        std::uint64_t commits = 0;
-    };
+    // Writes keep InnoDB's shape: read the 4 KB page, overwrite the
+    // row image, write the page back, update the index entry, append
+    // a commit record to the binlog.
 
     /**
      * Per-op SQL parsing / optimizer / round-trip share. run()'s
      * sysbench transaction (~13 operations) spends compute(700'000);
      * one KV op carries a proportional slice.
      */
-    void
+    static void
     wlPad(pm::PmContext &ctx, std::uint64_t key)
     {
         ctx.vStore(&key, 8);
@@ -317,17 +336,16 @@ class MysqlApp : public WhisperApp
         row.checksum = rowChecksum(row);
     }
 
-    /** Page-granularity row write, matching updateRow()'s shape. */
-    void
-    wlWriteRow(pm::PmContext &ctx, WlDb &db, std::uint64_t slot,
+    /** Page-granularity row overwrite, in updateRow()'s shape. */
+    static void
+    wlWriteRow(pm::PmContext &ctx, Instance &db, std::uint64_t slot,
                const Row &row)
     {
         const std::uint64_t rows_per_page =
             pmfs::kBlockSize / kRowBytes;
         const std::uint64_t page = slot / rows_per_page;
         alignas(64) std::uint8_t page_buf[pmfs::kBlockSize] = {};
-        if (page * pmfs::kBlockSize <
-            db.fs->fileSize(ctx, db.table)) {
+        if (page * pmfs::kBlockSize < db.fs->fileSize(ctx, db.table)) {
             db.fs->read(ctx, db.table, page * pmfs::kBlockSize,
                         page_buf, sizeof(page_buf));
         }
@@ -339,17 +357,6 @@ class MysqlApp : public WhisperApp
         db.fs->write(ctx, db.index, slot * 16, entry, sizeof(entry));
     }
 
-    void
-    wlCommit(pm::PmContext &ctx, WlDb &db, ThreadId tid)
-    {
-        char rec[64];
-        const int n = std::snprintf(
-            rec, sizeof(rec), "COMMIT tid=%u op=%llu\n", tid,
-            static_cast<unsigned long long>(db.commits++));
-        db.fs->append(ctx, db.binlog, rec,
-                      static_cast<std::size_t>(n));
-    }
-
   public:
     bool supportsWorkload() const override { return true; }
 
@@ -357,25 +364,13 @@ class MysqlApp : public WhisperApp
     workloadSetup(Runtime &rt, const core::WorkloadKeymap &map) override
     {
         wlMap_ = map;
-        wlDbs_.clear();
-        wlDbs_.resize(map.threads);
-        const Addr region = lineBase(config_.poolBytes / map.threads);
-        panic_if(region <= (8u << 20),
-                 "mysql workload: pool too small for %u volumes",
-                 map.threads);
+        inst_.clear();
+        const PoolSlices slices(config_.poolBytes, map.threads, 8u << 20,
+                                "mysql");
         for (unsigned t = 0; t < map.threads; t++) {
             pm::PmContext &ctx = rt.ctx(t);
-            WlDb &db = wlDbs_[t];
-            db.fs = std::make_unique<pmfs::Pmfs>(
-                ctx, static_cast<Addr>(t) * region, region);
-            db.fs->mkdir(ctx, "/data");
-            db.table = db.fs->create(ctx, "/data/sbtest.ibd");
-            db.index = db.fs->create(ctx, "/data/sbtest_k.ibd");
-            db.binlog = db.fs->create(ctx, "/data/binlog.000001");
-            panic_if(db.table == pmfs::kInvalidIno ||
-                         db.index == pmfs::kInvalidIno ||
-                         db.binlog == pmfs::kInvalidIno,
-                     "mysql workload setup failed");
+            inst_.push_back(formatDb(ctx, slices.base(t), slices.bytes));
+            Instance &db = inst_[t];
 
             // Preload rows page by page (one syscall per 32 rows,
             // mirroring setup()'s chunked load).
@@ -408,12 +403,9 @@ class MysqlApp : public WhisperApp
     workloadGet(pm::PmContext &ctx, ThreadId tid,
                 std::uint64_t key) override
     {
-        WlDb &db = wlDbs_[tid];
         wlPad(ctx, key);
-        const std::uint64_t slot = wlMap_.localIndex(tid, key);
         Row row{};
-        db.fs->read(ctx, db.table, slot * kRowBytes, &row,
-                    sizeof(row));
+        readRow(ctx, inst_[tid], wlMap_.localIndex(tid, key), row);
         ctx.vStore(&row, 64); // result set buffering
         return row.id == key;
     }
@@ -422,28 +414,27 @@ class MysqlApp : public WhisperApp
     workloadPut(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
                 std::uint64_t value) override
     {
-        WlDb &db = wlDbs_[tid];
+        Instance &db = inst_[tid];
         wlPad(ctx, key);
         Row row{};
         wlFillRow(key, value, row);
         wlWriteRow(ctx, db, wlMap_.localIndex(tid, key), row);
-        wlCommit(ctx, db, tid);
+        appendCommit(ctx, db, tid, db.commits++);
     }
 
     bool
     workloadRmw(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
                 std::uint64_t delta) override
     {
-        WlDb &db = wlDbs_[tid];
+        Instance &db = inst_[tid];
         wlPad(ctx, key);
         const std::uint64_t slot = wlMap_.localIndex(tid, key);
         Row row{};
-        db.fs->read(ctx, db.table, slot * kRowBytes, &row,
-                    sizeof(row));
+        readRow(ctx, db, slot, row);
         const bool found = row.id == key;
         wlFillRow(key, (found ? row.version : 0) + delta, row);
         wlWriteRow(ctx, db, slot, row);
-        wlCommit(ctx, db, tid);
+        appendCommit(ctx, db, tid, db.commits++);
         return found;
     }
 
@@ -451,15 +442,12 @@ class MysqlApp : public WhisperApp
     workloadScan(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
                  std::uint64_t len) override
     {
-        WlDb &db = wlDbs_[tid];
         wlPad(ctx, key);
         std::uint64_t found = 0;
         for (std::uint64_t j = 0; j < len; j++) {
             const std::uint64_t k = wlMap_.scanKey(tid, key, j);
             Row row{};
-            db.fs->read(ctx, db.table,
-                        wlMap_.localIndex(tid, k) * kRowBytes, &row,
-                        sizeof(row));
+            readRow(ctx, inst_[tid], wlMap_.localIndex(tid, k), row);
             if (row.id == k)
                 found++;
         }
@@ -470,43 +458,34 @@ class MysqlApp : public WhisperApp
     workloadCheck(Runtime &rt) override
     {
         VerifyReport rep = report();
-        for (unsigned t = 0; t < wlMap_.threads; t++) {
+        for (unsigned t = 0; t < inst_.size(); t++) {
             pm::PmContext &ctx = rt.ctx(t);
-            WlDb &db = wlDbs_[t];
+            Instance &db = inst_[t];
             // A clean run leaves the descriptor COMMITTED (commit is
             // lazy about the FREE transition); mount-time recovery
             // retires it, exactly like the run path's recover().
             db.fs->mount(ctx);
-            std::string why;
-            rep.check(db.fs->journalQuiescent(ctx, &why),
-                      "journal-quiescent", why);
-            why.clear();
-            rep.check(db.fs->fsck(ctx, &why), "fsck", why);
+            checkPmfs(ctx, *db.fs, rep);
             // Every preloaded row must validate (clean-run contract).
-            bool rows_ok = true;
-            for (std::uint64_t s = 0;
-                 rows_ok && s < wlMap_.perThread(); s++) {
-                Row row{};
-                db.fs->read(ctx, db.table, s * kRowBytes, &row,
-                            sizeof(row));
-                rows_ok = row.checksum == rowChecksum(row);
-            }
-            rep.check(rows_ok, "rows-intact",
-                      "row checksum mismatch in shard " +
-                          std::to_string(t));
+            std::string why;
+            rep.check(checkDb(ctx, db, wlMap_.lo(t), wlMap_.perThread(),
+                              false, &why),
+                      "db-intact",
+                      "shard " + std::to_string(t) + ": " + why);
         }
         return rep;
     }
 
   private:
-    std::unique_ptr<pmfs::Pmfs> fs_;
-    pmfs::Ino tableIno_ = pmfs::kInvalidIno;
-    pmfs::Ino indexIno_ = pmfs::kInvalidIno;
-    pmfs::Ino binlogIno_ = pmfs::kInvalidIno;
+    /**
+     * The paper run's one database over the whole pool (setup()), or
+     * one database per workload thread (workloadSetup()).
+     */
+    std::vector<Instance> inst_;
     std::uint64_t rows_ = 0;
+    /** Serializes run()'s threads on the shared database. */
     std::mutex dbLock_;
     core::WorkloadKeymap wlMap_;
-    std::vector<WlDb> wlDbs_;
 };
 
 } // namespace

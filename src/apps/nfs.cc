@@ -28,6 +28,54 @@ using namespace core;
 namespace
 {
 
+constexpr unsigned kDirs = 8;
+
+std::string
+dirPath(unsigned d)
+{
+    return "/export/dir" + std::to_string(d);
+}
+
+/** One file server: a PMFS volume exporting /export/dirNN. */
+struct Instance
+{
+    std::unique_ptr<pmfs::Pmfs> fs;
+    /** Per-directory record extent files (workload volumes only). */
+    pmfs::Ino files[kDirs] = {};
+};
+
+/**
+ * Format a volume over [@p base, @p base + @p bytes) with the export
+ * tree, plus one record extent file per directory when @p extents.
+ */
+Instance
+formatVolume(pm::PmContext &ctx, Addr base, std::size_t bytes,
+             bool extents)
+{
+    Instance v;
+    v.fs = std::make_unique<pmfs::Pmfs>(ctx, base, bytes);
+    v.fs->mkdir(ctx, "/export");
+    for (unsigned d = 0; d < kDirs; d++) {
+        v.fs->mkdir(ctx, dirPath(d));
+        if (!extents)
+            continue;
+        v.files[d] = v.fs->create(ctx, dirPath(d) + "/data");
+        panic_if(v.files[d] == pmfs::kInvalidIno,
+                 "nfs workload create failed");
+    }
+    return v;
+}
+
+/** RPC round trip + server-side request handling keep NFS at ~250K
+ *  epochs/second (Table 1). */
+void
+pad(pm::PmContext &ctx, const void *base)
+{
+    ctx.vStore(base, 64);
+    ctx.vBurst(base, 1 << 14, 200, 80);
+    ctx.compute(60'000);
+}
+
 class NfsApp : public WhisperApp
 {
   public:
@@ -40,22 +88,20 @@ class NfsApp : public WhisperApp
     setup(Runtime &rt) override
     {
         pm::PmContext &ctx = rt.ctx(0);
-        fs_ = std::make_unique<pmfs::Pmfs>(ctx, 0, config_.poolBytes);
-        // Export tree: /export/dirNN/ with a starting fileset.
-        fs_->mkdir(ctx, "/export");
-        for (unsigned d = 0; d < kDirs; d++)
-            fs_->mkdir(ctx, dirPath(d));
+        inst_.clear();
+        inst_.push_back(formatVolume(ctx, 0, config_.poolBytes, false));
+        pmfs::Pmfs &fs = *inst_[0].fs;
+        // A starting fileset in every export directory.
         Rng rng(config_.seed);
         std::vector<std::uint8_t> buf(kMeanFileBytes);
         for (auto &b : buf)
             b = static_cast<std::uint8_t>(rng());
         for (unsigned d = 0; d < kDirs; d++) {
             for (unsigned f = 0; f < kInitialFilesPerDir; f++) {
-                const pmfs::Ino ino =
-                    fs_->create(ctx, filePath(d, f));
+                const pmfs::Ino ino = fs.create(ctx, filePath(d, f));
                 panic_if(ino == pmfs::kInvalidIno,
                          "nfs setup create failed");
-                fs_->write(ctx, ino, 0, buf.data(), buf.size());
+                fs.write(ctx, ino, 0, buf.data(), buf.size());
             }
         }
         nextFile_.store(kInitialFilesPerDir);
@@ -65,6 +111,7 @@ class NfsApp : public WhisperApp
     run(Runtime &rt, pm::PmContext &ctx, ThreadId tid) override
     {
         (void)rt;
+        pmfs::Pmfs &fs = *inst_[0].fs;
         Rng rng(config_.seed * 101 + tid);
         std::vector<std::uint8_t> buf(4 * kMeanFileBytes);
         for (auto &b : buf)
@@ -73,37 +120,30 @@ class NfsApp : public WhisperApp
         for (std::uint64_t op = 0; op < config_.opsPerThread; op++) {
             const unsigned d = static_cast<unsigned>(rng.next(kDirs));
             const double pick = rng.nextDouble();
-            // RPC round trip + server-side request handling keep
-            // NFS at ~250K epochs/second (Table 1).
-            ctx.vStore(buf.data(), 64);
-            ctx.vBurst(buf.data(), 1 << 14, 200, 80);
-            ctx.compute(60'000);
+            pad(ctx, buf.data());
 
             if (pick < 0.25) {
                 // createfile + writewholefile + close
                 const std::uint64_t id = nextFile_.fetch_add(1);
-                const pmfs::Ino ino = fs_->create(
+                const pmfs::Ino ino = fs.create(
                     ctx, filePath(d, static_cast<unsigned>(id)));
                 if (ino != pmfs::kInvalidIno) {
                     const std::size_t n = fileBytes(rng);
-                    fs_->write(ctx, ino, 0, buf.data(), n);
+                    fs.write(ctx, ino, 0, buf.data(), n);
                 }
             } else if (pick < 0.45) {
                 // open + appendfile
                 const pmfs::Ino ino = pickFile(ctx, d, rng);
-                if (ino != pmfs::kInvalidIno) {
-                    fs_->append(ctx, ino, buf.data(),
-                                kAppendBytes);
-                }
+                if (ino != pmfs::kInvalidIno)
+                    fs.append(ctx, ino, buf.data(), kAppendBytes);
             } else if (pick < 0.80) {
                 // open + readwholefile
                 const pmfs::Ino ino = pickFile(ctx, d, rng);
                 if (ino != pmfs::kInvalidIno) {
                     std::vector<std::uint8_t> rbuf(
-                        fs_->fileSize(ctx, ino));
+                        fs.fileSize(ctx, ino));
                     if (!rbuf.empty()) {
-                        fs_->read(ctx, ino, 0, rbuf.data(),
-                                  rbuf.size());
+                        fs.read(ctx, ino, 0, rbuf.data(), rbuf.size());
                         ctx.vStore(rbuf.data(),
                                    std::min<std::size_t>(
                                        rbuf.size(), 256));
@@ -113,14 +153,14 @@ class NfsApp : public WhisperApp
                 // statfile
                 const pmfs::Ino ino = pickFile(ctx, d, rng);
                 if (ino != pmfs::kInvalidIno)
-                    fs_->fileSize(ctx, ino);
+                    fs.fileSize(ctx, ino);
             } else {
                 // deletefile
-                const auto names = fs_->readdir(ctx, dirPath(d));
+                const auto names = fs.readdir(ctx, dirPath(d));
                 if (!names.empty()) {
                     const auto &name =
                         names[rng.next(names.size())];
-                    fs_->unlink(ctx, dirPath(d) + "/" + name);
+                    fs.unlink(ctx, dirPath(d) + "/" + name);
                 }
             }
         }
@@ -131,32 +171,19 @@ class NfsApp : public WhisperApp
     {
         VerifyReport rep = report();
         std::string why;
-        rep.check(fs_->fsck(rt.ctx(0), &why), "fsck", why);
+        rep.check(inst_[0].fs->fsck(rt.ctx(0), &why), "fsck", why);
         return rep;
     }
 
-    void
-    recover(Runtime &rt) override
-    {
-        fs_->mount(rt.ctx(0));
-    }
+    void recover(Runtime &rt) override { inst_[0].fs->mount(rt.ctx(0)); }
 
-    VerifyReport
-    verifyRecovered(Runtime &rt) override
-    {
-        return verify(rt);
-    }
+    VerifyReport verifyRecovered(Runtime &rt) override { return verify(rt); }
 
     VerifyReport
     checkRecoveryInvariants(Runtime &rt) override
     {
-        pm::PmContext &ctx = rt.ctx(0);
         VerifyReport rep = report();
-        std::string why;
-        rep.check(fs_->journalQuiescent(ctx, &why),
-                  "journal-quiescent", why);
-        why.clear();
-        rep.check(fs_->fsck(ctx, &why), "fsck", why);
+        checkPmfs(rt.ctx(0), *inst_[0].fs, rep);
         return rep;
     }
 
@@ -165,20 +192,13 @@ class NfsApp : public WhisperApp
     scrubLayer(Runtime &rt, std::vector<LineAddr> &lines,
                VerifyReport &rep) override
     {
-        fs_->scrub(rt.ctx(0), lines, rep);
+        inst_[0].fs->scrub(rt.ctx(0), lines, rep);
     }
 
   private:
-    static constexpr unsigned kDirs = 8;
     static constexpr unsigned kInitialFilesPerDir = 8;
     static constexpr std::size_t kMeanFileBytes = 16 << 10;
     static constexpr std::size_t kAppendBytes = 8 << 10;
-
-    static std::string
-    dirPath(unsigned d)
-    {
-        return "/export/dir" + std::to_string(d);
-    }
 
     static std::string
     filePath(unsigned d, unsigned f)
@@ -196,11 +216,12 @@ class NfsApp : public WhisperApp
     pmfs::Ino
     pickFile(pm::PmContext &ctx, unsigned d, Rng &rng)
     {
-        const auto names = fs_->readdir(ctx, dirPath(d));
+        pmfs::Pmfs &fs = *inst_[0].fs;
+        const auto names = fs.readdir(ctx, dirPath(d));
         if (names.empty())
             return pmfs::kInvalidIno;
         const auto &name = names[rng.next(names.size())];
-        return fs_->lookup(ctx, dirPath(d) + "/" + name);
+        return fs.lookup(ctx, dirPath(d) + "/" + name);
     }
 
     // ---- Unified workload driver surface ------------------------------
@@ -214,21 +235,13 @@ class NfsApp : public WhisperApp
 
     static constexpr std::size_t kWlRecordBytes = 512;
 
-    struct WlVolume
-    {
-        std::unique_ptr<pmfs::Pmfs> fs;
-        pmfs::Ino files[kDirs] = {};
-    };
-
-    /** RPC round trip + request handling, matching run()'s shape. */
-    void
+    /** run()'s per-request padding over a key-stamped buffer. */
+    static void
     wlPad(pm::PmContext &ctx, std::uint64_t key)
     {
         std::uint8_t buf[64] = {};
         std::memcpy(buf, &key, 8);
-        ctx.vStore(buf, sizeof(buf));
-        ctx.vBurst(buf, 1 << 14, 200, 80);
-        ctx.compute(60'000);
+        pad(ctx, buf);
     }
 
     /** Deterministic record image for (key, value). */
@@ -262,25 +275,14 @@ class NfsApp : public WhisperApp
     workloadSetup(Runtime &rt, const core::WorkloadKeymap &map) override
     {
         wlMap_ = map;
-        wlVols_.clear();
-        wlVols_.resize(map.threads);
-        const Addr region = lineBase(config_.poolBytes / map.threads);
-        panic_if(region <= (8u << 20),
-                 "nfs workload: pool too small for %u volumes",
-                 map.threads);
+        inst_.clear();
+        const PoolSlices slices(config_.poolBytes, map.threads, 8u << 20,
+                                "nfs");
         for (unsigned t = 0; t < map.threads; t++) {
             pm::PmContext &ctx = rt.ctx(t);
-            WlVolume &vol = wlVols_[t];
-            vol.fs = std::make_unique<pmfs::Pmfs>(
-                ctx, static_cast<Addr>(t) * region, region);
-            vol.fs->mkdir(ctx, "/export");
-            for (unsigned d = 0; d < kDirs; d++) {
-                vol.fs->mkdir(ctx, dirPath(d));
-                vol.files[d] =
-                    vol.fs->create(ctx, dirPath(d) + "/data");
-                panic_if(vol.files[d] == pmfs::kInvalidIno,
-                         "nfs workload create failed");
-            }
+            inst_.push_back(
+                formatVolume(ctx, slices.base(t), slices.bytes, true));
+            Instance &v = inst_[t];
             // Preload each extent file in bounded syscalls: every
             // write is one journal transaction, and each appended
             // block journals allocator/block-map metadata, so a
@@ -305,8 +307,8 @@ class NfsApp : public WhisperApp
                      off += kPreloadChunkBytes) {
                     const std::uint64_t n = std::min<std::uint64_t>(
                         kPreloadChunkBytes, buf.size() - off);
-                    vol.fs->write(ctx, vol.files[d], off,
-                                  buf.data() + off, n);
+                    v.fs->write(ctx, v.files[d], off, buf.data() + off,
+                                n);
                 }
             }
         }
@@ -316,14 +318,14 @@ class NfsApp : public WhisperApp
     workloadGet(pm::PmContext &ctx, ThreadId tid,
                 std::uint64_t key) override
     {
-        WlVolume &vol = wlVols_[tid];
+        Instance &v = inst_[tid];
         wlPad(ctx, key);
         unsigned file = 0;
         std::uint64_t slot = 0;
         wlSlot(wlMap_.localIndex(tid, key), file, slot);
         std::uint8_t rec[kWlRecordBytes];
-        vol.fs->read(ctx, vol.files[file], slot * kWlRecordBytes, rec,
-                     sizeof(rec));
+        v.fs->read(ctx, v.files[file], slot * kWlRecordBytes, rec,
+                   sizeof(rec));
         std::uint64_t stored = 0;
         std::memcpy(&stored, rec, 8);
         return stored == key;
@@ -333,36 +335,36 @@ class NfsApp : public WhisperApp
     workloadPut(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
                 std::uint64_t value) override
     {
-        WlVolume &vol = wlVols_[tid];
+        Instance &v = inst_[tid];
         wlPad(ctx, key);
         unsigned file = 0;
         std::uint64_t slot = 0;
         wlSlot(wlMap_.localIndex(tid, key), file, slot);
         std::uint8_t rec[kWlRecordBytes];
         wlFillRecord(key, value, rec);
-        vol.fs->write(ctx, vol.files[file], slot * kWlRecordBytes, rec,
-                      sizeof(rec));
+        v.fs->write(ctx, v.files[file], slot * kWlRecordBytes, rec,
+                    sizeof(rec));
     }
 
     bool
     workloadRmw(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
                 std::uint64_t delta) override
     {
-        WlVolume &vol = wlVols_[tid];
+        Instance &v = inst_[tid];
         wlPad(ctx, key);
         unsigned file = 0;
         std::uint64_t slot = 0;
         wlSlot(wlMap_.localIndex(tid, key), file, slot);
         std::uint8_t rec[kWlRecordBytes];
-        vol.fs->read(ctx, vol.files[file], slot * kWlRecordBytes, rec,
-                     sizeof(rec));
+        v.fs->read(ctx, v.files[file], slot * kWlRecordBytes, rec,
+                   sizeof(rec));
         std::uint64_t stored = 0, value = 0;
         std::memcpy(&stored, rec, 8);
         std::memcpy(&value, rec + 8, 8);
         const bool found = stored == key;
         wlFillRecord(key, (found ? value : 0) + delta, rec);
-        vol.fs->write(ctx, vol.files[file], slot * kWlRecordBytes, rec,
-                      sizeof(rec));
+        v.fs->write(ctx, v.files[file], slot * kWlRecordBytes, rec,
+                    sizeof(rec));
         return found;
     }
 
@@ -370,7 +372,7 @@ class NfsApp : public WhisperApp
     workloadScan(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
                  std::uint64_t len) override
     {
-        WlVolume &vol = wlVols_[tid];
+        Instance &v = inst_[tid];
         wlPad(ctx, key);
         std::uint64_t found = 0;
         for (std::uint64_t j = 0; j < len; j++) {
@@ -379,8 +381,8 @@ class NfsApp : public WhisperApp
             std::uint64_t slot = 0;
             wlSlot(wlMap_.localIndex(tid, k), file, slot);
             std::uint8_t rec[kWlRecordBytes];
-            vol.fs->read(ctx, vol.files[file], slot * kWlRecordBytes,
-                         rec, sizeof(rec));
+            v.fs->read(ctx, v.files[file], slot * kWlRecordBytes, rec,
+                       sizeof(rec));
             std::uint64_t stored = 0;
             std::memcpy(&stored, rec, 8);
             if (stored == k)
@@ -393,26 +395,24 @@ class NfsApp : public WhisperApp
     workloadCheck(Runtime &rt) override
     {
         VerifyReport rep = report();
-        for (unsigned t = 0; t < wlMap_.threads; t++) {
+        for (unsigned t = 0; t < inst_.size(); t++) {
             // A clean run leaves the descriptor COMMITTED (commit is
             // lazy about the FREE transition); mount-time recovery
             // retires it, exactly like the run path's recover().
-            wlVols_[t].fs->mount(rt.ctx(t));
-            std::string why;
-            rep.check(wlVols_[t].fs->journalQuiescent(rt.ctx(t), &why),
-                      "journal-quiescent", why);
-            why.clear();
-            rep.check(wlVols_[t].fs->fsck(rt.ctx(t), &why), "fsck",
-                      why);
+            inst_[t].fs->mount(rt.ctx(t));
+            checkPmfs(rt.ctx(t), *inst_[t].fs, rep);
         }
         return rep;
     }
 
   private:
-    std::unique_ptr<pmfs::Pmfs> fs_;
+    /**
+     * The paper run's one export over the whole pool (setup()), or
+     * one export per workload thread (workloadSetup()).
+     */
+    std::vector<Instance> inst_;
     std::atomic<std::uint64_t> nextFile_{0};
     core::WorkloadKeymap wlMap_;
-    std::vector<WlVolume> wlVols_;
 };
 
 } // namespace

@@ -117,6 +117,337 @@ tupleChecksum(const Tuple &t)
            static_cast<std::uint32_t>(t.seq);
 }
 
+constexpr Addr kPartBytes = lineBase(sizeof(Partition) + kCacheLineSize);
+
+/**
+ * One database: [partition headers][undo logs][buddy heap] over its
+ * own pool range. The paper run's database has one partition per
+ * client thread sharing one heap; a workload thread's database is a
+ * single partition with a private heap.
+ */
+struct Instance
+{
+    Addr partsOff = 0;
+    Addr undoOff = 0;
+    Addr heapOff = 0;
+    unsigned partitions = 0;
+    std::vector<std::uint32_t> segCursor; //!< next undo segment
+    std::vector<std::uint64_t> txSeq;     //!< next transaction seq
+    std::unique_ptr<alloc::BuddyAllocator> heap;
+
+    Addr
+    partOff(unsigned p) const
+    {
+        return partsOff + static_cast<Addr>(p) * kPartBytes;
+    }
+
+    Addr
+    undoLogOff(unsigned p) const
+    {
+        return undoOff + static_cast<Addr>(p) * kUndoLogBytes;
+    }
+};
+
+/** Format @p partitions empty partitions over [@p base, +@p bytes). */
+Instance
+formatDb(pm::PmContext &ctx, Addr base, std::size_t bytes,
+         unsigned partitions)
+{
+    Instance db;
+    db.partsOff = base;
+    db.partitions = partitions;
+    db.undoOff = db.partOff(partitions);
+    db.heapOff = lineBase(db.undoLogOff(partitions) + kCacheLineSize);
+    db.heap = std::make_unique<alloc::BuddyAllocator>(
+        ctx, db.heapOff, base + bytes - db.heapOff);
+
+    for (unsigned p = 0; p < partitions; p++) {
+        Partition hdr{};
+        hdr.magic = Partition::kMagic;
+        hdr.activeLog = kNullAddr;
+        for (auto &slot : hdr.index)
+            slot = kNullAddr;
+        ctx.store(db.partOff(p), &hdr, sizeof(hdr), DataClass::User);
+        ctx.flush(db.partOff(p), sizeof(hdr));
+        UndoRec end{UndoRec::kMagic, 0, 0, 0, 0, 0};
+        ctx.store(db.undoLogOff(p), &end, sizeof(end), DataClass::Log);
+        ctx.flush(db.undoLogOff(p), sizeof(end));
+    }
+    db.segCursor.assign(partitions, 0);
+    db.txSeq.assign(partitions, 1);
+    ctx.fence(FenceKind::Durability);
+    return db;
+}
+
+/** Query parsing, plan caching, client buffers: N-store YCSB is
+ *  ~8.7% PM accesses in the paper's Figure 6. */
+void
+pad(pm::PmContext &ctx, const void *base)
+{
+    ctx.vBurst(base, 1 << 16, 1000, 420);
+    ctx.compute(2500);
+}
+
+Partition *
+partition(pm::PmContext &ctx, const Instance &db, unsigned p)
+{
+    return ctx.pool().at<Partition>(db.partOff(p));
+}
+
+/** @{ \name OPTWAL undo logging (per partition) */
+
+/** The in-flight transaction of one partition. */
+struct UndoTx
+{
+    TxId id;
+    Addr head;          //!< next record slot in the log segment
+    std::uint64_t seq;  //!< published transaction sequence
+    std::vector<std::pair<Addr, std::uint32_t>> dirty; //!< to flush
+};
+
+void
+undoAppend(pm::PmContext &ctx, const Instance &db, unsigned p,
+           UndoTx &tx, Addr addr, std::uint32_t size)
+{
+    const Addr undo = db.undoLogOff(p);
+    const Addr seg_base =
+        undo + (tx.head - undo) / kUndoSegmentBytes * kUndoSegmentBytes;
+    panic_if(tx.head + sizeof(UndoRec) + size >
+                 seg_base + kUndoSegmentBytes,
+             "OPTWAL undo log overflow");
+    std::vector<std::uint8_t> old(size);
+    ctx.load(addr, old.data(), size);
+    UndoRec rec{UndoRec::kMagic, size, addr,
+                foldChecksum(old.data(), size), 0, tx.seq};
+    ctx.store(tx.head, &rec, sizeof(rec), DataClass::Log);
+    ctx.store(tx.head + sizeof(rec), old.data(), size, DataClass::Log);
+    ctx.flush(tx.head, sizeof(rec) + size);
+    // Records are cache-line aligned (as PMFS-era logs are), so
+    // consecutive appends never share a line.
+    tx.head = lineBase(tx.head + sizeof(rec) + size + kCacheLineSize - 1);
+    ctx.fence(FenceKind::Ordering);
+}
+
+/** Retire the whole log with one pointer write (OPTWAL). */
+void
+undoRetire(pm::PmContext &ctx, const Instance &db, unsigned p)
+{
+    Partition *part = partition(ctx, db, p);
+    const Addr none = kNullAddr;
+    ctx.storeField(part->activeLog, none, DataClass::TxMeta);
+    ctx.flush(ctx.pool().offsetOf(&part->activeLog), 8);
+    ctx.fence(FenceKind::Ordering);
+}
+
+/**
+ * Begin a transaction on partition @p p: take the next rotating log
+ * segment and publish it with a fresh sequence number.
+ */
+UndoTx
+beginTx(pm::PmContext &ctx, Instance &db, unsigned p)
+{
+    const TxId id = ctx.txBegin();
+    const unsigned seg = db.segCursor[p]++ % kUndoSegments;
+    const Addr seg_base =
+        db.undoLogOff(p) + static_cast<Addr>(seg) * kUndoSegmentBytes;
+    Partition *part = partition(ctx, db, p);
+    const std::uint64_t seq = db.txSeq[p]++;
+    const struct { Addr log; std::uint64_t seq; } cell{seg_base, seq};
+    ctx.store(ctx.pool().offsetOf(&part->activeLog), &cell,
+              sizeof(cell), DataClass::TxMeta);
+    ctx.flush(ctx.pool().offsetOf(&part->activeLog), sizeof(cell));
+    ctx.fence(FenceKind::Ordering);
+    return UndoTx{id, seg_base, seq, {}};
+}
+
+/** Commit: flush updated tuples, fence once, retire the log. */
+void
+commitTx(pm::PmContext &ctx, const Instance &db, unsigned p,
+         const UndoTx &tx)
+{
+    for (const auto &[off, n] : tx.dirty)
+        ctx.flush(off, n);
+    ctx.fence(FenceKind::Durability);
+    undoRetire(ctx, db, p);
+    ctx.txEnd(tx.id);
+}
+
+void
+rollbackUndo(pm::PmContext &ctx, const Instance &db, unsigned p)
+{
+    // Only the published segment (if any) is live, and only records
+    // tagged with the published sequence belong to it.
+    Partition *part = partition(ctx, db, p);
+    const Addr seg_base = part->activeLog;
+    const std::uint64_t seq = part->activeSeq;
+    if (seg_base == kNullAddr)
+        return;
+    struct Rec { Addr addr; std::uint32_t size; Addr payload; };
+    std::vector<Rec> recs;
+    Addr cursor = seg_base;
+    const Addr limit = seg_base + kUndoSegmentBytes;
+    while (cursor + sizeof(UndoRec) <= limit) {
+        UndoRec rec{};
+        ctx.load(cursor, &rec, sizeof(rec));
+        if (rec.magic != UndoRec::kMagic || rec.size == 0 ||
+            rec.seq != seq) {
+            break; // stale record from a previous use
+        }
+        const Addr payload = cursor + sizeof(UndoRec);
+        if (payload + rec.size > limit ||
+            foldChecksum(ctx.pool().at<std::uint8_t>(payload),
+                         rec.size) != rec.checksum) {
+            break; // torn tail; its target was never modified
+        }
+        recs.push_back({rec.addr, rec.size, payload});
+        cursor = lineBase(payload + rec.size + kCacheLineSize - 1);
+    }
+    for (auto it = recs.rbegin(); it != recs.rend(); ++it) {
+        std::vector<std::uint8_t> old(it->size);
+        ctx.load(it->payload, old.data(), it->size);
+        ctx.store(it->addr, old.data(), it->size, DataClass::User);
+        ctx.flush(it->addr, it->size);
+        ctx.fence(FenceKind::Ordering);
+    }
+    undoRetire(ctx, db, p);
+    ctx.fence(FenceKind::Durability);
+}
+
+/** @} */
+
+Addr
+findTuple(pm::PmContext &ctx, const Instance &db, unsigned p,
+          std::uint64_t key)
+{
+    Addr cur = partition(ctx, db, p)->index[hashKey(key) % kIndexBuckets];
+    while (cur != kNullAddr) {
+        std::uint64_t probe_key = 0;
+        ctx.load(cur + offsetof(Tuple, key), &probe_key, 8);
+        if (probe_key == key)
+            return cur;
+        cur = ctx.pool().at<Tuple>(cur)->next;
+    }
+    return kNullAddr;
+}
+
+/**
+ * Insert a fresh tuple. Inside transaction @p tx the index link and
+ * count are journaled; during the load phase @p tx is null and only
+ * the allocator's protocol runs.
+ */
+Addr
+insertTuple(pm::PmContext &ctx, Instance &db, unsigned p,
+            std::uint64_t key, Rng &rng, UndoTx *tx)
+{
+    const Addr off = db.heap->alloc(ctx, sizeof(Tuple));
+    panic_if(off == kNullAddr, "nstore heap exhausted");
+    Partition *part = partition(ctx, db, p);
+    Addr &slot = part->index[hashKey(key) % kIndexBuckets];
+
+    Tuple t{};
+    t.key = key;
+    t.seq = 0;
+    for (auto &b : t.value)
+        b = static_cast<std::uint8_t>(rng());
+    t.checksum = tupleChecksum(t);
+    t.next = ctx.loadField(slot);
+    ctx.store(off, &t, sizeof(t), DataClass::User);
+    ctx.flush(off, sizeof(t));
+    ctx.fence(FenceKind::Ordering);
+
+    if (tx)
+        undoAppend(ctx, db, p, *tx, ctx.pool().offsetOf(&slot), 8);
+    ctx.storeField(slot, off, DataClass::User);
+    ctx.flush(ctx.pool().offsetOf(&slot), 8);
+    ctx.fence(FenceKind::Ordering);
+    db.heap->setState(ctx, off, alloc::BlockState::Persistent);
+
+    const std::uint64_t n = ctx.loadField(part->tupleCount) + 1;
+    if (tx) {
+        undoAppend(ctx, db, p, *tx,
+                   ctx.pool().offsetOf(&part->tupleCount), 8);
+    }
+    ctx.storeField(part->tupleCount, n, DataClass::User);
+    ctx.flush(ctx.pool().offsetOf(&part->tupleCount), 8);
+    return off;
+}
+
+/**
+ * In-place update of @p cols columns under the undo log. N-store
+ * logs each attribute mutation separately (set_varchar in the paper's
+ * Figure 2 is per-column), so an update of several columns fragments
+ * into that many undo/data epoch pairs — the alternating-epoch
+ * pattern the paper attributes to undo logging.
+ */
+void
+updateTuple(pm::PmContext &ctx, const Instance &db, unsigned p,
+            Addr off, Rng &rng, UndoTx &tx, unsigned cols)
+{
+    Tuple *t = ctx.pool().at<Tuple>(off);
+    for (unsigned c = 0; c < cols; c++) {
+        const std::uint64_t field = rng.next(kTupleValueBytes / 10);
+        const Addr field_off = off + offsetof(Tuple, value) + field * 10;
+        undoAppend(ctx, db, p, tx, field_off, 10);
+        std::uint8_t bytes[10];
+        for (auto &b : bytes)
+            b = static_cast<std::uint8_t>(rng());
+        ctx.store(field_off, bytes, sizeof(bytes), DataClass::User);
+        tx.dirty.emplace_back(field_off, 10);
+    }
+    // Header (seq + checksum) under one more record.
+    undoAppend(ctx, db, p, tx, off + offsetof(Tuple, seq), 16);
+    const std::uint64_t tuple_seq = t->seq + 1;
+    ctx.storeField(t->seq, tuple_seq, DataClass::User);
+    const std::uint32_t sum = tupleChecksum(*t);
+    ctx.storeField(t->checksum, sum, DataClass::User);
+    tx.dirty.emplace_back(off + offsetof(Tuple, seq), 16);
+}
+
+/** Index chains, tuple checksums and the tuple count of @p p. */
+bool
+checkPartition(pm::PmContext &ctx, const Instance &db, unsigned p,
+               std::string *why)
+{
+    const Partition *part = partition(ctx, db, p);
+    if (part->magic != Partition::kMagic) {
+        if (why)
+            *why = "bad partition magic";
+        return false;
+    }
+    std::uint64_t seen = 0;
+    for (std::uint64_t b = 0; b < kIndexBuckets; b++) {
+        Addr cur = part->index[b];
+        std::uint64_t guard = 0;
+        while (cur != kNullAddr) {
+            if (++guard > 10'000'000) {
+                if (why)
+                    *why = "index chain cycle";
+                return false;
+            }
+            const Tuple *t = ctx.pool().at<Tuple>(cur);
+            if (t->checksum != tupleChecksum(*t)) {
+                if (why)
+                    *why = "tuple checksum mismatch (torn "
+                           "update survived recovery)";
+                return false;
+            }
+            if (hashKey(t->key) % kIndexBuckets != b) {
+                if (why)
+                    *why = "tuple in wrong bucket";
+                return false;
+            }
+            seen++;
+            cur = t->next;
+        }
+    }
+    if (seen > part->tupleCount + 1) {
+        if (why)
+            *why = "tupleCount below reachable tuples";
+        return false;
+    }
+    return true;
+}
+
 /** Which driver shapes the transactions. */
 enum class NstoreWorkload { Ycsb, Tpcc };
 
@@ -140,43 +471,16 @@ class NstoreApp : public WhisperApp
     setup(Runtime &rt) override
     {
         pm::PmContext &ctx = rt.ctx(0);
-        // Layout: [partition headers][undo logs][global buddy heap].
-        const std::size_t part_bytes =
-            lineBase(sizeof(Partition) + kCacheLineSize);
-        partitionBytes_ = part_bytes;
-        partitionsOff_ = 0;
-        undoOff_ = partitionsOff_ +
-                   static_cast<Addr>(config_.threads) * part_bytes;
-        heapOff_ = lineBase(
-            undoOff_ + static_cast<Addr>(config_.threads) *
-                           kUndoLogBytes + kCacheLineSize);
-        heap_ = std::make_unique<alloc::BuddyAllocator>(
-            ctx, heapOff_, config_.poolBytes - heapOff_);
-
-        for (unsigned p = 0; p < config_.threads; p++) {
-            Partition hdr{};
-            hdr.magic = Partition::kMagic;
-            hdr.activeLog = kNullAddr;
-            for (auto &slot : hdr.index)
-                slot = kNullAddr;
-            ctx.store(partOff(p), &hdr, sizeof(hdr), DataClass::User);
-            ctx.flush(partOff(p), sizeof(hdr));
-            UndoRec end{UndoRec::kMagic, 0, 0, 0, 0, 0};
-            ctx.store(undoLogOff(p), &end, sizeof(end),
-                      DataClass::Log);
-            ctx.flush(undoLogOff(p), sizeof(end));
-        }
-        segCursor_.assign(config_.threads, 0);
-        txSeq_.assign(config_.threads, 1);
-        ctx.fence(FenceKind::Durability);
+        inst_.clear();
+        inst_.push_back(
+            formatDb(ctx, 0, config_.poolBytes, config_.threads));
 
         // Load phase: each partition gets its initial tuples.
         const std::uint64_t rows = initialRows();
         for (unsigned p = 0; p < config_.threads; p++) {
-            pm::PmContext &pctx = rt.ctx(0);
             Rng rng(config_.seed + p);
             for (std::uint64_t k = 0; k < rows; k++)
-                insertTuple(pctx, partRef(p), k, rng, nullptr);
+                insertTuple(ctx, inst_[0], p, k, rng, nullptr);
         }
     }
 
@@ -189,10 +493,7 @@ class NstoreApp : public WhisperApp
         ZipfianGenerator zipf(rows);
 
         for (std::uint64_t op = 0; op < config_.opsPerThread; op++) {
-            // Query parsing, plan caching, client buffers: N-store
-            // YCSB is ~8.7% PM accesses in the paper's Figure 6.
-            ctx.vBurst(&zipf, 1 << 16, 1000, 420);
-            ctx.compute(2500);
+            pad(ctx, &zipf);
             if (workload_ == NstoreWorkload::Ycsb)
                 ycsbTx(ctx, tid, rng, zipf);
             else
@@ -200,29 +501,22 @@ class NstoreApp : public WhisperApp
         }
     }
 
-    VerifyReport
-    verify(Runtime &rt) override
-    {
-        VerifyReport rep = report();
-        std::string why;
-        rep.check(checkAll(rt, &why), "tables-intact", why);
-        return rep;
-    }
+    VerifyReport verify(Runtime &rt) override { return verifyRecovered(rt); }
 
     void
     recover(Runtime &rt) override
     {
         pm::PmContext &ctx = rt.ctx(0);
+        Instance &db = inst_[0];
         // Roll back every partition's in-flight transaction, then
         // prune half-inserted (VOLATILE) tuples, then let the heap
         // reclaim.
-        for (unsigned p = 0; p < config_.threads; p++)
-            rollbackUndo(ctx, partRef(p));
-        for (unsigned p = 0; p < config_.threads; p++) {
-            Partition *part = partition(ctx, p);
-            for (auto &slot : part->index) {
+        for (unsigned p = 0; p < db.partitions; p++)
+            rollbackUndo(ctx, db, p);
+        for (unsigned p = 0; p < db.partitions; p++) {
+            for (auto &slot : partition(ctx, db, p)->index) {
                 while (slot != kNullAddr &&
-                       heap_->state(ctx, slot) !=
+                       db.heap->state(ctx, slot) !=
                            alloc::BlockState::Persistent) {
                     const Tuple *t = ctx.pool().at<Tuple>(slot);
                     ctx.storeField(slot, t->next, DataClass::User);
@@ -231,7 +525,7 @@ class NstoreApp : public WhisperApp
                 }
             }
         }
-        heap_->recover(ctx);
+        db.heap->recover(ctx);
     }
 
     VerifyReport
@@ -239,7 +533,10 @@ class NstoreApp : public WhisperApp
     {
         VerifyReport rep = report();
         std::string why;
-        rep.check(checkAll(rt, &why), "tables-intact", why);
+        bool ok = true;
+        for (unsigned p = 0; ok && p < inst_[0].partitions; p++)
+            ok = checkPartition(rt.ctx(0), inst_[0], p, &why);
+        rep.check(ok, "tables-intact", why);
         return rep;
     }
 
@@ -249,14 +546,14 @@ class NstoreApp : public WhisperApp
         // OPTWAL descriptor state: recovery must retire every
         // partition's active undo log (the single pointer write that
         // commits or rolls back the in-flight transaction).
-        pm::PmContext &ctx = rt.ctx(0);
         VerifyReport rep = report();
-        for (unsigned p = 0; p < config_.threads; p++) {
-            const Partition *part = partition(ctx, p);
-            if (!rep.check(part->activeLog == kNullAddr,
-                           "undo-retired",
-                           "partition " + std::to_string(p) +
-                               " still publishes an active undo log"))
+        for (unsigned p = 0; p < inst_[0].partitions; p++) {
+            if (!rep.check(
+                    partition(rt.ctx(0), inst_[0], p)->activeLog ==
+                        kNullAddr,
+                    "undo-retired",
+                    "partition " + std::to_string(p) +
+                        " still publishes an active undo log"))
                 break;
         }
         return rep;
@@ -278,31 +575,30 @@ class NstoreApp : public WhisperApp
                VerifyReport &rep) override
     {
         pm::PmContext &ctx = rt.ctx(0);
-        const Addr undo_end = undoOff_ +
-                              static_cast<Addr>(config_.threads) *
-                                  kUndoLogBytes;
+        const Instance &db = inst_[0];
+        const Addr undo_end = db.undoLogOff(db.partitions);
         std::vector<LineAddr> part_lines, undo_lines, heap_lines,
             rest;
         for (const LineAddr line : lines) {
             const Addr off = static_cast<Addr>(line) << kCacheLineBits;
-            if (off >= partitionsOff_ && off < undoOff_)
+            if (off >= db.partsOff && off < db.undoOff)
                 part_lines.push_back(line);
-            else if (off >= undoOff_ && off < undo_end)
+            else if (off >= db.undoOff && off < undo_end)
                 undo_lines.push_back(line);
-            else if (off >= heapOff_ &&
-                     off < heapOff_ + heap_->heapSize())
+            else if (off >= db.heapOff &&
+                     off < db.heapOff + db.heap->heapSize())
                 heap_lines.push_back(line);
             else
                 rest.push_back(line);
         }
 
-        std::vector<bool> recount(config_.threads, false);
+        std::vector<bool> recount(db.partitions, false);
         bool undo_lost = false;
         for (const LineAddr line : part_lines) {
             const Addr lo = static_cast<Addr>(line) << kCacheLineBits;
             const unsigned p = static_cast<unsigned>(
-                (lo - partitionsOff_) / partitionBytes_);
-            const Addr base = partOff(p);
+                (lo - db.partsOff) / kPartBytes);
+            const Addr base = db.partOff(p);
             const Addr hi =
                 std::min<Addr>(lo + kCacheLineSize,
                                base + sizeof(Partition));
@@ -336,8 +632,8 @@ class NstoreApp : public WhisperApp
         for (const LineAddr line : undo_lines) {
             const Addr off = static_cast<Addr>(line) << kCacheLineBits;
             const unsigned p = static_cast<unsigned>(
-                (off - undoOff_) / kUndoLogBytes);
-            const Addr seg = partition(ctx, p)->activeLog;
+                (off - db.undoOff) / kUndoLogBytes);
+            const Addr seg = partition(ctx, db, p)->activeLog;
             if (seg != kNullAddr && off >= seg &&
                 off < seg + kUndoSegmentBytes) {
                 active_lost.push_back(line);
@@ -345,8 +641,8 @@ class NstoreApp : public WhisperApp
         }
 
         const auto node_lost = [&](Addr off, std::size_t n) {
-            if (off < heapOff_ + sizeof(alloc::BuddyHeader) ||
-                off + n > heapOff_ + heap_->heapSize())
+            if (off < db.heapOff + sizeof(alloc::BuddyHeader) ||
+                off + n > db.heapOff + db.heap->heapSize())
                 return true;
             for (LineAddr l = lineOf(off); l <= lineOf(off + n - 1);
                  l++) {
@@ -357,10 +653,10 @@ class NstoreApp : public WhisperApp
             return false;
         };
         std::uint64_t chains_cut = 0;
-        for (unsigned p = 0; p < config_.threads; p++) {
+        for (unsigned p = 0; p < db.partitions; p++) {
             std::uint64_t reachable = 0;
             for (std::uint64_t b = 0; b < kIndexBuckets; b++) {
-                Addr slot = partOff(p) + offsetof(Partition, index) +
+                Addr slot = db.partOff(p) + offsetof(Partition, index) +
                             b * sizeof(Addr);
                 Addr cur = 0;
                 ctx.load(slot, &cur, 8);
@@ -380,7 +676,7 @@ class NstoreApp : public WhisperApp
             }
             if (recount[p]) {
                 const Addr w =
-                    partOff(p) + offsetof(Partition, tupleCount);
+                    db.partOff(p) + offsetof(Partition, tupleCount);
                 ctx.store(w, &reachable, 8, DataClass::User);
                 ctx.persist(w, 8);
             }
@@ -422,346 +718,63 @@ class NstoreApp : public WhisperApp
             512, std::min<std::uint64_t>(config_.opsPerThread, 16384));
     }
 
-    Addr
-    partOff(unsigned p) const
-    {
-        return partitionsOff_ + static_cast<Addr>(p) * partitionBytes_;
-    }
-
-    Addr
-    undoLogOff(unsigned p) const
-    {
-        return undoOff_ + static_cast<Addr>(p) * kUndoLogBytes;
-    }
-
-    /**
-     * Everything an OPTWAL partition operation needs: the header and
-     * undo-log offsets, the backing allocator and the volatile per-
-     * partition cursors. The run path wires these to the global layout
-     * via partRef(); workload shards supply fully private instances.
-     */
-    struct PartRef
-    {
-        Addr part;
-        Addr undo;
-        alloc::BuddyAllocator *heap;
-        std::uint32_t *segCursor;
-        std::uint64_t *txSeq;
-    };
-
-    PartRef
-    partRef(unsigned p)
-    {
-        return {partOff(p), undoLogOff(p), heap_.get(),
-                &segCursor_[p], &txSeq_[p]};
-    }
-
-    /** Rotating log segment for this partition's next transaction. */
-    Addr
-    acquireUndoSegment(const PartRef &pr)
-    {
-        const unsigned seg = (*pr.segCursor)++ % kUndoSegments;
-        return pr.undo + static_cast<Addr>(seg) * kUndoSegmentBytes;
-    }
-
-    Partition *
-    partition(pm::PmContext &ctx, unsigned p)
-    {
-        return ctx.pool().at<Partition>(partOff(p));
-    }
-
-    Partition *
-    partitionAt(pm::PmContext &ctx, const PartRef &pr)
-    {
-        return ctx.pool().at<Partition>(pr.part);
-    }
-
-    /** @{ \name OPTWAL undo logging (per partition) */
-
-    void
-    undoAppend(pm::PmContext &ctx, const PartRef &pr, Addr &head,
-               Addr addr, std::uint32_t size, std::uint64_t seq)
-    {
-        const Addr seg_base =
-            pr.undo +
-            (head - pr.undo) / kUndoSegmentBytes * kUndoSegmentBytes;
-        panic_if(head + sizeof(UndoRec) + size >
-                         seg_base + kUndoSegmentBytes,
-                 "OPTWAL undo log overflow");
-        std::vector<std::uint8_t> old(size);
-        ctx.load(addr, old.data(), size);
-        UndoRec rec{UndoRec::kMagic, size, addr,
-                    foldChecksum(old.data(), size), 0, seq};
-        ctx.store(head, &rec, sizeof(rec), DataClass::Log);
-        ctx.store(head + sizeof(rec), old.data(), size, DataClass::Log);
-        ctx.flush(head, sizeof(rec) + size);
-        // Records are cache-line aligned (as PMFS-era logs are), so
-        // consecutive appends never share a line.
-        head = lineBase(head + sizeof(rec) + size + kCacheLineSize - 1);
-        ctx.fence(FenceKind::Ordering);
-    }
-
-    /** Publish the in-flight transaction's log segment + sequence. */
-    std::uint64_t
-    undoActivate(pm::PmContext &ctx, const PartRef &pr, Addr seg_base)
-    {
-        Partition *part = partitionAt(ctx, pr);
-        const std::uint64_t seq = (*pr.txSeq)++;
-        const struct { Addr log; std::uint64_t seq; } cell{seg_base,
-                                                           seq};
-        ctx.store(ctx.pool().offsetOf(&part->activeLog), &cell,
-                  sizeof(cell), DataClass::TxMeta);
-        ctx.flush(ctx.pool().offsetOf(&part->activeLog), sizeof(cell));
-        ctx.fence(FenceKind::Ordering);
-        return seq;
-    }
-
-    /** Retire the whole log with one pointer write (OPTWAL). */
-    void
-    undoRetire(pm::PmContext &ctx, const PartRef &pr)
-    {
-        Partition *part = partitionAt(ctx, pr);
-        const Addr none = kNullAddr;
-        ctx.storeField(part->activeLog, none, DataClass::TxMeta);
-        ctx.flush(ctx.pool().offsetOf(&part->activeLog), 8);
-        ctx.fence(FenceKind::Ordering);
-    }
-
-    void
-    rollbackUndo(pm::PmContext &ctx, const PartRef &pr)
-    {
-        // Only the published segment (if any) is live, and only
-        // records tagged with the published sequence belong to it.
-        Partition *part = partitionAt(ctx, pr);
-        const Addr seg_base = part->activeLog;
-        const std::uint64_t seq = part->activeSeq;
-        if (seg_base == kNullAddr)
-            return;
-        struct Rec { Addr addr; std::uint32_t size; Addr payload; };
-        std::vector<Rec> recs;
-        {
-        Addr cursor = seg_base;
-        const Addr limit = seg_base + kUndoSegmentBytes;
-        while (cursor + sizeof(UndoRec) <= limit) {
-            UndoRec rec{};
-            ctx.load(cursor, &rec, sizeof(rec));
-            if (rec.magic != UndoRec::kMagic || rec.size == 0 ||
-                rec.seq != seq) {
-                break; // stale record from a previous use
-            }
-            const Addr payload = cursor + sizeof(UndoRec);
-            if (payload + rec.size > limit ||
-                foldChecksum(ctx.pool().at<std::uint8_t>(payload),
-                             rec.size) != rec.checksum) {
-                break; // torn tail; its target was never modified
-            }
-            recs.push_back({rec.addr, rec.size, payload});
-            cursor = lineBase(payload + rec.size + kCacheLineSize - 1);
-        }
-        }
-        for (auto it = recs.rbegin(); it != recs.rend(); ++it) {
-            std::vector<std::uint8_t> old(it->size);
-            ctx.load(it->payload, old.data(), it->size);
-            ctx.store(it->addr, old.data(), it->size, DataClass::User);
-            ctx.flush(it->addr, it->size);
-            ctx.fence(FenceKind::Ordering);
-        }
-        undoRetire(ctx, pr);
-        ctx.fence(FenceKind::Durability);
-    }
-
-    /** @} */
-
-    Addr
-    findTuple(pm::PmContext &ctx, const PartRef &pr, std::uint64_t key)
-    {
-        Partition *part = partitionAt(ctx, pr);
-        Addr cur = part->index[hashKey(key) % kIndexBuckets];
-        while (cur != kNullAddr) {
-            std::uint64_t probe_key = 0;
-            ctx.load(cur + offsetof(Tuple, key), &probe_key, 8);
-            if (probe_key == key)
-                return cur;
-            cur = ctx.pool().at<Tuple>(cur)->next;
-        }
-        return kNullAddr;
-    }
-
-    /**
-     * Insert a fresh tuple. When @p undo_head is non-null the insert
-     * runs inside a transaction (index link journaled); during the
-     * load phase it is null and only the allocator's protocol runs.
-     */
-    Addr
-    insertTuple(pm::PmContext &ctx, const PartRef &pr,
-                std::uint64_t key, Rng &rng, Addr *undo_head,
-                std::uint64_t seq = 0)
-    {
-        const Addr off = pr.heap->alloc(ctx, sizeof(Tuple));
-        panic_if(off == kNullAddr, "nstore heap exhausted");
-        Partition *part = partitionAt(ctx, pr);
-        Addr &slot = part->index[hashKey(key) % kIndexBuckets];
-
-        Tuple t{};
-        t.key = key;
-        t.seq = 0;
-        for (auto &b : t.value)
-            b = static_cast<std::uint8_t>(rng());
-        t.checksum = tupleChecksum(t);
-        t.next = ctx.loadField(slot);
-        ctx.store(off, &t, sizeof(t), DataClass::User);
-        ctx.flush(off, sizeof(t));
-        ctx.fence(FenceKind::Ordering);
-
-        if (undo_head) {
-            undoAppend(ctx, pr, *undo_head,
-                       ctx.pool().offsetOf(&slot), 8, seq);
-        }
-        ctx.storeField(slot, off, DataClass::User);
-        ctx.flush(ctx.pool().offsetOf(&slot), 8);
-        ctx.fence(FenceKind::Ordering);
-        pr.heap->setState(ctx, off, alloc::BlockState::Persistent);
-
-        const std::uint64_t n = ctx.loadField(part->tupleCount) + 1;
-        if (undo_head) {
-            undoAppend(ctx, pr, *undo_head,
-                       ctx.pool().offsetOf(&part->tupleCount), 8,
-                       seq);
-        }
-        ctx.storeField(part->tupleCount, n, DataClass::User);
-        ctx.flush(ctx.pool().offsetOf(&part->tupleCount), 8);
-        return off;
-    }
-
-    /**
-     * In-place update of @p cols columns under the undo log. N-store
-     * logs each attribute mutation separately (set_varchar in the
-     * paper's Figure 2 is per-column), so an update of several
-     * columns fragments into that many undo/data epoch pairs — the
-     * alternating-epoch pattern the paper attributes to undo logging.
-     */
-    void
-    updateTuple(pm::PmContext &ctx, const PartRef &pr, Addr off,
-                Rng &rng, Addr &undo_head, std::uint64_t seq,
-                unsigned cols,
-                std::vector<std::pair<Addr, std::uint32_t>> &dirty)
-    {
-        Tuple *t = ctx.pool().at<Tuple>(off);
-        for (unsigned c = 0; c < cols; c++) {
-            const std::uint64_t field =
-                rng.next(kTupleValueBytes / 10);
-            const Addr field_off =
-                off + offsetof(Tuple, value) + field * 10;
-            undoAppend(ctx, pr, undo_head, field_off, 10, seq);
-            std::uint8_t bytes[10];
-            for (auto &b : bytes)
-                b = static_cast<std::uint8_t>(rng());
-            ctx.store(field_off, bytes, sizeof(bytes),
-                      DataClass::User);
-            dirty.emplace_back(field_off, 10);
-        }
-        // Header (seq + checksum) under one more record.
-        undoAppend(ctx, pr, undo_head, off + offsetof(Tuple, seq), 16,
-                   seq);
-        const std::uint64_t tuple_seq = t->seq + 1;
-        ctx.storeField(t->seq, tuple_seq, DataClass::User);
-        const std::uint32_t sum = tupleChecksum(*t);
-        ctx.storeField(t->checksum, sum, DataClass::User);
-        dirty.emplace_back(off + offsetof(Tuple, seq), 16);
-    }
-
     void
     ycsbTx(pm::PmContext &ctx, unsigned p, Rng &rng,
            const ZipfianGenerator &zipf)
     {
-        const PartRef pr = partRef(p);
-        const TxId tx = ctx.txBegin();
-        const Addr undo_seg = acquireUndoSegment(pr);
-        const std::uint64_t undo_seq = undoActivate(ctx, pr, undo_seg);
-        Addr undo_head = undo_seg;
-        std::vector<std::pair<Addr, std::uint32_t>> dirty;
-
+        Instance &db = inst_[0];
+        UndoTx tx = beginTx(ctx, db, p);
         // Four YCSB operations per transaction, 80% writes.
         for (int op = 0; op < 4; op++) {
             const std::uint64_t key = zipf.next(rng);
-            const Addr off = findTuple(ctx, pr, key);
+            const Addr off = findTuple(ctx, db, p, key);
             if (off == kNullAddr)
                 continue;
             if (rng.chance(0.8)) {
                 // A YCSB update rewrites the whole 10-field value.
-                updateTuple(ctx, pr, off, rng, undo_head, undo_seq, 9,
-                            dirty);
+                updateTuple(ctx, db, p, off, rng, tx, 9);
             } else {
                 Tuple t{};
                 ctx.load(off, &t, sizeof(t));
                 ctx.compute(40);
             }
         }
-
-        // Commit: flush updated tuples, fence once, clear the log.
-        for (const auto &[off, n] : dirty)
-            ctx.flush(off, n);
-        ctx.fence(FenceKind::Durability);
-        undoRetire(ctx, pr);
-        ctx.txEnd(tx);
+        commitTx(ctx, db, p, tx);
     }
 
     void
     tpccTx(pm::PmContext &ctx, unsigned p, Rng &rng,
            const ZipfianGenerator &zipf, std::uint64_t op)
     {
-        const PartRef pr = partRef(p);
+        Instance &db = inst_[0];
         const double pick = rng.nextDouble();
         if (pick < 0.6) {
             // New-order: insert an order tuple plus 5..15 order
             // lines, update 5..15 stock rows.
-            const TxId tx = ctx.txBegin();
-            const Addr undo_seg = acquireUndoSegment(pr);
-            const std::uint64_t undo_seq =
-                undoActivate(ctx, pr, undo_seg);
-            Addr undo_head = undo_seg;
-            std::vector<std::pair<Addr, std::uint32_t>> dirty;
-
+            UndoTx tx = beginTx(ctx, db, p);
             const std::uint64_t lines = rng.range(5, 15);
-            insertTuple(ctx, pr, 1'000'000 + op * 16, rng, &undo_head,
-                        undo_seq);
+            insertTuple(ctx, db, p, 1'000'000 + op * 16, rng, &tx);
             for (std::uint64_t l = 0; l < lines; l++) {
-                insertTuple(ctx, pr, 1'000'000 + op * 16 + 1 + l, rng,
-                            &undo_head, undo_seq);
-                const Addr stock = findTuple(ctx, pr, zipf.next(rng));
-                if (stock != kNullAddr) {
-                    updateTuple(ctx, pr, stock, rng, undo_head,
-                                undo_seq, 8, dirty);
-                }
+                insertTuple(ctx, db, p, 1'000'000 + op * 16 + 1 + l, rng,
+                            &tx);
+                const Addr stock = findTuple(ctx, db, p, zipf.next(rng));
+                if (stock != kNullAddr)
+                    updateTuple(ctx, db, p, stock, rng, tx, 8);
             }
-            for (const auto &[off, n] : dirty)
-                ctx.flush(off, n);
-            ctx.fence(FenceKind::Durability);
-            undoRetire(ctx, pr);
-            ctx.txEnd(tx);
+            commitTx(ctx, db, p, tx);
         } else if (pick < 0.85) {
             // Payment: update three hot rows.
-            const TxId tx = ctx.txBegin();
-            const Addr undo_seg = acquireUndoSegment(pr);
-            const std::uint64_t undo_seq =
-                undoActivate(ctx, pr, undo_seg);
-            Addr undo_head = undo_seg;
-            std::vector<std::pair<Addr, std::uint32_t>> dirty;
+            UndoTx tx = beginTx(ctx, db, p);
             for (int i = 0; i < 3; i++) {
-                const Addr off = findTuple(ctx, pr, zipf.next(rng));
+                const Addr off = findTuple(ctx, db, p, zipf.next(rng));
                 if (off != kNullAddr)
-                    updateTuple(ctx, pr, off, rng, undo_head,
-                                undo_seq, 6, dirty);
+                    updateTuple(ctx, db, p, off, rng, tx, 6);
             }
-            for (const auto &[off, n] : dirty)
-                ctx.flush(off, n);
-            ctx.fence(FenceKind::Durability);
-            undoRetire(ctx, pr);
-            ctx.txEnd(tx);
+            commitTx(ctx, db, p, tx);
         } else {
             // Order-status: read-only.
             for (int i = 0; i < 8; i++) {
-                const Addr off = findTuple(ctx, pr, zipf.next(rng));
+                const Addr off = findTuple(ctx, db, p, zipf.next(rng));
                 if (off != kNullAddr) {
                     Tuple t{};
                     ctx.load(off, &t, sizeof(t));
@@ -771,87 +784,17 @@ class NstoreApp : public WhisperApp
         }
     }
 
-    bool
-    checkAll(Runtime &rt, std::string *why)
-    {
-        pm::PmContext &ctx = rt.ctx(0);
-        for (unsigned p = 0; p < config_.threads; p++) {
-            if (!checkPartitionAt(ctx, partOff(p), why))
-                return false;
-        }
-        return true;
-    }
-
-    bool
-    checkPartitionAt(pm::PmContext &ctx, Addr part_off,
-                     std::string *why)
-    {
-        Partition *part = ctx.pool().at<Partition>(part_off);
-        if (part->magic != Partition::kMagic) {
-            if (why)
-                *why = "bad partition magic";
-            return false;
-        }
-        std::uint64_t seen = 0;
-        for (std::uint64_t b = 0; b < kIndexBuckets; b++) {
-            Addr cur = part->index[b];
-            std::uint64_t guard = 0;
-            while (cur != kNullAddr) {
-                if (++guard > 10'000'000) {
-                    if (why)
-                        *why = "index chain cycle";
-                    return false;
-                }
-                const Tuple *t = ctx.pool().at<Tuple>(cur);
-                if (t->checksum != tupleChecksum(*t)) {
-                    if (why)
-                        *why = "tuple checksum mismatch (torn "
-                               "update survived recovery)";
-                    return false;
-                }
-                if (hashKey(t->key) % kIndexBuckets != b) {
-                    if (why)
-                        *why = "tuple in wrong bucket";
-                    return false;
-                }
-                seen++;
-                cur = t->next;
-            }
-        }
-        if (seen > part->tupleCount + 1) {
-            if (why)
-                *why = "tupleCount below reachable tuples";
-            return false;
-        }
-        return true;
-    }
-
     // ---- Unified workload driver surface ------------------------------
     //
     // N-store is partitioned by design; the workload keeps that shape
-    // but gives every thread a fully private shard: partition header,
-    // undo log *and* buddy heap over a disjoint pool slice (run()
-    // shares one global heap, whose allocation cost depends on cross-
-    // thread interleaving and would break digest determinism). Each
-    // put/rmw runs as a one-operation OPTWAL transaction: publish an
-    // undo segment, journal the old images, update in place, flush,
-    // fence, retire the log with one pointer write.
-
-    /** Query parsing / plan caching, matching run()'s per-op shape. */
-    void
-    wlPad(pm::PmContext &ctx, std::uint64_t key)
-    {
-        ctx.vBurst(&key, 1 << 16, 1000, 420);
-        ctx.compute(2500);
-    }
-
-    PartRef
-    wlRef(ThreadId tid)
-    {
-        WlShard &sh = wlShards_[tid];
-        return {sh.part, sh.undo, sh.heap.get(), &sh.segCursor,
-                &sh.txSeq};
-    }
+    // but gives every thread a fully private one-partition database:
+    // partition header, undo log *and* buddy heap over a disjoint pool
+    // slice (run() shares one global heap, whose allocation cost
+    // depends on cross-thread interleaving and would break digest
+    // determinism). Each put/rmw runs as a one-operation OPTWAL
+    // transaction: publish an undo segment, journal the old images,
+    // update in place, flush, fence, retire the log with one pointer
+    // write.
 
   public:
     bool supportsWorkload() const override { return true; }
@@ -860,41 +803,18 @@ class NstoreApp : public WhisperApp
     workloadSetup(Runtime &rt, const core::WorkloadKeymap &map) override
     {
         wlMap_ = map;
-        wlShards_.clear();
-        wlShards_.resize(map.threads);
-        const Addr region = lineBase(config_.poolBytes / map.threads);
-        const Addr part_bytes =
-            lineBase(sizeof(Partition) + kCacheLineSize);
-        panic_if(region <=
-                     part_bytes + kUndoLogBytes + (4u << 20),
-                 "nstore workload: pool too small for %u shards",
-                 map.threads);
+        inst_.clear();
+        const PoolSlices slices(config_.poolBytes, map.threads,
+                                kPartBytes + kUndoLogBytes + (4u << 20),
+                                "nstore");
         for (unsigned t = 0; t < map.threads; t++) {
             pm::PmContext &ctx = rt.ctx(t);
-            WlShard &sh = wlShards_[t];
-            sh.part = static_cast<Addr>(t) * region;
-            sh.undo = sh.part + part_bytes;
-            const Addr heap_off =
-                lineBase(sh.undo + kUndoLogBytes + kCacheLineSize);
-            sh.heap = std::make_unique<alloc::BuddyAllocator>(
-                ctx, heap_off, sh.part + region - heap_off);
-
-            Partition hdr{};
-            hdr.magic = Partition::kMagic;
-            hdr.activeLog = kNullAddr;
-            for (auto &slot : hdr.index)
-                slot = kNullAddr;
-            ctx.store(sh.part, &hdr, sizeof(hdr), DataClass::User);
-            ctx.flush(sh.part, sizeof(hdr));
-            UndoRec end{UndoRec::kMagic, 0, 0, 0, 0, 0};
-            ctx.store(sh.undo, &end, sizeof(end), DataClass::Log);
-            ctx.flush(sh.undo, sizeof(end));
-            ctx.fence(FenceKind::Durability);
-
-            const PartRef pr = wlRef(t);
+            inst_.push_back(
+                formatDb(ctx, slices.base(t), slices.bytes, 1));
             Rng rng(config_.seed + t);
             for (std::uint64_t i = 0; i < map.perThread(); i++)
-                insertTuple(ctx, pr, map.lo(t) + i, rng, nullptr);
+                insertTuple(ctx, inst_[t], 0, map.lo(t) + i, rng,
+                            nullptr);
         }
     }
 
@@ -902,8 +822,8 @@ class NstoreApp : public WhisperApp
     workloadGet(pm::PmContext &ctx, ThreadId tid,
                 std::uint64_t key) override
     {
-        wlPad(ctx, key);
-        const Addr off = findTuple(ctx, wlRef(tid), key);
+        pad(ctx, &key);
+        const Addr off = findTuple(ctx, inst_[tid], 0, key);
         if (off == kNullAddr)
             return false;
         Tuple t{};
@@ -916,36 +836,25 @@ class NstoreApp : public WhisperApp
     workloadPut(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
                 std::uint64_t value) override
     {
-        wlPad(ctx, key);
-        const PartRef pr = wlRef(tid);
-        const TxId tx = ctx.txBegin();
-        const Addr undo_seg = acquireUndoSegment(pr);
-        const std::uint64_t undo_seq = undoActivate(ctx, pr, undo_seg);
-        Addr undo_head = undo_seg;
-        std::vector<std::pair<Addr, std::uint32_t>> dirty;
-
-        const Addr off = findTuple(ctx, pr, key);
+        Instance &db = inst_[tid];
+        pad(ctx, &key);
+        UndoTx tx = beginTx(ctx, db, 0);
+        const Addr off = findTuple(ctx, db, 0, key);
         Rng vrng(value ^ key);
         if (off != kNullAddr)
-            updateTuple(ctx, pr, off, vrng, undo_head, undo_seq, 9,
-                        dirty);
+            updateTuple(ctx, db, 0, off, vrng, tx, 9);
         else
-            insertTuple(ctx, pr, key, vrng, &undo_head, undo_seq);
-
-        for (const auto &[doff, n] : dirty)
-            ctx.flush(doff, n);
-        ctx.fence(FenceKind::Durability);
-        undoRetire(ctx, pr);
-        ctx.txEnd(tx);
+            insertTuple(ctx, db, 0, key, vrng, &tx);
+        commitTx(ctx, db, 0, tx);
     }
 
     bool
     workloadRmw(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
                 std::uint64_t delta) override
     {
-        wlPad(ctx, key);
-        const PartRef pr = wlRef(tid);
-        const Addr off = findTuple(ctx, pr, key);
+        Instance &db = inst_[tid];
+        pad(ctx, &key);
+        const Addr off = findTuple(ctx, db, 0, key);
         if (off == kNullAddr) {
             workloadPut(ctx, tid, key, delta);
             return false;
@@ -953,18 +862,10 @@ class NstoreApp : public WhisperApp
         Tuple t{};
         ctx.load(off, &t, sizeof(t));
 
-        const TxId tx = ctx.txBegin();
-        const Addr undo_seg = acquireUndoSegment(pr);
-        const std::uint64_t undo_seq = undoActivate(ctx, pr, undo_seg);
-        Addr undo_head = undo_seg;
-        std::vector<std::pair<Addr, std::uint32_t>> dirty;
+        UndoTx tx = beginTx(ctx, db, 0);
         Rng vrng(delta ^ t.seq);
-        updateTuple(ctx, pr, off, vrng, undo_head, undo_seq, 3, dirty);
-        for (const auto &[doff, n] : dirty)
-            ctx.flush(doff, n);
-        ctx.fence(FenceKind::Durability);
-        undoRetire(ctx, pr);
-        ctx.txEnd(tx);
+        updateTuple(ctx, db, 0, off, vrng, tx, 3);
+        commitTx(ctx, db, 0, tx);
         return true;
     }
 
@@ -972,12 +873,11 @@ class NstoreApp : public WhisperApp
     workloadScan(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
                  std::uint64_t len) override
     {
-        wlPad(ctx, key);
-        const PartRef pr = wlRef(tid);
+        pad(ctx, &key);
         std::uint64_t found = 0;
         for (std::uint64_t j = 0; j < len; j++) {
-            const Addr off =
-                findTuple(ctx, pr, wlMap_.scanKey(tid, key, j));
+            const Addr off = findTuple(ctx, inst_[tid], 0,
+                                       wlMap_.scanKey(tid, key, j));
             if (off == kNullAddr)
                 continue;
             Tuple t{};
@@ -991,46 +891,28 @@ class NstoreApp : public WhisperApp
     workloadCheck(Runtime &rt) override
     {
         VerifyReport rep = report();
-        for (unsigned t = 0; t < wlMap_.threads; t++) {
+        for (unsigned t = 0; t < inst_.size(); t++) {
             std::string why;
-            rep.check(checkPartitionAt(rt.ctx(t), wlShards_[t].part,
-                                       &why),
+            rep.check(checkPartition(rt.ctx(t), inst_[t], 0, &why),
                       "tables-intact", why);
-            rep.check(ctx_activeLogRetired(rt.ctx(t), wlShards_[t].part),
-                      "undo-retired", "workload shard " +
-                          std::to_string(t) +
+            rep.check(partition(rt.ctx(t), inst_[t], 0)->activeLog ==
+                          kNullAddr,
+                      "undo-retired",
+                      "workload shard " + std::to_string(t) +
                           " still publishes an active undo log");
         }
         return rep;
     }
 
   private:
-    bool
-    ctx_activeLogRetired(pm::PmContext &ctx, Addr part_off)
-    {
-        return ctx.pool().at<Partition>(part_off)->activeLog ==
-               kNullAddr;
-    }
-
-    struct WlShard
-    {
-        Addr part = 0;
-        Addr undo = 0;
-        std::uint32_t segCursor = 0;
-        std::uint64_t txSeq = 1;
-        std::unique_ptr<alloc::BuddyAllocator> heap;
-    };
-
     NstoreWorkload workload_;
-    Addr partitionsOff_ = 0;
-    std::size_t partitionBytes_ = 0;
-    Addr undoOff_ = 0;
-    Addr heapOff_ = 0;
-    std::vector<std::uint32_t> segCursor_;
-    std::vector<std::uint64_t> txSeq_;
-    std::unique_ptr<alloc::BuddyAllocator> heap_;
+    /**
+     * The paper run's one partitioned database over the whole pool
+     * (setup()), or one single-partition database per workload
+     * thread (workloadSetup()).
+     */
+    std::vector<Instance> inst_;
     core::WorkloadKeymap wlMap_;
-    std::vector<WlShard> wlShards_;
 };
 
 } // namespace

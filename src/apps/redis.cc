@@ -15,7 +15,6 @@
  * (SET-heavy so the LRU cycles), as in Table 1.
  */
 
-#include <atomic>
 
 #include "apps/apps.hh"
 #include "common/logging.hh"
@@ -75,6 +74,163 @@ entryChecksum(const DictEntry &e)
            mne::foldChecksum(e.val, e.valLen) ^ e.keyLen ^ e.valLen;
 }
 
+/**
+ * One server's dictionary: the header (bucket array, too large for a
+ * slab object) in front of its own NVML pool, the way the NVML Redis
+ * port lays out its dict region.
+ */
+struct Instance
+{
+    Addr dictOff = 0;
+    std::unique_ptr<nvml::NvmlPool> pool;
+};
+
+/** Format an empty dictionary over [@p base, @p base + @p bytes). */
+Instance
+formatDict(pm::PmContext &ctx, Addr base, std::size_t bytes)
+{
+    Instance d;
+    d.dictOff = base;
+    const Addr pool_base =
+        lineBase(base + sizeof(DictRoot) + kCacheLineSize);
+    d.pool = std::make_unique<nvml::NvmlPool>(
+        ctx, pool_base, base + bytes - pool_base, 1);
+    DictRoot root{};
+    root.magic = DictRoot::kMagic;
+    for (auto &b : root.buckets)
+        b = kNullAddr;
+    ctx.store(base, &root, sizeof(root), DataClass::User);
+    ctx.flush(base, sizeof(root));
+    ctx.fence(FenceKind::Durability);
+    return d;
+}
+
+/** Event loop, protocol parsing, reply buffers per command: redis is
+ *  ~0.7% PM accesses in the paper's Figure 6. */
+void
+pad(pm::PmContext &ctx, const void *base)
+{
+    ctx.vBurst(base, 1 << 14, 500, 250);
+    ctx.compute(3500);
+}
+
+Addr
+find(pm::PmContext &ctx, const Instance &d, const char *key,
+     std::size_t klen)
+{
+    const DictRoot *root = ctx.pool().at<DictRoot>(d.dictOff);
+    Addr cur = root->buckets[hashBytes(key, klen) % kBuckets];
+    while (cur != kNullAddr) {
+        DictEntry probe{};
+        ctx.load(cur, &probe, 48); // key prefix + lens
+        const DictEntry *e = ctx.pool().at<DictEntry>(cur);
+        if (e->keyLen == klen && std::memcmp(e->key, key, klen) == 0)
+            return cur;
+        cur = e->next;
+    }
+    return kNullAddr;
+}
+
+/** SET: overwrite in place or chain a fresh entry, one transaction. */
+void
+setCmd(pm::PmContext &ctx, Instance &d, const char *key,
+       std::size_t klen, const char *val, std::size_t vlen)
+{
+    const Addr existing = find(ctx, d, key, klen);
+    nvml::TxContext tx(*d.pool, ctx);
+    if (existing != kNullAddr) {
+        // Overwrite in place: snapshot the value region, store.
+        DictEntry *e = ctx.pool().at<DictEntry>(existing);
+        tx.addRange(existing + offsetof(DictEntry, val),
+                    kValBytes + 16);
+        ctx.store(existing + offsetof(DictEntry, val), val, vlen,
+                  DataClass::User);
+        const auto vlen32 = static_cast<std::uint32_t>(vlen);
+        ctx.store(existing + offsetof(DictEntry, valLen), &vlen32, 4,
+                  DataClass::User);
+        const std::uint32_t sum = entryChecksum(*e);
+        ctx.store(existing + offsetof(DictEntry, checksum), &sum, 4,
+                  DataClass::User);
+        tx.commit();
+        return;
+    }
+    const Addr off = tx.txAlloc(sizeof(DictEntry));
+    if (off == kNullAddr) {
+        tx.abort();
+        return;
+    }
+    // Fresh object: direct stores, no snapshots needed.
+    DictEntry e{};
+    std::memcpy(e.key, key, klen);
+    std::memcpy(e.val, val, vlen);
+    e.keyLen = static_cast<std::uint32_t>(klen);
+    e.valLen = static_cast<std::uint32_t>(vlen);
+    e.checksum = entryChecksum(e);
+    DictRoot *root = ctx.pool().at<DictRoot>(d.dictOff);
+    Addr &bucket = root->buckets[hashBytes(key, klen) % kBuckets];
+    e.next = bucket;
+    tx.directStore(off, &e, sizeof(e), DataClass::User);
+    // Linking mutates reachable state: snapshot the bucket head.
+    tx.set(bucket, off, DataClass::User);
+    tx.commit();
+}
+
+/** GET: lookup, read the entry, format the reply. */
+bool
+getCmd(pm::PmContext &ctx, const Instance &d, const char *key,
+       std::size_t klen)
+{
+    const Addr off = find(ctx, d, key, klen);
+    if (off != kNullAddr) {
+        DictEntry e{};
+        ctx.load(off, &e, sizeof(e));
+    }
+    ctx.compute(80); // reply formatting
+    return off != kNullAddr;
+}
+
+/** Dict magic, entry lengths, checksums and bucket placement. */
+bool
+checkDict(pm::PmContext &ctx, const Instance &d, std::string *why)
+{
+    const DictRoot *root = ctx.pool().at<DictRoot>(d.dictOff);
+    if (root->magic != DictRoot::kMagic) {
+        if (why)
+            *why = "bad dict magic";
+        return false;
+    }
+    for (std::uint64_t b = 0; b < kBuckets; b++) {
+        Addr cur = root->buckets[b];
+        std::uint64_t guard = 0;
+        while (cur != kNullAddr) {
+            if (++guard > 10'000'000) {
+                if (why)
+                    *why = "bucket cycle";
+                return false;
+            }
+            const DictEntry *e = ctx.pool().at<DictEntry>(cur);
+            if (e->keyLen == 0 || e->keyLen > kKeyBytes ||
+                e->valLen > kValBytes) {
+                if (why)
+                    *why = "entry with invalid lengths";
+                return false;
+            }
+            if (e->checksum != entryChecksum(*e)) {
+                if (why)
+                    *why = "entry checksum mismatch";
+                return false;
+            }
+            if (hashBytes(e->key, e->keyLen) % kBuckets != b) {
+                if (why)
+                    *why = "entry in wrong bucket";
+                return false;
+            }
+            cur = e->next;
+        }
+    }
+    return true;
+}
+
 class RedisApp : public WhisperApp
 {
   public:
@@ -86,23 +242,8 @@ class RedisApp : public WhisperApp
     void
     setup(Runtime &rt) override
     {
-        pm::PmContext &ctx = rt.ctx(0);
-        // Layout: the dict header (bucket array, too large for a slab
-        // object) sits in front of the NVML pool, the way the NVML
-        // Redis port lays out its dict region.
-        dictOff_ = 0;
-        const Addr pool_base =
-            lineBase(sizeof(DictRoot) + kCacheLineSize);
-        pool_ = std::make_unique<nvml::NvmlPool>(
-            ctx, pool_base, config_.poolBytes - pool_base, 1);
-
-        DictRoot root{};
-        root.magic = DictRoot::kMagic;
-        for (auto &b : root.buckets)
-            b = kNullAddr;
-        ctx.store(dictOff_, &root, sizeof(root), DataClass::User);
-        ctx.flush(dictOff_, sizeof(root));
-        ctx.fence(FenceKind::Durability);
+        inst_.clear();
+        inst_.push_back(formatDict(rt.ctx(0), 0, config_.poolBytes));
     }
 
     void
@@ -132,7 +273,9 @@ class RedisApp : public WhisperApp
         }
 
         // Server thread: the whole command stream of all clients is
-        // serviced here (Redis's single event loop).
+        // serviced here (Redis's single event loop), so the dict
+        // needs no lock.
+        Instance &d = inst_[0];
         const std::uint64_t total =
             config_.opsPerThread * config_.threads;
         for (std::uint64_t op = 0; op < total; op++) {
@@ -140,45 +283,31 @@ class RedisApp : public WhisperApp
             char key[kKeyBytes];
             const int klen = std::snprintf(key, sizeof(key), "key:%llu",
                 static_cast<unsigned long long>(knum));
-            // Event loop, protocol parsing, reply buffers: redis
-            // is ~0.7% PM accesses in the paper's Figure 6.
-            ctx.vBurst(key, 1 << 14, 500, 250);
-            ctx.compute(3500);
+            pad(ctx, key);
             if (rng.chance(0.5)) {
                 char val[kValBytes];
                 const int vlen = std::snprintf(val, sizeof(val),
                     "value-%llu-%016llx",
                     static_cast<unsigned long long>(knum),
                     static_cast<unsigned long long>(rng()));
-                setCmd(ctx, key, klen, val, vlen);
+                setCmd(ctx, d, key, klen, val, vlen);
             } else {
-                getCmd(ctx, key, klen);
+                getCmd(ctx, d, key, klen);
             }
         }
     }
 
-    VerifyReport
-    verify(Runtime &rt) override
-    {
-        VerifyReport rep = report();
-        std::string why;
-        rep.check(checkDict(rt, &why), "dict-intact", why);
-        return rep;
-    }
+    VerifyReport verify(Runtime &rt) override { return verifyRecovered(rt); }
 
-    void
-    recover(Runtime &rt) override
-    {
-        pm::PmContext &ctx = rt.ctx(0);
-        pool_->recover(ctx);
-    }
+    void recover(Runtime &rt) override { inst_[0].pool->recover(rt.ctx(0)); }
 
     VerifyReport
     verifyRecovered(Runtime &rt) override
     {
         VerifyReport rep = report();
         std::string why;
-        rep.check(checkDict(rt, &why), "dict-intact", why);
+        rep.check(checkDict(rt.ctx(0), inst_[0], &why), "dict-intact",
+                  why);
         return rep;
     }
 
@@ -187,7 +316,7 @@ class RedisApp : public WhisperApp
     {
         VerifyReport rep = report();
         std::string why;
-        rep.check(pool_->logsQuiescent(rt.ctx(0), &why),
+        rep.check(inst_[0].pool->logsQuiescent(rt.ctx(0), &why),
                   "logs-quiescent", why);
         return rep;
     }
@@ -197,7 +326,7 @@ class RedisApp : public WhisperApp
     scrubLayer(Runtime &rt, std::vector<LineAddr> &lines,
                VerifyReport &rep) override
     {
-        pool_->scrub(rt.ctx(0), lines, rep);
+        inst_[0].pool->scrub(rt.ctx(0), lines, rep);
     }
 
     /** @{ \name Generated-workload surface
@@ -216,30 +345,13 @@ class RedisApp : public WhisperApp
     workloadSetup(Runtime &rt, const WorkloadKeymap &map) override
     {
         wlMap_ = map;
-        wlShards_.clear();
-        const std::size_t region =
-            lineBase(config_.poolBytes / config_.threads);
-        panic_if(region <= sizeof(DictRoot) + (2u << 20),
-                 "redis: pool too small for per-thread workload "
-                 "shards");
+        inst_.clear();
+        const PoolSlices slices(config_.poolBytes, map.threads,
+                                sizeof(DictRoot) + (2u << 20), "redis");
         for (unsigned t = 0; t < map.threads; t++) {
             pm::PmContext &ctx = rt.ctx(t);
-            WlShard shard;
-            shard.dictOff = static_cast<Addr>(t) * region;
-            const Addr pool_base = lineBase(
-                shard.dictOff + sizeof(DictRoot) + kCacheLineSize);
-            shard.pool = std::make_unique<nvml::NvmlPool>(
-                ctx, pool_base,
-                shard.dictOff + region - pool_base, 1);
-            DictRoot root{};
-            root.magic = DictRoot::kMagic;
-            for (auto &b : root.buckets)
-                b = kNullAddr;
-            ctx.store(shard.dictOff, &root, sizeof(root),
-                      DataClass::User);
-            ctx.flush(shard.dictOff, sizeof(root));
-            ctx.fence(FenceKind::Durability);
-            wlShards_.push_back(std::move(shard));
+            inst_.push_back(
+                formatDict(ctx, slices.base(t), slices.bytes));
             const ThreadId tid = static_cast<ThreadId>(t);
             for (std::uint64_t i = 0; i < map.perThread(); i++) {
                 const std::uint64_t k = map.lo(tid) + i;
@@ -247,8 +359,7 @@ class RedisApp : public WhisperApp
                 const int klen = formatKey(key, k);
                 const int vlen = formatVal(
                     val, k * 0x9e3779b97f4a7c15ull);
-                setCmdAt(ctx, *wlShards_[t].pool,
-                         wlShards_[t].dictOff, key, klen, val, vlen);
+                setCmd(ctx, inst_[t], key, klen, val, vlen);
             }
         }
     }
@@ -260,14 +371,7 @@ class RedisApp : public WhisperApp
         char kbuf[kKeyBytes];
         const int klen = formatKey(kbuf, key);
         pad(ctx, kbuf);
-        const Addr off =
-            findAt(ctx, wlShards_[tid].dictOff, kbuf, klen);
-        if (off != kNullAddr) {
-            DictEntry e{};
-            ctx.load(off, &e, sizeof(e));
-        }
-        ctx.compute(80); // reply formatting
-        return off != kNullAddr;
+        return getCmd(ctx, inst_[tid], kbuf, klen);
     }
 
     void
@@ -278,8 +382,7 @@ class RedisApp : public WhisperApp
         const int klen = formatKey(kbuf, key);
         const int vlen = formatVal(vbuf, value);
         pad(ctx, kbuf);
-        setCmdAt(ctx, *wlShards_[tid].pool, wlShards_[tid].dictOff,
-                 kbuf, klen, vbuf, vlen);
+        setCmd(ctx, inst_[tid], kbuf, klen, vbuf, vlen);
     }
 
     bool
@@ -289,8 +392,7 @@ class RedisApp : public WhisperApp
         char kbuf[kKeyBytes], vbuf[kValBytes];
         const int klen = formatKey(kbuf, key);
         pad(ctx, kbuf);
-        const Addr off =
-            findAt(ctx, wlShards_[tid].dictOff, kbuf, klen);
+        const Addr off = find(ctx, inst_[tid], kbuf, klen);
         std::uint64_t fold = delta;
         if (off != kNullAddr) {
             DictEntry e{};
@@ -298,8 +400,7 @@ class RedisApp : public WhisperApp
             fold += mne::foldChecksum(e.val, e.valLen);
         }
         const int vlen = formatVal(vbuf, fold);
-        setCmdAt(ctx, *wlShards_[tid].pool, wlShards_[tid].dictOff,
-                 kbuf, klen, vbuf, vlen);
+        setCmd(ctx, inst_[tid], kbuf, klen, vbuf, vlen);
         return off != kNullAddr;
     }
 
@@ -307,14 +408,13 @@ class RedisApp : public WhisperApp
     workloadScan(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
                  std::uint64_t len) override
     {
-        char kbuf[kKeyBytes];
+        char kbuf[kKeyBytes] = {};
         pad(ctx, kbuf);
         std::uint64_t found = 0;
         for (std::uint64_t j = 0; j < len; j++) {
             const int klen =
                 formatKey(kbuf, wlMap_.scanKey(tid, key, j));
-            const Addr off =
-                findAt(ctx, wlShards_[tid].dictOff, kbuf, klen);
+            const Addr off = find(ctx, inst_[tid], kbuf, klen);
             if (off != kNullAddr) {
                 DictEntry e{};
                 ctx.load(off, &e, sizeof(e));
@@ -329,13 +429,12 @@ class RedisApp : public WhisperApp
     workloadCheck(Runtime &rt) override
     {
         VerifyReport rep = report();
-        for (unsigned t = 0; t < wlShards_.size(); t++) {
+        for (unsigned t = 0; t < inst_.size(); t++) {
             std::string why;
-            rep.check(checkDictAt(rt, wlShards_[t].dictOff, &why),
+            rep.check(checkDict(rt.ctx(0), inst_[t], &why),
                       "dict-intact",
                       "shard " + std::to_string(t) + ": " + why);
-            rep.check(wlShards_[t].pool->logsQuiescent(rt.ctx(0),
-                                                       &why),
+            rep.check(inst_[t].pool->logsQuiescent(rt.ctx(0), &why),
                       "logs-quiescent", why);
         }
         return rep;
@@ -344,12 +443,6 @@ class RedisApp : public WhisperApp
     /** @} */
 
   private:
-    struct WlShard
-    {
-        Addr dictOff = 0;
-        std::unique_ptr<nvml::NvmlPool> pool;
-    };
-
     static int
     formatKey(char *buf, std::uint64_t key)
     {
@@ -364,157 +457,12 @@ class RedisApp : public WhisperApp
                              static_cast<unsigned long long>(v));
     }
 
-    /** run()'s per-command event-loop padding (Fig. 6 proportions). */
-    void
-    pad(pm::PmContext &ctx, const void *base)
-    {
-        ctx.vBurst(base, 1 << 14, 500, 250);
-        ctx.compute(3500);
-    }
-
-    DictRoot *dict(pm::PmContext &ctx) { return ctx.pool().at<DictRoot>(
-        dictOff_); }
-
-    Addr
-    find(pm::PmContext &ctx, const char *key, std::size_t klen)
-    {
-        return findAt(ctx, dictOff_, key, klen);
-    }
-
-    Addr
-    findAt(pm::PmContext &ctx, Addr dict_off, const char *key,
-           std::size_t klen)
-    {
-        DictRoot *d = ctx.pool().at<DictRoot>(dict_off);
-        Addr cur = d->buckets[hashBytes(key, klen) % kBuckets];
-        while (cur != kNullAddr) {
-            DictEntry probe{};
-            ctx.load(cur, &probe, 48); // key prefix + lens
-            const DictEntry *e = ctx.pool().at<DictEntry>(cur);
-            if (e->keyLen == klen &&
-                std::memcmp(e->key, key, klen) == 0) {
-                return cur;
-            }
-            cur = e->next;
-        }
-        return kNullAddr;
-    }
-
-    void
-    setCmd(pm::PmContext &ctx, const char *key, std::size_t klen,
-           const char *val, std::size_t vlen)
-    {
-        setCmdAt(ctx, *pool_, dictOff_, key, klen, val, vlen);
-    }
-
-    void
-    setCmdAt(pm::PmContext &ctx, nvml::NvmlPool &pool, Addr dict_off,
-             const char *key, std::size_t klen, const char *val,
-             std::size_t vlen)
-    {
-        const Addr existing = findAt(ctx, dict_off, key, klen);
-        nvml::TxContext tx(pool, ctx);
-        if (existing != kNullAddr) {
-            // Overwrite in place: snapshot the value region, store.
-            DictEntry *e = ctx.pool().at<DictEntry>(existing);
-            tx.addRange(existing + offsetof(DictEntry, val),
-                        kValBytes + 16);
-            ctx.store(existing + offsetof(DictEntry, val), val, vlen,
-                      DataClass::User);
-            const auto vlen32 = static_cast<std::uint32_t>(vlen);
-            ctx.store(existing + offsetof(DictEntry, valLen), &vlen32,
-                      4, DataClass::User);
-            const std::uint32_t sum = entryChecksum(*e);
-            ctx.store(existing + offsetof(DictEntry, checksum), &sum,
-                      4, DataClass::User);
-            tx.commit();
-            return;
-        }
-        const Addr off = tx.txAlloc(sizeof(DictEntry));
-        if (off == kNullAddr) {
-            tx.abort();
-            return;
-        }
-        // Fresh object: direct stores, no snapshots needed.
-        DictEntry e{};
-        std::memcpy(e.key, key, klen);
-        std::memcpy(e.val, val, vlen);
-        e.keyLen = static_cast<std::uint32_t>(klen);
-        e.valLen = static_cast<std::uint32_t>(vlen);
-        e.checksum = entryChecksum(e);
-        DictRoot *d = ctx.pool().at<DictRoot>(dict_off);
-        Addr &bucket = d->buckets[hashBytes(key, klen) % kBuckets];
-        e.next = bucket;
-        tx.directStore(off, &e, sizeof(e), DataClass::User);
-        // Linking mutates reachable state: snapshot the bucket head.
-        tx.set(bucket, off, DataClass::User);
-        tx.commit();
-    }
-
-    void
-    getCmd(pm::PmContext &ctx, const char *key, std::size_t klen)
-    {
-        const Addr off = find(ctx, key, klen);
-        if (off != kNullAddr) {
-            DictEntry e{};
-            ctx.load(off, &e, sizeof(e));
-        }
-        ctx.compute(80); // reply formatting
-    }
-
-    bool
-    checkDict(Runtime &rt, std::string *why)
-    {
-        return checkDictAt(rt, dictOff_, why);
-    }
-
-    bool
-    checkDictAt(Runtime &rt, Addr dict_off, std::string *why)
-    {
-        pm::PmContext &ctx = rt.ctx(0);
-        DictRoot *d = ctx.pool().at<DictRoot>(dict_off);
-        if (d->magic != DictRoot::kMagic) {
-            if (why)
-                *why = "bad dict magic";
-            return false;
-        }
-        for (std::uint64_t b = 0; b < kBuckets; b++) {
-            Addr cur = d->buckets[b];
-            std::uint64_t guard = 0;
-            while (cur != kNullAddr) {
-                if (++guard > 10'000'000) {
-                    if (why)
-                        *why = "bucket cycle";
-                    return false;
-                }
-                const DictEntry *e = ctx.pool().at<DictEntry>(cur);
-                if (e->keyLen == 0 || e->keyLen > kKeyBytes ||
-                    e->valLen > kValBytes) {
-                    if (why)
-                        *why = "entry with invalid lengths";
-                    return false;
-                }
-                if (e->checksum != entryChecksum(*e)) {
-                    if (why)
-                        *why = "entry checksum mismatch";
-                    return false;
-                }
-                if (hashBytes(e->key, e->keyLen) % kBuckets != b) {
-                    if (why)
-                        *why = "entry in wrong bucket";
-                    return false;
-                }
-                cur = e->next;
-            }
-        }
-        return true;
-    }
-
-    std::unique_ptr<nvml::NvmlPool> pool_;
-    Addr rootOff_ = kNullAddr;
-    Addr dictOff_ = 0;
+    /**
+     * The paper run's one dictionary over the whole pool (setup()),
+     * or one server shard per workload thread (workloadSetup()).
+     */
+    std::vector<Instance> inst_;
     WorkloadKeymap wlMap_;
-    std::vector<WlShard> wlShards_;
 };
 
 } // namespace

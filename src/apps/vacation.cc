@@ -87,6 +87,353 @@ struct VacationRoot
     static constexpr std::uint64_t kMagic = 0x57AC57ACull;
 };
 
+/**
+ * One reservation system: the root (item trees, global counters,
+ * customer table) in front of its own Mnemosyne heap.
+ */
+struct Instance
+{
+    Addr rootOff = 0;
+    std::unique_ptr<mne::MnemosyneHeap> heap;
+    std::uint64_t customers = 0; //!< customer table length
+};
+
+/**
+ * Format empty item trees and a table of @p customers customers
+ * (none for the workload's item-only shards) over [@p base,
+ * @p base + @p bytes).
+ */
+Instance
+formatTables(pm::PmContext &ctx, Addr base, std::size_t bytes,
+             unsigned lanes, std::uint64_t customers)
+{
+    Instance v;
+    v.rootOff = base;
+    v.customers = customers;
+    const Addr heap_base =
+        lineBase(base + sizeof(VacationRoot) + kCacheLineSize);
+    v.heap = std::make_unique<mne::MnemosyneHeap>(
+        ctx, heap_base, base + bytes - heap_base, lanes);
+
+    VacationRoot root{};
+    root.magic = VacationRoot::kMagic;
+    for (auto &t : root.itemTrees)
+        t = kNullAddr;
+    root.customersOff = kNullAddr;
+    root.customerCount = customers;
+    ctx.store(base, &root, sizeof(root), DataClass::User);
+    ctx.flush(base, sizeof(root));
+    ctx.fence(FenceKind::Durability);
+    if (customers == 0)
+        return v;
+
+    // Customer table: a contiguous persistent array.
+    const Addr cust_off =
+        v.heap->pmalloc(ctx, customers * sizeof(Customer));
+    panic_if(cust_off == kNullAddr, "vacation: customer table");
+    for (std::uint64_t c = 0; c < customers; c++) {
+        Customer cust{c, kNullAddr};
+        ctx.store(cust_off + c * sizeof(Customer), &cust, sizeof(cust),
+                  DataClass::User);
+    }
+    ctx.flush(cust_off, customers * sizeof(Customer));
+    VacationRoot *r = ctx.pool().at<VacationRoot>(base);
+    ctx.storeField(r->customersOff, cust_off, DataClass::User);
+    ctx.flush(base + offsetof(VacationRoot, customersOff), 8);
+    ctx.fence(FenceKind::Durability);
+    return v;
+}
+
+/** Client-side query planning and STAMP's volatile manager tables
+ *  (paper Fig. 6: vacation is the most DRAM-heavy app at ~0.4% PM
+ *  accesses). */
+void
+pad(pm::PmContext &ctx, const void *base)
+{
+    ctx.vBurst(base, 1 << 15, 2100, 900);
+    ctx.compute(9000);
+}
+
+/** Load-phase BST insert (persist as we go, no transactions). */
+void
+insertItemSetup(pm::PmContext &ctx, Instance &v, ItemType type,
+                std::uint64_t id, std::uint32_t total,
+                std::uint64_t price)
+{
+    const Addr off = v.heap->pmalloc(ctx, sizeof(Item));
+    panic_if(off == kNullAddr, "vacation heap exhausted");
+    Item it{};
+    it.id = id;
+    it.numFree = total;
+    it.numTotal = total;
+    it.price = price;
+    it.left = it.right = kNullAddr;
+    it.checksum = itemChecksum(it);
+    ctx.store(off, &it, sizeof(it), DataClass::User);
+    ctx.flush(off, sizeof(it));
+    ctx.fence(FenceKind::Ordering);
+
+    Addr link_off = v.rootOff + offsetof(VacationRoot, itemTrees) +
+                    type * sizeof(Addr);
+    Addr cur = *ctx.pool().at<Addr>(link_off);
+    while (cur != kNullAddr) {
+        const Item *node = ctx.pool().at<Item>(cur);
+        link_off = cur + (id < node->id ? offsetof(Item, left)
+                                        : offsetof(Item, right));
+        cur = *ctx.pool().at<Addr>(link_off);
+    }
+    ctx.store(link_off, &off, 8, DataClass::User);
+    ctx.flush(link_off, 8);
+    ctx.fence(FenceKind::Ordering);
+}
+
+Addr
+findItem(pm::PmContext &ctx, const Instance &v, ItemType type,
+         std::uint64_t id)
+{
+    Addr cur = ctx.pool().at<VacationRoot>(v.rootOff)->itemTrees[type];
+    while (cur != kNullAddr) {
+        Item probe{};
+        ctx.load(cur, &probe, sizeof(probe));
+        if (probe.id == id)
+            return cur;
+        cur = id < probe.id ? probe.left : probe.right;
+    }
+    return kNullAddr;
+}
+
+Customer *
+customer(pm::PmContext &ctx, const Instance &v, std::uint64_t cust_id)
+{
+    const Addr base = ctx.pool().at<VacationRoot>(v.rootOff)->customersOff;
+    return ctx.pool().at<Customer>(base + cust_id * sizeof(Customer));
+}
+
+void
+makeReservation(pm::PmContext &ctx, Instance &v, ItemType type,
+                std::uint64_t item_id, std::uint64_t cust_id)
+{
+    const Addr item_off = findItem(ctx, v, type, item_id);
+    if (item_off == kNullAddr)
+        return;
+
+    mne::Transaction tx(*v.heap, ctx);
+    const std::uint32_t num_free =
+        tx.get(ctx.pool().at<Item>(item_off)->numFree);
+    if (num_free == 0) {
+        tx.abort();
+        return;
+    }
+
+    // Reserve: decrement availability + fix the checksum, one logged
+    // update covering the contiguous fields.
+    Item staged{};
+    tx.read(item_off, &staged, sizeof(staged));
+    staged.numFree = num_free - 1;
+    staged.checksum = itemChecksum(staged);
+    tx.update(item_off + offsetof(Item, numFree),
+              reinterpret_cast<const std::uint8_t *>(&staged) +
+                  offsetof(Item, numFree),
+              offsetof(Item, left) - offsetof(Item, numFree),
+              DataClass::User);
+
+    // Record the reservation on the customer.
+    const Addr res_off = tx.pmalloc(sizeof(Reservation));
+    if (res_off == kNullAddr) {
+        tx.abort();
+        return;
+    }
+    Customer *cust = customer(ctx, v, cust_id);
+    Reservation res{static_cast<std::uint32_t>(type), 0, item_id,
+                    staged.price, tx.get(cust->reservations)};
+    tx.update(res_off, &res, sizeof(res), DataClass::User);
+    tx.set(cust->reservations, res_off, DataClass::User);
+
+    // The global counter: every thread's transactions write this one
+    // cache line (the paper's cross-dependency source).
+    VacationRoot *r = ctx.pool().at<VacationRoot>(v.rootOff);
+    const std::uint64_t count = tx.get(r->totalReserved[type]) + 1;
+    tx.set(r->totalReserved[type], count, DataClass::User);
+
+    tx.commit();
+}
+
+void
+cancelReservation(pm::PmContext &ctx, Instance &v, ItemType type,
+                  std::uint64_t cust_id)
+{
+    Customer *cust = customer(ctx, v, cust_id);
+    // Find the first reservation of this type.
+    Addr holder = ctx.pool().offsetOf(&cust->reservations);
+    Addr cur = cust->reservations;
+    while (cur != kNullAddr) {
+        Reservation probe{};
+        ctx.load(cur, &probe, sizeof(probe));
+        if (probe.type == static_cast<std::uint32_t>(type))
+            break;
+        holder = cur + offsetof(Reservation, next);
+        cur = probe.next;
+    }
+    if (cur == kNullAddr)
+        return;
+    const Reservation *res = ctx.pool().at<Reservation>(cur);
+    const Addr item_off = findItem(ctx, v, type, res->itemId);
+    if (item_off == kNullAddr)
+        return;
+
+    mne::Transaction tx(*v.heap, ctx);
+    Item staged{};
+    tx.read(item_off, &staged, sizeof(staged));
+    staged.numFree++;
+    staged.checksum = itemChecksum(staged);
+    tx.update(item_off + offsetof(Item, numFree),
+              reinterpret_cast<const std::uint8_t *>(&staged) +
+                  offsetof(Item, numFree),
+              offsetof(Item, left) - offsetof(Item, numFree),
+              DataClass::User);
+
+    // Unlink + release the node.
+    tx.update(holder, &res->next, 8, DataClass::User);
+    tx.pfree(cur);
+
+    VacationRoot *r = ctx.pool().at<VacationRoot>(v.rootOff);
+    const std::uint64_t count = tx.get(r->totalReserved[type]) - 1;
+    tx.set(r->totalReserved[type], count, DataClass::User);
+
+    tx.commit();
+}
+
+/** Durable-transaction car insert (workload inserts). */
+void
+insertItemTx(pm::PmContext &ctx, Instance &v, std::uint64_t id,
+             std::uint64_t price)
+{
+    mne::Transaction tx(*v.heap, ctx);
+    const Addr off = tx.pmalloc(sizeof(Item));
+    if (off == kNullAddr) {
+        tx.abort();
+        panic("vacation workload heap exhausted");
+    }
+    Item it{};
+    it.id = id;
+    it.numFree = 4;
+    it.numTotal = 4;
+    it.price = price;
+    it.left = it.right = kNullAddr;
+    it.checksum = itemChecksum(it);
+    tx.update(off, &it, sizeof(it), DataClass::User);
+
+    Addr link_off = v.rootOff + offsetof(VacationRoot, itemTrees) +
+                    kCar * sizeof(Addr);
+    Addr cur = tx.get(*ctx.pool().at<Addr>(link_off));
+    while (cur != kNullAddr) {
+        const Item *node = ctx.pool().at<Item>(cur);
+        link_off = cur + (id < node->id ? offsetof(Item, left)
+                                        : offsetof(Item, right));
+        cur = tx.get(*ctx.pool().at<Addr>(link_off));
+    }
+    tx.update(link_off, &off, 8, DataClass::User);
+    tx.commit();
+}
+
+/** Durable-transaction price update (existing item). */
+void
+updatePriceTx(pm::PmContext &ctx, Instance &v, Addr item_off,
+              std::uint64_t price)
+{
+    mne::Transaction tx(*v.heap, ctx);
+    Item staged{};
+    tx.read(item_off, &staged, sizeof(staged));
+    staged.price = price;
+    staged.checksum = itemChecksum(staged);
+    tx.update(item_off + offsetof(Item, price), &staged.price, 8,
+              DataClass::User);
+    tx.set(ctx.pool().at<Item>(item_off)->checksum, staged.checksum,
+           DataClass::User);
+    tx.commit();
+}
+
+/**
+ * Item trees (BST order, checksums, capacity), customer reservation
+ * lists and the global counters must all agree.
+ */
+bool
+checkTables(pm::PmContext &ctx, const Instance &v, std::string *why)
+{
+    const VacationRoot *r = ctx.pool().at<VacationRoot>(v.rootOff);
+    if (r->magic != VacationRoot::kMagic) {
+        if (why)
+            *why = "bad root magic";
+        return false;
+    }
+
+    // 1. Item trees: BST order + checksums + per-item capacity.
+    std::uint64_t reserved_by_items[3] = {0, 0, 0};
+    for (int t = 0; t < 3; t++) {
+        std::vector<std::pair<Addr, std::pair<std::uint64_t,
+                                              std::uint64_t>>>
+            stack;
+        if (r->itemTrees[t] != kNullAddr)
+            stack.push_back({r->itemTrees[t], {0, ~std::uint64_t(0)}});
+        while (!stack.empty()) {
+            auto [off, range] = stack.back();
+            stack.pop_back();
+            const Item *it = ctx.pool().at<Item>(off);
+            if (it->checksum != itemChecksum(*it)) {
+                if (why)
+                    *why = "item checksum mismatch";
+                return false;
+            }
+            if (it->id < range.first || it->id > range.second) {
+                if (why)
+                    *why = "BST order violated";
+                return false;
+            }
+            if (it->numFree > it->numTotal) {
+                if (why)
+                    *why = "numFree above capacity";
+                return false;
+            }
+            reserved_by_items[t] += it->numTotal - it->numFree;
+            if (it->left != kNullAddr)
+                stack.push_back({it->left, {range.first, it->id - 1}});
+            if (it->right != kNullAddr)
+                stack.push_back({it->right, {it->id + 1, range.second}});
+        }
+    }
+
+    // 2. Customer reservation lists vs the counters and items.
+    std::uint64_t reserved_by_lists[3] = {0, 0, 0};
+    for (std::uint64_t c = 0; c < v.customers; c++) {
+        Addr cur = customer(ctx, v, c)->reservations;
+        std::uint64_t guard = 0;
+        while (cur != kNullAddr) {
+            if (++guard > 10'000'000) {
+                if (why)
+                    *why = "reservation list cycle";
+                return false;
+            }
+            const Reservation *res = ctx.pool().at<Reservation>(cur);
+            if (res->type > 2) {
+                if (why)
+                    *why = "reservation with bad type";
+                return false;
+            }
+            reserved_by_lists[res->type]++;
+            cur = res->next;
+        }
+    }
+    for (int t = 0; t < 3; t++) {
+        if (reserved_by_lists[t] != r->totalReserved[t] ||
+            reserved_by_items[t] != r->totalReserved[t]) {
+            if (why)
+                *why = "reservation counters out of sync";
+            return false;
+        }
+    }
+    return true;
+}
+
 class VacationApp : public WhisperApp
 {
   public:
@@ -105,50 +452,22 @@ class VacationApp : public WhisperApp
     setup(Runtime &rt) override
     {
         pm::PmContext &ctx = rt.ctx(0);
-        rootOff_ = 0;
-        const Addr heap_base =
-            lineBase(sizeof(VacationRoot) + kCacheLineSize);
-        heap_ = std::make_unique<mne::MnemosyneHeap>(
-            ctx, heap_base, config_.poolBytes - heap_base,
-            config_.threads);
-
         // Power of two so the scrambled load order is a bijection
         // (no duplicate item ids).
         itemCount_ = std::bit_floor(std::max<std::uint64_t>(
             256, std::min<std::uint64_t>(config_.opsPerThread * 2,
                                          16384)));
-        customerCount_ = std::max<std::uint64_t>(64, itemCount_ / 4);
-
-        VacationRoot root{};
-        root.magic = VacationRoot::kMagic;
-        for (auto &t : root.itemTrees)
-            t = kNullAddr;
-        root.customerCount = customerCount_;
-        ctx.store(rootOff_, &root, sizeof(root), DataClass::User);
-        ctx.flush(rootOff_, sizeof(root));
-        ctx.fence(FenceKind::Durability);
-
-        // Customer table: a contiguous persistent array.
-        const Addr cust_off =
-            heap_->pmalloc(ctx, customerCount_ * sizeof(Customer));
-        panic_if(cust_off == kNullAddr, "vacation: customer table");
-        for (std::uint64_t c = 0; c < customerCount_; c++) {
-            Customer cust{c, kNullAddr};
-            ctx.store(cust_off + c * sizeof(Customer), &cust,
-                      sizeof(cust), DataClass::User);
-        }
-        ctx.flush(cust_off, customerCount_ * sizeof(Customer));
-        VacationRoot *r = this->root(ctx);
-        ctx.storeField(r->customersOff, cust_off, DataClass::User);
-        ctx.flush(rootOff_ + offsetof(VacationRoot, customersOff), 8);
-        ctx.fence(FenceKind::Durability);
+        inst_.clear();
+        inst_.push_back(formatTables(
+            ctx, 0, config_.poolBytes, config_.threads,
+            std::max<std::uint64_t>(64, itemCount_ / 4)));
 
         // Populate the three item trees (setup phase; plain persists).
         Rng rng(config_.seed);
         for (int t = 0; t < 3; t++) {
             ScrambledSequence order(itemCount_, rng);
             for (std::uint64_t i = 0; i < itemCount_; i++) {
-                insertItemSetup(ctx, static_cast<ItemType>(t),
+                insertItemSetup(ctx, inst_[0], static_cast<ItemType>(t),
                                 order.at(i), 4 + rng.next(4),
                                 50 + rng.next(450));
             }
@@ -159,44 +478,33 @@ class VacationApp : public WhisperApp
     run(Runtime &rt, pm::PmContext &ctx, ThreadId tid) override
     {
         (void)rt;
+        Instance &v = inst_[0];
         Rng rng(config_.seed * 17 + tid);
         for (std::uint64_t op = 0; op < config_.opsPerThread; op++) {
             const auto type = static_cast<ItemType>(rng.next(3));
             const std::uint64_t item_id = rng.next(itemCount_);
-            const std::uint64_t cust_id = rng.next(customerCount_);
-            // Client-side query planning and STAMP's volatile
-            // manager tables (paper Fig. 6: vacation is the most
-            // DRAM-heavy app at ~0.4% PM accesses).
-            ctx.vBurst(&item_id, 1 << 15, 2100, 900);
-            ctx.compute(9000);
-            if (rng.chance(0.8))
-                makeReservation(ctx, type, item_id, cust_id);
+            const std::uint64_t cust_id = rng.next(v.customers);
+            pad(ctx, &item_id);
+            const bool reserve = rng.chance(0.8);
+            std::lock_guard<std::mutex> guard(tableLock_);
+            if (reserve)
+                makeReservation(ctx, v, type, item_id, cust_id);
             else
-                cancelReservation(ctx, type, cust_id);
+                cancelReservation(ctx, v, type, cust_id);
         }
     }
 
-    VerifyReport
-    verify(Runtime &rt) override
-    {
-        VerifyReport rep = report();
-        std::string why;
-        rep.check(checkAll(rt, &why), "tables-intact", why);
-        return rep;
-    }
+    VerifyReport verify(Runtime &rt) override { return verifyRecovered(rt); }
 
-    void
-    recover(Runtime &rt) override
-    {
-        heap_->recover(rt.ctx(0));
-    }
+    void recover(Runtime &rt) override { inst_[0].heap->recover(rt.ctx(0)); }
 
     VerifyReport
     verifyRecovered(Runtime &rt) override
     {
         VerifyReport rep = report();
         std::string why;
-        rep.check(checkAll(rt, &why), "tables-intact", why);
+        rep.check(checkTables(rt.ctx(0), inst_[0], &why),
+                  "tables-intact", why);
         return rep;
     }
 
@@ -205,7 +513,7 @@ class VacationApp : public WhisperApp
     {
         VerifyReport rep = report();
         std::string why;
-        rep.check(heap_->logsQuiescent(rt.ctx(0), &why),
+        rep.check(inst_[0].heap->logsQuiescent(rt.ctx(0), &why),
                   "logs-quiescent", why);
         return rep;
     }
@@ -215,369 +523,18 @@ class VacationApp : public WhisperApp
     scrubLayer(Runtime &rt, std::vector<LineAddr> &lines,
                VerifyReport &rep) override
     {
-        heap_->scrub(rt.ctx(0), lines, rep);
-    }
-
-  private:
-    VacationRoot *root(pm::PmContext &ctx) { return ctx.pool()
-        .at<VacationRoot>(rootOff_); }
-
-    /** Setup-phase BST insert (persist as we go, no transactions). */
-    void
-    insertItemSetup(pm::PmContext &ctx, ItemType type,
-                    std::uint64_t id, std::uint32_t total,
-                    std::uint64_t price)
-    {
-        const Addr off = heap_->pmalloc(ctx, sizeof(Item));
-        panic_if(off == kNullAddr, "vacation heap exhausted");
-        Item it{};
-        it.id = id;
-        it.numFree = total;
-        it.numTotal = total;
-        it.price = price;
-        it.left = it.right = kNullAddr;
-        it.checksum = itemChecksum(it);
-        ctx.store(off, &it, sizeof(it), DataClass::User);
-        ctx.flush(off, sizeof(it));
-        ctx.fence(FenceKind::Ordering);
-
-        VacationRoot *r = root(ctx);
-        Addr *link = &r->itemTrees[type];
-        Addr link_off = rootOff_ + offsetof(VacationRoot, itemTrees) +
-                        type * sizeof(Addr);
-        while (*link != kNullAddr) {
-            Item *node = ctx.pool().at<Item>(*link);
-            if (id < node->id) {
-                link_off = *link + offsetof(Item, left);
-                link = &node->left;
-            } else {
-                link_off = *link + offsetof(Item, right);
-                link = &node->right;
-            }
-        }
-        ctx.store(link_off, &off, 8, DataClass::User);
-        ctx.flush(link_off, 8);
-        ctx.fence(FenceKind::Ordering);
-    }
-
-    Addr
-    findItem(pm::PmContext &ctx, ItemType type, std::uint64_t id)
-    {
-        Addr cur = root(ctx)->itemTrees[type];
-        while (cur != kNullAddr) {
-            Item probe{};
-            ctx.load(cur, &probe, sizeof(probe));
-            if (probe.id == id)
-                return cur;
-            cur = id < probe.id ? probe.left : probe.right;
-        }
-        return kNullAddr;
-    }
-
-    Customer *
-    customer(pm::PmContext &ctx, std::uint64_t cust_id)
-    {
-        const Addr base = root(ctx)->customersOff;
-        return ctx.pool().at<Customer>(base +
-                                       cust_id * sizeof(Customer));
-    }
-
-    void
-    makeReservation(pm::PmContext &ctx, ItemType type,
-                    std::uint64_t item_id, std::uint64_t cust_id)
-    {
-        std::lock_guard<std::mutex> guard(tableLock_);
-        const Addr item_off = findItem(ctx, type, item_id);
-        if (item_off == kNullAddr)
-            return;
-
-        mne::Transaction tx(*heap_, ctx);
-        const std::uint32_t num_free =
-            tx.get(ctx.pool().at<Item>(item_off)->numFree);
-        if (num_free == 0) {
-            tx.abort();
-            return;
-        }
-
-        // Reserve: decrement availability + fix the checksum, one
-        // logged update covering the contiguous fields.
-        Item staged{};
-        tx.read(item_off, &staged, sizeof(staged));
-        staged.numFree = num_free - 1;
-        staged.checksum = itemChecksum(staged);
-        tx.update(item_off + offsetof(Item, numFree),
-                  reinterpret_cast<const std::uint8_t *>(&staged) +
-                      offsetof(Item, numFree),
-                  offsetof(Item, left) - offsetof(Item, numFree),
-                  DataClass::User);
-
-        // Record the reservation on the customer.
-        const Addr res_off = tx.pmalloc(sizeof(Reservation));
-        if (res_off == kNullAddr) {
-            tx.abort();
-            return;
-        }
-        Customer *cust = customer(ctx, cust_id);
-        Reservation res{static_cast<std::uint32_t>(type), 0, item_id,
-                        staged.price, tx.get(cust->reservations)};
-        tx.update(res_off, &res, sizeof(res), DataClass::User);
-        tx.set(cust->reservations, res_off, DataClass::User);
-
-        // The global counter: every thread's transactions write this
-        // one cache line (the paper's cross-dependency source).
-        VacationRoot *r = root(ctx);
-        const std::uint64_t count = tx.get(r->totalReserved[type]) + 1;
-        tx.set(r->totalReserved[type], count, DataClass::User);
-
-        tx.commit();
-    }
-
-    void
-    cancelReservation(pm::PmContext &ctx, ItemType type,
-                      std::uint64_t cust_id)
-    {
-        std::lock_guard<std::mutex> guard(tableLock_);
-        Customer *cust = customer(ctx, cust_id);
-        // Find the first reservation of this type.
-        Addr holder = ctx.pool().offsetOf(&cust->reservations);
-        Addr cur = cust->reservations;
-        while (cur != kNullAddr) {
-            Reservation probe{};
-            ctx.load(cur, &probe, sizeof(probe));
-            if (probe.type == static_cast<std::uint32_t>(type))
-                break;
-            holder = cur + offsetof(Reservation, next);
-            cur = probe.next;
-        }
-        if (cur == kNullAddr)
-            return;
-        const Reservation *res = ctx.pool().at<Reservation>(cur);
-        const Addr item_off = findItem(ctx, type, res->itemId);
-        if (item_off == kNullAddr)
-            return;
-
-        mne::Transaction tx(*heap_, ctx);
-        Item staged{};
-        tx.read(item_off, &staged, sizeof(staged));
-        staged.numFree++;
-        staged.checksum = itemChecksum(staged);
-        tx.update(item_off + offsetof(Item, numFree),
-                  reinterpret_cast<const std::uint8_t *>(&staged) +
-                      offsetof(Item, numFree),
-                  offsetof(Item, left) - offsetof(Item, numFree),
-                  DataClass::User);
-
-        // Unlink + release the node.
-        tx.update(holder, &res->next, 8, DataClass::User);
-        tx.pfree(cur);
-
-        VacationRoot *r = root(ctx);
-        const std::uint64_t count = tx.get(r->totalReserved[type]) - 1;
-        tx.set(r->totalReserved[type], count, DataClass::User);
-
-        tx.commit();
-    }
-
-    bool
-    checkAll(Runtime &rt, std::string *why)
-    {
-        pm::PmContext &ctx = rt.ctx(0);
-        VacationRoot *r = root(ctx);
-        if (r->magic != VacationRoot::kMagic) {
-            if (why)
-                *why = "bad root magic";
-            return false;
-        }
-
-        // 1. Item trees: BST order + checksums + per-item capacity.
-        std::uint64_t reserved_by_items[3] = {0, 0, 0};
-        for (int t = 0; t < 3; t++) {
-            std::vector<std::pair<Addr, std::pair<std::uint64_t,
-                                                  std::uint64_t>>>
-                stack;
-            if (r->itemTrees[t] != kNullAddr) {
-                stack.push_back({r->itemTrees[t],
-                                 {0, ~std::uint64_t(0)}});
-            }
-            while (!stack.empty()) {
-                auto [off, range] = stack.back();
-                stack.pop_back();
-                const Item *it = ctx.pool().at<Item>(off);
-                if (it->checksum != itemChecksum(*it)) {
-                    if (why)
-                        *why = "item checksum mismatch";
-                    return false;
-                }
-                if (it->id < range.first || it->id > range.second) {
-                    if (why)
-                        *why = "BST order violated";
-                    return false;
-                }
-                if (it->numFree > it->numTotal) {
-                    if (why)
-                        *why = "numFree above capacity";
-                    return false;
-                }
-                reserved_by_items[t] += it->numTotal - it->numFree;
-                if (it->left != kNullAddr) {
-                    stack.push_back(
-                        {it->left, {range.first, it->id - 1}});
-                }
-                if (it->right != kNullAddr) {
-                    stack.push_back(
-                        {it->right, {it->id + 1, range.second}});
-                }
-            }
-        }
-
-        // 2. Customer reservation lists vs the counters and items.
-        std::uint64_t reserved_by_lists[3] = {0, 0, 0};
-        for (std::uint64_t c = 0; c < customerCount_; c++) {
-            Addr cur = customer(ctx, c)->reservations;
-            std::uint64_t guard = 0;
-            while (cur != kNullAddr) {
-                if (++guard > 10'000'000) {
-                    if (why)
-                        *why = "reservation list cycle";
-                    return false;
-                }
-                const Reservation *res =
-                    ctx.pool().at<Reservation>(cur);
-                if (res->type > 2) {
-                    if (why)
-                        *why = "reservation with bad type";
-                    return false;
-                }
-                reserved_by_lists[res->type]++;
-                cur = res->next;
-            }
-        }
-        for (int t = 0; t < 3; t++) {
-            if (reserved_by_lists[t] != r->totalReserved[t] ||
-                reserved_by_items[t] != r->totalReserved[t]) {
-                if (why)
-                    *why = "reservation counters out of sync";
-                return false;
-            }
-        }
-        return true;
+        inst_[0].heap->scrub(rt.ctx(0), lines, rep);
     }
 
     // ---- Unified workload driver surface ------------------------------
     //
     // The KV workload maps onto the item tables: a key is an item id in
     // a per-thread car tree, the value is its price. Each workload
-    // thread owns a private root + Mnemosyne heap over a disjoint pool
-    // slice (the STAMP suite's data-partitioned client mode), so op
-    // costs do not depend on cross-thread interleaving. Customers and
-    // the global counters stay a run()-only feature; the workload check
-    // validates tree shape and checksums instead.
-
-    /** DRAM-side query planning, matching run()'s per-op shape. */
-    void
-    wlPad(pm::PmContext &ctx, std::uint64_t key)
-    {
-        ctx.vBurst(&key, 1 << 15, 2100, 900);
-        ctx.compute(9000);
-    }
-
-    Addr
-    findItemAt(pm::PmContext &ctx, Addr root_off, std::uint64_t id)
-    {
-        Addr cur = ctx.pool().at<VacationRoot>(root_off)
-                       ->itemTrees[kCar];
-        while (cur != kNullAddr) {
-            Item probe{};
-            ctx.load(cur, &probe, sizeof(probe));
-            if (probe.id == id)
-                return cur;
-            cur = id < probe.id ? probe.left : probe.right;
-        }
-        return kNullAddr;
-    }
-
-    /** Preload-phase insert into a shard tree (plain persists). */
-    void
-    insertItemSetupAt(pm::PmContext &ctx, mne::MnemosyneHeap &heap,
-                      Addr root_off, std::uint64_t id,
-                      std::uint64_t price)
-    {
-        const Addr off = heap.pmalloc(ctx, sizeof(Item));
-        panic_if(off == kNullAddr, "vacation workload heap exhausted");
-        Item it{};
-        it.id = id;
-        it.numFree = 4;
-        it.numTotal = 4;
-        it.price = price;
-        it.left = it.right = kNullAddr;
-        it.checksum = itemChecksum(it);
-        ctx.store(off, &it, sizeof(it), DataClass::User);
-        ctx.flush(off, sizeof(it));
-        ctx.fence(FenceKind::Ordering);
-
-        Addr link_off = root_off + offsetof(VacationRoot, itemTrees) +
-                        kCar * sizeof(Addr);
-        Addr cur = *ctx.pool().at<Addr>(link_off);
-        while (cur != kNullAddr) {
-            const Item *node = ctx.pool().at<Item>(cur);
-            link_off = cur + (id < node->id ? offsetof(Item, left)
-                                            : offsetof(Item, right));
-            cur = *ctx.pool().at<Addr>(link_off);
-        }
-        ctx.store(link_off, &off, 8, DataClass::User);
-        ctx.flush(link_off, 8);
-        ctx.fence(FenceKind::Ordering);
-    }
-
-    /** Durable-transaction insert used for workload inserts. */
-    void
-    insertItemTx(pm::PmContext &ctx, mne::MnemosyneHeap &heap,
-                 Addr root_off, std::uint64_t id, std::uint64_t price)
-    {
-        mne::Transaction tx(heap, ctx);
-        const Addr off = tx.pmalloc(sizeof(Item));
-        if (off == kNullAddr) {
-            tx.abort();
-            panic("vacation workload heap exhausted");
-        }
-        Item it{};
-        it.id = id;
-        it.numFree = 4;
-        it.numTotal = 4;
-        it.price = price;
-        it.left = it.right = kNullAddr;
-        it.checksum = itemChecksum(it);
-        tx.update(off, &it, sizeof(it), DataClass::User);
-
-        Addr link_off = root_off + offsetof(VacationRoot, itemTrees) +
-                        kCar * sizeof(Addr);
-        Addr cur = tx.get(*ctx.pool().at<Addr>(link_off));
-        while (cur != kNullAddr) {
-            const Item *node = ctx.pool().at<Item>(cur);
-            link_off = cur + (id < node->id ? offsetof(Item, left)
-                                            : offsetof(Item, right));
-            cur = tx.get(*ctx.pool().at<Addr>(link_off));
-        }
-        tx.update(link_off, &off, 8, DataClass::User);
-        tx.commit();
-    }
-
-    /** Durable-transaction price update (existing item). */
-    void
-    updatePriceTx(pm::PmContext &ctx, mne::MnemosyneHeap &heap,
-                  Addr item_off, std::uint64_t price)
-    {
-        mne::Transaction tx(heap, ctx);
-        Item staged{};
-        tx.read(item_off, &staged, sizeof(staged));
-        staged.price = price;
-        staged.checksum = itemChecksum(staged);
-        tx.update(item_off + offsetof(Item, price), &staged.price, 8,
-                  DataClass::User);
-        tx.set(ctx.pool().at<Item>(item_off)->checksum,
-               staged.checksum, DataClass::User);
-        tx.commit();
-    }
+    // thread owns a private instance with no customers over a disjoint
+    // pool slice (the STAMP suite's data-partitioned client mode), so
+    // op costs do not depend on cross-thread interleaving.
+    // Reservations and the global counters stay a run()-only feature;
+    // the shared check then validates tree shape and checksums.
 
   public:
     bool supportsWorkload() const override { return true; }
@@ -586,29 +543,14 @@ class VacationApp : public WhisperApp
     workloadSetup(Runtime &rt, const core::WorkloadKeymap &map) override
     {
         wlMap_ = map;
-        wlShards_.clear();
-        wlShards_.resize(map.threads);
-        const Addr region = lineBase(config_.poolBytes / map.threads);
-        panic_if(region <= sizeof(VacationRoot) + (2u << 20),
-                 "vacation workload: pool too small for %u shards",
-                 map.threads);
+        inst_.clear();
+        const PoolSlices slices(config_.poolBytes, map.threads,
+                                sizeof(VacationRoot) + (2u << 20),
+                                "vacation");
         for (unsigned t = 0; t < map.threads; t++) {
             pm::PmContext &ctx = rt.ctx(t);
-            WlShard &sh = wlShards_[t];
-            sh.rootOff = static_cast<Addr>(t) * region;
-            const Addr heap_base = lineBase(
-                sh.rootOff + sizeof(VacationRoot) + kCacheLineSize);
-            sh.heap = std::make_unique<mne::MnemosyneHeap>(
-                ctx, heap_base, sh.rootOff + region - heap_base, 1);
-
-            VacationRoot root{};
-            root.magic = VacationRoot::kMagic;
-            for (auto &tree : root.itemTrees)
-                tree = kNullAddr;
-            root.customersOff = kNullAddr;
-            ctx.store(sh.rootOff, &root, sizeof(root), DataClass::User);
-            ctx.flush(sh.rootOff, sizeof(root));
-            ctx.fence(FenceKind::Durability);
+            inst_.push_back(
+                formatTables(ctx, slices.base(t), slices.bytes, 1, 0));
 
             // Scrambled insertion order keeps the BST shallow
             // (sequential order would degrade it to a linked list).
@@ -616,8 +558,8 @@ class VacationApp : public WhisperApp
             ScrambledSequence order(map.perThread(), order_rng);
             for (std::uint64_t i = 0; i < map.perThread(); i++) {
                 const std::uint64_t key = map.lo(t) + order.at(i);
-                insertItemSetupAt(ctx, *sh.heap, sh.rootOff, key,
-                                  key * 0x9e3779b97f4a7c15ull);
+                insertItemSetup(ctx, inst_[t], kCar, key, 4,
+                                key * 0x9e3779b97f4a7c15ull);
             }
         }
     }
@@ -626,38 +568,37 @@ class VacationApp : public WhisperApp
     workloadGet(pm::PmContext &ctx, ThreadId tid,
                 std::uint64_t key) override
     {
-        WlShard &sh = wlShards_[tid];
-        wlPad(ctx, key);
-        return findItemAt(ctx, sh.rootOff, key) != kNullAddr;
+        pad(ctx, &key);
+        return findItem(ctx, inst_[tid], kCar, key) != kNullAddr;
     }
 
     void
     workloadPut(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
                 std::uint64_t value) override
     {
-        WlShard &sh = wlShards_[tid];
-        wlPad(ctx, key);
-        const Addr off = findItemAt(ctx, sh.rootOff, key);
+        Instance &v = inst_[tid];
+        pad(ctx, &key);
+        const Addr off = findItem(ctx, v, kCar, key);
         if (off != kNullAddr)
-            updatePriceTx(ctx, *sh.heap, off, value);
+            updatePriceTx(ctx, v, off, value);
         else
-            insertItemTx(ctx, *sh.heap, sh.rootOff, key, value);
+            insertItemTx(ctx, v, key, value);
     }
 
     bool
     workloadRmw(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
                 std::uint64_t delta) override
     {
-        WlShard &sh = wlShards_[tid];
-        wlPad(ctx, key);
-        const Addr off = findItemAt(ctx, sh.rootOff, key);
+        Instance &v = inst_[tid];
+        pad(ctx, &key);
+        const Addr off = findItem(ctx, v, kCar, key);
         if (off == kNullAddr) {
-            insertItemTx(ctx, *sh.heap, sh.rootOff, key, delta);
+            insertItemTx(ctx, v, key, delta);
             return false;
         }
         std::uint64_t price = 0;
         ctx.load(off + offsetof(Item, price), &price, 8);
-        updatePriceTx(ctx, *sh.heap, off, price + delta);
+        updatePriceTx(ctx, v, off, price + delta);
         return true;
     }
 
@@ -665,12 +606,11 @@ class VacationApp : public WhisperApp
     workloadScan(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
                  std::uint64_t len) override
     {
-        WlShard &sh = wlShards_[tid];
-        wlPad(ctx, key);
+        pad(ctx, &key);
         std::uint64_t found = 0;
         for (std::uint64_t j = 0; j < len; j++) {
-            if (findItemAt(ctx, sh.rootOff,
-                           wlMap_.scanKey(tid, key, j)) != kNullAddr)
+            if (findItem(ctx, inst_[tid], kCar,
+                         wlMap_.scanKey(tid, key, j)) != kNullAddr)
                 found++;
         }
         return found;
@@ -680,68 +620,27 @@ class VacationApp : public WhisperApp
     workloadCheck(Runtime &rt) override
     {
         VerifyReport rep = report();
-        for (unsigned t = 0; t < wlMap_.threads; t++) {
+        for (unsigned t = 0; t < inst_.size(); t++) {
             std::string why;
-            rep.check(checkShardTree(rt.ctx(t), wlShards_[t].rootOff,
-                                     &why),
+            rep.check(checkTables(rt.ctx(t), inst_[t], &why),
                       "tree-intact", why);
-            rep.check(wlShards_[t].heap->logsQuiescent(rt.ctx(t), &why),
+            rep.check(inst_[t].heap->logsQuiescent(rt.ctx(t), &why),
                       "logs-quiescent", why);
         }
         return rep;
     }
 
   private:
-    /** Shard tree walk: BST order + checksums. */
-    bool
-    checkShardTree(pm::PmContext &ctx, Addr root_off, std::string *why)
-    {
-        const VacationRoot *r = ctx.pool().at<VacationRoot>(root_off);
-        if (r->magic != VacationRoot::kMagic) {
-            if (why)
-                *why = "bad root magic";
-            return false;
-        }
-        std::vector<std::pair<Addr, std::pair<std::uint64_t,
-                                              std::uint64_t>>>
-            stack;
-        if (r->itemTrees[kCar] != kNullAddr)
-            stack.push_back({r->itemTrees[kCar], {0, ~std::uint64_t(0)}});
-        while (!stack.empty()) {
-            auto [off, range] = stack.back();
-            stack.pop_back();
-            const Item *it = ctx.pool().at<Item>(off);
-            if (it->checksum != itemChecksum(*it)) {
-                if (why)
-                    *why = "item checksum mismatch";
-                return false;
-            }
-            if (it->id < range.first || it->id > range.second) {
-                if (why)
-                    *why = "BST order violated";
-                return false;
-            }
-            if (it->left != kNullAddr)
-                stack.push_back({it->left, {range.first, it->id - 1}});
-            if (it->right != kNullAddr)
-                stack.push_back({it->right, {it->id + 1, range.second}});
-        }
-        return true;
-    }
-
-    struct WlShard
-    {
-        Addr rootOff = 0;
-        std::unique_ptr<mne::MnemosyneHeap> heap;
-    };
-
-    std::unique_ptr<mne::MnemosyneHeap> heap_;
-    Addr rootOff_ = 0;
+    /**
+     * The paper run's one reservation system over the whole pool
+     * (setup()), or one item-only instance per workload thread
+     * (workloadSetup()).
+     */
+    std::vector<Instance> inst_;
     std::uint64_t itemCount_ = 0;
-    std::uint64_t customerCount_ = 0;
+    /** Serializes run()'s threads on the shared tables. */
     std::mutex tableLock_;
     core::WorkloadKeymap wlMap_;
-    std::vector<WlShard> wlShards_;
 };
 
 } // namespace

@@ -2,8 +2,8 @@
  * @file
  * WHISPER application interface and registry.
  *
- * Each of the ten suite applications implements WhisperApp. The
- * harness (harness.hh) drives the common life cycle:
+ * Each of the fourteen registered applications implements
+ * WhisperApp. The harness (harness.hh) drives the common life cycle:
  *
  *   setup(runtime)            — format pool structures, load data
  *   [traces cleared]          — analysis covers steady state only
@@ -26,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/logging.hh"
 #include "core/runtime.hh"
 #include "core/verify_report.hh"
 #include "txlib/elision.hh"
@@ -153,6 +154,28 @@ struct WorkloadKeymap
         return lo(tid) +
                (localIndex(tid, start_key) + j) % perThread();
     }
+};
+
+/**
+ * Disjoint per-thread pool slices for the workload adapters' private
+ * instances (see WorkloadKeymap): thread t's instance owns
+ * [base(t), base(t) + bytes). Panics, naming @p app, when a slice
+ * would not exceed the @p min_bytes the instance needs.
+ */
+struct PoolSlices
+{
+    PoolSlices(std::size_t pool_bytes, unsigned threads,
+               std::size_t min_bytes, const char *app)
+        : bytes(lineBase(pool_bytes / threads))
+    {
+        panic_if(bytes <= min_bytes,
+                 "%s workload: pool too small for %u instances", app,
+                 threads);
+    }
+
+    Addr base(unsigned t) const { return static_cast<Addr>(t) * bytes; }
+
+    std::size_t bytes; //!< line-aligned size of every slice
 };
 
 /**
@@ -365,7 +388,7 @@ std::unique_ptr<WhisperApp> createApp(const std::string &name,
 /** All registered names, sorted. */
 std::vector<std::string> registeredApps();
 
-/** Force-register the ten suite applications (idempotent). */
+/** Force-register the suite applications (idempotent). */
 void registerSuiteApps();
 
 } // namespace whisper::core

@@ -1,7 +1,6 @@
 #include "fuzz/crash_fuzz.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -210,11 +209,10 @@ runCaseWorkload(core::Session &s, const FuzzConfig &config,
 /** @{ \name Lincheck violation dumps */
 
 /**
- * Per-violation dump throttle (the buddy-recovery warn idiom): the
+ * Per-sweep dump notice throttle (the buddy-recovery warn idiom): the
  * first few violating cases each warn one line with the dump path,
  * then a single suppression note — a 512-case sweep stays readable.
  */
-std::atomic<unsigned> lincheckDumpWarns{0};
 constexpr unsigned kLincheckDumpWarnCap = 4;
 
 std::string
@@ -377,16 +375,6 @@ runCase(const FuzzCase &c, const FuzzConfig &config,
             if (lincheck::writeHistoryFile(
                     path, lincheck::minimizeViolation(hc.history)))
                 out.lincheckDump = path;
-            const unsigned seen = lincheckDumpWarns.fetch_add(
-                1, std::memory_order_relaxed);
-            if (seen < kLincheckDumpWarnCap) {
-                warn("lincheck: %s case %llu: %s (history: %s)",
-                     c.app.c_str(), (unsigned long long)c.caseId,
-                     lc.brief().c_str(), path.c_str());
-            } else if (seen == kLincheckDumpWarnCap) {
-                warn("lincheck: more violations; further history "
-                     "dump notices suppressed");
-            }
         }
     }
 
@@ -608,6 +596,7 @@ sweep(const SweepOptions &options)
     ThreadPool pool(options.jobs);
     std::vector<AppSweepReport> reports;
     reports.reserve(apps.size());
+    unsigned dump_notices = 0;
 
     for (const std::string &app : apps) {
         AppSweepReport report;
@@ -636,6 +625,17 @@ sweep(const SweepOptions &options)
                     (!out.lincheckOk && !out.ok) ? 1 : 0;
             }
             digest = fold(digest, out.digest);
+            if (!out.lincheckDump.empty()) {
+                if (dump_notices < kLincheckDumpWarnCap) {
+                    warn("lincheck: %s case %llu: %s (history: %s)",
+                         app.c_str(), (unsigned long long)i,
+                         out.why.c_str(), out.lincheckDump.c_str());
+                } else if (dump_notices == kLincheckDumpWarnCap) {
+                    warn("lincheck: more violations; further history "
+                         "dump notices suppressed");
+                }
+                dump_notices++;
+            }
             if (options.keepReports)
                 report.caseReports.push_back(out.report);
             if (out.ok)

@@ -12,7 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 
 #include "fuzz/crash_fuzz.hh"
@@ -454,6 +456,58 @@ TEST(LincheckFuzz, CatchesBrokenCommitStructuralChecksMiss)
     }
     EXPECT_TRUE(caught)
         << "no case in [0, 64) surfaced the broken commit";
+}
+
+/**
+ * Violation notices come from the sweep itself, throttled per sweep:
+ * a second sweep in the same process prints the same notices, in case
+ * order, instead of finding a shared throttle already spent.
+ */
+TEST(LincheckFuzz, DumpNoticesThrottledPerSweep)
+{
+    mod::setBrokenCommitForTest(true);
+    struct Reset {
+        ~Reset() { mod::setBrokenCommitForTest(false); }
+    } reset;
+
+    fuzz::SweepOptions options;
+    options.cases = 32;
+    options.jobs = 2;
+    options.apps = {"mod-hashmap"};
+    options.config.opsPerThread = 12;
+    options.config.lincheck = true;
+    options.shrinkViolations = false;
+
+    std::vector<std::string> notices[2];
+    std::uint64_t violations = 0;
+    for (auto &lines : notices) {
+        testing::internal::CaptureStderr();
+        const std::vector<fuzz::AppSweepReport> reports =
+            fuzz::sweep(options);
+        const std::string err = testing::internal::GetCapturedStderr();
+        ASSERT_EQ(reports.size(), 1u);
+        violations = reports[0].violations;
+        std::size_t pos = 0;
+        while ((pos = err.find("lincheck: ", pos)) != std::string::npos) {
+            const std::size_t eol = err.find('\n', pos);
+            lines.push_back(err.substr(pos, eol - pos));
+            pos = eol;
+        }
+    }
+    ASSERT_GT(violations, 0u) << "the broken commit went unnoticed";
+    EXPECT_EQ(notices[0], notices[1]);
+    // One notice per violating case up to the cap, then one note.
+    EXPECT_EQ(notices[0].size(), std::min<std::uint64_t>(violations, 5));
+    EXPECT_NE(notices[0][0].find("lincheck: mod-hashmap case "),
+              std::string::npos)
+        << notices[0][0];
+    const char *tmp = std::getenv("TMPDIR");
+    const std::string dir = tmp && *tmp ? tmp : "/tmp";
+    for (std::uint64_t id = 0; id < options.cases; id++) {
+        std::remove((dir + "/whisper-lincheck-mod-hashmap-" +
+                     std::to_string(id) + ".hist")
+                        .c_str());
+    }
 }
 
 // --------------------------------------- workload-driver recording
