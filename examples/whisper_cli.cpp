@@ -625,12 +625,6 @@ cmdWorkload(int argc, char **argv)
 int
 cmdCrashfuzz(int argc, char **argv)
 {
-    // The suite list is captured before the demo app registers, so a
-    // default sweep covers exactly the fourteen registered
-    // applications while `--apps faulty` still resolves.
-    const std::vector<std::string> suite = core::registeredApps();
-    fuzz::registerFaultyApp();
-
     fuzz::SweepOptions options;
     std::string replay;
     std::uint64_t at = ~std::uint64_t(0);
@@ -789,7 +783,7 @@ cmdCrashfuzz(int argc, char **argv)
     }
 
     if (options.apps.empty())
-        options.apps = suite;
+        options.apps = core::registeredApps();
     if (options.config.threads > 1 || options.config.lincheck) {
         // Narrow the sweep to the apps the fuzzer can run this way
         // instead of panicking on the first it cannot.

@@ -88,7 +88,7 @@ if [[ "$docs_only" == 0 && "$skip_tsan" == 0 ]]; then
     cmake -B build-tsan -S . -DWHISPER_SANITIZE=thread >/dev/null
     cmake --build build-tsan -j "$(nproc)" --target whisper_tests
     run_leg build-tsan/tests/whisper_tests \
-        --gtest_filter='ModConcurrency.*:ModHeap.*:CrashFuzz.MultiThread*:HaloDirectory.ReadersStayConsistentThroughDoubling:HaloFuzz.*:Lincheck.*:LincheckWorkload.*:LincheckFuzz.CaseReplayIsBitIdentical'
+        --gtest_filter='ModConcurrency.*:ModHeap.*:CrashFuzz.MultiThread*:HaloDirectory.ReadersStayConsistentThroughDoubling:HaloFuzz.*:Lincheck.*:LincheckWorkload.*:LincheckFuzz.CaseReplayIsBitIdentical:LincheckFuzz.BrokenSweepLeavesConcurrentPlainSweepAlone'
 fi
 
 # ---------------------------------------------------------------
@@ -365,6 +365,23 @@ if [[ -n "$copies" ]]; then
     failures=$((failures + 1))
 else
     echo "ok: workload pool slices come from core::PoolSlices"
+fi
+
+# ---------------------------------------------------------------
+# No process-global policy: two sweeps in one process must not be
+# able to interfere through global state. Apps come from the constant
+# table in src/apps/register.cc, never from a runtime registry, and
+# the only mutable global under src/ is the log's output lock.
+# ---------------------------------------------------------------
+echo "== source: no process-global mutable state =="
+globals=$({ python3 scripts/mutable_globals.py src logMutex
+            grep -rnF 'registerApp(' src; } || true)
+if [[ -n "$globals" ]]; then
+    echo "FAIL: process-global mutable state or app registration:"
+    echo "$globals"
+    failures=$((failures + 1))
+else
+    echo "ok: no mutable globals under src/ but logMutex"
 fi
 
 # ---------------------------------------------------------------

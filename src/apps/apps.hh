@@ -1,11 +1,12 @@
 /**
  * @file
- * Factories for the fourteen WHISPER applications, plus the
- * invariant check the three PMFS applications share.
+ * Factories for the fourteen WHISPER applications and the two test
+ * fixtures, plus the invariant check the three PMFS applications
+ * share.
  *
  * Table 1 of the paper maps each application to its access layer and
- * driving workload; registerSuiteApps() (register.cc) wires these
- * factories into the core registry under the paper's names:
+ * driving workload; the constant app table in register.cc names these
+ * factories with the paper's names:
  *
  *   echo, ycsb, tpcc          — native
  *   redis, ctree, hashmap     — Library/NVML
@@ -13,6 +14,13 @@
  *   nfs, exim, mysql          — FS/PMFS
  *   mod-hashmap, mod-vector   — Library/MOD (post-paper layer)
  *   halo-hashmap              — Hybrid/Halo (post-paper layer)
+ *
+ * The fixtures resolve by name through core::createApp() but are in
+ * no default list (core::registeredApps()):
+ *
+ *   faulty                    — native; a seeded ordering bug
+ *   mod-hashmap-broken        — mod-hashmap with a seeded broken
+ *                               commit only lincheck convicts
  */
 
 #ifndef WHISPER_APPS_APPS_HH
@@ -45,6 +53,9 @@ std::unique_ptr<core::WhisperApp>
 makeModVectorApp(const core::AppConfig &);
 std::unique_ptr<core::WhisperApp>
 makeHaloHashmapApp(const core::AppConfig &);
+std::unique_ptr<core::WhisperApp> makeFaultyApp(const core::AppConfig &);
+std::unique_ptr<core::WhisperApp>
+makeModHashmapBrokenApp(const core::AppConfig &);
 
 /**
  * PMFS recovery invariants of one volume: journal retired

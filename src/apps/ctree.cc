@@ -351,8 +351,6 @@ class CtreeApp : public WhisperApp
      * key ids, one point lookup each.
      */
 
-    bool supportsWorkload() const override { return true; }
-
     void
     workloadSetup(Runtime &rt, const WorkloadKeymap &map) override
     {

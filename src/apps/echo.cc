@@ -726,8 +726,6 @@ class EchoApp : public WhisperApp
     }
 
   public:
-    bool supportsWorkload() const override { return true; }
-
     void
     workloadSetup(Runtime &rt, const core::WorkloadKeymap &map) override
     {

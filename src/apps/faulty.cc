@@ -1,7 +1,8 @@
 /**
  * @file
- * The "faulty" demo application: a deliberately broken native-layer
- * store the crash fuzzer must catch and shrink.
+ * The "faulty" test fixture: a deliberately broken native-layer store
+ * the crash fuzzer must catch and shrink. createApp() resolves it by
+ * name; it is not part of the suite (registeredApps()).
  *
  * Two persistent counters live in separate cache lines and must stay
  * equal. The workload bumps them in two *separate* epochs — counter A
@@ -14,11 +15,9 @@
  * iteration.
  */
 
-#include "fuzz/crash_fuzz.hh"
+#include "apps/apps.hh"
 
-#include "core/app.hh"
-
-namespace whisper::fuzz
+namespace whisper::apps
 {
 
 namespace
@@ -112,19 +111,10 @@ class FaultyApp : public WhisperApp
 
 } // namespace
 
-void
-registerFaultyApp()
+std::unique_ptr<core::WhisperApp>
+makeFaultyApp(const core::AppConfig &config)
 {
-    static const bool once = [] {
-        core::registerApp("faulty",
-                          [](const core::AppConfig &config) {
-                              return std::unique_ptr<
-                                  core::WhisperApp>(
-                                  new FaultyApp(config));
-                          });
-        return true;
-    }();
-    (void)once;
+    return std::make_unique<FaultyApp>(config);
 }
 
-} // namespace whisper::fuzz
+} // namespace whisper::apps

@@ -232,8 +232,6 @@ class HaloHashmapApp : public WhisperApp
      * cadence (every kDurabilityInterval ops).
      */
 
-    bool supportsWorkload() const override { return true; }
-
     void
     workloadSetup(Runtime &rt, const WorkloadKeymap &map) override
     {

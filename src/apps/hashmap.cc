@@ -310,8 +310,6 @@ class HashmapApp : public WhisperApp
      * discipline per op is run()'s.
      */
 
-    bool supportsWorkload() const override { return true; }
-
     void
     workloadSetup(Runtime &rt, const WorkloadKeymap &map) override
     {

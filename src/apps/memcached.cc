@@ -450,8 +450,6 @@ class MemcachedApp : public WhisperApp
     }
 
   public:
-    bool supportsWorkload() const override { return true; }
-
     void
     workloadSetup(Runtime &rt, const core::WorkloadKeymap &map) override
     {

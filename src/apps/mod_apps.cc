@@ -1,6 +1,8 @@
 /**
  * @file
- * The two MOD applications: mod-hashmap and mod-vector.
+ * The two MOD applications, mod-hashmap and mod-vector, and the
+ * mod-hashmap-broken test fixture (mod-hashmap over a ModHashmap
+ * running the seeded broken commit; see its constructor).
  *
  * Both run the suite's standard micro-benchmark shape (a DRAM-heavy
  * op loop in the paper's Figure 6 proportions) against the MOD access
@@ -50,35 +52,193 @@ constexpr std::uint64_t kSlotsPerThread = 256;
 /** Table at pool offset 0; the MOD heap fills the rest of the pool. */
 constexpr Addr kTableOff = 0;
 
-Addr
-heapBase(std::size_t table_bytes)
-{
-    return lineBase(table_bytes + 2 * kCacheLineSize);
-}
-
-class ModHashmapApp : public WhisperApp
+/**
+ * What the two MOD apps share around their structure @p Structure (a
+ * table at kTableOff, the MOD heap behind it): format, attach and
+ * mark-from-the-roots recovery, the layer's checks and scrub, and the
+ * workload's DRAM padding and durability cadence. Each app keeps its
+ * own run() script and workload ops.
+ */
+template <class Structure>
+class ModApp : public WhisperApp
 {
   public:
-    explicit ModHashmapApp(const AppConfig &config) : WhisperApp(config)
-    {
-        buckets_ = kBucketsPerPartition * config_.threads;
-        heapBase_ = heapBase(mod::ModHashmap::tableBytes(buckets_));
-        panic_if(heapBase_ >= config_.poolBytes,
-                 "mod-hashmap: pool too small for bucket table");
-    }
-
-    std::string name() const override { return "mod-hashmap"; }
     AccessLayer layer() const override { return AccessLayer::LibMod; }
 
+    void setup(Runtime &rt) override { format(rt.ctx(0)); }
+
+    VerifyReport
+    verify(Runtime &rt) override
+    {
+        VerifyReport rep = report();
+        rep.check(heap_->magicIntact(rt.ctx(0)), "heap-magic",
+                  "mod heap magic lost");
+        std::string why;
+        rep.check(structure_->check(rt.ctx(0), &why), "structure-intact",
+                  why);
+        return rep;
+    }
+
     void
-    setup(Runtime &rt) override
+    recover(Runtime &rt) override
     {
         pm::PmContext &ctx = rt.ctx(0);
         heap_ = std::make_unique<mod::ModHeap>(
+            heapBase_, config_.poolBytes - heapBase_, config_.threads);
+        structure_ = build(nullptr);
+        // Mark from the roots, then sweep: allocator occupancy becomes
+        // exactly the reachable node set and the garbage lanes are
+        // cleared (nothing on them can be reachable).
+        std::vector<Addr> live;
+        structure_->reachable(ctx, live);
+        heap_->recover(ctx, live);
+    }
+
+    VerifyReport
+    verifyRecovered(Runtime &rt) override
+    {
+        VerifyReport rep = report();
+        std::string why;
+        rep.check(structure_->check(rt.ctx(0), &why), "structure-intact",
+                  why);
+        return rep;
+    }
+
+    VerifyReport
+    checkRecoveryInvariants(Runtime &rt) override
+    {
+        pm::PmContext &ctx = rt.ctx(0);
+        VerifyReport rep = report();
+        rep.check(heap_->magicIntact(ctx), "heap-magic",
+                  "mod heap magic lost");
+        std::string why;
+        rep.check(heap_->gcQuiescent(ctx, &why), "gc-quiescent", why);
+        // The MOD commit contract: every root names a fully-persisted,
+        // still-allocated node — GC must never have reclaimed anything
+        // a durable root can reach.
+        std::vector<Addr> live;
+        structure_->reachable(ctx, live);
+        const std::string lost =
+            std::string("reachable mod ") + unit_ + " not allocated";
+        for (const Addr node : live) {
+            if (!rep.check(heap_->isLiveNode(node), "roots-allocated",
+                           lost))
+                break;
+        }
+        return rep;
+    }
+
+    void
+    workloadThreadDone(pm::PmContext &ctx, ThreadId tid) override
+    {
+        heap_->threadExit(ctx, tid);
+    }
+
+    VerifyReport workloadCheck(Runtime &rt) override { return verify(rt); }
+
+    bool supportsLincheck() const override { return true; }
+
+  protected:
+    /** @p unit names one node of the structure in check messages. */
+    ModApp(const AppConfig &config, const char *unit)
+        : WhisperApp(config), unit_(unit)
+    {
+    }
+
+    /**
+     * A new structure over the table at kTableOff and heap_:
+     * formatted through @p ctx, or attached (no writes) when @p ctx
+     * is null.
+     */
+    virtual std::unique_ptr<Structure> build(pm::PmContext *ctx) = 0;
+
+    /** Put the heap behind a table of @p table_bytes (@p what). */
+    void
+    place(std::size_t table_bytes, const char *what)
+    {
+        heapBase_ = lineBase(table_bytes + 2 * kCacheLineSize);
+        panic_if(heapBase_ >= config_.poolBytes,
+                 "%s: pool too small for %s", name().c_str(), what);
+    }
+
+    /** Format the heap, then the structure. */
+    void
+    format(pm::PmContext &ctx)
+    {
+        heap_ = std::make_unique<mod::ModHeap>(
             ctx, heapBase_, config_.poolBytes - heapBase_,
             config_.threads);
-        map_ = std::make_unique<mod::ModHashmap>(
-            ctx, *heap_, kTableOff, buckets_, config_.threads);
+        structure_ = build(&ctx);
+    }
+
+    /** Per-thread padding buffers and op counters for @p map. */
+    void
+    startWorkload(const WorkloadKeymap &map)
+    {
+        wlMap_ = map;
+        scratch_.assign(config_.threads,
+                        std::vector<std::uint64_t>(2048));
+        wlOps_.assign(config_.threads, 0);
+    }
+
+    /** run()'s per-op DRAM padding (paper Fig. 6 proportions). */
+    void
+    pad(pm::PmContext &ctx, ThreadId tid)
+    {
+        ctx.vBurst(scratch_[tid].data(), 1 << 14, 560, 240);
+        ctx.compute(6500);
+    }
+
+    /** A durability point every kDurabilityInterval workload ops. */
+    void
+    opDone(pm::PmContext &ctx, ThreadId tid)
+    {
+        if (++wlOps_[tid] % kDurabilityInterval == 0)
+            heap_->durabilityPoint(ctx, tid);
+    }
+
+    void
+    scrubLayer(Runtime &rt, std::vector<LineAddr> &lines,
+               VerifyReport &rep) override
+    {
+        pm::PmContext &ctx = rt.ctx(0);
+        // Structure first (root table repair + chain truncation needs
+        // to see which node lines were hit), then the heap claims the
+        // remaining arena/lane lines.
+        structure_->scrub(ctx, lines, rep);
+        heap_->scrub(ctx, lines);
+    }
+
+    std::unique_ptr<mod::ModHeap> heap_;
+    std::unique_ptr<Structure> structure_;
+    WorkloadKeymap wlMap_;
+
+  private:
+    const char *unit_;
+    Addr heapBase_ = 0;
+    std::vector<std::vector<std::uint64_t>> scratch_;
+    std::vector<std::uint64_t> wlOps_;
+};
+
+/**
+ * mod-hashmap, and with @p broken_commit the `mod-hashmap-broken`
+ * fixture: the same app over a ModHashmap running the seeded broken
+ * commit.
+ */
+class ModHashmapApp : public ModApp<mod::ModHashmap>
+{
+  public:
+    ModHashmapApp(const AppConfig &config, bool broken_commit)
+        : ModApp(config, "node"), brokenCommit_(broken_commit)
+    {
+        buckets_ = kBucketsPerPartition * config_.threads;
+        place(mod::ModHashmap::tableBytes(buckets_), "bucket table");
+    }
+
+    std::string
+    name() const override
+    {
+        return brokenCommit_ ? "mod-hashmap-broken" : "mod-hashmap";
     }
 
     void
@@ -99,7 +259,7 @@ class ModHashmapApp : public WhisperApp
 
             if (!inserted.empty() && rng.chance(0.1)) {
                 const std::size_t idx = rng.next(inserted.size());
-                map_->remove(ctx, tid, inserted[idx]);
+                structure_->remove(ctx, tid, inserted[idx]);
                 inserted[idx] = inserted.back();
                 inserted.pop_back();
                 ctx.vStore(inserted.data() + idx, 8);
@@ -110,7 +270,7 @@ class ModHashmapApp : public WhisperApp
                 std::uint64_t vals[mod::ModHashmap::kValWords] = {
                     rng(), rng(), rng()};
                 bool was_insert = false;
-                if (map_->put(ctx, tid, key, vals, was_insert) &&
+                if (structure_->put(ctx, tid, key, vals, was_insert) &&
                     was_insert) {
                     inserted.push_back(key);
                     ctx.vStore(&inserted.back(), 8);
@@ -122,66 +282,6 @@ class ModHashmapApp : public WhisperApp
         heap_->threadExit(ctx, tid);
     }
 
-    VerifyReport
-    verify(Runtime &rt) override
-    {
-        VerifyReport rep = report();
-        rep.check(heap_->magicIntact(rt.ctx(0)), "heap-magic",
-                  "mod heap magic lost");
-        std::string why;
-        rep.check(map_->check(rt.ctx(0), &why), "structure-intact",
-                  why);
-        return rep;
-    }
-
-    void
-    recover(Runtime &rt) override
-    {
-        pm::PmContext &ctx = rt.ctx(0);
-        heap_ = std::make_unique<mod::ModHeap>(
-            heapBase_, config_.poolBytes - heapBase_, config_.threads);
-        map_ = std::make_unique<mod::ModHashmap>(
-            *heap_, kTableOff, buckets_, config_.threads);
-        // Mark from the bucket table, then sweep: allocator occupancy
-        // becomes exactly the reachable node set and the garbage lanes
-        // are cleared (nothing on them can be reachable).
-        std::vector<Addr> live;
-        map_->reachable(ctx, live);
-        heap_->recover(ctx, live);
-    }
-
-    VerifyReport
-    verifyRecovered(Runtime &rt) override
-    {
-        VerifyReport rep = report();
-        std::string why;
-        rep.check(map_->check(rt.ctx(0), &why), "structure-intact",
-                  why);
-        return rep;
-    }
-
-    VerifyReport
-    checkRecoveryInvariants(Runtime &rt) override
-    {
-        pm::PmContext &ctx = rt.ctx(0);
-        VerifyReport rep = report();
-        rep.check(heap_->magicIntact(ctx), "heap-magic",
-                  "mod heap magic lost");
-        std::string why;
-        rep.check(heap_->gcQuiescent(ctx, &why), "gc-quiescent", why);
-        // The MOD commit contract: every root (bucket head) names a
-        // fully-persisted, still-allocated node — GC must never have
-        // reclaimed anything a durable root can reach.
-        std::vector<Addr> live;
-        map_->reachable(ctx, live);
-        for (const Addr node : live) {
-            if (!rep.check(heap_->isLiveNode(node), "roots-allocated",
-                           "reachable mod node not allocated"))
-                break;
-        }
-        return rep;
-    }
-
     /** @{ \name Generated-workload surface
      *
      * The MOD key convention carries over unchanged: thread @p tid
@@ -191,29 +291,18 @@ class ModHashmapApp : public WhisperApp
      * run() cadence (every kDurabilityInterval ops).
      */
 
-    bool supportsWorkload() const override { return true; }
-
     void
     workloadSetup(Runtime &rt, const WorkloadKeymap &map) override
     {
-        wlMap_ = map;
         // One chain bucket per potential key keeps lookups O(1) even
         // at millions of keys (partition size must be a power of 2).
         std::uint64_t per = kBucketsPerPartition;
         while (per < map.slotsPerThread())
             per <<= 1;
         buckets_ = per * config_.threads;
-        heapBase_ = heapBase(mod::ModHashmap::tableBytes(buckets_));
-        panic_if(heapBase_ >= config_.poolBytes,
-                 "mod-hashmap: pool too small for workload table");
-        heap_ = std::make_unique<mod::ModHeap>(
-            rt.ctx(0), heapBase_, config_.poolBytes - heapBase_,
-            config_.threads);
-        map_ = std::make_unique<mod::ModHashmap>(
-            rt.ctx(0), *heap_, kTableOff, buckets_, config_.threads);
-        scratch_.assign(config_.threads,
-                        std::vector<std::uint64_t>(2048));
-        wlOps_.assign(config_.threads, 0);
+        place(mod::ModHashmap::tableBytes(buckets_), "workload table");
+        format(rt.ctx(0));
+        startWorkload(map);
         for (unsigned t = 0; t < map.threads; t++) {
             pm::PmContext &ctx = rt.ctx(t);
             const ThreadId tid = static_cast<ThreadId>(t);
@@ -222,8 +311,8 @@ class ModHashmapApp : public WhisperApp
                 std::uint64_t vals[mod::ModHashmap::kValWords] = {
                     key * 0x9e3779b97f4a7c15ull, key, tid};
                 bool inserted = false;
-                panic_if(!map_->put(ctx, tid, modKey(tid, key), vals,
-                                    inserted),
+                panic_if(!structure_->put(ctx, tid, modKey(tid, key),
+                                          vals, inserted),
                          "mod-hashmap: heap exhausted during preload");
                 if ((i + 1) % kDurabilityInterval == 0)
                     heap_->durabilityPoint(ctx, tid);
@@ -238,7 +327,8 @@ class ModHashmapApp : public WhisperApp
     {
         pad(ctx, tid);
         std::uint64_t vals[mod::ModHashmap::kValWords];
-        const bool found = map_->lookup(ctx, modKey(tid, key), vals);
+        const bool found =
+            structure_->lookup(ctx, modKey(tid, key), vals);
         opDone(ctx, tid);
         return found;
     }
@@ -251,8 +341,8 @@ class ModHashmapApp : public WhisperApp
         std::uint64_t vals[mod::ModHashmap::kValWords] = {value, key,
                                                           tid};
         bool inserted = false;
-        panic_if(!map_->put(ctx, tid, modKey(tid, key), vals,
-                            inserted),
+        panic_if(!structure_->put(ctx, tid, modKey(tid, key), vals,
+                                  inserted),
                  "mod-hashmap: heap exhausted");
         opDone(ctx, tid);
     }
@@ -263,11 +353,12 @@ class ModHashmapApp : public WhisperApp
     {
         pad(ctx, tid);
         std::uint64_t vals[mod::ModHashmap::kValWords] = {0, key, tid};
-        const bool found = map_->lookup(ctx, modKey(tid, key), vals);
+        const bool found =
+            structure_->lookup(ctx, modKey(tid, key), vals);
         vals[0] += delta;
         bool inserted = false;
-        panic_if(!map_->put(ctx, tid, modKey(tid, key), vals,
-                            inserted),
+        panic_if(!structure_->put(ctx, tid, modKey(tid, key), vals,
+                                  inserted),
                  "mod-hashmap: heap exhausted");
         opDone(ctx, tid);
         return found;
@@ -282,33 +373,19 @@ class ModHashmapApp : public WhisperApp
         std::uint64_t vals[mod::ModHashmap::kValWords];
         for (std::uint64_t j = 0; j < len; j++) {
             const std::uint64_t k = wlMap_.scanKey(tid, key, j);
-            if (map_->lookup(ctx, modKey(tid, k), vals))
+            if (structure_->lookup(ctx, modKey(tid, k), vals))
                 found++;
         }
         opDone(ctx, tid);
         return found;
     }
 
-    void
-    workloadThreadDone(pm::PmContext &ctx, ThreadId tid) override
-    {
-        heap_->threadExit(ctx, tid);
-    }
-
-    VerifyReport
-    workloadCheck(Runtime &rt) override
-    {
-        return verify(rt);
-    }
-
-    bool supportsLincheck() const override { return true; }
-
     bool
     workloadProbe(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
                   std::uint64_t &value) override
     {
         std::uint64_t vals[mod::ModHashmap::kValWords];
-        if (!map_->lookup(ctx, modKey(tid, key), vals))
+        if (!structure_->lookup(ctx, modKey(tid, key), vals))
             return false;
         value = vals[0];
         return true;
@@ -321,7 +398,8 @@ class ModHashmapApp : public WhisperApp
                    std::uint64_t key) override
     {
         pad(ctx, tid);
-        const bool found = map_->remove(ctx, tid, modKey(tid, key));
+        const bool found =
+            structure_->remove(ctx, tid, modKey(tid, key));
         opDone(ctx, tid);
         return found;
     }
@@ -329,16 +407,15 @@ class ModHashmapApp : public WhisperApp
     /** @} */
 
   protected:
-    void
-    scrubLayer(Runtime &rt, std::vector<LineAddr> &lines,
-               VerifyReport &rep) override
+    std::unique_ptr<mod::ModHashmap>
+    build(pm::PmContext *ctx) override
     {
-        pm::PmContext &ctx = rt.ctx(0);
-        // Structure first (bucket table repair + chain truncation
-        // needs to see which node lines were hit), then the heap
-        // claims the remaining arena/lane lines.
-        map_->scrub(ctx, lines, rep);
-        heap_->scrub(ctx, lines);
+        if (ctx)
+            return std::make_unique<mod::ModHashmap>(
+                *ctx, *heap_, kTableOff, buckets_, config_.threads,
+                brokenCommit_);
+        return std::make_unique<mod::ModHashmap>(
+            *heap_, kTableOff, buckets_, config_.threads, brokenCommit_);
     }
 
   private:
@@ -348,54 +425,21 @@ class ModHashmapApp : public WhisperApp
         return (static_cast<std::uint64_t>(tid) << 48) | key;
     }
 
-    /** run()'s per-op DRAM padding (paper Fig. 6 proportions). */
-    void
-    pad(pm::PmContext &ctx, ThreadId tid)
-    {
-        ctx.vBurst(scratch_[tid].data(), 1 << 14, 560, 240);
-        ctx.compute(6500);
-    }
-
-    void
-    opDone(pm::PmContext &ctx, ThreadId tid)
-    {
-        if (++wlOps_[tid] % kDurabilityInterval == 0)
-            heap_->durabilityPoint(ctx, tid);
-    }
-
-    std::unique_ptr<mod::ModHeap> heap_;
-    std::unique_ptr<mod::ModHashmap> map_;
+    const bool brokenCommit_;
     std::uint64_t buckets_ = 0;
-    Addr heapBase_ = 0;
-    WorkloadKeymap wlMap_;
-    std::vector<std::vector<std::uint64_t>> scratch_;
-    std::vector<std::uint64_t> wlOps_;
 };
 
-class ModVectorApp : public WhisperApp
+class ModVectorApp : public ModApp<mod::ModVector>
 {
   public:
-    explicit ModVectorApp(const AppConfig &config) : WhisperApp(config)
+    explicit ModVectorApp(const AppConfig &config)
+        : ModApp(config, "chunk")
     {
         slots_ = kSlotsPerThread * config_.threads;
-        heapBase_ = heapBase(mod::ModVector::tableBytes(slots_));
-        panic_if(heapBase_ >= config_.poolBytes,
-                 "mod-vector: pool too small for spine table");
+        place(mod::ModVector::tableBytes(slots_), "spine table");
     }
 
     std::string name() const override { return "mod-vector"; }
-    AccessLayer layer() const override { return AccessLayer::LibMod; }
-
-    void
-    setup(Runtime &rt) override
-    {
-        pm::PmContext &ctx = rt.ctx(0);
-        heap_ = std::make_unique<mod::ModHeap>(
-            ctx, heapBase_, config_.poolBytes - heapBase_,
-            config_.threads);
-        vec_ = std::make_unique<mod::ModVector>(
-            ctx, *heap_, kTableOff, slots_);
-    }
 
     void
     run(Runtime &rt, pm::PmContext &ctx, ThreadId tid) override
@@ -416,68 +460,14 @@ class ModVectorApp : public WhisperApp
             const std::uint64_t first = rng.next(4);
             std::uint64_t vals[5] = {rng(), rng(), rng(), rng(),
                                      rng()};
-            vec_->write(ctx, tid, slot, first, vals, 5,
-                        mod::ModVector::kElems);
+            structure_->write(ctx, tid, slot, first, vals, 5,
+                              mod::ModVector::kElems);
             ctx.vStore(scratch.data() + (slot % scratch.size()), 8);
 
             if ((op + 1) % kDurabilityInterval == 0)
                 heap_->durabilityPoint(ctx, tid);
         }
         heap_->threadExit(ctx, tid);
-    }
-
-    VerifyReport
-    verify(Runtime &rt) override
-    {
-        VerifyReport rep = report();
-        rep.check(heap_->magicIntact(rt.ctx(0)), "heap-magic",
-                  "mod heap magic lost");
-        std::string why;
-        rep.check(vec_->check(rt.ctx(0), &why), "structure-intact",
-                  why);
-        return rep;
-    }
-
-    void
-    recover(Runtime &rt) override
-    {
-        pm::PmContext &ctx = rt.ctx(0);
-        heap_ = std::make_unique<mod::ModHeap>(
-            heapBase_, config_.poolBytes - heapBase_, config_.threads);
-        vec_ = std::make_unique<mod::ModVector>(*heap_, kTableOff,
-                                                slots_);
-        std::vector<Addr> live;
-        vec_->reachable(ctx, live);
-        heap_->recover(ctx, live);
-    }
-
-    VerifyReport
-    verifyRecovered(Runtime &rt) override
-    {
-        VerifyReport rep = report();
-        std::string why;
-        rep.check(vec_->check(rt.ctx(0), &why), "structure-intact",
-                  why);
-        return rep;
-    }
-
-    VerifyReport
-    checkRecoveryInvariants(Runtime &rt) override
-    {
-        pm::PmContext &ctx = rt.ctx(0);
-        VerifyReport rep = report();
-        rep.check(heap_->magicIntact(ctx), "heap-magic",
-                  "mod heap magic lost");
-        std::string why;
-        rep.check(heap_->gcQuiescent(ctx, &why), "gc-quiescent", why);
-        std::vector<Addr> live;
-        vec_->reachable(ctx, live);
-        for (const Addr node : live) {
-            if (!rep.check(heap_->isLiveNode(node), "roots-allocated",
-                           "reachable mod chunk not allocated"))
-                break;
-        }
-        return rep;
     }
 
     /** @{ \name Generated-workload surface
@@ -490,12 +480,9 @@ class ModVectorApp : public WhisperApp
      * preloading fills whole chunks, one shadow write per chunk.
      */
 
-    bool supportsWorkload() const override { return true; }
-
     void
     workloadSetup(Runtime &rt, const WorkloadKeymap &map) override
     {
-        wlMap_ = map;
         slotsPT_ = (map.slotsPerThread() + mod::ModVector::kElems - 1) /
                    mod::ModVector::kElems;
         slotsPT_ = std::max<std::uint64_t>(slotsPT_, 1);
@@ -509,17 +496,9 @@ class ModVectorApp : public WhisperApp
                    mod::ModVector::kSlotsPerStripe *
                    mod::ModVector::kSlotsPerStripe;
         slots_ = slotsPT_ * config_.threads;
-        heapBase_ = heapBase(mod::ModVector::tableBytes(slots_));
-        panic_if(heapBase_ >= config_.poolBytes,
-                 "mod-vector: pool too small for workload spine");
-        heap_ = std::make_unique<mod::ModHeap>(
-            rt.ctx(0), heapBase_, config_.poolBytes - heapBase_,
-            config_.threads);
-        vec_ = std::make_unique<mod::ModVector>(rt.ctx(0), *heap_,
-                                                kTableOff, slots_);
-        scratch_.assign(config_.threads,
-                        std::vector<std::uint64_t>(2048));
-        wlOps_.assign(config_.threads, 0);
+        place(mod::ModVector::tableBytes(slots_), "workload spine");
+        format(rt.ctx(0));
+        startWorkload(map);
         for (unsigned t = 0; t < map.threads; t++) {
             pm::PmContext &ctx = rt.ctx(t);
             const ThreadId tid = static_cast<ThreadId>(t);
@@ -532,9 +511,9 @@ class ModVectorApp : public WhisperApp
                 for (std::uint64_t e = 0; e < k; e++)
                     vals[e] = (map.lo(tid) + written + e) *
                               0x9e3779b97f4a7c15ull;
-                panic_if(!vec_->write(ctx, tid,
-                                      tid * slotsPT_ + chunk, 0, vals,
-                                      k, k),
+                panic_if(!structure_->write(ctx, tid,
+                                            tid * slotsPT_ + chunk, 0,
+                                            vals, k, k),
                          "mod-vector: heap exhausted during preload");
                 written += k;
                 chunk++;
@@ -551,8 +530,8 @@ class ModVectorApp : public WhisperApp
     {
         pad(ctx, tid);
         std::uint64_t out = 0;
-        const bool found = vec_->get(ctx, slotOf(tid, key),
-                                     idxOf(tid, key), out);
+        const bool found = structure_->get(ctx, slotOf(tid, key),
+                                           idxOf(tid, key), out);
         opDone(ctx, tid);
         return found;
     }
@@ -572,8 +551,8 @@ class ModVectorApp : public WhisperApp
     {
         pad(ctx, tid);
         std::uint64_t out = 0;
-        const bool found = vec_->get(ctx, slotOf(tid, key),
-                                     idxOf(tid, key), out);
+        const bool found = structure_->get(ctx, slotOf(tid, key),
+                                           idxOf(tid, key), out);
         writeElem(ctx, tid, key, out + delta);
         opDone(ctx, tid);
         return found;
@@ -588,33 +567,21 @@ class ModVectorApp : public WhisperApp
         std::uint64_t out = 0;
         for (std::uint64_t j = 0; j < len; j++) {
             const std::uint64_t k = wlMap_.scanKey(tid, key, j);
-            if (vec_->get(ctx, slotOf(tid, k), idxOf(tid, k), out))
+            if (structure_->get(ctx, slotOf(tid, k), idxOf(tid, k),
+                                out))
                 found++;
         }
         opDone(ctx, tid);
         return found;
     }
 
-    void
-    workloadThreadDone(pm::PmContext &ctx, ThreadId tid) override
-    {
-        heap_->threadExit(ctx, tid);
-    }
-
-    VerifyReport
-    workloadCheck(Runtime &rt) override
-    {
-        return verify(rt);
-    }
-
-    bool supportsLincheck() const override { return true; }
-
     bool
     workloadProbe(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
                   std::uint64_t &value) override
     {
         std::uint64_t out = 0;
-        if (!vec_->get(ctx, slotOf(tid, key), idxOf(tid, key), out))
+        if (!structure_->get(ctx, slotOf(tid, key), idxOf(tid, key),
+                             out))
             return false;
         value = out;
         return true;
@@ -626,13 +593,14 @@ class ModVectorApp : public WhisperApp
     /** @} */
 
   protected:
-    void
-    scrubLayer(Runtime &rt, std::vector<LineAddr> &lines,
-               VerifyReport &rep) override
+    std::unique_ptr<mod::ModVector>
+    build(pm::PmContext *ctx) override
     {
-        pm::PmContext &ctx = rt.ctx(0);
-        vec_->scrub(ctx, lines, rep);
-        heap_->scrub(ctx, lines);
+        if (ctx)
+            return std::make_unique<mod::ModVector>(*ctx, *heap_,
+                                                    kTableOff, slots_);
+        return std::make_unique<mod::ModVector>(*heap_, kTableOff,
+                                                slots_);
     }
 
   private:
@@ -656,34 +624,15 @@ class ModVectorApp : public WhisperApp
         const std::uint64_t slot = slotOf(tid, key);
         const std::uint64_t idx = idxOf(tid, key);
         const std::uint64_t count =
-            std::max<std::uint64_t>(vec_->chunkCount(ctx, slot),
+            std::max<std::uint64_t>(structure_->chunkCount(ctx, slot),
                                     idx + 1);
-        panic_if(!vec_->write(ctx, tid, slot, idx, &value, 1, count),
+        panic_if(!structure_->write(ctx, tid, slot, idx, &value, 1,
+                                    count),
                  "mod-vector: heap exhausted");
     }
 
-    void
-    pad(pm::PmContext &ctx, ThreadId tid)
-    {
-        ctx.vBurst(scratch_[tid].data(), 1 << 14, 560, 240);
-        ctx.compute(6500);
-    }
-
-    void
-    opDone(pm::PmContext &ctx, ThreadId tid)
-    {
-        if (++wlOps_[tid] % kDurabilityInterval == 0)
-            heap_->durabilityPoint(ctx, tid);
-    }
-
-    std::unique_ptr<mod::ModHeap> heap_;
-    std::unique_ptr<mod::ModVector> vec_;
     std::uint64_t slots_ = 0;
-    Addr heapBase_ = 0;
-    WorkloadKeymap wlMap_;
     std::uint64_t slotsPT_ = 0;
-    std::vector<std::vector<std::uint64_t>> scratch_;
-    std::vector<std::uint64_t> wlOps_;
 };
 
 } // namespace
@@ -691,7 +640,13 @@ class ModVectorApp : public WhisperApp
 std::unique_ptr<core::WhisperApp>
 makeModHashmapApp(const core::AppConfig &config)
 {
-    return std::make_unique<ModHashmapApp>(config);
+    return std::make_unique<ModHashmapApp>(config, false);
+}
+
+std::unique_ptr<core::WhisperApp>
+makeModHashmapBrokenApp(const core::AppConfig &config)
+{
+    return std::make_unique<ModHashmapApp>(config, true);
 }
 
 std::unique_ptr<core::WhisperApp>

@@ -797,8 +797,6 @@ class NstoreApp : public WhisperApp
     // write.
 
   public:
-    bool supportsWorkload() const override { return true; }
-
     void
     workloadSetup(Runtime &rt, const core::WorkloadKeymap &map) override
     {

@@ -339,8 +339,6 @@ class RedisApp : public WhisperApp
      * run() event-loop padding per command.
      */
 
-    bool supportsWorkload() const override { return true; }
-
     void
     workloadSetup(Runtime &rt, const WorkloadKeymap &map) override
     {

@@ -537,8 +537,6 @@ class VacationApp : public WhisperApp
     // the shared check then validates tree shape and checksums.
 
   public:
-    bool supportsWorkload() const override { return true; }
-
     void
     workloadSetup(Runtime &rt, const core::WorkloadKeymap &map) override
     {

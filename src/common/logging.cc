@@ -8,7 +8,6 @@ namespace whisper
 
 namespace
 {
-LogLevel threshold = LogLevel::Inform;
 std::mutex logMutex;
 
 const char *
@@ -23,12 +22,6 @@ levelName(LogLevel level)
     return "?";
 }
 } // namespace
-
-void
-setLogThreshold(LogLevel level)
-{
-    threshold = level;
-}
 
 namespace detail
 {
@@ -55,8 +48,6 @@ formatv(const char *fmt, ...)
 void
 logNote(LogLevel level, const std::string &msg)
 {
-    if (static_cast<int>(level) < static_cast<int>(threshold))
-        return;
     std::lock_guard<std::mutex> guard(logMutex);
     std::fprintf(stderr, "%s: %s\n", levelName(level), msg.c_str());
 }

@@ -30,9 +30,6 @@ std::string formatv(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 } // namespace detail
 
-/** Minimum level that is actually printed (tests silence Inform). */
-void setLogThreshold(LogLevel level);
-
 } // namespace whisper
 
 /** Abort: an invariant inside the suite itself was violated. */

@@ -1,7 +1,5 @@
 #include "core/app.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 
 namespace whisper::core
@@ -21,9 +19,8 @@ accessLayerName(AccessLayer layer)
     return "?";
 }
 
-// Default workload surface: opting in requires overriding all five
-// entry points, so reaching one of these bodies is a harness bug
-// (the driver refuses apps whose supportsWorkload() is false).
+// Default workload surface: an app without one (the `faulty` fixture)
+// stops here, named, when a driver asks it for generated work.
 void
 WhisperApp::workloadSetup(Runtime &rt, const WorkloadKeymap &map)
 {
@@ -95,42 +92,6 @@ WhisperApp::workloadRemove(pm::PmContext &ctx, ThreadId tid,
     (void)tid;
     (void)key;
     fatal("app '%s' does not implement workloadRemove", name().c_str());
-}
-
-namespace
-{
-std::map<std::string, AppFactory> &
-registry()
-{
-    static std::map<std::string, AppFactory> apps;
-    return apps;
-}
-} // namespace
-
-void
-registerApp(const std::string &name, AppFactory factory)
-{
-    registry()[name] = std::move(factory);
-}
-
-std::unique_ptr<WhisperApp>
-createApp(const std::string &name, const AppConfig &config)
-{
-    registerSuiteApps();
-    auto it = registry().find(name);
-    if (it == registry().end())
-        fatal("unknown WHISPER application '%s'", name.c_str());
-    return it->second(config);
-}
-
-std::vector<std::string>
-registeredApps()
-{
-    registerSuiteApps();
-    std::vector<std::string> names;
-    for (const auto &[name, factory] : registry())
-        names.push_back(name);
-    return names;
 }
 
 } // namespace whisper::core

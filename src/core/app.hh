@@ -1,9 +1,9 @@
 /**
  * @file
- * WHISPER application interface and registry.
+ * WHISPER application interface and lookup by name.
  *
- * Each of the fourteen registered applications implements
- * WhisperApp. The harness (harness.hh) drives the common life cycle:
+ * Each of the fourteen suite applications (and each test fixture)
+ * implements WhisperApp. The harness (harness.hh) drives the common life cycle:
  *
  *   setup(runtime)            — format pool structures, load data
  *   [traces cleared]          — analysis covers steady state only
@@ -19,8 +19,6 @@
 #define WHISPER_CORE_APP_HH
 
 #include <algorithm>
-#include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -259,9 +257,10 @@ class WhisperApp
 
     /** @{ \name Generated-workload surface (src/workload/ driver)
      *
-     * Applications that opt in (supportsWorkload()) expose per-op
-     * get/put/rmw/scan entry points so the YCSB-style driver can run
-     * generated key-value mixes against them. The driver calls
+     * Every suite application exposes per-op get/put/rmw/scan entry
+     * points so the YCSB-style driver can run generated key-value
+     * mixes against them (the `faulty` fixture does not; the defaults
+     * below stop a driver with a fatal() naming it). The driver calls
      * workloadSetup() once (single-threaded) with the key partition
      * plan; the adapter builds *per-thread* structure instances over
      * disjoint pool regions and preloads each thread's slice (see
@@ -271,9 +270,6 @@ class WhisperApp
      * epilogue (e.g. MOD's threadExit); workloadCheck() validates
      * structural invariants after the run.
      */
-
-    /** Whether this app implements the per-op workload surface. */
-    virtual bool supportsWorkload() const { return false; }
 
     /** Build per-thread structures and preload every partition. */
     virtual void workloadSetup(Runtime &rt, const WorkloadKeymap &map);
@@ -374,22 +370,16 @@ class WhisperApp
     AppConfig config_;
 };
 
-/** Factory signature for the registry. */
-using AppFactory =
-    std::function<std::unique_ptr<WhisperApp>(const AppConfig &)>;
-
-/** Register an application under @p name (called once per app). */
-void registerApp(const std::string &name, AppFactory factory);
-
-/** Instantiate a registered application; fatal() on unknown name. */
+/**
+ * Instantiate the suite app or test fixture named @p name; fatal() on
+ * an unknown name. The names form one constant table
+ * (src/apps/register.cc), so a name alone fixes an app's behaviour.
+ */
 std::unique_ptr<WhisperApp> createApp(const std::string &name,
                                       const AppConfig &config);
 
-/** All registered names, sorted. */
+/** The fourteen suite app names, sorted; fixtures are not listed. */
 std::vector<std::string> registeredApps();
-
-/** Force-register the suite applications (idempotent). */
-void registerSuiteApps();
 
 } // namespace whisper::core
 

@@ -222,15 +222,6 @@ std::string replayCommand(const FuzzCase &c,
  */
 std::vector<AppSweepReport> sweep(const SweepOptions &options);
 
-/**
- * Register the "faulty" demo application: a native-layer app with a
- * deliberate ordering bug (two counters updated in separate epochs
- * with an equality invariant between them). The fuzzer must find and
- * shrink it; it proves the pipeline end to end. Idempotent; not part
- * of the suite registry.
- */
-void registerFaultyApp();
-
 } // namespace whisper::fuzz
 
 #endif // WHISPER_FUZZ_CRASH_FUZZ_HH

@@ -1,7 +1,6 @@
 #include "mod/mod_hashmap.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
 
 #include "common/crc32.hh"
@@ -21,8 +20,7 @@ namespace
 /** Safety cap on chain walks; a longer chain means a cycle. */
 constexpr std::uint64_t kMaxChain = 1u << 20;
 
-/** Broken-commit switch (setBrokenCommitForTest). */
-std::atomic<bool> g_brokenCommit{false};
+/** Payload the broken commit makes durable in place of the real one. */
 constexpr std::uint64_t kBrokenSentinel = 0xdeadbeefdeadbeefull;
 
 /** The sentinel-payload twin of @p e, checksummed so it validates. */
@@ -37,12 +35,6 @@ brokenStale(const MapEntry &e)
 }
 
 } // namespace
-
-void
-setBrokenCommitForTest(bool broken)
-{
-    g_brokenCommit.store(broken, std::memory_order_relaxed);
-}
 
 std::uint64_t
 ModHashmap::entryChecksum(std::uint64_t key, const std::uint64_t *vals)
@@ -69,9 +61,9 @@ ModHashmap::headerCrc(std::uint64_t bucket_count)
 
 ModHashmap::ModHashmap(pm::PmContext &ctx, ModHeap &heap,
                        Addr table_off, std::uint64_t bucket_count,
-                       unsigned partitions)
+                       unsigned partitions, bool broken_commit)
     : heap_(heap), tableOff_(table_off), bucketCount_(bucket_count),
-      partitions_(partitions),
+      partitions_(partitions), brokenCommit_(broken_commit),
       stripes_(std::make_unique<std::mutex[]>(partitions *
                                               kStripesPerPartition))
 {
@@ -88,9 +80,10 @@ ModHashmap::ModHashmap(pm::PmContext &ctx, ModHeap &heap,
 }
 
 ModHashmap::ModHashmap(ModHeap &heap, Addr table_off,
-                       std::uint64_t bucket_count, unsigned partitions)
+                       std::uint64_t bucket_count, unsigned partitions,
+                       bool broken_commit)
     : heap_(heap), tableOff_(table_off), bucketCount_(bucket_count),
-      partitions_(partitions),
+      partitions_(partitions), brokenCommit_(broken_commit),
       stripes_(std::make_unique<std::mutex[]>(partitions *
                                               kStripesPerPartition))
 {
@@ -198,7 +191,6 @@ ModHashmap::put(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
         }
     }
 
-    const bool broken = g_brokenCommit.load(std::memory_order_relaxed);
     MapEntry fresh_entry{};
     if (!found) {
         // Insert at head: one fresh node in front of the old chain.
@@ -209,7 +201,7 @@ ModHashmap::put(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
             e.vals[i] = vals[i];
         e.checksum = entryChecksum(e.key, e.vals);
         fresh_entry = e;
-        storeNode(ctx, shadows[0], broken ? brokenStale(e) : e,
+        storeNode(ctx, shadows[0], brokenCommit_ ? brokenStale(e) : e,
                   /*fresh_payload=*/true);
     } else {
         // Update: functional path copy. Build back-to-front so each
@@ -227,7 +219,8 @@ ModHashmap::put(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
                 fresh_entry = e;
             }
             storeNode(ctx, shadows[i],
-                      fresh && broken ? brokenStale(e) : e, fresh);
+                      fresh && brokenCommit_ ? brokenStale(e) : e,
+                      fresh);
             below = shadows[i];
         }
     }
@@ -240,7 +233,7 @@ ModHashmap::put(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
                            DataClass::TxMeta),
              "mod hashmap: commit CAS lost despite stripe lock");
     ctx.flush(bucketOff(bucket), 8);
-    if (broken) {
+    if (brokenCommit_) {
         // Injected broken commit: what just became durable behind the
         // CAS is the sentinel twin; patch the real payload in without
         // a flush so a power cut quietly reverts the node to a

@@ -42,19 +42,6 @@ class VerifyReport;
 namespace whisper::mod
 {
 
-/**
- * Test-only fault injection: when on, every ModHashmap::put() durably
- * publishes a *sentinel* payload (with a checksum computed over that
- * sentinel, so it validates) and then patches the real payload in
- * place without flushing it. Reads are correct until a power cut,
- * which reverts the node to the sentinel — every structural invariant
- * still holds after recovery, but the recovered value is one no put
- * ever wrote: exactly the class of commit bug only the
- * durable-linearizability checker can catch. Global and sticky;
- * tests must switch it back off.
- */
-void setBrokenCommitForTest(bool broken);
-
 /** One immutable chain node (a single cache line in the 64B slab). */
 struct MapEntry
 {
@@ -91,13 +78,27 @@ class ModHashmap
     /** CRC32 (widened) of the {magic, bucketCount} header words. */
     static std::uint64_t headerCrc(std::uint64_t bucket_count);
 
-    /** Format (all buckets empty; durably fenced). */
+    /**
+     * Format (all buckets empty; durably fenced).
+     *
+     * @p broken_commit injects a seeded commit bug for the
+     * `mod-hashmap-broken` test fixture: every put() durably
+     * publishes a *sentinel* payload (with a checksum computed over
+     * that sentinel, so it validates) and then patches the real
+     * payload in place without flushing it. Reads are correct until
+     * a power cut, which reverts the node to the sentinel — every
+     * structural invariant still holds after recovery, but the
+     * recovered value is one no put ever wrote: exactly the class of
+     * commit bug only the durable-linearizability checker can catch.
+     */
     ModHashmap(pm::PmContext &ctx, ModHeap &heap, Addr table_off,
-               std::uint64_t bucket_count, unsigned partitions);
+               std::uint64_t bucket_count, unsigned partitions,
+               bool broken_commit = false);
 
     /** Attach after a crash (no writes until recover()). */
     ModHashmap(ModHeap &heap, Addr table_off,
-               std::uint64_t bucket_count, unsigned partitions);
+               std::uint64_t bucket_count, unsigned partitions,
+               bool broken_commit = false);
 
     /**
      * Insert or update @p key with @p vals (kValWords words).
@@ -167,6 +168,8 @@ class ModHashmap
     Addr tableOff_;
     std::uint64_t bucketCount_;
     unsigned partitions_;
+    /** put() runs the seeded broken commit (see the constructor). */
+    bool brokenCommit_;
     /**
      * Striped writer locks, kStripesPerPartition per partition. A
      * stripe only serializes writers hashing into the same slice of

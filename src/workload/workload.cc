@@ -208,10 +208,6 @@ runWorkload(const WorkloadOptions &opts)
     core::WhisperApp &app = s.app();
     result.runtime = s.world().runtime;
     result.layerName = core::accessLayerName(app.layer());
-    if (!app.supportsWorkload())
-        fatal("app '%s' does not support generated workloads "
-              "(see `whisper_cli apps`)",
-              opts.app.c_str());
     if (opts.lincheck && !app.supportsLincheck())
         fatal("--lincheck needs the lincheck workload surface, which "
               "app '%s' does not implement (use mod-hashmap, "

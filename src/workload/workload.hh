@@ -2,8 +2,8 @@
  * @file
  * YCSB-style unified workload driver.
  *
- * Drives any registered WhisperApp that implements the per-op
- * workload surface (WhisperApp::supportsWorkload) with a generated
+ * Drives any suite WhisperApp through its per-op workload surface
+ * (WhisperApp::workloadSetup and the calls after it) with a generated
  * key-value workload: a YCSB mix (A–F, or custom ratios) over a
  * uniform / zipfian / latest key distribution, on T worker threads
  * reusing the runtime's concurrency machinery. Every generated

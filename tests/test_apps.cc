@@ -10,6 +10,7 @@
 #include "analysis/access_mix.hh"
 #include "analysis/epoch_stats.hh"
 #include "core/harness.hh"
+#include "fuzz/crash_fuzz.hh"
 
 namespace whisper
 {
@@ -32,6 +33,17 @@ smallConfig()
 
 TEST(AppRegistry, AllSuiteWorkloadsRegistered)
 {
+    // The fixtures resolve by name, yet neither creating them nor
+    // fuzzing one adds a name to the suite list.
+    for (const char *fixture : {"faulty", "mod-hashmap-broken"})
+        EXPECT_EQ(core::createApp(fixture, AppConfig{})->name(), fixture);
+    fuzz::FuzzConfig config;
+    config.opsPerThread = 8;
+    config.poolBytes = 1 << 20;
+    const fuzz::FuzzCase c = fuzz::deriveCase(
+        "faulty", 0, fuzz::profilePmOps("faulty", config), config);
+    EXPECT_TRUE(fuzz::runCase(c, config).fired);
+
     const auto names = core::registeredApps();
     const std::vector<std::string> expect = {
         "ctree", "echo", "exim", "halo-hashmap", "hashmap",

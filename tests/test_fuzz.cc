@@ -200,7 +200,6 @@ TEST(CrashFuzz, ModSmokeSweepHoldsInvariants)
 
 TEST(CrashFuzz, FindsAndShrinksDeliberateViolation)
 {
-    fuzz::registerFaultyApp();
     fuzz::SweepOptions options;
     options.apps = {"faulty"};
     options.cases = 32;
@@ -235,7 +234,6 @@ TEST(CrashFuzz, ShrinkIsDeterministic)
     // Same seed + same violation => byte-identical reproducer. The
     // ddmin pass and the crash-point probe draw only on the case's
     // seeds, so a reproducer pasted into a bug report stays valid.
-    fuzz::registerFaultyApp();
     fuzz::FuzzConfig config;
     config.opsPerThread = 8;
     config.poolBytes = 1 << 20;

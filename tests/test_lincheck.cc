@@ -16,12 +16,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 
 #include "fuzz/crash_fuzz.hh"
 #include "lincheck/checker.hh"
 #include "lincheck/history_io.hh"
 #include "lincheck/recorder.hh"
-#include "mod/mod_hashmap.hh"
 #include "workload/workload.hh"
 
 namespace whisper
@@ -395,6 +395,19 @@ TEST(LincheckFuzz, SweepCleanAndDeterministic)
     }
 }
 
+/** Delete the history dumps a @p cases-case sweep of @p app wrote. */
+void
+removeDumps(const std::string &app, std::uint64_t cases)
+{
+    const char *tmp = std::getenv("TMPDIR");
+    const std::string dir = tmp && *tmp ? tmp : "/tmp";
+    for (std::uint64_t id = 0; id < cases; id++) {
+        std::remove((dir + "/whisper-lincheck-" + app + "-" +
+                     std::to_string(id) + ".hist")
+                        .c_str());
+    }
+}
+
 /**
  * The acceptance-criterion test: a commit path that durably publishes
  * a checksummed sentinel and patches the real payload in without a
@@ -403,22 +416,17 @@ TEST(LincheckFuzz, SweepCleanAndDeterministic)
  */
 TEST(LincheckFuzz, CatchesBrokenCommitStructuralChecksMiss)
 {
-    mod::setBrokenCommitForTest(true);
-    struct Reset {
-        ~Reset() { mod::setBrokenCommitForTest(false); }
-    } reset;
-
     fuzz::FuzzConfig config;
     config.opsPerThread = 12;
     config.lincheck = true;
     const std::uint64_t total =
-        fuzz::profilePmOps("mod-hashmap", config);
+        fuzz::profilePmOps("mod-hashmap-broken", config);
     ASSERT_GT(total, 0u);
 
     bool caught = false;
     for (std::uint64_t id = 0; id < 64 && !caught; id++) {
         const fuzz::FuzzCase c =
-            fuzz::deriveCase("mod-hashmap", id, total, config);
+            fuzz::deriveCase("mod-hashmap-broken", id, total, config);
         const fuzz::CaseOutcome out = fuzz::runCase(c, config);
         ASSERT_TRUE(out.lincheckRan);
         if (out.lincheckOk || out.degraded)
@@ -445,9 +453,9 @@ TEST(LincheckFuzz, CatchesBrokenCommitStructuralChecksMiss)
         fuzz::FuzzConfig plain = config;
         plain.lincheck = false;
         const std::uint64_t plain_total =
-            fuzz::profilePmOps("mod-hashmap", plain);
+            fuzz::profilePmOps("mod-hashmap-broken", plain);
         const fuzz::FuzzCase pc = fuzz::deriveCase(
-            "mod-hashmap", c.caseId, plain_total, plain);
+            "mod-hashmap-broken", c.caseId, plain_total, plain);
         const fuzz::CaseOutcome plain_out =
             fuzz::runCase(pc, plain);
         EXPECT_TRUE(plain_out.ok)
@@ -465,15 +473,10 @@ TEST(LincheckFuzz, CatchesBrokenCommitStructuralChecksMiss)
  */
 TEST(LincheckFuzz, DumpNoticesThrottledPerSweep)
 {
-    mod::setBrokenCommitForTest(true);
-    struct Reset {
-        ~Reset() { mod::setBrokenCommitForTest(false); }
-    } reset;
-
     fuzz::SweepOptions options;
     options.cases = 32;
     options.jobs = 2;
-    options.apps = {"mod-hashmap"};
+    options.apps = {"mod-hashmap-broken"};
     options.config.opsPerThread = 12;
     options.config.lincheck = true;
     options.shrinkViolations = false;
@@ -498,16 +501,84 @@ TEST(LincheckFuzz, DumpNoticesThrottledPerSweep)
     EXPECT_EQ(notices[0], notices[1]);
     // One notice per violating case up to the cap, then one note.
     EXPECT_EQ(notices[0].size(), std::min<std::uint64_t>(violations, 5));
-    EXPECT_NE(notices[0][0].find("lincheck: mod-hashmap case "),
+    EXPECT_NE(notices[0][0].find("lincheck: mod-hashmap-broken case "),
               std::string::npos)
         << notices[0][0];
-    const char *tmp = std::getenv("TMPDIR");
-    const std::string dir = tmp && *tmp ? tmp : "/tmp";
-    for (std::uint64_t id = 0; id < options.cases; id++) {
-        std::remove((dir + "/whisper-lincheck-mod-hashmap-" +
-                     std::to_string(id) + ".hist")
-                        .c_str());
+    removeDumps("mod-hashmap-broken", options.cases);
+}
+
+/**
+ * The broken commit belongs to an app name, so its replay line carries
+ * it: the case the line names fails again, with the same invariant.
+ */
+TEST(LincheckFuzz, BrokenFixtureReplayNamesFixture)
+{
+    fuzz::FuzzConfig config;
+    config.opsPerThread = 12;
+    config.lincheck = true;
+    const std::string app = "mod-hashmap-broken";
+    const std::uint64_t total = fuzz::profilePmOps(app, config);
+
+    bool caught = false;
+    for (std::uint64_t id = 0; id < 32 && !caught; id++) {
+        const fuzz::FuzzCase c =
+            fuzz::deriveCase(app, id, total, config);
+        const fuzz::CaseOutcome out = fuzz::runCase(c, config);
+        std::remove(out.lincheckDump.c_str());
+        if (out.ok || out.lincheckOk)
+            continue;
+        caught = true;
+        const std::string cmd =
+            fuzz::replayCommand(c, out.survivors, config);
+        EXPECT_NE(cmd.find("--replay mod-hashmap-broken:"),
+                  std::string::npos)
+            << cmd;
+        EXPECT_NE(cmd.find("--lincheck"), std::string::npos) << cmd;
+
+        const fuzz::CaseOutcome again =
+            fuzz::runCase(c, config, &out.survivors);
+        std::remove(again.lincheckDump.c_str());
+        EXPECT_FALSE(again.ok);
+        EXPECT_EQ(again.why, out.why);
     }
+    EXPECT_TRUE(caught) << "no case in [0, 32) surfaced the broken commit";
+}
+
+/**
+ * Two sweeps in one process cannot interfere: a plain mod-hashmap
+ * lincheck sweep racing a broken-commit sweep on another thread stays
+ * clean and keeps the digest it has when it runs alone.
+ */
+TEST(LincheckFuzz, BrokenSweepLeavesConcurrentPlainSweepAlone)
+{
+    fuzz::SweepOptions plain;
+    plain.cases = 16;
+    plain.jobs = 2;
+    plain.apps = {"mod-hashmap"};
+    plain.config.opsPerThread = 12;
+    plain.config.lincheck = true;
+    plain.shrinkViolations = false;
+    fuzz::SweepOptions broken = plain;
+    broken.apps = {"mod-hashmap-broken"};
+
+    const std::vector<fuzz::AppSweepReport> alone = fuzz::sweep(plain);
+    std::vector<fuzz::AppSweepReport> beside;
+    std::vector<fuzz::AppSweepReport> bad;
+    testing::internal::CaptureStderr();
+    std::thread other([&] { bad = fuzz::sweep(broken); });
+    beside = fuzz::sweep(plain);
+    other.join();
+    testing::internal::GetCapturedStderr();
+    removeDumps("mod-hashmap-broken", broken.cases);
+
+    ASSERT_EQ(alone.size(), 1u);
+    ASSERT_EQ(beside.size(), 1u);
+    ASSERT_EQ(bad.size(), 1u);
+    EXPECT_GT(bad[0].lincheckViolations, 0u)
+        << "the broken commit went unnoticed";
+    EXPECT_EQ(beside[0].violations, 0u);
+    EXPECT_EQ(beside[0].lincheckViolations, 0u);
+    EXPECT_EQ(beside[0].digest, alone[0].digest);
 }
 
 // --------------------------------------- workload-driver recording

@@ -347,6 +347,16 @@ TEST(WorkloadDriver, SingleThreadDigestPinnedForEveryApp)
     }
 }
 
+TEST(WorkloadDriver, AppWithoutWorkloadSurfaceIsFatal)
+{
+    // The `faulty` fixture has no workload surface; the driver stops
+    // at the default workloadSetup(), which names the app.
+    WorkloadOptions opts = smokeOptions("faulty", 'A');
+    opts.poolBytes = 1 << 20;
+    EXPECT_DEATH(runWorkload(opts),
+                 "app 'faulty' does not implement the workload surface");
+}
+
 TEST(WorkloadDriver, SeedChangesDigest)
 {
     WorkloadOptions opts = smokeOptions("hashmap", 'A');
