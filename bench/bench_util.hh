@@ -1,71 +1,22 @@
 /**
  * @file
- * Shared plumbing for the per-table/per-figure bench binaries.
- *
- * Every binary regenerates the rows of one table or figure from the
- * paper. Run sizes scale with the WHISPER_OPS environment variable
- * (a multiplier; default 1 keeps each binary in the seconds range).
+ * Run configuration shared by the benches that analyze whole app
+ * runs. Sizes scale with the WHISPER_OPS environment variable (a
+ * multiplier; default 1 keeps each binary in the seconds range).
  */
 
 #ifndef WHISPER_BENCH_BENCH_UTIL_HH
 #define WHISPER_BENCH_BENCH_UTIL_HH
 
+#include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <vector>
 
-#include "analysis/access_mix.hh"
-#include "analysis/dependency.hh"
-#include "analysis/epoch_stats.hh"
 #include "core/harness.hh"
 
 namespace whisper::bench
 {
-
-/** The ten WHISPER workloads in the paper's Table 1 order. */
-inline const std::vector<std::string> &
-suiteOrder()
-{
-    static const std::vector<std::string> order = {
-        "echo", "ycsb", "tpcc", "redis", "ctree", "hashmap",
-        "vacation", "memcached", "nfs", "exim", "mysql"};
-    return order;
-}
-
-/**
- * The post-paper MOD workloads (src/mod). Kept out of suiteOrder() so
- * the paper-figure benches keep their Table 1 rows and paper-value
- * lookups intact; benches that can show the MOD layer next to the
- * logging layers append this list explicitly.
- */
-inline const std::vector<std::string> &
-modOrder()
-{
-    static const std::vector<std::string> order = {"mod-hashmap",
-                                                   "mod-vector"};
-    return order;
-}
-
-/**
- * The post-paper Hybrid workloads (src/halo): DRAM index over PM data
- * segments. Separate from modOrder() for the same reason that list is
- * separate from suiteOrder().
- */
-inline const std::vector<std::string> &
-haloOrder()
-{
-    static const std::vector<std::string> order = {"halo-hashmap"};
-    return order;
-}
-
-/** The subset that runs under the timing simulator (Figures 6/10). */
-inline const std::vector<std::string> &
-simSubset()
-{
-    static const std::vector<std::string> subset = {
-        "echo", "ycsb", "redis", "ctree", "hashmap", "vacation"};
-    return subset;
-}
 
 /** Ops multiplier from the environment. */
 inline double
@@ -85,19 +36,6 @@ analysisConfig()
     config.opsPerThread = static_cast<std::uint64_t>(400 * opsScale());
     config.poolBytes = 256 << 20;
     config.seed = 42;
-    return config;
-}
-
-/** Smaller config for simulator-driven benches (records DRAM). */
-inline core::AppConfig
-simConfig()
-{
-    core::AppConfig config;
-    config.threads = 4;
-    config.opsPerThread = static_cast<std::uint64_t>(150 * opsScale());
-    config.poolBytes = 192 << 20;
-    config.seed = 42;
-    config.recordVolatile = true;
     return config;
 }
 

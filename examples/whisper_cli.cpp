@@ -653,57 +653,19 @@ cmdCrashfuzz(int argc, char **argv)
         .u64("--schedule", &schedule)
         .custom("--apps",
                 [&options](const char *v) {
-                    for (const char *p = v; *p;) {
-                        const char *comma = std::strchr(p, ',');
-                        options.apps.emplace_back(
-                            p, comma ? comma - p : std::strlen(p));
-                        p = comma ? comma + 1 : p + std::strlen(p);
-                    }
-                    return true;
+                    return splitList(v, ',', options.apps);
                 })
         .str("--replay", &replay_arg)
         .u64("--at", &at)
         .custom("--survivors",
                 [&](const char *v) {
                     have_survivors = true;
-                    if (std::strcmp(v, "none") == 0)
-                        return true;
-                    for (const char *p = v; *p;) {
-                        char *end = nullptr;
-                        survivors.push_back(
-                            std::strtoull(p, &end, 0));
-                        if (end == p)
-                            return false;
-                        p = *end == ',' ? end + 1 : end;
-                    }
-                    return true;
+                    return fuzz::parseSurvivors(v, survivors);
                 })
         .custom("--fault-plan",
                 [&](const char *v) {
-                    // seed:poisonCount:tearPercent:transientEvery,
-                    // as emitted by fuzz::replayCommand.
-                    char *end = nullptr;
-                    fault_plan.seed = std::strtoull(v, &end, 0);
-                    if (end == v)
-                        return false;
-                    unsigned fields[3] = {0, 0, 0};
-                    for (int f = 0; f < 3; f++) {
-                        if (*end != ':')
-                            return false;
-                        const char *p = end + 1;
-                        fields[f] = static_cast<unsigned>(
-                            std::strtoul(p, &end, 0));
-                        if (end == p)
-                            return false;
-                    }
-                    if (*end != '\0')
-                        return false;
-                    fault_plan.poisonCount = fields[0];
-                    fault_plan.tearProb =
-                        static_cast<double>(fields[1]) / 100.0;
-                    fault_plan.transientEvery = fields[2];
                     have_fault_plan = true;
-                    return true;
+                    return fuzz::parseFaultPlan(v, fault_plan);
                 })
         .maxPositionals(0);
     if (!fp.parse(argc, argv))
@@ -714,6 +676,18 @@ cmdCrashfuzz(int argc, char **argv)
         options.keepReports = true;
     if (replay_arg)
         replay = replay_arg;
+    const std::uint64_t pool_lines =
+        (options.config.poolBytes + kCacheLineSize - 1) / kCacheLineSize;
+    for (const LineAddr line : survivors) {
+        if (line >= pool_lines) {
+            std::fprintf(stderr,
+                         "whisper_cli: crashfuzz: survivor line %llu "
+                         "beyond the %llu-line pool\n",
+                         (unsigned long long)line,
+                         (unsigned long long)pool_lines);
+            return usage();
+        }
+    }
 
     if (!replay.empty()) {
         const std::size_t colon = replay.rfind(':');

@@ -23,6 +23,23 @@ parseU64(const char *s, std::uint64_t &out)
     return true;
 }
 
+bool
+splitList(const char *s, char sep, std::vector<std::string> &out)
+{
+    if (!s)
+        return false;
+    for (const char *p = s;;) {
+        const char *end = std::strchr(p, sep);
+        const std::size_t n = end ? end - p : std::strlen(p);
+        if (n == 0)
+            return false;
+        out.emplace_back(p, n);
+        if (!end)
+            return true;
+        p = end + 1;
+    }
+}
+
 FlagParser &
 FlagParser::add(const char *name, bool takes_value, Handler fn)
 {

@@ -26,6 +26,12 @@ namespace whisper
 bool parseU64(const char *s, std::uint64_t &out);
 
 /**
+ * Split @p s at every @p sep, appending the fields to @p out; false
+ * when any field (or @p s itself) is empty.
+ */
+bool splitList(const char *s, char sep, std::vector<std::string> &out);
+
+/**
  * One subcommand's flag table. Bind flags, then parse():
  *
  *   FlagParser fp;

@@ -49,25 +49,19 @@ void
 Runtime::crash(std::uint64_t seed, double survival)
 {
     Rng rng(seed);
-    pool_->crash(rng, survival);
-    for (auto &ctx : contexts_)
-        ctx->resetPendingState();
+    crashWithSurvivors(pool_->pickSurvivors(rng, survival));
 }
 
 void
 Runtime::crashHard()
 {
-    pool_->crashHard();
-    for (auto &ctx : contexts_)
-        ctx->resetPendingState();
+    crashWithFaults({}, {});
 }
 
 void
 Runtime::crashWithSurvivors(const std::vector<LineAddr> &survivors)
 {
-    pool_->crashWithSurvivors(survivors);
-    for (auto &ctx : contexts_)
-        ctx->resetPendingState();
+    crashWithFaults(survivors, {});
 }
 
 void

@@ -4,7 +4,9 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
+#include "common/flags.hh"
 #include "common/hash.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -497,6 +499,45 @@ replayCommand(const FuzzCase &c,
     if (config.lincheck)
         cmd += " --lincheck";
     return cmd;
+}
+
+bool
+parseSurvivors(const char *text, std::vector<LineAddr> &out)
+{
+    out.clear();
+    if (text && std::strcmp(text, "none") == 0)
+        return true;
+    std::vector<std::string> fields;
+    if (!splitList(text, ',', fields))
+        return false;
+    for (const std::string &field : fields) {
+        std::uint64_t line = 0;
+        if (!parseU64(field.c_str(), line)) {
+            out.clear();
+            return false;
+        }
+        out.push_back(line);
+    }
+    return true;
+}
+
+bool
+parseFaultPlan(const char *text, pm::FaultPlan &out)
+{
+    std::vector<std::string> fields;
+    std::uint64_t v[4] = {};
+    if (!splitList(text, ':', fields) || fields.size() != 4)
+        return false;
+    for (std::size_t i = 0; i < 4; i++)
+        if (!parseU64(fields[i].c_str(), v[i]))
+            return false;
+    if (v[1] > UINT32_MAX || v[2] > 100 || v[3] > UINT32_MAX)
+        return false;
+    out.seed = v[0];
+    out.poisonCount = static_cast<std::uint32_t>(v[1]);
+    out.tearProb = static_cast<double>(v[2]) / 100.0;
+    out.transientEvery = static_cast<std::uint32_t>(v[3]);
+    return true;
 }
 
 Reproducer

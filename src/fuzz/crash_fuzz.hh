@@ -217,6 +217,20 @@ std::string replayCommand(const FuzzCase &c,
                           const FuzzConfig &config);
 
 /**
+ * Parse the `--survivors` value replayCommand() writes: `a,b,c` line
+ * numbers or `none`. False, with @p out cleared, on an empty element
+ * or a non-number.
+ */
+bool parseSurvivors(const char *text, std::vector<LineAddr> &out);
+
+/**
+ * Parse the `--fault-plan` value replayCommand() writes,
+ * `seed:poison:tear%:transient`. False, with @p out untouched, on
+ * garbage or a tear percent above 100.
+ */
+bool parseFaultPlan(const char *text, pm::FaultPlan &out);
+
+/**
  * Fan the sweep out over a deterministic thread pool; one report per
  * app, cases folded in id order (bit-identical at any job count).
  */

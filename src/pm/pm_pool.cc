@@ -228,31 +228,13 @@ PmPool::crash(Rng &rng, double survival)
 void
 PmPool::crashWithSurvivors(const std::vector<LineAddr> &survivors)
 {
-    for (const LineAddr line : survivors) {
-        if (!lineDirty(line))
-            continue;
-        persistLine(line);
-        // Crash survivals are a separate phenomenon from cache
-        // evictions; conflating them skewed every eviction-rate
-        // report.
-        stats_.linesSurvivedCrash++;
-    }
-    finishCrash();
+    crashWithFaults(survivors, {});
 }
 
 void
 PmPool::crashHard()
 {
-    finishCrash();
-}
-
-void
-PmPool::finishCrash()
-{
-    arch_ = durable_;
-    for (auto &st : lineStates_)
-        st.store(0, std::memory_order_relaxed);
-    stats_.crashes++;
+    crashWithFaults({}, {});
 }
 
 FaultResolution
@@ -317,6 +299,9 @@ PmPool::crashWithFaults(const std::vector<LineAddr> &survivors,
         }
         if (!torn) {
             persistLine(line);
+            // Crash survivals are a separate phenomenon from cache
+            // evictions; conflating them skewed every eviction-rate
+            // report.
             stats_.linesSurvivedCrash++;
             continue;
         }
@@ -347,7 +332,10 @@ PmPool::crashWithFaults(const std::vector<LineAddr> &survivors,
         poisoned_[line].store(1, std::memory_order_relaxed);
         stats_.linesPoisoned++;
     }
-    finishCrash();
+    arch_ = durable_;
+    for (auto &st : lineStates_)
+        st.store(0, std::memory_order_relaxed);
+    stats_.crashes++;
 }
 
 void

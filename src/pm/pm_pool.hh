@@ -282,7 +282,6 @@ class PmPool
     };
 
     void boundsCheck(Addr off, std::size_t n) const;
-    void finishCrash();
     void persistLineLocked(LineAddr line);
 
     std::size_t size_;

@@ -457,5 +457,14 @@ TEST(Flags, CustomHandlerValidates)
     EXPECT_NE(fp.error().find("bad value"), std::string::npos);
 }
 
+TEST(Flags, SplitListRejectsEmptyFields)
+{
+    std::vector<std::string> out;
+    EXPECT_TRUE(splitList("hashmap,echo", ',', out));
+    EXPECT_EQ(out, (std::vector<std::string>{"hashmap", "echo"}));
+    for (const char *bad : {"", "hashmap,,echo", "hashmap,", ",echo"})
+        EXPECT_FALSE(splitList(bad, ',', out)) << bad;
+}
+
 } // namespace
 } // namespace whisper

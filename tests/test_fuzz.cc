@@ -270,6 +270,81 @@ TEST(CrashFuzz, ShrinkIsDeterministic)
     EXPECT_EQ(replay.why, a.why);
 }
 
+/** The value after @p flag in a replay line, or "" if absent. */
+std::string
+replayValue(const std::string &command, const std::string &flag)
+{
+    const std::size_t at = command.find(" " + flag + " ");
+    if (at == std::string::npos)
+        return "";
+    const std::size_t begin = at + flag.size() + 2;
+    return command.substr(begin, command.find(' ', begin) - begin);
+}
+
+TEST(CrashFuzz, ReplayLineRoundTripsSurvivorsAndFaultPlan)
+{
+    // A shrunk fault-case reproducer: parsing its --survivors and
+    // --fault-plan values gives back the case's survivors and plan.
+    fuzz::SweepOptions options;
+    options.apps = {"faulty"};
+    options.cases = 32;
+    options.config.opsPerThread = 8;
+    options.config.poolBytes = 1 << 20;
+    options.config.faults = true;
+    options.maxReproducers = 4;
+
+    const auto reports = fuzz::sweep(options);
+    ASSERT_EQ(reports.size(), 1u);
+    const fuzz::Reproducer *rep = nullptr;
+    for (const auto &r : reports[0].reproducers)
+        if (!r.c.fault.none())
+            rep = &r;
+    ASSERT_NE(rep, nullptr) << "no shrunk reproducer carried faults";
+
+    auto roundTrip = [&](const std::string &line,
+                         const std::vector<LineAddr> &survivors) {
+        std::vector<LineAddr> parsed = {99};
+        ASSERT_TRUE(fuzz::parseSurvivors(
+            replayValue(line, "--survivors").c_str(), parsed))
+            << line;
+        EXPECT_EQ(parsed, survivors) << line;
+        pm::FaultPlan plan;
+        ASSERT_TRUE(fuzz::parseFaultPlan(
+            replayValue(line, "--fault-plan").c_str(), plan))
+            << line;
+        EXPECT_EQ(plan.seed, rep->c.fault.seed);
+        EXPECT_EQ(plan.poisonCount, rep->c.fault.poisonCount);
+        EXPECT_EQ(plan.tearProb, rep->c.fault.tearProb);
+        EXPECT_EQ(plan.transientEvery, rep->c.fault.transientEvery);
+    };
+    roundTrip(rep->command, rep->survivors);
+    const std::vector<LineAddr> lines = {3, 17, 4095};
+    roundTrip(fuzz::replayCommand(rep->c, lines, options.config), lines);
+}
+
+TEST(CrashFuzz, ReplayParsersRejectMalformedValues)
+{
+    std::vector<LineAddr> survivors;
+    EXPECT_TRUE(fuzz::parseSurvivors("none", survivors));
+    EXPECT_TRUE(survivors.empty());
+    EXPECT_TRUE(fuzz::parseSurvivors("0x10,2", survivors));
+    EXPECT_EQ(survivors, (std::vector<LineAddr>{16, 2}));
+    for (const char *bad : {"", "1,,2", "1,", ",1", "1,x", "none,1"})
+        EXPECT_FALSE(fuzz::parseSurvivors(bad, survivors)) << bad;
+
+    pm::FaultPlan plan;
+    EXPECT_TRUE(fuzz::parseFaultPlan("0x5:2:100:7", plan));
+    EXPECT_EQ(plan.seed, 5u);
+    EXPECT_EQ(plan.poisonCount, 2u);
+    EXPECT_EQ(plan.tearProb, 1.0);
+    EXPECT_EQ(plan.transientEvery, 7u);
+    // A tear percent above 100 is not a probability.
+    for (const char *bad : {"1:2:300:0", "1:2:101:0", "1:2:3", "1:2:3:4:5",
+                            "1::3:4", "1:2:3:x", "1:4294967296:0:0"})
+        EXPECT_FALSE(fuzz::parseFaultPlan(bad, plan)) << bad;
+    EXPECT_EQ(plan.seed, 5u) << "a rejected plan leaves the old one";
+}
+
 TEST(CrashFuzz, FaultCaseReplayIsBitIdentical)
 {
     // The fault dimension folds into the same determinism contract:
