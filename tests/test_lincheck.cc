@@ -5,7 +5,8 @@
  * order, budget degradation instead of hangs, history-file
  * round-trips, the recorder's fence classification, the fuzz and
  * workload-driver integrations (with the pinned pre-lincheck golden
- * digests guarding the lincheck-off path), and the end-to-end proof
+ * digests guarding the lincheck-off path and pinned sweep digests
+ * guarding the lincheck-on path), and the end-to-end proof
  * that a deliberately broken commit path — invisible to every
  * structural invariant — is caught by the checker.
  */
@@ -351,6 +352,46 @@ TEST(LincheckFuzz, GoldenDigestsUnchangedMultiThreadFaults)
     EXPECT_EQ(reports[2].digest, 0xbb641204cd3cb62full);
     for (const auto &rep : reports)
         EXPECT_EQ(rep.violations, 0u);
+}
+
+TEST(LincheckFuzz, GoldenDigestsWithLincheckOn)
+{
+    fuzz::SweepOptions options;
+    options.cases = 24;
+    options.jobs = 4;
+    options.apps = {"mod-hashmap", "mod-vector", "halo-hashmap"};
+    options.config.opsPerThread = 10;
+    options.config.lincheck = true;
+    options.shrinkViolations = false;
+    const auto reports = fuzz::sweep(options);
+    ASSERT_EQ(reports.size(), 3u);
+    EXPECT_EQ(reports[0].digest, 0x0a27557e7ff1eb8bull);
+    EXPECT_EQ(reports[1].digest, 0x8d56520522c82a61ull);
+    EXPECT_EQ(reports[2].digest, 0x111c31998c6c312dull);
+    for (const auto &rep : reports) {
+        EXPECT_EQ(rep.violations, 0u) << rep.app;
+        EXPECT_EQ(rep.lincheckViolations, 0u) << rep.app;
+    }
+}
+
+TEST(LincheckFuzz, GoldenDigestsWithLincheckOnMultiThreadFaults)
+{
+    fuzz::SweepOptions options;
+    options.cases = 40;
+    options.jobs = 4;
+    options.apps = {"mod-hashmap", "mod-vector", "halo-hashmap"};
+    options.config.opsPerThread = 12;
+    options.config.threads = 3;
+    options.config.faults = true;
+    options.config.lincheck = true;
+    options.shrinkViolations = false;
+    const auto reports = fuzz::sweep(options);
+    ASSERT_EQ(reports.size(), 3u);
+    EXPECT_EQ(reports[0].digest, 0x22602b645b48bde9ull);
+    EXPECT_EQ(reports[1].digest, 0x85fbe364c3adda72ull);
+    EXPECT_EQ(reports[2].digest, 0xd2215561756e20a4ull);
+    for (const auto &rep : reports)
+        EXPECT_EQ(rep.violations, 0u) << rep.app;
 }
 
 TEST(LincheckFuzz, CaseReplayIsBitIdentical)
