@@ -31,8 +31,7 @@ struct ThreadShardResult
  * thread; only the shard bodies run on the pool.
  */
 AnalysisResult
-joinAndFinish(std::vector<ThreadShardResult> shards,
-              const AnalysisOptions &options, ThreadPool &pool)
+joinAndFinish(std::vector<ThreadShardResult> shards, ThreadPool &pool)
 {
     AnalysisResult out;
     out.threadCount = shards.size();
@@ -81,12 +80,10 @@ joinAndFinish(std::vector<ThreadShardResult> shards,
     // the whole epoch list but owns a disjoint line subset, so the
     // OR-join reproduces the sequential flags exactly.
     const std::size_t depShards =
-        options.dependencyShards
-            ? options.dependencyShards
-            : std::max<std::size_t>(1, pool.workerCount());
+        std::max<std::size_t>(1, pool.workerCount());
     auto lineShards = pool.map(depShards, [&](std::size_t s) {
         DependencyShard shard;
-        shard.scan(builder.epochs(), options.window, s, depShards);
+        shard.scan(builder.epochs(), kDependencyWindow, s, depShards);
         return shard;
     });
     DependencyShard merged;
@@ -127,7 +124,7 @@ analyzeTraces(const trace::TraceSet &traces,
         }
         return r;
     });
-    return joinAndFinish(std::move(shards), options, pool);
+    return joinAndFinish(std::move(shards), pool);
 }
 
 bool
@@ -166,7 +163,7 @@ analyzeTraceFile(const std::string &path, AnalysisResult &out,
                 r.txs = std::move(acc.transactions());
                 return r;
             });
-        out = joinAndFinish(std::move(shards), options, pool);
+        out = joinAndFinish(std::move(shards), pool);
     } catch (const std::runtime_error &) {
         return false;
     }

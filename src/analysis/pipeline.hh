@@ -42,12 +42,6 @@ struct AnalysisOptions
 {
     /** Worker threads; 1 = sequential, 0 = hardware concurrency. */
     unsigned jobs = 1;
-
-    /** Dependency window (the paper's 50 µs bound). */
-    Tick window = kDependencyWindow;
-
-    /** Line-space shards for the dependency pass; 0 = one per job. */
-    std::size_t dependencyShards = 0;
 };
 
 /** Everything the §5 analyses produce for one trace. */

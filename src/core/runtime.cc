@@ -16,7 +16,7 @@ Runtime::Runtime(std::size_t pool_bytes, unsigned max_threads,
     for (ThreadId tid = 0; tid < max_threads; tid++) {
         trace::TraceBuffer *buf = traces_.createBuffer(tid);
         contexts_.push_back(std::make_unique<pm::PmContext>(
-            *pool_, clock_, tid, buf, elision));
+            *pool_, clock_, tid, buf, elision, &dramPages_));
     }
 }
 

@@ -1,6 +1,7 @@
 #include "fuzz/crash_fuzz.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -235,17 +236,23 @@ lincheckDumpPath(const FuzzCase &c)
 std::uint64_t
 imageHash(const pm::PmPool &pool)
 {
+    // Each 8-byte group folds as a big-endian word (first byte most
+    // significant), then the zero-padded tail; a whole-word load plus
+    // byte swap gives the same words as shifting in byte by byte.
     const std::uint8_t *base = pool.archBase();
+    const std::size_t whole = pool.size() & ~std::size_t(7);
     std::uint64_t h = 0x1316171ull;
-    std::uint64_t word = 0;
-    for (std::size_t i = 0; i < pool.size(); i++) {
-        word = (word << 8) | base[i];
-        if ((i & 7) == 7) {
-            h = fold(h, word);
-            word = 0;
-        }
+    for (std::size_t i = 0; i < whole; i += 8) {
+        std::uint64_t word;
+        std::memcpy(&word, base + i, 8);
+        if constexpr (std::endian::native == std::endian::little)
+            word = __builtin_bswap64(word);
+        h = fold(h, word);
     }
-    return fold(h, word);
+    std::uint64_t tail = 0;
+    for (std::size_t i = whole; i < pool.size(); i++)
+        tail = (tail << 8) | base[i];
+    return fold(h, tail);
 }
 
 } // namespace
@@ -435,21 +442,6 @@ runCase(const FuzzCase &c, const FuzzConfig &config,
         h = fold(h, hc.result.digest());
     }
     out.digest = h;
-    if (std::getenv("WHISPER_FUZZ_DEBUG")) {
-        std::fprintf(stderr,
-                     "case %llu at=%llu op=%llu surv=%zu dirty=%llu "
-                     "img=%016llx torn=%zu pois=%zu trans=%llu "
-                     "digest=%016llx\n",
-                     (unsigned long long)c.caseId,
-                     (unsigned long long)crash_at,
-                     (unsigned long long)out.opIndex,
-                     out.survivors.size(),
-                     (unsigned long long)rt.pool().dirtyLineCount(),
-                     (unsigned long long)out.imageHash,
-                     faults.torn.size(), faults.poisoned.size(),
-                     (unsigned long long)out.transientFaults,
-                     (unsigned long long)out.digest);
-    }
     out.report = std::move(verdict);
     return out;
 }

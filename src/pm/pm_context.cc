@@ -8,8 +8,10 @@ namespace whisper::pm
 {
 
 PmContext::PmContext(PmPool &pool, LogicalClock &clock, ThreadId tid,
-                     trace::TraceBuffer *tb, std::uint32_t elision)
+                     trace::TraceBuffer *tb, std::uint32_t elision,
+                     DramPages *dram)
     : pool_(pool), clock_(clock), tid_(tid), tb_(tb), elision_(elision),
+      dram_(dram),
       // Spread tx ids across threads so they are globally unique.
       nextTx_(static_cast<TxId>(tid) << 40)
 {
@@ -155,10 +157,19 @@ PmContext::txAbort(TxId tx)
     emit(EventKind::TxAbort, tx, 0, DataClass::None, 0, 1);
 }
 
+Addr
+PmContext::dramAddr(const void *p)
+{
+    const auto host = reinterpret_cast<std::uintptr_t>(p);
+    if (!dram_ || !tb_ || !tb_->recordsVolatile())
+        return static_cast<Addr>(host);
+    return dram_->traced(host);
+}
+
 void
 PmContext::vLoad(const void *p, std::size_t n)
 {
-    emit(EventKind::DramLoad, reinterpret_cast<Addr>(p),
+    emit(EventKind::DramLoad, dramAddr(p),
          static_cast<std::uint32_t>(n), DataClass::None, 0,
          LogicalClock::kLoadCost);
 }
@@ -166,7 +177,7 @@ PmContext::vLoad(const void *p, std::size_t n)
 void
 PmContext::vStore(const void *p, std::size_t n)
 {
-    emit(EventKind::DramStore, reinterpret_cast<Addr>(p),
+    emit(EventKind::DramStore, dramAddr(p),
          static_cast<std::uint32_t>(n), DataClass::None, 0,
          LogicalClock::kStoreCost);
 }
@@ -178,7 +189,10 @@ PmContext::vBurst(const void *base, std::size_t span, unsigned loads,
     const Tick cost =
         (static_cast<Tick>(loads) + stores) * LogicalClock::kLoadCost;
     if (tb_ && tb_->recordsVolatile()) {
-        const Addr origin = reinterpret_cast<Addr>(base);
+        // The burst covers whole pages from its base's page, seeded by
+        // that page's address: neither depends on where the allocator
+        // put the buffer within its page.
+        const Addr origin = dramAddr(base) & ~Addr(DramPages::kPageMask);
         std::uint64_t x = origin ^ 0x9e3779b97f4a7c15ull;
         const std::size_t lines = std::max<std::size_t>(1, span / 64);
         const unsigned total = loads + stores;

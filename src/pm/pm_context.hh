@@ -26,7 +26,9 @@
 
 #include <atomic>
 #include <cstring>
+#include <mutex>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -102,6 +104,37 @@ struct FenceObserver
 };
 
 /**
+ * Stable trace addresses for volatile (DRAM) accesses. Each host page
+ * a traced access touches gets the next page number in first-touch
+ * order; the access is traced at that page number, with its offset
+ * within the page kept. Simulated DRAM traffic then depends on the
+ * run, not on where ASLR or earlier allocations put its buffers. One
+ * table serves every context of a Runtime, so a buffer two threads
+ * share keeps one address.
+ */
+class DramPages
+{
+  public:
+    static constexpr unsigned kPageBits = 12;
+    static constexpr Addr kPageMask = (Addr(1) << kPageBits) - 1;
+
+    /** The trace address of host address @p host. */
+    Addr
+    traced(std::uintptr_t host)
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        const auto it =
+            pages_.try_emplace(host >> kPageBits, pages_.size()).first;
+        return (static_cast<Addr>(it->second) << kPageBits) |
+               (host & kPageMask);
+    }
+
+  private:
+    std::mutex mutex_;
+    std::unordered_map<std::uintptr_t, std::uint64_t> pages_;
+};
+
+/**
  * One thread's view of the persistent memory system.
  */
 class PmContext
@@ -111,10 +144,12 @@ class PmContext
      * @param elision the txlib::ElisionPolicy mask the logging layers
      *        consult on this context (txlib/elision.hh); fixed for
      *        the context's life, so concurrent runs never share it
+     * @param dram the runtime's DRAM page table; null traces volatile
+     *        accesses at their host addresses
      */
     PmContext(PmPool &pool, LogicalClock &clock, ThreadId tid,
               trace::TraceBuffer *tb = nullptr,
-              std::uint32_t elision = 0);
+              std::uint32_t elision = 0, DramPages *dram = nullptr);
 
     PmPool &pool() { return pool_; }
     ThreadId tid() const { return tid_; }
@@ -315,6 +350,13 @@ class PmContext
               DataClass cls, std::uint8_t aux, Tick cost);
 
     /**
+     * Trace address of volatile pointer @p p: its stable DramPages
+     * address when the trace stores DRAM events (no other trace
+     * keeps the address, so no other run pays the lookup).
+     */
+    Addr dramAddr(const void *p);
+
+    /**
      * Count one PM op against the crash plan; throws CrashPointReached
      * when the armed crash point is hit. Returns false when the op
      * must be dropped (plan already fired).
@@ -344,6 +386,7 @@ class PmContext
     ThreadId tid_;
     trace::TraceBuffer *tb_;
     const std::uint32_t elision_;
+    DramPages *const dram_;
     CrashPlan *plan_ = nullptr;
     FenceObserver *fenceObs_ = nullptr;
 
