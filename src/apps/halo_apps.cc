@@ -24,15 +24,18 @@
  * Thread discipline matches the MOD apps: keys carry their owning
  * thread in the top 16 bits and mutations are single-writer per
  * partition, so record images and the rebuilt index are independent
- * of thread interleaving (bit-identical fuzz digests).
+ * of thread interleaving (bit-identical fuzz digests). The same shape
+ * gives it mod-hashmap's run() script and generated-workload surface
+ * (PartitionedKvApp, partitioned_kv.hh); this file supplies the store
+ * hooks, recovery and the hybrid layer's checks.
  */
 
 #include <algorithm>
 #include <string>
 
 #include "apps/apps.hh"
+#include "apps/partitioned_kv.hh"
 #include "common/logging.hh"
-#include "common/rng.hh"
 #include "halo/halo_store.hh"
 
 namespace whisper::apps
@@ -45,8 +48,8 @@ using halo::HaloStore;
 namespace
 {
 
-/** Ops between durability points (one batched fence each). */
-constexpr std::uint64_t kDurabilityInterval = 16;
+static_assert(halo::kValWords == 3,
+              "runHashmap() puts three value words");
 
 LineAddr
 lineOf(Addr addr)
@@ -54,11 +57,11 @@ lineOf(Addr addr)
     return static_cast<LineAddr>(addr >> kCacheLineBits);
 }
 
-class HaloHashmapApp : public WhisperApp
+class HaloHashmapApp : public PartitionedKvApp
 {
   public:
     explicit HaloHashmapApp(const AppConfig &config)
-        : WhisperApp(config)
+        : PartitionedKvApp(config)
     {
         panic_if(config_.poolBytes <
                      config_.threads * 2 * halo::kSegmentBytes,
@@ -82,45 +85,20 @@ class HaloHashmapApp : public WhisperApp
     run(Runtime &rt, pm::PmContext &ctx, ThreadId tid) override
     {
         (void)rt;
-        Rng rng(config_.seed * 467 + tid);
-        // Small enough that keys repeat: most puts are updates, and
-        // the 10% removes leave tombstones the recovery scan must
-        // honor.
-        const std::uint64_t keyspace = config_.opsPerThread + 64;
-        std::vector<std::uint64_t> inserted;
-        inserted.reserve(config_.opsPerThread);
-
-        for (std::uint64_t op = 0; op < config_.opsPerThread; op++) {
-            // Paper Fig. 6 proportions: the op is mostly DRAM work.
-            ctx.vBurst(inserted.data(), 1 << 14, 560, 240);
-            ctx.compute(6500);
-
-            if (!inserted.empty() && rng.chance(0.1)) {
-                const std::size_t idx = rng.next(inserted.size());
-                panic_if(!store_->remove(ctx, tid, inserted[idx]),
-                         "halo-hashmap: segment area exhausted");
-                inserted[idx] = inserted.back();
-                inserted.pop_back();
-                ctx.vStore(inserted.data() + idx, 8);
-            } else {
-                const std::uint64_t key =
-                    HaloStore::makeKey(tid, rng.next(keyspace));
+        // The removes leave tombstones the recovery scan must honor.
+        runHashmap(
+            ctx, tid, 467,
+            [&](std::uint64_t key, const std::uint64_t *vals) {
                 Addr prior = kNullAddr;
-                const bool was_insert =
-                    !store_->indexLookup(key, prior);
-                const std::uint64_t vals[halo::kValWords] = {
-                    rng(), rng(), rng()};
+                const bool was_insert = !store_->indexLookup(key, prior);
                 panic_if(!store_->put(ctx, tid, key, vals),
                          "halo-hashmap: segment area exhausted");
-                if (was_insert) {
-                    inserted.push_back(key);
-                    ctx.vStore(&inserted.back(), 8);
-                }
-            }
-            if ((op + 1) % kDurabilityInterval == 0)
-                store_->durabilityPoint(ctx, tid);
-        }
-        store_->threadExit(ctx, tid);
+                return was_insert;
+            },
+            [&](std::uint64_t key) {
+                panic_if(!store_->remove(ctx, tid, key),
+                         "halo-hashmap: segment area exhausted");
+            });
     }
 
     VerifyReport
@@ -224,119 +202,25 @@ class HaloHashmapApp : public WhisperApp
         return rep;
     }
 
-    /** @{ \name Generated-workload surface
-     *
-     * The MOD key convention carries over: thread @p tid owns every
-     * key whose top 16 bits equal tid, matching the store's
-     * single-writer partitions. Durability points keep the run()
-     * cadence (every kDurabilityInterval ops).
-     */
-
     void
     workloadSetup(Runtime &rt, const WorkloadKeymap &map) override
     {
-        wlMap_ = map;
         store_ = std::make_unique<HaloStore>(storeConfig());
         const std::uint64_t capacity =
             store_->allocator().segmentsPerThread() *
             halo::kRecordsPerSegment;
         panic_if(capacity < map.slotsPerThread(),
                  "halo-hashmap: pool too small for workload keys");
-        scratch_.assign(config_.threads,
-                        std::vector<std::uint64_t>(2048));
-        wlOps_.assign(config_.threads, 0);
-        for (unsigned t = 0; t < map.threads; t++) {
-            pm::PmContext &ctx = rt.ctx(t);
-            const ThreadId tid = static_cast<ThreadId>(t);
-            for (std::uint64_t i = 0; i < map.perThread(); i++) {
-                const std::uint64_t key = map.lo(tid) + i;
-                const std::uint64_t vals[halo::kValWords] = {
-                    key * 0x9e3779b97f4a7c15ull, key, tid};
-                panic_if(!store_->put(ctx, tid,
-                                      HaloStore::makeKey(tid, key),
-                                      vals),
-                         "halo-hashmap: segment area exhausted "
-                         "during preload");
-                if ((i + 1) % kDurabilityInterval == 0)
-                    store_->durabilityPoint(ctx, tid);
-            }
-            store_->durabilityPoint(ctx, tid);
-        }
+        startWorkload(map);
+        preload(rt);
     }
 
+    bool workloadHasRemove() const override { return true; }
+
+  protected:
     bool
-    workloadGet(pm::PmContext &ctx, ThreadId tid,
-                std::uint64_t key) override
-    {
-        pad(ctx, tid);
-        std::uint64_t vals[halo::kValWords];
-        const bool found =
-            store_->get(ctx, HaloStore::makeKey(tid, key), vals);
-        opDone(ctx, tid);
-        return found;
-    }
-
-    void
-    workloadPut(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
-                std::uint64_t value) override
-    {
-        pad(ctx, tid);
-        const std::uint64_t vals[halo::kValWords] = {value, key, tid};
-        panic_if(!store_->put(ctx, tid, HaloStore::makeKey(tid, key),
-                              vals),
-                 "halo-hashmap: segment area exhausted");
-        opDone(ctx, tid);
-    }
-
-    bool
-    workloadRmw(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
-                std::uint64_t delta) override
-    {
-        pad(ctx, tid);
-        std::uint64_t vals[halo::kValWords] = {0, key, tid};
-        const bool found =
-            store_->get(ctx, HaloStore::makeKey(tid, key), vals);
-        vals[0] += delta;
-        panic_if(!store_->put(ctx, tid, HaloStore::makeKey(tid, key),
-                              vals),
-                 "halo-hashmap: segment area exhausted");
-        opDone(ctx, tid);
-        return found;
-    }
-
-    std::uint64_t
-    workloadScan(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
-                 std::uint64_t len) override
-    {
-        pad(ctx, tid);
-        std::uint64_t found = 0;
-        std::uint64_t vals[halo::kValWords];
-        for (std::uint64_t j = 0; j < len; j++) {
-            const std::uint64_t k = wlMap_.scanKey(tid, key, j);
-            if (store_->get(ctx, HaloStore::makeKey(tid, k), vals))
-                found++;
-        }
-        opDone(ctx, tid);
-        return found;
-    }
-
-    void
-    workloadThreadDone(pm::PmContext &ctx, ThreadId tid) override
-    {
-        store_->threadExit(ctx, tid);
-    }
-
-    VerifyReport
-    workloadCheck(Runtime &rt) override
-    {
-        return verify(rt);
-    }
-
-    bool supportsLincheck() const override { return true; }
-
-    bool
-    workloadProbe(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
-                  std::uint64_t &value) override
+    read(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
+         std::uint64_t &value) override
     {
         std::uint64_t vals[halo::kValWords];
         if (!store_->get(ctx, HaloStore::makeKey(tid, key), vals))
@@ -345,13 +229,19 @@ class HaloHashmapApp : public WhisperApp
         return true;
     }
 
-    bool workloadHasRemove() const override { return true; }
+    void
+    write(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
+          std::uint64_t value) override
+    {
+        const std::uint64_t vals[halo::kValWords] = {value, key, tid};
+        panic_if(!store_->put(ctx, tid, HaloStore::makeKey(tid, key),
+                              vals),
+                 "halo-hashmap: segment area exhausted");
+    }
 
     bool
-    workloadRemove(pm::PmContext &ctx, ThreadId tid,
-                   std::uint64_t key) override
+    erase(pm::PmContext &ctx, ThreadId tid, std::uint64_t key) override
     {
-        pad(ctx, tid);
         // The store's remove() reports segment exhaustion, not
         // presence (it always appends a tombstone); answer the
         // KV-level "was it there" from the index first.
@@ -360,16 +250,21 @@ class HaloHashmapApp : public WhisperApp
             store_->get(ctx, HaloStore::makeKey(tid, key), vals);
         panic_if(!store_->remove(ctx, tid, HaloStore::makeKey(tid, key)),
                  "halo-hashmap: segment area exhausted");
-        opDone(ctx, tid);
         return found;
     }
 
-    /** @} */
+    void
+    durabilityPoint(pm::PmContext &ctx, ThreadId tid) override
+    {
+        store_->durabilityPoint(ctx, tid);
+    }
 
-    /** The store, for tests that inspect layer internals. */
-    HaloStore &store() { return *store_; }
+    void
+    threadExit(pm::PmContext &ctx, ThreadId tid) override
+    {
+        store_->threadExit(ctx, tid);
+    }
 
-  protected:
     void
     scrubLayer(Runtime &rt, std::vector<LineAddr> &lines,
                VerifyReport &rep) override
@@ -518,24 +413,7 @@ class HaloHashmapApp : public WhisperApp
             "visible record was never genuinely written");
     }
 
-    void
-    pad(pm::PmContext &ctx, ThreadId tid)
-    {
-        ctx.vBurst(scratch_[tid].data(), 1 << 14, 560, 240);
-        ctx.compute(6500);
-    }
-
-    void
-    opDone(pm::PmContext &ctx, ThreadId tid)
-    {
-        if (++wlOps_[tid] % kDurabilityInterval == 0)
-            store_->durabilityPoint(ctx, tid);
-    }
-
     std::unique_ptr<HaloStore> store_;
-    WorkloadKeymap wlMap_;
-    std::vector<std::vector<std::uint64_t>> scratch_;
-    std::vector<std::uint64_t> wlOps_;
 };
 
 } // namespace

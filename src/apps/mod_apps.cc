@@ -15,6 +15,12 @@
  * write amplification next to Mnemosyne's and NVML's on like-for-like
  * workloads.
  *
+ * Their generated-workload surface is PartitionedKvApp's
+ * (partitioned_kv.hh): each app supplies only read/write (and
+ * mod-hashmap erase) of one key; mod-hashmap's run() is the hash-map
+ * script it shares with halo-hashmap, and mod-vector keeps its own
+ * run() and chunk preload.
+ *
  * Thread discipline: the key space (top 16 bits = tid) and the vector
  * spine (a contiguous slot region per tid) are partitioned so each
  * thread only ever supersedes its own nodes — the per-thread garbage
@@ -25,8 +31,8 @@
 #include <algorithm>
 
 #include "apps/apps.hh"
+#include "apps/partitioned_kv.hh"
 #include "common/logging.hh"
-#include "common/rng.hh"
 #include "mod/mod_hashmap.hh"
 #include "mod/mod_vector.hh"
 
@@ -40,9 +46,6 @@ using pm::FenceKind;
 namespace
 {
 
-/** Ops between durability points (dfence + garbage reclaim). */
-constexpr std::uint64_t kDurabilityInterval = 16;
-
 /** Chain buckets per thread partition (load factor well under 1). */
 constexpr std::uint64_t kBucketsPerPartition = 16384;
 
@@ -52,15 +55,18 @@ constexpr std::uint64_t kSlotsPerThread = 256;
 /** Table at pool offset 0; the MOD heap fills the rest of the pool. */
 constexpr Addr kTableOff = 0;
 
+static_assert(mod::ModHashmap::kValWords == 3,
+              "runHashmap() puts three value words");
+
 /**
  * What the two MOD apps share around their structure @p Structure (a
  * table at kTableOff, the MOD heap behind it): format, attach and
  * mark-from-the-roots recovery, the layer's checks and scrub, and the
- * workload's DRAM padding and durability cadence. Each app keeps its
- * own run() script and workload ops.
+ * heap's durability point and thread exit under the partitioned KV
+ * surface. Each app keeps its own run() script and store hooks.
  */
 template <class Structure>
-class ModApp : public WhisperApp
+class ModApp : public PartitionedKvApp
 {
   public:
     AccessLayer layer() const override { return AccessLayer::LibMod; }
@@ -128,20 +134,10 @@ class ModApp : public WhisperApp
         return rep;
     }
 
-    void
-    workloadThreadDone(pm::PmContext &ctx, ThreadId tid) override
-    {
-        heap_->threadExit(ctx, tid);
-    }
-
-    VerifyReport workloadCheck(Runtime &rt) override { return verify(rt); }
-
-    bool supportsLincheck() const override { return true; }
-
   protected:
     /** @p unit names one node of the structure in check messages. */
     ModApp(const AppConfig &config, const char *unit)
-        : WhisperApp(config), unit_(unit)
+        : PartitionedKvApp(config), unit_(unit)
     {
     }
 
@@ -171,30 +167,16 @@ class ModApp : public WhisperApp
         structure_ = build(&ctx);
     }
 
-    /** Per-thread padding buffers and op counters for @p map. */
     void
-    startWorkload(const WorkloadKeymap &map)
+    durabilityPoint(pm::PmContext &ctx, ThreadId tid) override
     {
-        wlMap_ = map;
-        scratch_.assign(config_.threads,
-                        std::vector<std::uint64_t>(2048));
-        wlOps_.assign(config_.threads, 0);
+        heap_->durabilityPoint(ctx, tid);
     }
 
-    /** run()'s per-op DRAM padding (paper Fig. 6 proportions). */
     void
-    pad(pm::PmContext &ctx, ThreadId tid)
+    threadExit(pm::PmContext &ctx, ThreadId tid) override
     {
-        ctx.vBurst(scratch_[tid].data(), 1 << 14, 560, 240);
-        ctx.compute(6500);
-    }
-
-    /** A durability point every kDurabilityInterval workload ops. */
-    void
-    opDone(pm::PmContext &ctx, ThreadId tid)
-    {
-        if (++wlOps_[tid] % kDurabilityInterval == 0)
-            heap_->durabilityPoint(ctx, tid);
+        heap_->threadExit(ctx, tid);
     }
 
     void
@@ -211,13 +193,10 @@ class ModApp : public WhisperApp
 
     std::unique_ptr<mod::ModHeap> heap_;
     std::unique_ptr<Structure> structure_;
-    WorkloadKeymap wlMap_;
 
   private:
     const char *unit_;
     Addr heapBase_ = 0;
-    std::vector<std::vector<std::uint64_t>> scratch_;
-    std::vector<std::uint64_t> wlOps_;
 };
 
 /**
@@ -245,51 +224,18 @@ class ModHashmapApp : public ModApp<mod::ModHashmap>
     run(Runtime &rt, pm::PmContext &ctx, ThreadId tid) override
     {
         (void)rt;
-        Rng rng(config_.seed * 353 + tid);
-        // Small enough that keys repeat: a healthy share of the puts
-        // are updates, i.e. real shadow path copies.
-        const std::uint64_t keyspace = config_.opsPerThread + 64;
-        std::vector<std::uint64_t> inserted;
-        inserted.reserve(config_.opsPerThread);
-
-        for (std::uint64_t op = 0; op < config_.opsPerThread; op++) {
-            // Paper Fig. 6 proportions: the op is mostly DRAM work.
-            ctx.vBurst(inserted.data(), 1 << 14, 560, 240);
-            ctx.compute(6500);
-
-            if (!inserted.empty() && rng.chance(0.1)) {
-                const std::size_t idx = rng.next(inserted.size());
-                structure_->remove(ctx, tid, inserted[idx]);
-                inserted[idx] = inserted.back();
-                inserted.pop_back();
-                ctx.vStore(inserted.data() + idx, 8);
-            } else {
-                const std::uint64_t key =
-                    (static_cast<std::uint64_t>(tid) << 48) |
-                    rng.next(keyspace);
-                std::uint64_t vals[mod::ModHashmap::kValWords] = {
-                    rng(), rng(), rng()};
+        // A put that finds the heap exhausted is skipped; updates of
+        // repeated keys are real shadow path copies.
+        runHashmap(
+            ctx, tid, 353,
+            [&](std::uint64_t key, const std::uint64_t *vals) {
                 bool was_insert = false;
-                if (structure_->put(ctx, tid, key, vals, was_insert) &&
-                    was_insert) {
-                    inserted.push_back(key);
-                    ctx.vStore(&inserted.back(), 8);
-                }
-            }
-            if ((op + 1) % kDurabilityInterval == 0)
-                heap_->durabilityPoint(ctx, tid);
-        }
-        heap_->threadExit(ctx, tid);
+                return structure_->put(ctx, tid, key, vals,
+                                       was_insert) &&
+                       was_insert;
+            },
+            [&](std::uint64_t key) { structure_->remove(ctx, tid, key); });
     }
-
-    /** @{ \name Generated-workload surface
-     *
-     * The MOD key convention carries over unchanged: thread @p tid
-     * owns every key whose top 16 bits equal tid, so the striped
-     * writer locks and per-thread garbage lanes see exactly the
-     * partitioned traffic run() produces. Durability points keep the
-     * run() cadence (every kDurabilityInterval ops).
-     */
 
     void
     workloadSetup(Runtime &rt, const WorkloadKeymap &map) override
@@ -303,110 +249,41 @@ class ModHashmapApp : public ModApp<mod::ModHashmap>
         place(mod::ModHashmap::tableBytes(buckets_), "workload table");
         format(rt.ctx(0));
         startWorkload(map);
-        for (unsigned t = 0; t < map.threads; t++) {
-            pm::PmContext &ctx = rt.ctx(t);
-            const ThreadId tid = static_cast<ThreadId>(t);
-            for (std::uint64_t i = 0; i < map.perThread(); i++) {
-                const std::uint64_t key = map.lo(tid) + i;
-                std::uint64_t vals[mod::ModHashmap::kValWords] = {
-                    key * 0x9e3779b97f4a7c15ull, key, tid};
-                bool inserted = false;
-                panic_if(!structure_->put(ctx, tid, modKey(tid, key),
-                                          vals, inserted),
-                         "mod-hashmap: heap exhausted during preload");
-                if ((i + 1) % kDurabilityInterval == 0)
-                    heap_->durabilityPoint(ctx, tid);
-            }
-            heap_->durabilityPoint(ctx, tid);
-        }
+        preload(rt);
     }
 
+    bool workloadHasRemove() const override { return true; }
+
+  protected:
     bool
-    workloadGet(pm::PmContext &ctx, ThreadId tid,
-                std::uint64_t key) override
-    {
-        pad(ctx, tid);
-        std::uint64_t vals[mod::ModHashmap::kValWords];
-        const bool found =
-            structure_->lookup(ctx, modKey(tid, key), vals);
-        opDone(ctx, tid);
-        return found;
-    }
-
-    void
-    workloadPut(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
-                std::uint64_t value) override
-    {
-        pad(ctx, tid);
-        std::uint64_t vals[mod::ModHashmap::kValWords] = {value, key,
-                                                          tid};
-        bool inserted = false;
-        panic_if(!structure_->put(ctx, tid, modKey(tid, key), vals,
-                                  inserted),
-                 "mod-hashmap: heap exhausted");
-        opDone(ctx, tid);
-    }
-
-    bool
-    workloadRmw(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
-                std::uint64_t delta) override
-    {
-        pad(ctx, tid);
-        std::uint64_t vals[mod::ModHashmap::kValWords] = {0, key, tid};
-        const bool found =
-            structure_->lookup(ctx, modKey(tid, key), vals);
-        vals[0] += delta;
-        bool inserted = false;
-        panic_if(!structure_->put(ctx, tid, modKey(tid, key), vals,
-                                  inserted),
-                 "mod-hashmap: heap exhausted");
-        opDone(ctx, tid);
-        return found;
-    }
-
-    std::uint64_t
-    workloadScan(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
-                 std::uint64_t len) override
-    {
-        pad(ctx, tid);
-        std::uint64_t found = 0;
-        std::uint64_t vals[mod::ModHashmap::kValWords];
-        for (std::uint64_t j = 0; j < len; j++) {
-            const std::uint64_t k = wlMap_.scanKey(tid, key, j);
-            if (structure_->lookup(ctx, modKey(tid, k), vals))
-                found++;
-        }
-        opDone(ctx, tid);
-        return found;
-    }
-
-    bool
-    workloadProbe(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
-                  std::uint64_t &value) override
+    read(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
+         std::uint64_t &value) override
     {
         std::uint64_t vals[mod::ModHashmap::kValWords];
-        if (!structure_->lookup(ctx, modKey(tid, key), vals))
+        if (!structure_->lookup(ctx, partitionKey(tid, key), vals))
             return false;
         value = vals[0];
         return true;
     }
 
-    bool workloadHasRemove() const override { return true; }
-
-    bool
-    workloadRemove(pm::PmContext &ctx, ThreadId tid,
-                   std::uint64_t key) override
+    void
+    write(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
+          std::uint64_t value) override
     {
-        pad(ctx, tid);
-        const bool found =
-            structure_->remove(ctx, tid, modKey(tid, key));
-        opDone(ctx, tid);
-        return found;
+        const std::uint64_t vals[mod::ModHashmap::kValWords] = {
+            value, key, tid};
+        bool inserted = false;
+        panic_if(!structure_->put(ctx, tid, partitionKey(tid, key), vals,
+                                  inserted),
+                 "mod-hashmap: heap exhausted");
     }
 
-    /** @} */
+    bool
+    erase(pm::PmContext &ctx, ThreadId tid, std::uint64_t key) override
+    {
+        return structure_->remove(ctx, tid, partitionKey(tid, key));
+    }
 
-  protected:
     std::unique_ptr<mod::ModHashmap>
     build(pm::PmContext *ctx) override
     {
@@ -419,12 +296,6 @@ class ModHashmapApp : public ModApp<mod::ModHashmap>
     }
 
   private:
-    static std::uint64_t
-    modKey(ThreadId tid, std::uint64_t key)
-    {
-        return (static_cast<std::uint64_t>(tid) << 48) | key;
-    }
-
     const bool brokenCommit_;
     std::uint64_t buckets_ = 0;
 };
@@ -449,8 +320,7 @@ class ModVectorApp : public ModApp<mod::ModVector>
         std::vector<std::uint64_t> scratch(2048);
 
         for (std::uint64_t op = 0; op < config_.opsPerThread; op++) {
-            ctx.vBurst(scratch.data(), 1 << 14, 560, 240);
-            ctx.compute(6500);
+            padOver(ctx, scratch.data());
 
             // One MOD update in the thread's spine region: five fresh
             // elements at a random offset, the rest carried over by
@@ -465,21 +335,20 @@ class ModVectorApp : public ModApp<mod::ModVector>
             ctx.vStore(scratch.data() + (slot % scratch.size()), 8);
 
             if ((op + 1) % kDurabilityInterval == 0)
-                heap_->durabilityPoint(ctx, tid);
+                durabilityPoint(ctx, tid);
         }
-        heap_->threadExit(ctx, tid);
+        threadExit(ctx, tid);
     }
 
-    /** @{ \name Generated-workload surface
-     *
-     * The vector is presented as a dense KV array: thread @p tid's
-     * key with local index l lives in chunk tid*slotsPT + l/kElems at
-     * element l%kElems — each thread owns a contiguous spine region
-     * exactly as in run(), so shadow copies and garbage lanes stay
-     * per-thread. Every key maps to a distinct element (no aliasing);
-     * preloading fills whole chunks, one shadow write per chunk.
+    /**
+     * The workload sees the vector as a dense KV array: thread @p
+     * tid's key with local index l lives in chunk tid*slotsPT +
+     * l/kElems at element l%kElems — each thread owns a contiguous
+     * spine region exactly as in run(), so shadow copies and garbage
+     * lanes stay per-thread. Every key maps to a distinct element (no
+     * aliasing); preloading fills whole chunks, one shadow write per
+     * chunk.
      */
-
     void
     workloadSetup(Runtime &rt, const WorkloadKeymap &map) override
     {
@@ -518,81 +387,38 @@ class ModVectorApp : public ModApp<mod::ModVector>
                 written += k;
                 chunk++;
                 if (chunk % kDurabilityInterval == 0)
-                    heap_->durabilityPoint(ctx, tid);
+                    durabilityPoint(ctx, tid);
             }
-            heap_->durabilityPoint(ctx, tid);
+            durabilityPoint(ctx, tid);
         }
     }
 
+    // No erase: a MOD vector has no deletion; the history workloads
+    // fold tombstone traffic into puts for this app.
+
+  protected:
     bool
-    workloadGet(pm::PmContext &ctx, ThreadId tid,
-                std::uint64_t key) override
+    read(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
+         std::uint64_t &value) override
     {
-        pad(ctx, tid);
-        std::uint64_t out = 0;
-        const bool found = structure_->get(ctx, slotOf(tid, key),
-                                           idxOf(tid, key), out);
-        opDone(ctx, tid);
-        return found;
+        return structure_->get(ctx, slotOf(tid, key), idxOf(tid, key),
+                               value);
     }
 
     void
-    workloadPut(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
-                std::uint64_t value) override
+    write(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
+          std::uint64_t value) override
     {
-        pad(ctx, tid);
-        writeElem(ctx, tid, key, value);
-        opDone(ctx, tid);
+        const std::uint64_t slot = slotOf(tid, key);
+        const std::uint64_t idx = idxOf(tid, key);
+        const std::uint64_t count =
+            std::max<std::uint64_t>(structure_->chunkCount(ctx, slot),
+                                    idx + 1);
+        panic_if(!structure_->write(ctx, tid, slot, idx, &value, 1,
+                                    count),
+                 "mod-vector: heap exhausted");
     }
 
-    bool
-    workloadRmw(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
-                std::uint64_t delta) override
-    {
-        pad(ctx, tid);
-        std::uint64_t out = 0;
-        const bool found = structure_->get(ctx, slotOf(tid, key),
-                                           idxOf(tid, key), out);
-        writeElem(ctx, tid, key, out + delta);
-        opDone(ctx, tid);
-        return found;
-    }
-
-    std::uint64_t
-    workloadScan(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
-                 std::uint64_t len) override
-    {
-        pad(ctx, tid);
-        std::uint64_t found = 0;
-        std::uint64_t out = 0;
-        for (std::uint64_t j = 0; j < len; j++) {
-            const std::uint64_t k = wlMap_.scanKey(tid, key, j);
-            if (structure_->get(ctx, slotOf(tid, k), idxOf(tid, k),
-                                out))
-                found++;
-        }
-        opDone(ctx, tid);
-        return found;
-    }
-
-    bool
-    workloadProbe(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
-                  std::uint64_t &value) override
-    {
-        std::uint64_t out = 0;
-        if (!structure_->get(ctx, slotOf(tid, key), idxOf(tid, key),
-                             out))
-            return false;
-        value = out;
-        return true;
-    }
-
-    // No workloadRemove: a MOD vector has no deletion; the history
-    // workloads fold tombstone traffic into puts for this app.
-
-    /** @} */
-
-  protected:
     std::unique_ptr<mod::ModVector>
     build(pm::PmContext *ctx) override
     {
@@ -615,20 +441,6 @@ class ModVectorApp : public ModApp<mod::ModVector>
     idxOf(ThreadId tid, std::uint64_t key) const
     {
         return wlMap_.localIndex(tid, key) % mod::ModVector::kElems;
-    }
-
-    void
-    writeElem(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
-              std::uint64_t value)
-    {
-        const std::uint64_t slot = slotOf(tid, key);
-        const std::uint64_t idx = idxOf(tid, key);
-        const std::uint64_t count =
-            std::max<std::uint64_t>(structure_->chunkCount(ctx, slot),
-                                    idx + 1);
-        panic_if(!structure_->write(ctx, tid, slot, idx, &value, 1,
-                                    count),
-                 "mod-vector: heap exhausted");
     }
 
     std::uint64_t slots_ = 0;
