@@ -51,12 +51,6 @@ namespace
 static_assert(halo::kValWords == 3,
               "runHashmap() puts three value words");
 
-LineAddr
-lineOf(Addr addr)
-{
-    return static_cast<LineAddr>(addr >> kCacheLineBits);
-}
-
 class HaloHashmapApp : public PartitionedKvApp
 {
   public:

@@ -40,8 +40,6 @@ namespace whisper::apps
 {
 
 using namespace core;
-using pm::DataClass;
-using pm::FenceKind;
 
 namespace
 {

@@ -1,18 +1,16 @@
 /**
  * @file
  * The generated-workload surface of the partitioned KV apps
- * (mod-hashmap, mod-vector, halo-hashmap), written once over five
+ * (mod-hashmap, mod-vector, halo-hashmap), written once over their
  * store hooks.
  *
- * MOD and the Halo store expose one shape: thread @p tid owns its own
- * partition of the key space and mutates it single-writer, with a
+ * MOD and the Halo store share one shape: thread @p tid owns its
+ * partition of the key space and writes it single-writer, with a
  * batched durability point every kDurabilityInterval ops. An app
- * supplies read/write (and, with deletion, erase) of one key of its
- * partition plus the durability point and thread exit of its layer;
- * this base turns them into get/put/rmw/scan/probe/remove with the
- * suite's per-op DRAM padding, the durability cadence and the
- * {value, key, tid} preload. runHashmap() is the run() script the two
- * hash maps share.
+ * supplies read/write (and erase, where it deletes) of one key, its
+ * layer's durability point and thread exit; this base adds the
+ * suite's per-op DRAM padding, the cadence, the preload and the
+ * hash maps' run() script.
  */
 
 #ifndef WHISPER_APPS_PARTITIONED_KV_HH
@@ -33,11 +31,8 @@ class PartitionedKvApp : public core::WhisperApp
     static constexpr std::uint64_t kDurabilityInterval = 16;
 
     /** @{ \name Generated-workload surface
-     *
-     * Every op but probe pads, runs its store calls, then counts
-     * towards the thread's next durability point.
-     */
-
+     * Every op but probe pads first and counts towards the thread's
+     * next durability point. */
     bool
     workloadGet(pm::PmContext &ctx, ThreadId tid,
                 std::uint64_t key) override
@@ -115,14 +110,12 @@ class PartitionedKvApp : public core::WhisperApp
     }
 
     bool supportsLincheck() const override { return true; }
-
     /** @} */
 
   protected:
     using WhisperApp::WhisperApp;
 
     /** @{ \name Store hooks (keys are workload keys of @p tid) */
-
     /** Value of @p key into @p value (untouched when absent); found. */
     virtual bool read(pm::PmContext &ctx, ThreadId tid,
                       std::uint64_t key, std::uint64_t &value) = 0;
@@ -131,10 +124,8 @@ class PartitionedKvApp : public core::WhisperApp
     virtual void write(pm::PmContext &ctx, ThreadId tid,
                        std::uint64_t key, std::uint64_t value) = 0;
 
-    /**
-     * Durable delete of @p key; returns whether it was present. Apps
-     * that override it answer workloadHasRemove() with true.
-     */
+    /** Durable delete of @p key; returns whether it was present.
+     *  Apps that override it answer workloadHasRemove() with true. */
     virtual bool
     erase(pm::PmContext &ctx, ThreadId tid, std::uint64_t key)
     {
@@ -143,10 +134,9 @@ class PartitionedKvApp : public core::WhisperApp
 
     virtual void durabilityPoint(pm::PmContext &ctx, ThreadId tid) = 0;
     virtual void threadExit(pm::PmContext &ctx, ThreadId tid) = 0;
-
     /** @} */
 
-    /** Per-thread padding buffers and op counters for @p map. */
+    /** Adopt @p map: per-thread padding buffers and op counters. */
     void
     startWorkload(const core::WorkloadKeymap &map)
     {
@@ -156,11 +146,8 @@ class PartitionedKvApp : public core::WhisperApp
         wlOps_.assign(config_.threads, 0);
     }
 
-    /**
-     * Preload every partition of the started workload: key k of
-     * thread t holds k * golden-ratio, a durability point follows
-     * every kDurabilityInterval writes and each thread's last one.
-     */
+    /** Write k * golden ratio to every loaded key k, with the
+     *  cadence's durability points and one after each thread's last. */
     void
     preload(core::Runtime &rt)
     {
@@ -194,14 +181,11 @@ class PartitionedKvApp : public core::WhisperApp
 
     /**
      * run() of the hash maps: per op a DRAM burst, then with
-     * probability 0.1 a remove of one of the thread's own inserts,
-     * else a put of three random words to a key of a keyspace small
-     * enough that keys repeat; a durability point every
-     * kDurabilityInterval ops, then threadExit.
-     *
-     * @param seed_mul the app's Rng seed multiplier
-     * @param put stores (key, vals) and returns whether the key is new
-     * @param remove deletes a key
+     * probability 0.1 @p remove of one of the thread's own inserts,
+     * else @p put (key, three random words) → key was new, over a
+     * keyspace small enough that keys repeat; the cadence's
+     * durability points, then threadExit. @p seed_mul is the app's
+     * Rng seed multiplier.
      */
     template <class Put, class Remove>
     void
@@ -239,7 +223,8 @@ class PartitionedKvApp : public core::WhisperApp
     core::WorkloadKeymap wlMap_;
 
   private:
-    void pad(pm::PmContext &ctx, ThreadId tid)
+    void
+    pad(pm::PmContext &ctx, ThreadId tid)
     {
         padOver(ctx, scratch_[tid].data());
     }
