@@ -2,7 +2,9 @@
  * @file
  * Factories for the fourteen WHISPER applications and the two test
  * fixtures, plus the invariant check the three PMFS applications
- * share.
+ * share. The KV apps of MOD and Halo share PartitionedKvApp
+ * (partitioned_kv.hh); nfs and exim share PmfsRecordApp
+ * (pmfs_records.hh).
  *
  * Table 1 of the paper maps each application to its access layer and
  * driving workload; the constant app table in register.cc names these

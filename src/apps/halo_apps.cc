@@ -236,9 +236,8 @@ class HaloHashmapApp : public PartitionedKvApp
     bool
     erase(pm::PmContext &ctx, ThreadId tid, std::uint64_t key) override
     {
-        // The store's remove() reports segment exhaustion, not
-        // presence (it always appends a tombstone); answer the
-        // KV-level "was it there" from the index first.
+        // remove() always appends a tombstone and reports exhaustion,
+        // not presence: ask the index whether the key was there.
         std::uint64_t vals[halo::kValWords];
         const bool found =
             store_->get(ctx, HaloStore::makeKey(tid, key), vals);

@@ -15,11 +15,10 @@
  * write amplification next to Mnemosyne's and NVML's on like-for-like
  * workloads.
  *
- * Their generated-workload surface is PartitionedKvApp's
- * (partitioned_kv.hh): each app supplies only read/write (and
- * mod-hashmap erase) of one key; mod-hashmap's run() is the hash-map
- * script it shares with halo-hashmap, and mod-vector keeps its own
- * run() and chunk preload.
+ * PartitionedKvApp (partitioned_kv.hh) builds their workload surface
+ * from each app's read/write (and mod-hashmap's erase) of one key;
+ * mod-hashmap's run() is the hash-map script halo-hashmap shares, and
+ * mod-vector keeps its own run() and chunk preload.
  *
  * Thread discipline: the key space (top 16 bits = tid) and the vector
  * spine (a contiguous slot region per tid) are partitioned so each

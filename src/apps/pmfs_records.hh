@@ -31,8 +31,7 @@ namespace whisper::apps
 struct PmfsVolume
 {
     std::unique_ptr<pmfs::Pmfs> fs;
-    /** nfs's per-directory record files (workload volumes only), or
-     *  exim's mailboxes; the workload's record stripes. */
+    /** The record stripes: exim's mailboxes, nfs's per-dir files. */
     std::vector<pmfs::Ino> files;
     /** exim's delivery log. */
     pmfs::Ino log = pmfs::kInvalidIno;

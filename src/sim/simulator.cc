@@ -9,8 +9,9 @@ using trace::EventKind;
 
 namespace
 {
-/** DRAM addresses are host pointers; keep them disjoint from pool
- *  offsets by folding them into a separate tag space. */
+/** DRAM addresses are the recording Runtime's first-touch page
+ *  addresses (pm::DramPages); keep them disjoint from pool offsets by
+ *  folding them into a separate tag space. */
 constexpr Addr kDramTag = Addr(1) << 44;
 
 Addr
