@@ -10,13 +10,14 @@ namespace whisper::core
 Runtime::Runtime(std::size_t pool_bytes, unsigned max_threads,
                  bool record_volatile, std::uint32_t elision)
     : pool_(std::make_unique<pm::PmPool>(pool_bytes)),
-      traces_(record_volatile)
+      traces_(record_volatile),
+      dramPages_(std::make_shared<pm::DramPages>())
 {
     panic_if(max_threads == 0, "runtime needs at least one thread");
     for (ThreadId tid = 0; tid < max_threads; tid++) {
         trace::TraceBuffer *buf = traces_.createBuffer(tid);
         contexts_.push_back(std::make_unique<pm::PmContext>(
-            *pool_, clock_, tid, buf, elision, &dramPages_));
+            *pool_, clock_, tid, buf, elision, dramPages_));
     }
 }
 

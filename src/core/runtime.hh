@@ -100,7 +100,7 @@ class Runtime
     LogicalClock clock_;
     std::unique_ptr<pm::PmPool> pool_;
     trace::TraceSet traces_;
-    pm::DramPages dramPages_;
+    std::shared_ptr<pm::DramPages> dramPages_;
     std::vector<std::unique_ptr<pm::PmContext>> contexts_;
     std::unique_ptr<pm::CrashPlan> crashPlan_;
     std::unique_ptr<pm::SchedGate> schedGate_;

@@ -9,9 +9,9 @@ namespace whisper::pm
 
 PmContext::PmContext(PmPool &pool, LogicalClock &clock, ThreadId tid,
                      trace::TraceBuffer *tb, std::uint32_t elision,
-                     DramPages *dram)
+                     std::shared_ptr<DramPages> dram)
     : pool_(pool), clock_(clock), tid_(tid), tb_(tb), elision_(elision),
-      dram_(dram),
+      dram_(std::move(dram)),
       // Spread tx ids across threads so they are globally unique.
       nextTx_(static_cast<TxId>(tid) << 40)
 {
@@ -158,18 +158,31 @@ PmContext::txAbort(TxId tx)
 }
 
 Addr
-PmContext::dramAddr(const void *p)
+PmContext::dramAddr(std::uintptr_t host)
 {
-    const auto host = reinterpret_cast<std::uintptr_t>(p);
-    if (!dram_ || !tb_ || !tb_->recordsVolatile())
-        return static_cast<Addr>(host);
-    return dram_->traced(host);
+    const std::uintptr_t page = host >> DramPages::kPageBits;
+    DramSlot &slot = dramCache_[page % dramCache_.size()];
+    if (slot.hostPage != page) {
+        slot.hostPage = page;
+        slot.number = dram_->number(page);
+    }
+    return (static_cast<Addr>(slot.number) << DramPages::kPageBits) |
+           (host & DramPages::kPageMask);
+}
+
+Addr
+PmContext::tracedDram(const void *p)
+{
+    // A trace that only counts DRAM events drops the address.
+    return tb_ && tb_->recordsVolatile()
+               ? dramAddr(reinterpret_cast<std::uintptr_t>(p))
+               : 0;
 }
 
 void
 PmContext::vLoad(const void *p, std::size_t n)
 {
-    emit(EventKind::DramLoad, dramAddr(p),
+    emit(EventKind::DramLoad, tracedDram(p),
          static_cast<std::uint32_t>(n), DataClass::None, 0,
          LogicalClock::kLoadCost);
 }
@@ -177,7 +190,7 @@ PmContext::vLoad(const void *p, std::size_t n)
 void
 PmContext::vStore(const void *p, std::size_t n)
 {
-    emit(EventKind::DramStore, dramAddr(p),
+    emit(EventKind::DramStore, tracedDram(p),
          static_cast<std::uint32_t>(n), DataClass::None, 0,
          LogicalClock::kStoreCost);
 }
@@ -189,16 +202,18 @@ PmContext::vBurst(const void *base, std::size_t span, unsigned loads,
     const Tick cost =
         (static_cast<Tick>(loads) + stores) * LogicalClock::kLoadCost;
     if (tb_ && tb_->recordsVolatile()) {
-        // The burst covers whole pages from its base's page, seeded by
-        // that page's address: neither depends on where the allocator
-        // put the buffer within its page.
-        const Addr origin = dramAddr(base) & ~Addr(DramPages::kPageMask);
-        std::uint64_t x = origin ^ 0x9e3779b97f4a7c15ull;
+        // The burst draws lines from the span's worth of host pages
+        // starting at its base's page, each traced through the page
+        // table, and seeds the draw from that first page's number:
+        // neither depends on where the allocator put the buffer.
+        const std::uintptr_t first =
+            reinterpret_cast<std::uintptr_t>(base) & ~DramPages::kPageMask;
+        std::uint64_t x = dramAddr(first) ^ 0x9e3779b97f4a7c15ull;
         const std::size_t lines = std::max<std::size_t>(1, span / 64);
         const unsigned total = loads + stores;
         for (unsigned i = 0; i < total; i++) {
             x = x * 6364136223846793005ull + 1442695040888963407ull;
-            const Addr addr = origin + (x >> 33) % lines * 64;
+            const Addr addr = dramAddr(first + (x >> 33) % lines * 64);
             emit(i < loads ? EventKind::DramLoad : EventKind::DramStore,
                  addr, 8, DataClass::None, 0, LogicalClock::kLoadCost);
         }

@@ -24,8 +24,10 @@
 #ifndef WHISPER_PM_PM_CONTEXT_HH
 #define WHISPER_PM_PM_CONTEXT_HH
 
+#include <array>
 #include <atomic>
 #include <cstring>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -107,10 +109,13 @@ struct FenceObserver
  * Stable trace addresses for volatile (DRAM) accesses. Each host page
  * a traced access touches gets the next page number in first-touch
  * order; the access is traced at that page number, with its offset
- * within the page kept. Simulated DRAM traffic then depends on the
- * run, not on where ASLR or earlier allocations put its buffers. One
- * table serves every context of a Runtime, so a buffer two threads
- * share keeps one address.
+ * within the page kept. Which page a buffer gets then depends on the
+ * run, not on where ASLR or earlier allocations put it; the kept
+ * offset of a heap buffer can still vary with the process's malloc
+ * history (a vBurst does not use it). One table serves every context
+ * of a Runtime, so a buffer two threads share keeps one address. A
+ * number never changes once given, so contexts cache the numbers
+ * (PmContext::dramAddr) and take the lock only on a miss.
  */
 class DramPages
 {
@@ -118,15 +123,12 @@ class DramPages
     static constexpr unsigned kPageBits = 12;
     static constexpr Addr kPageMask = (Addr(1) << kPageBits) - 1;
 
-    /** The trace address of host address @p host. */
-    Addr
-    traced(std::uintptr_t host)
+    /** The page number of host page @p host_page (address >> 12). */
+    std::uint64_t
+    number(std::uintptr_t host_page)
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        const auto it =
-            pages_.try_emplace(host >> kPageBits, pages_.size()).first;
-        return (static_cast<Addr>(it->second) << kPageBits) |
-               (host & kPageMask);
+        return pages_.try_emplace(host_page, pages_.size()).first->second;
     }
 
   private:
@@ -144,12 +146,15 @@ class PmContext
      * @param elision the txlib::ElisionPolicy mask the logging layers
      *        consult on this context (txlib/elision.hh); fixed for
      *        the context's life, so concurrent runs never share it
-     * @param dram the runtime's DRAM page table; null traces volatile
-     *        accesses at their host addresses
+     * @param dram the DRAM page table volatile accesses are traced
+     *        through; the Runtime shares one among its contexts, and
+     *        a context built alone gets its own
      */
     PmContext(PmPool &pool, LogicalClock &clock, ThreadId tid,
               trace::TraceBuffer *tb = nullptr,
-              std::uint32_t elision = 0, DramPages *dram = nullptr);
+              std::uint32_t elision = 0,
+              std::shared_ptr<DramPages> dram =
+                  std::make_shared<DramPages>());
 
     PmPool &pool() { return pool_; }
     ThreadId tid() const { return tid_; }
@@ -350,11 +355,17 @@ class PmContext
               DataClass cls, std::uint8_t aux, Tick cost);
 
     /**
-     * Trace address of volatile pointer @p p: its stable DramPages
-     * address when the trace stores DRAM events (no other trace
-     * keeps the address, so no other run pays the lookup).
+     * Trace address of volatile host address @p host: its DramPages
+     * page number with the offset within the page kept.
      */
-    Addr dramAddr(const void *p);
+    Addr dramAddr(std::uintptr_t host);
+
+    /**
+     * Address of a vLoad/vStore event at @p p: dramAddr() when the
+     * trace stores DRAM events, else 0, so no other run pays the
+     * lookup.
+     */
+    Addr tracedDram(const void *p);
 
     /**
      * Count one PM op against the crash plan; throws CrashPointReached
@@ -386,7 +397,7 @@ class PmContext
     ThreadId tid_;
     trace::TraceBuffer *tb_;
     const std::uint32_t elision_;
-    DramPages *const dram_;
+    const std::shared_ptr<DramPages> dram_;
     CrashPlan *plan_ = nullptr;
     FenceObserver *fenceObs_ = nullptr;
 
@@ -399,6 +410,17 @@ class PmContext
     /** WC buffer contents: byte ranges written by NT stores. */
     std::vector<std::pair<Addr, std::uint32_t>> pendingNt_;
     TxId nextTx_;
+
+    /**
+     * Direct-mapped cache of dram_'s page numbers, keyed by host page:
+     * a 64 KiB burst's pages land in distinct slots.
+     */
+    struct DramSlot
+    {
+        std::uintptr_t hostPage = ~std::uintptr_t(0);
+        std::uint64_t number = 0;
+    };
+    std::array<DramSlot, 16> dramCache_;
 };
 
 /**

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <vector>
 
 #include "common/logical_clock.hh"
 #include "pm/pm_context.hh"
@@ -264,6 +266,42 @@ TEST(PmContext, TraceEventsEmitted)
     EXPECT_EQ(events[2].fenceKind(), trace::FenceKind::Durability);
     EXPECT_LT(events[0].ts, events[1].ts);
     EXPECT_LT(events[1].ts, events[2].ts);
+}
+
+TEST(PmContext, DramBurstStaysInItsBuffersPages)
+{
+    // Two 16 KiB buffers, page aligned, with a gap between them.
+    std::vector<char> mem(13 * 4096);
+    const std::uintptr_t aligned =
+        (reinterpret_cast<std::uintptr_t>(mem.data()) + 4095) &
+        ~std::uintptr_t(4095);
+    char *a = reinterpret_cast<char *>(aligned);
+    char *b = a + 8 * 4096;
+
+    pm::PmPool pool{1 << 20};
+    LogicalClock clock;
+    trace::TraceBuffer tb{0, true};
+    pm::PmContext ctx{pool, clock, 0, &tb};
+    const auto pagesOf = [&](std::size_t from) {
+        std::set<Addr> pages;
+        for (std::size_t i = from; i < tb.events().size(); i++)
+            pages.insert(tb.events()[i].addr >> 12);
+        return pages;
+    };
+    ctx.vBurst(a, 1 << 14, 300, 100);
+    const std::set<Addr> pagesA = pagesOf(0);
+    std::size_t seen = tb.events().size();
+    ctx.vBurst(b, 1 << 14, 300, 100);
+    const std::set<Addr> pagesB = pagesOf(seen);
+    EXPECT_EQ(pagesA.size(), 4u);
+    EXPECT_EQ(pagesB.size(), 4u);
+    for (const Addr page : pagesB)
+        EXPECT_EQ(pagesA.count(page), 0u) << "page " << page;
+
+    // A later plain access to a's last page lands on a burst-a page.
+    seen = tb.events().size();
+    ctx.vLoad(a + 3 * 4096 + 8, 8);
+    EXPECT_EQ(pagesA.count(*pagesOf(seen).begin()), 1u);
 }
 
 TEST(POff, NullAndDeref)
