@@ -79,16 +79,17 @@ fi
 
 # ---------------------------------------------------------------
 # TSan: a separate build tree (TSan and ASan cannot coexist) running
-# the MOD concurrency stress tests and the multi-threaded crash-fuzz
-# replays — racing striped writers, lock-free readers, grace GC.
+# the PM pool's line-shard and persist-counter tests, the MOD
+# concurrency stress tests and the multi-threaded crash-fuzz replays —
+# racing striped writers, lock-free readers, grace GC.
 # Skip with --no-tsan when iterating on docs.
 # ---------------------------------------------------------------
 if [[ "$docs_only" == 0 && "$skip_tsan" == 0 ]]; then
-    echo "== tsan: MOD + halo concurrency stress =="
+    echo "== tsan: PM shards + MOD + halo concurrency stress =="
     cmake -B build-tsan -S . -DWHISPER_SANITIZE=thread >/dev/null
     cmake --build build-tsan -j "$(nproc)" --target whisper_tests
     run_leg build-tsan/tests/whisper_tests \
-        --gtest_filter='ModConcurrency.*:ModHeap.*:CrashFuzz.MultiThread*:HaloDirectory.ReadersStayConsistentThroughDoubling:HaloFuzz.*:Lincheck.*:LincheckWorkload.*:LincheckFuzz.CaseReplayIsBitIdentical:LincheckFuzz.BrokenSweepLeavesConcurrentPlainSweepAlone'
+        --gtest_filter='PmPool.*:PmContext.*:ModConcurrency.*:ModHeap.*:CrashFuzz.MultiThread*:HaloDirectory.ReadersStayConsistentThroughDoubling:HaloFuzz.*:Lincheck.*:LincheckWorkload.*:LincheckFuzz.CaseReplayIsBitIdentical:LincheckFuzz.BrokenSweepLeavesConcurrentPlainSweepAlone'
 fi
 
 # ---------------------------------------------------------------

@@ -79,12 +79,17 @@ PmContext::flush(Addr off, std::size_t n)
     const LineAddr first = lineOf(off);
     const LineAddr last = lineOf(off + n - 1);
     for (LineAddr line = first; line <= last; line++) {
-        // clwb of a line already queued on this thread's pending set is
-        // absorbed: hardware writes the line back once per drain, so
+        // clwb of a line already queued on this thread's pending list
+        // is absorbed: hardware writes the line back once per drain, so
         // the stats and the trace cost count one writeback per line per
-        // fence interval.
-        if (!pendingFlushSet_.insert(line).second)
+        // fence interval. A line above every pending one (each line of
+        // an ascending range flush) needs no scan.
+        const bool above = pendingFlush_.empty() || line > pendingTop_;
+        if (!above && std::find(pendingFlush_.begin(), pendingFlush_.end(),
+                                line) != pendingFlush_.end())
             continue;
+        if (above)
+            pendingTop_ = line;
         pendingFlush_.push_back(line);
         emit(EventKind::PmFlush, line << kCacheLineBits, kCacheLineSize,
              DataClass::None, 0, LogicalClock::kFlushCost);
@@ -106,7 +111,6 @@ PmContext::fence(FenceKind kind)
     for (const LineAddr line : pendingFlush_)
         pool_.persistLine(line);
     pendingFlush_.clear();
-    pendingFlushSet_.clear();
     for (const auto &[off, n] : pendingNt_)
         pool_.persistRange(off, n);
     pendingNt_.clear();
@@ -236,7 +240,6 @@ void
 PmContext::resetPendingState()
 {
     pendingFlush_.clear();
-    pendingFlushSet_.clear();
     pendingNt_.clear();
 }
 

@@ -14,7 +14,7 @@
  *  - a cacheable store only dirties the line; it becomes durable when
  *    some fence drains a flush of that line (or the "cache" evicts it
  *    at crash time);
- *  - flush() (clwb) enqueues lines on this thread's pending set;
+ *  - flush() (clwb) enqueues lines on this thread's pending list;
  *  - ntStore() bypasses the cache: the data sits in a write-combining
  *    buffer until the next fence;
  *  - fence() (sfence) drains this thread's pending flushes and WC
@@ -31,7 +31,6 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/logical_clock.hh"
@@ -404,9 +403,15 @@ class PmContext
     Tick localTicks_ = 0;
     std::uint64_t droppedPmOps_ = 0;
     std::uint8_t origin_ = 0;
+    /**
+     * Lines flushed since the last fence, each once, in flush order.
+     * A fence persists them in that order. A flat list, because an
+     * epoch is usually one or a few lines: flush() finds a repeat by
+     * scanning it, except for a line above pendingTop_.
+     */
     std::vector<LineAddr> pendingFlush_;
-    /** Mirror of pendingFlush_ for O(1) duplicate suppression. */
-    std::unordered_set<LineAddr> pendingFlushSet_;
+    /** Largest line in pendingFlush_ (meaningless while it is empty). */
+    LineAddr pendingTop_ = 0;
     /** WC buffer contents: byte ranges written by NT stores. */
     std::vector<std::pair<Addr, std::uint32_t>> pendingNt_;
     TxId nextTx_;

@@ -1,6 +1,7 @@
 #include "pm/pm_pool.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "common/logging.hh"
@@ -48,31 +49,21 @@ PmPool::contains(const void *p) const
 
 PmPool::ShardGuard::ShardGuard(const PmPool &pool, LineAddr first,
                                LineAddr last)
-    : pool_(pool)
+    : pool_(pool), shards_(std::uint64_t(1) << shardOf(first))
 {
-    // Collect the distinct shards of [first, last] and lock them in
-    // ascending index order — the global lock order that keeps
-    // concurrent multi-line stores deadlock-free.
-    bool want[kLineShards] = {};
-    if (last - first + 1 >= kLineShards) {
-        for (std::size_t s = 0; s < kLineShards; s++)
-            want[s] = true;
-    } else {
-        for (LineAddr line = first; line <= last; line++)
-            want[pool.shardOf(line)] = true;
-    }
-    for (std::size_t s = 0; s < kLineShards; s++) {
-        if (!want[s])
-            continue;
-        pool_.lineShards_[s].lock();
-        shards_[count_++] = static_cast<std::uint8_t>(s);
-    }
+    // A one-line access (nearly every one) takes its one shard; a
+    // wider one stops collecting once it has every shard.
+    constexpr std::uint64_t kAll = ~std::uint64_t(0);
+    for (LineAddr line = first + 1; line <= last && shards_ != kAll; line++)
+        shards_ |= std::uint64_t(1) << shardOf(line);
+    for (std::uint64_t m = shards_; m != 0; m &= m - 1)
+        pool_.lineShards_[std::countr_zero(m)].mutex.lock();
 }
 
 PmPool::ShardGuard::~ShardGuard()
 {
-    for (std::size_t i = count_; i-- > 0;)
-        pool_.lineShards_[shards_[i]].unlock();
+    for (std::uint64_t m = shards_; m != 0; m &= m - 1)
+        pool_.lineShards_[std::countr_zero(m)].mutex.unlock();
 }
 
 void
@@ -87,11 +78,19 @@ PmPool::applyStore(Addr off, const void *src, std::size_t n)
     std::memcpy(arch_.data() + off, src, n);
     for (LineAddr line = first; line <= last; line++) {
         lineStates_[line].store(1, std::memory_order_relaxed);
-        // Writing a poisoned line re-programs the failed cells (the
-        // device remaps on write); the line is readable again.
-        if (poisoned_[line].exchange(0, std::memory_order_relaxed))
-            stats_.poisonCleared++;
+        clearPoison(line);
     }
+}
+
+void
+PmPool::clearPoison(LineAddr line)
+{
+    // Writing a poisoned line re-programs the failed cells (the device
+    // remaps on write); the line is readable again. Only fault plans
+    // poison, so the plain load keeps the store path read-only here.
+    if (poisoned_[line].load(std::memory_order_relaxed) &&
+        poisoned_[line].exchange(0, std::memory_order_relaxed))
+        events_.poisonCleared++;
 }
 
 bool
@@ -108,8 +107,7 @@ PmPool::applyCas64(Addr off, std::uint64_t expected, std::uint64_t desired)
         return false;
     std::memcpy(arch_.data() + off, &desired, 8);
     lineStates_[line].store(1, std::memory_order_relaxed);
-    if (poisoned_[line].exchange(0, std::memory_order_relaxed))
-        stats_.poisonCleared++;
+    clearPoison(line);
     return true;
 }
 
@@ -131,14 +129,14 @@ PmPool::applyLoad(Addr off, void *dst, std::size_t n) const
             loadIndex_.fetch_add(1, std::memory_order_relaxed);
         if (idx % faultPlan_.transientEvery ==
             faultPlan_.transientEvery - 1)
-            stats_.transientFaults++;
+            events_.transientFaults++;
     }
     ShardGuard guard(*this, first, last);
     for (LineAddr line = first; line <= last; line++) {
         if (poisoned_[line].load(std::memory_order_relaxed)) {
             // Uncorrectable: retries cannot help, the media lost the
             // line. Recoverable by scrubLine(); never a panic.
-            stats_.mediaErrors++;
+            events_.mediaErrors++;
             const Addr base = line << kCacheLineBits;
             throw PmMediaError(base > off ? base : off, line);
         }
@@ -162,8 +160,35 @@ PmPool::persistLineLocked(LineAddr line)
     const std::size_t n = std::min(kCacheLineSize, size_ - base);
     std::memcpy(durable_.data() + base, arch_.data() + base, n);
     lineStates_[line].store(0, std::memory_order_relaxed);
-    stats_.linesPersisted++;
-    stats_.dimmLinesPersisted[dimms_.dimmOf(line)]++;
+    // The caller holds this shard's lock: no other thread writes it.
+    std::atomic<std::uint64_t> &count =
+        lineShards_[shardOf(line)].persisted[dimms_.dimmOf(line)];
+    count.store(count.load(std::memory_order_relaxed) + 1,
+                std::memory_order_relaxed);
+}
+
+PoolStats
+PmPool::stats() const
+{
+    PoolStats out;
+    for (const LineShard &shard : lineShards_) {
+        for (unsigned d = 0; d < kMaxDimms; d++) {
+            const std::uint64_t n =
+                shard.persisted[d].load(std::memory_order_relaxed);
+            out.dimmLinesPersisted[d] += n;
+            out.linesPersisted += n;
+        }
+    }
+    out.linesEvicted = events_.linesEvicted;
+    out.linesSurvivedCrash = events_.linesSurvivedCrash;
+    out.crashes = events_.crashes;
+    out.linesTorn = events_.linesTorn;
+    out.linesPoisoned = events_.linesPoisoned;
+    out.poisonCleared = events_.poisonCleared;
+    out.linesScrubbed = events_.linesScrubbed;
+    out.transientFaults = events_.transientFaults;
+    out.mediaErrors = events_.mediaErrors;
+    return out;
 }
 
 void
@@ -302,7 +327,7 @@ PmPool::crashWithFaults(const std::vector<LineAddr> &survivors,
             // Crash survivals are a separate phenomenon from cache
             // evictions; conflating them skewed every eviction-rate
             // report.
-            stats_.linesSurvivedCrash++;
+            events_.linesSurvivedCrash++;
             continue;
         }
         // Torn: only the masked 8-byte words reached the media; the
@@ -319,7 +344,7 @@ PmPool::crashWithFaults(const std::vector<LineAddr> &survivors,
                         8);
         }
         lineStates_[line].store(0, std::memory_order_relaxed);
-        stats_.linesTorn++;
+        events_.linesTorn++;
     }
     for (const LineAddr line : faults.poisoned) {
         panic_if(line >= lineStates_.size(),
@@ -330,12 +355,12 @@ PmPool::crashWithFaults(const std::vector<LineAddr> &survivors,
         const std::size_t n = std::min(kCacheLineSize, size_ - base);
         std::memset(durable_.data() + base, 0, n);
         poisoned_[line].store(1, std::memory_order_relaxed);
-        stats_.linesPoisoned++;
+        events_.linesPoisoned++;
     }
     arch_ = durable_;
     for (auto &st : lineStates_)
         st.store(0, std::memory_order_relaxed);
-    stats_.crashes++;
+    events_.crashes++;
 }
 
 void
@@ -350,7 +375,7 @@ PmPool::scrubLine(LineAddr line)
     std::memset(durable_.data() + base, 0, n);
     lineStates_[line].store(0, std::memory_order_relaxed);
     poisoned_[line].store(0, std::memory_order_relaxed);
-    stats_.linesScrubbed++;
+    events_.linesScrubbed++;
 }
 
 void
@@ -360,7 +385,7 @@ PmPool::poisonLine(LineAddr line)
              "poison of line %llu beyond pool",
              static_cast<unsigned long long>(line));
     poisoned_[line].store(1, std::memory_order_relaxed);
-    stats_.linesPoisoned++;
+    events_.linesPoisoned++;
 }
 
 bool
@@ -389,7 +414,7 @@ PmPool::evictRandomLines(Rng &rng, std::uint64_t n)
         const LineAddr line = rng.next(lineStates_.size());
         if (lineStates_[line].load(std::memory_order_relaxed)) {
             persistLine(line);
-            stats_.linesEvicted++;
+            events_.linesEvicted++;
         }
     }
 }

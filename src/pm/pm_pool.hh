@@ -40,24 +40,24 @@ namespace whisper::pm
 {
 
 /**
- * Statistics a pool keeps about persist traffic. Counters are atomic
- * because concurrent app threads persist lines in parallel; they read
- * as plain integers.
+ * A snapshot of a pool's persist-traffic counters, taken by
+ * PmPool::stats(). Concurrent app threads keep persisting while it is
+ * taken, so each field is exact only once they have stopped.
  */
 struct PoolStats
 {
-    std::atomic<std::uint64_t> linesPersisted{0};     //!< drains to durable
-    std::atomic<std::uint64_t> linesEvicted{0};       //!< random evictions
-    std::atomic<std::uint64_t> linesSurvivedCrash{0}; //!< kept by a crash
-    std::atomic<std::uint64_t> crashes{0};            //!< crash() calls
-    std::atomic<std::uint64_t> linesTorn{0};          //!< word-torn at crash
-    std::atomic<std::uint64_t> linesPoisoned{0};      //!< lost to media
-    std::atomic<std::uint64_t> poisonCleared{0};      //!< re-programmed
-    std::atomic<std::uint64_t> linesScrubbed{0};      //!< scrubLine() calls
-    std::atomic<std::uint64_t> transientFaults{0};    //!< retried reads
-    std::atomic<std::uint64_t> mediaErrors{0};        //!< PmMediaError raised
+    std::uint64_t linesPersisted = 0;     //!< drains to durable
+    std::uint64_t linesEvicted = 0;       //!< random evictions
+    std::uint64_t linesSurvivedCrash = 0; //!< kept by a crash
+    std::uint64_t crashes = 0;            //!< crash() calls
+    std::uint64_t linesTorn = 0;          //!< word-torn at crash
+    std::uint64_t linesPoisoned = 0;      //!< lost to media
+    std::uint64_t poisonCleared = 0;      //!< re-programmed
+    std::uint64_t linesScrubbed = 0;      //!< scrubLine() calls
+    std::uint64_t transientFaults = 0;    //!< retried reads
+    std::uint64_t mediaErrors = 0;        //!< PmMediaError raised
     /** Per-DIMM persist traffic (indexed by PmPool::dimmOf). */
-    std::array<std::atomic<std::uint64_t>, kMaxDimms> dimmLinesPersisted{};
+    std::array<std::uint64_t, kMaxDimms> dimmLinesPersisted{};
 };
 
 /**
@@ -253,9 +253,12 @@ class PmPool
 
     /** @} */
 
-    const PoolStats &stats() const { return stats_; }
+    /**
+     * Fold the shards' persist counters and the pool's event counters
+     * into a snapshot.
+     */
+    PoolStats stats() const;
 
-  private:
     /**
      * Line-granular synchronization: every image access (applyStore,
      * applyCas64, applyLoad, persistLine) holds the shard lock(s) of
@@ -263,12 +266,45 @@ class PmPool
      * reader's load of the same slot never tear, and a fence draining
      * one thread's flush queue never races another thread's store to
      * a neighboring word in the same line.
+     *
+     * Threads working on disjoint lines should not meet here. Each
+     * shard fills its own cache lines, and a line picks its shard by
+     * a multiplicative hash: PoolSlices bases are multiples of a
+     * large power of two (2^20 lines for four clients of a 256 MB
+     * pool), so `line % kLineShards` would put every client's
+     * tx-state, log and root lines in the same shards. A shard also
+     * counts the lines persisted under its lock, per DIMM; stats()
+     * sums them, so a persist writes no pool-wide counter.
      */
-    static constexpr std::size_t kLineShards = 64;
+    static constexpr unsigned kLineShardBits = 6;
+    static constexpr std::size_t kLineShards = std::size_t(1)
+                                               << kLineShardBits;
 
-    std::size_t shardOf(LineAddr line) const { return line % kLineShards; }
+    /** The shard whose lock guards @p line. */
+    static std::size_t
+    shardOf(LineAddr line)
+    {
+        return static_cast<std::size_t>(
+            (line * 0x9e3779b97f4a7c15ull) >> (64 - kLineShardBits));
+    }
 
-    /** Lock the shards of lines [first, last], deadlock-free. */
+  private:
+    struct alignas(64) LineShard
+    {
+        std::mutex mutex;
+        /**
+         * Lines persisted under this shard's lock, per DIMM. Only the
+         * lock holder bumps them (a plain load and store); atomic so
+         * stats() reads them without the lock.
+         */
+        std::array<std::atomic<std::uint64_t>, kMaxDimms> persisted{};
+    };
+
+    /**
+     * Lock the shards of lines [first, last] in ascending shard
+     * order: the global lock order that keeps concurrent multi-line
+     * accesses deadlock-free.
+     */
     class ShardGuard
     {
       public:
@@ -277,12 +313,27 @@ class PmPool
 
       private:
         const PmPool &pool_;
-        std::array<std::uint8_t, kLineShards> shards_{};
-        std::size_t count_ = 0;
+        std::uint64_t shards_; //!< bit s set == shard s held
+    };
+
+    /** Counters of events off the persist path (faults, crashes). */
+    struct EventCounters
+    {
+        std::atomic<std::uint64_t> linesEvicted{0};
+        std::atomic<std::uint64_t> linesSurvivedCrash{0};
+        std::atomic<std::uint64_t> crashes{0};
+        std::atomic<std::uint64_t> linesTorn{0};
+        std::atomic<std::uint64_t> linesPoisoned{0};
+        std::atomic<std::uint64_t> poisonCleared{0};
+        std::atomic<std::uint64_t> linesScrubbed{0};
+        std::atomic<std::uint64_t> transientFaults{0};
+        std::atomic<std::uint64_t> mediaErrors{0};
     };
 
     void boundsCheck(Addr off, std::size_t n) const;
     void persistLineLocked(LineAddr line);
+    /** Clear @p line's poison, if any; the caller holds its shard. */
+    void clearPoison(LineAddr line);
 
     std::size_t size_;
     DimmConfig dimms_;
@@ -292,12 +343,12 @@ class PmPool
     std::vector<std::atomic<std::uint8_t>> lineStates_;
     /** 1 == poisoned: loads raise PmMediaError until scrubbed. */
     std::vector<std::atomic<std::uint8_t>> poisoned_;
-    mutable std::array<std::mutex, kLineShards> lineShards_;
+    mutable std::array<LineShard, kLineShards> lineShards_;
     FaultPlan faultPlan_;
     /** Global load index driving transient-fault injection. */
     mutable std::atomic<std::uint64_t> loadIndex_{0};
     /** Mutable: applyLoad() is const but counts faults it injects. */
-    mutable PoolStats stats_;
+    mutable EventCounters events_;
 };
 
 } // namespace whisper::pm

@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <numeric>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "common/logical_clock.hh"
@@ -232,6 +235,175 @@ TEST(PmPool, EvictRandomLinesPersistsSome)
     EXPECT_LT(w.pool.dirtyLineCount(), 64u);
 }
 
+TEST(PmPool, ConcurrentOpsOnCollidingShards)
+{
+    // Every 8-byte word a thread writes is (n << 32 | n): a torn read
+    // shows halves that differ.
+    const auto word = [](std::uint64_t n) { return n << 32 | n; };
+    const auto torn = [](std::uint64_t v) { return v >> 32 != (v & ~0u); };
+
+    pm::PmPool pool(1 << 20);
+    constexpr std::size_t kRegionLines = 1024;
+    const Addr regions[2] = {0, 4 * kRegionLines * kCacheLineSize};
+    // Two 8-byte slots in each of two lines outside both regions that
+    // share a shard with the first region's first line.
+    std::vector<Addr> slots;
+    for (LineAddr line = 8 * kRegionLines; slots.size() < 4; line++) {
+        if (pm::PmPool::shardOf(line) != pm::PmPool::shardOf(0))
+            continue;
+        slots.push_back(line << kCacheLineBits);
+        slots.push_back((line << kCacheLineBits) + 24);
+    }
+
+    constexpr std::uint64_t kCasRounds = 20000;
+    constexpr std::uint64_t kStoreRounds = 5000;
+    constexpr int kThreads = 4 + 2 + 1;
+    std::atomic<bool> failed{false};
+    std::atomic<int> started{0};
+    std::atomic<int> writersDone{0};
+    // Every thread starts its loop once all are running.
+    const auto startTogether = [&] {
+        started++;
+        while (started.load() < kThreads)
+            std::this_thread::yield();
+    };
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < slots.size(); t++) {
+        threads.emplace_back([&, t] {
+            startTogether();
+            const Addr mine = slots[t];
+            const Addr other = slots[(t + 1) % slots.size()];
+            std::uint64_t seen = 0;
+            for (std::uint64_t n = 0; n < kCasRounds; n++) {
+                // The owner is the slot's only writer: every CAS wins.
+                if (!pool.applyCas64(mine, word(n), word(n + 1)))
+                    failed = true;
+                std::uint64_t v = 0;
+                pool.applyLoad(other, &v, 8);
+                if (torn(v) || v < seen)
+                    failed = true;
+                seen = v;
+            }
+        });
+    }
+    for (const Addr base : regions) {
+        threads.emplace_back([&, base] {
+            startTogether();
+            std::vector<std::uint64_t> buf(kRegionLines * 8);
+            for (std::uint64_t n = 1; n <= kStoreRounds; n++) {
+                std::fill(buf.begin(), buf.end(), word(n));
+                pool.applyStore(base, buf.data(), buf.size() * 8);
+            }
+            writersDone++;
+        });
+    }
+    threads.emplace_back([&] {
+        // A load of half a region that starts inside it (so its first
+        // shard is not the store's) sees one whole store. A reader
+        // that starts behind a store's copy and overtakes it would
+        // see new lines, then old ones.
+        startTogether();
+        std::vector<std::uint64_t> buf(kRegionLines / 2 * 8);
+        for (std::uint64_t n = 0; writersDone.load() < 2; n++) {
+            const Addr off = (1 + n % (kRegionLines / 2)) * kCacheLineSize;
+            pool.applyLoad(regions[n % 2] + off, buf.data(),
+                           buf.size() * 8);
+            for (const std::uint64_t v : buf) {
+                if (torn(v) || v != buf[0])
+                    failed = true;
+            }
+        }
+    });
+    for (std::thread &th : threads)
+        th.join();
+
+    EXPECT_FALSE(failed);
+    for (const Addr slot : slots)
+        EXPECT_EQ(*pool.at<std::uint64_t>(slot), word(kCasRounds));
+    for (const Addr base : regions) {
+        for (std::size_t i = 0; i < kRegionLines * 8; i++)
+            ASSERT_EQ(*pool.at<std::uint64_t>(base + i * 8),
+                      word(kStoreRounds)) << base << "+" << i * 8;
+    }
+}
+
+TEST(PmPool, PersistCountsExactAcrossThreads)
+{
+    pm::PmPool pool(1 << 20);
+    LogicalClock clock;
+    constexpr unsigned kThreads = 4;
+    constexpr LineAddr kLines = 1000;
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < kThreads; t++) {
+        threads.emplace_back([&, t] {
+            pm::PmContext ctx(pool, clock, t);
+            for (LineAddr i = 0; i < kLines; i++) {
+                const Addr off = (t * kLines + i) << kCacheLineBits;
+                const std::uint64_t v = off + 1;
+                ctx.store(off, &v, 8);
+                ctx.persist(off, 8);
+            }
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+
+    std::array<std::uint64_t, kMaxDimms> want{};
+    for (LineAddr line = 0; line < kThreads * kLines; line++)
+        want[pool.dimmOf(line << kCacheLineBits)]++;
+    const pm::PoolStats stats = pool.stats();
+    EXPECT_EQ(stats.linesPersisted, kThreads * kLines);
+    EXPECT_EQ(stats.dimmLinesPersisted, want);
+    EXPECT_EQ(std::accumulate(stats.dimmLinesPersisted.begin(),
+                              stats.dimmLinesPersisted.end(),
+                              std::uint64_t(0)),
+              stats.linesPersisted);
+    EXPECT_EQ(pool.dirtyLineCount(), 0u);
+}
+
+TEST(PmContext, LongFlushAbsorbsOverlappingReflushes)
+{
+    PoolWorld w;
+    constexpr LineAddr kFirst = 10;
+    constexpr LineAddr kLines = 2100;
+    std::vector<std::uint8_t> bytes(kLines * kCacheLineSize, 0x5a);
+    w.ctx.store(kFirst << kCacheLineBits, bytes.data(), bytes.size());
+    const auto flushLines = [&](LineAddr first, LineAddr n) {
+        w.ctx.flush(first << kCacheLineBits, n * kCacheLineSize);
+    };
+    flushLines(kFirst, kLines);
+    flushLines(5, 20);           // lines 5..9 new, 10..24 absorbed
+    flushLines(1000, 1);         // absorbed
+    flushLines(kFirst + kLines - 3, 6); // the top 3 absorbed, 3 new
+    flushLines(7, 1);            // absorbed below the top
+
+    std::vector<LineAddr> want(kLines);
+    std::iota(want.begin(), want.end(), kFirst);
+    for (LineAddr line = 5; line < kFirst; line++)
+        want.push_back(line);
+    for (LineAddr i = 0; i < 3; i++)
+        want.push_back(kFirst + kLines + i);
+    EXPECT_EQ(w.ctx.pendingFlushes(), want);
+
+    std::size_t flushEvents = 0;
+    for (const trace::TraceEvent &e : w.tb.events())
+        flushEvents += e.kind == trace::EventKind::PmFlush;
+    EXPECT_EQ(flushEvents, want.size());
+
+    const std::uint64_t before = w.pool.stats().linesPersisted;
+    w.ctx.fence(pm::FenceKind::Durability);
+    EXPECT_EQ(w.pool.stats().linesPersisted - before, want.size());
+    EXPECT_TRUE(w.ctx.pendingFlushes().empty());
+    EXPECT_EQ(w.pool.dirtyLineCount(), 0u);
+    EXPECT_EQ(std::memcmp(w.pool.durableBase() + (kFirst << kCacheLineBits),
+                          bytes.data(), bytes.size()),
+              0);
+
+    // The next interval starts empty: a line below the old top is new.
+    flushLines(kFirst, 1);
+    EXPECT_EQ(w.ctx.pendingFlushes(), std::vector<LineAddr>{kFirst});
+}
+
 TEST(PmContext, PersistHelper)
 {
     PoolWorld w;
@@ -335,11 +507,11 @@ TEST(PmPool, PoisonedLineRaisesMediaErrorUntilScrubbed)
     EXPECT_TRUE(w.pool.linePoisoned(lineOf(256)));
     std::uint64_t out = 0;
     EXPECT_THROW(w.ctx.load(256, &out, 8), pm::PmMediaError);
-    EXPECT_GE(w.pool.stats().mediaErrors.load(), 1u);
+    EXPECT_GE(w.pool.stats().mediaErrors, 1u);
 
     w.pool.scrubLine(lineOf(256));
     EXPECT_FALSE(w.pool.linePoisoned(lineOf(256)));
-    EXPECT_GE(w.pool.stats().linesScrubbed.load(), 1u);
+    EXPECT_GE(w.pool.stats().linesScrubbed, 1u);
     // A scrubbed line reads zero from both images: content is gone.
     out = ~std::uint64_t(0);
     w.ctx.load(256, &out, 8);
@@ -354,7 +526,7 @@ TEST(PmPool, StoreReprogramsPoisonedLine)
     const std::uint64_t v = 0xABCD;
     w.ctx.store(512, &v, 8);
     EXPECT_FALSE(w.pool.linePoisoned(lineOf(512)));
-    EXPECT_GE(w.pool.stats().poisonCleared.load(), 1u);
+    EXPECT_GE(w.pool.stats().poisonCleared, 1u);
     std::uint64_t out = 0;
     w.ctx.load(512, &out, 8); // no throw: the line was re-programmed
     EXPECT_EQ(out, v);
@@ -378,7 +550,7 @@ TEST(PmPool, CrashWithFaultsTearsAtWordGranularity)
             (i == 0 || i == 2 || i == 7) ? 100 + i : 0;
         EXPECT_EQ(*w.pool.at<std::uint64_t>(i * 8), expect) << i;
     }
-    EXPECT_EQ(w.pool.stats().linesTorn.load(), 1u);
+    EXPECT_EQ(w.pool.stats().linesTorn, 1u);
 }
 
 TEST(PmPool, CrashWithFaultsPoisonsLinesOutright)
@@ -396,7 +568,7 @@ TEST(PmPool, CrashWithFaultsPoisonsLinesOutright)
               std::vector<LineAddr>{lineOf(64)});
     std::uint64_t out = 0;
     EXPECT_THROW(w.ctx.load(64, &out, 8), pm::PmMediaError);
-    EXPECT_EQ(w.pool.stats().linesPoisoned.load(), 1u);
+    EXPECT_EQ(w.pool.stats().linesPoisoned, 1u);
 }
 
 TEST(PmPool, ResolveFaultsIsDeterministicAndBounded)
@@ -459,8 +631,8 @@ TEST(PmPool, TransientFaultsRetryInvisibly)
         w.ctx.load(128, &out, 8); // never throws: retries succeed
         EXPECT_EQ(out, v);
     }
-    EXPECT_GE(w.pool.stats().transientFaults.load(), 3u);
-    EXPECT_EQ(w.pool.stats().mediaErrors.load(), 0u);
+    EXPECT_GE(w.pool.stats().transientFaults, 3u);
+    EXPECT_EQ(w.pool.stats().mediaErrors, 0u);
 }
 
 } // namespace
