@@ -7,14 +7,19 @@
  * Simulation pass: the Figure 6/10 subset plus the MOD apps are
  * recorded once, with DRAM traffic, at simConfig() and replayed for
  * Figure 10, HOPS vs DPO and (ycsb) the persist-buffer ablation.
+ * Elision pass: the five logging-library apps run once more under
+ * the full txlib elision policy (DESIGN.md §11); their analysis-pass
+ * runs are the "before" of the flush/fence table.
  *
  * Every table prints paper values beside measured ones, then the
- * shape to reproduce. Exits 1 when an app fails verification or the
- * Hybrid layer's write amplification is not the suite's lowest.
- * WHISPER_OPS scales both passes.
+ * shape to reproduce. Exits 1 when an app fails verification, the
+ * Hybrid layer's write amplification is not the suite's lowest, or
+ * elision leaves some app without strictly fewer flushes + fences.
+ * WHISPER_OPS scales every pass.
  */
 
 #include <algorithm>
+#include <array>
 #include <iterator>
 #include <optional>
 
@@ -71,6 +76,34 @@ simConfig()
     return config;
 }
 
+/** The logging-library apps the txlib elision policy has bits for. */
+constexpr const char *kElisionApps[] = {"vacation", "memcached", "redis",
+                                        "ctree", "hashmap"};
+
+/** One run's epoch, flush and fence counts. */
+struct PersistOps
+{
+    std::uint64_t epochs;
+    std::uint64_t flushes;
+    std::uint64_t fences;
+};
+
+/** The kElisionApps runs' counts, in kElisionApps order. */
+using ElisionCounts = std::array<PersistOps, std::size(kElisionApps)>;
+
+/**
+ * Flushes and fences come from the trace counters: the same event
+ * counts analysis::optimizeTraces totals, without its allocations,
+ * which would shift the heap the simulation pass's DRAM buffers
+ * land in.
+ */
+PersistOps
+persistOps(const core::RunResult &run, std::uint64_t epochs)
+{
+    const trace::AccessCounters c = run.runtime->traces().totalCounters();
+    return {epochs, c.pmFlushes, c.fences};
+}
+
 /** One suite app's analysis; paper is null for post-paper layers. */
 struct Analyzed
 {
@@ -82,16 +115,22 @@ struct Analyzed
 
 /**
  * The analysis pass: the paper's apps in Table 1 order, then the
- * post-paper apps, returned in print order (MOD before Hybrid).
+ * post-paper apps, returned in print order (MOD before Hybrid). The
+ * kElisionApps runs' counts go to @p before.
  */
 std::vector<Analyzed>
-analyzeSuite()
+analyzeSuite(ElisionCounts &before)
 {
     const core::AppConfig config = analysisConfig();
     std::vector<Analyzed> out;
     auto analyze = [&](const std::string &name, const PaperRow *paper) {
         core::RunResult run = runForAnalysis(name, config);
         out.push_back({name, run.layer, core::analyzeRun(run), paper});
+        const auto it = std::ranges::find(kElisionApps, name);
+        if (it != std::end(kElisionApps)) {
+            before[it - std::begin(kElisionApps)] =
+                persistOps(run, out.back().result.epochs.totalEpochs);
+        }
     };
     for (const PaperRow &p : kPaper)
         analyze(p.name, &p);
@@ -409,14 +448,68 @@ simulateSuite(const std::vector<Analyzed> &apps)
               "(the paper's §5.3 write-endurance concern).");
 }
 
+/**
+ * The elision pass: each kElisionApps app reruns with the full txlib
+ * elision policy, against its analysis-pass run. Both runs go through
+ * the same verification; the elided crashfuzz sweeps re-prove the
+ * recovery invariants separately. False unless every app issues
+ * strictly fewer flushes + fences under elision.
+ */
+bool
+printElision(const ElisionCounts &before_counts)
+{
+    core::AppConfig elided = analysisConfig();
+    elided.elision = txlib::kElideAll;
+    TextTable table("fence/flush elision — before/after per app");
+    table.header({"Benchmark", "epochs", "(elided)", "flushes",
+                  "(elided)", "fences", "(elided)", "ops removed"});
+
+    bool all_fewer = true;
+    for (std::size_t i = 0; i < std::size(kElisionApps); i++) {
+        const char *name = kElisionApps[i];
+        const PersistOps &before = before_counts[i];
+        const core::RunResult run = runForAnalysis(name, elided);
+        const PersistOps after = persistOps(
+            run, core::analyzeRun(run).epochs.totalEpochs);
+        const std::uint64_t ops_before = before.flushes + before.fences;
+        const std::uint64_t ops_after = after.flushes + after.fences;
+        if (ops_after >= ops_before)
+            all_fewer = false;
+        const double removed =
+            ops_before
+                ? 1.0 - static_cast<double>(ops_after) /
+                            static_cast<double>(ops_before)
+                : 0.0;
+        table.row({name, TextTable::num(before.epochs),
+                   TextTable::num(after.epochs),
+                   TextTable::num(before.flushes),
+                   TextTable::num(after.flushes),
+                   TextTable::num(before.fences),
+                   TextTable::num(after.fences),
+                   TextTable::percent(removed, 1)});
+    }
+    table.print();
+
+    if (!all_fewer) {
+        std::fputs("FATAL: elision failed to remove flush/fence work "
+                   "on some app\n", stderr);
+        return false;
+    }
+    std::puts("\nShape check: every app issues strictly fewer "
+              "flushes + fences under elision; verification and the "
+              "elided crashfuzz sweeps hold either way.");
+    return true;
+}
+
 } // namespace
 
 int
 main()
 {
-    const std::vector<Analyzed> apps = analyzeSuite();
+    ElisionCounts before{};
+    const std::vector<Analyzed> apps = analyzeSuite(before);
     if (!printAnalyses(apps))
         return 1;
     simulateSuite(apps);
-    return 0;
+    return printElision(before) ? 0 : 1;
 }

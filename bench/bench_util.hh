@@ -1,8 +1,8 @@
 /**
  * @file
- * Run configuration shared by the benches that analyze whole app
- * runs. Sizes scale with the WHISPER_OPS environment variable (a
- * multiplier; default 1 keeps each binary in the seconds range).
+ * Run configuration of the two bench drivers. Sizes scale with the
+ * WHISPER_OPS environment variable (a multiplier; default 1 keeps
+ * each driver in the seconds range).
  */
 
 #ifndef WHISPER_BENCH_BENCH_UTIL_HH
@@ -27,7 +27,7 @@ opsScale()
     return 1.0;
 }
 
-/** Baseline config for the analysis benches. */
+/** Baseline config for bench_paper's analysis and elision passes. */
 inline core::AppConfig
 analysisConfig()
 {

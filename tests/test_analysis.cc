@@ -380,8 +380,10 @@ TEST(DependencyShard, LineShardedJoinMatchesSequential)
 TEST(Pipeline, ParallelBitIdenticalToSequentialOnAppTraces)
 {
     // The headline guarantee: for real recorded app traces spanning
-    // all three access layers, analyze with 2/4/8 jobs == 1 job.
-    for (const char *app : {"hashmap", "vacation", "nfs"}) {
+    // the native and all three paper access layers, analyze with
+    // 2/4/8 jobs == 1 job.
+    for (const char *app :
+         {"hashmap", "vacation", "nfs", "ycsb", "tpcc"}) {
         core::RunResult run = recordedApp(app, 80);
         const trace::TraceSet &traces = run.runtime->traces();
 

@@ -9,10 +9,16 @@
 #include <algorithm>
 #include <atomic>
 #include <thread>
+#include <vector>
 
+#include "alloc/buddy_alloc.hh"
+#include "alloc/nvml_alloc.hh"
+#include "alloc/slab_alloc.hh"
 #include "core/harness.hh"
 #include "core/hops.hh"
 #include "core/verify_report.hh"
+#include "txlib/mnemosyne.hh"
+#include "txlib/nvml.hh"
 
 namespace whisper::core
 {
@@ -141,6 +147,135 @@ TEST(Hops, Figure1eExample)
     EXPECT_EQ(*rt.pool().durableAt<std::uint64_t>(0), 10u);
     EXPECT_EQ(*rt.pool().durableAt<std::uint64_t>(8), 20u);
     EXPECT_EQ(*rt.pool().durableAt<std::uint64_t>(256), 1u);
+}
+
+/** A fresh one-thread runtime, as each primitive-cost loop sees it. */
+struct World
+{
+    Runtime rt{64 << 20, 1};
+    pm::PmContext &ctx{rt.ctx(0)};
+
+    /** Mean logical ticks @p body charges over 4096 iterations. */
+    template <typename Body>
+    double
+    ticksPerOp(Body body)
+    {
+        constexpr int kIters = 4096;
+        const Tick start = ctx.localTicks();
+        for (int i = 0; i < kIters; i++)
+            body();
+        return static_cast<double>(ctx.localTicks() - start) / kIters;
+    }
+};
+
+/** Ticks per alloc of @p bytes, freeing the live blocks every 1024. */
+template <typename Heap>
+double
+allocTicksPerOp(World &w, Heap &heap, std::size_t bytes)
+{
+    std::vector<Addr> live;
+    return w.ticksPerOp([&] {
+        live.push_back(heap.alloc(w.ctx, bytes));
+        if (live.size() >= 1024) {
+            for (const Addr p : live)
+                heap.free(w.ctx, p);
+            live.clear();
+        }
+    });
+}
+
+TEST(PrimitiveCosts, TickClockOrdersAsConsequence2Predicts)
+{
+    // Consequence 2: epochs are far more common than transactions, so
+    // the HOPS epoch (store + ofence) must undercut today's persist
+    // (store + clwb + sfence), and per-op costs must order as the
+    // libraries' epoch counts predict. One thread on the logical
+    // clock, so every delta is deterministic. Each World holds two
+    // 64 MiB pool images, so each lives only for its own loop.
+    const std::uint64_t v = 1;
+    const auto next = [](Addr off) { return (off + 64) & ((16 << 20) - 1); };
+
+    const double store = [&] {
+        World w;
+        Addr off = 0;
+        return w.ticksPerOp([&] {
+            w.ctx.store(off, &v, 8);
+            off = next(off);
+        });
+    }();
+    const double hops_ofence = [&] {
+        World w;
+        HopsContext hops(w.ctx);
+        Addr off = 0;
+        return w.ticksPerOp([&] {
+            hops.store(off, &v, 8);
+            hops.ofence();
+            off = next(off);
+            if (off == 0)
+                hops.dfence(); // bound the tracked set
+        });
+    }();
+    const double store_clwb_sfence = [&] {
+        World w;
+        Addr off = 0;
+        return w.ticksPerOp([&] {
+            w.ctx.store(off, &v, 8);
+            w.ctx.flush(off, 8);
+            w.ctx.fence(pm::FenceKind::Ordering);
+            off = next(off);
+        });
+    }();
+    EXPECT_LT(store, hops_ofence);
+    EXPECT_LT(hops_ofence, store_clwb_sfence);
+
+    const double slab = [] {
+        World w;
+        alloc::SlabAllocator heap(w.ctx, 0, 48 << 20);
+        return allocTicksPerOp(w, heap, 64);
+    }();
+    const double buddy = [] {
+        World w;
+        alloc::BuddyAllocator heap(w.ctx, 0, 32 << 20);
+        return allocTicksPerOp(w, heap, 48);
+    }();
+    const double nvml_alloc = [] {
+        World w;
+        alloc::NvmlAllocator heap(w.ctx, alloc::NvmlAllocator::logBytes(),
+                                  32 << 20, 0);
+        return allocTicksPerOp(w, heap, 64);
+    }();
+    EXPECT_LT(slab, buddy);
+    EXPECT_LT(buddy, nvml_alloc);
+
+    const double mne_tx = [] {
+        World w;
+        mne::MnemosyneHeap heap(w.ctx, 0, 48 << 20, 1);
+        const Addr obj = heap.pmalloc(w.ctx, 64);
+        std::uint64_t counter = 0;
+        return w.ticksPerOp([&] {
+            mne::Transaction tx(heap, w.ctx);
+            tx.update(obj, &counter, 8);
+            tx.commit();
+            counter++;
+        });
+    }();
+    const double nvml_tx = [] {
+        World w;
+        nvml::NvmlPool pool(w.ctx, 0, 48 << 20, 1);
+        Addr obj;
+        {
+            nvml::TxContext tx(pool, w.ctx);
+            obj = tx.txAlloc(64);
+            tx.commit();
+        }
+        return w.ticksPerOp([&] {
+            nvml::TxContext tx(pool, w.ctx);
+            auto *cell = w.rt.pool().at<std::uint64_t>(obj);
+            tx.set(*cell, *cell + 1);
+            tx.commit();
+        });
+    }();
+    EXPECT_LT(mne_tx, nvml_tx);
 }
 
 TEST(Harness, RunAppProducesTraces)

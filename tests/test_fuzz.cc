@@ -129,23 +129,25 @@ TEST(CrashFuzz, MultiThreadModSweepHoldsInvariants)
 
 TEST(CrashFuzz, SweepDigestIdenticalAtAnyJobs)
 {
+    // One app per paper access layer, at two fan-outs.
     fuzz::SweepOptions options;
-    options.apps = {"hashmap", "echo"};
+    options.apps = {"hashmap", "echo", "vacation", "nfs"};
     options.cases = 12;
     options.config = tinyConfig();
     options.shrinkViolations = false;
 
     options.jobs = 1;
     const auto sequential = fuzz::sweep(options);
-    options.jobs = 4;
-    const auto parallel = fuzz::sweep(options);
-
-    ASSERT_EQ(sequential.size(), parallel.size());
-    for (std::size_t i = 0; i < sequential.size(); i++) {
-        EXPECT_EQ(sequential[i].digest, parallel[i].digest)
-            << sequential[i].app;
-        EXPECT_EQ(sequential[i].violations, parallel[i].violations);
-        EXPECT_EQ(sequential[i].casesFired, parallel[i].casesFired);
+    for (const unsigned jobs : {2u, 4u}) {
+        options.jobs = jobs;
+        const auto parallel = fuzz::sweep(options);
+        ASSERT_EQ(sequential.size(), parallel.size());
+        for (std::size_t i = 0; i < sequential.size(); i++) {
+            EXPECT_EQ(sequential[i].digest, parallel[i].digest)
+                << sequential[i].app << " at jobs " << jobs;
+            EXPECT_EQ(sequential[i].violations, parallel[i].violations);
+            EXPECT_EQ(sequential[i].casesFired, parallel[i].casesFired);
+        }
     }
 }
 
