@@ -352,7 +352,7 @@ class CtreeApp : public WhisperApp
      */
 
     void
-    workloadSetup(Runtime &rt, const WorkloadKeymap &map) override
+    setupPartitions(Runtime &rt, const WorkloadKeymap &map) override
     {
         wlMap_ = map;
         inst_.clear();
@@ -432,7 +432,7 @@ class CtreeApp : public WhisperApp
   private:
     /**
      * The paper run's one tree over the whole pool (setup()), or one
-     * tree per workload thread (workloadSetup()).
+     * tree per workload thread (setupPartitions()).
      */
     std::vector<Instance> inst_;
     /** Serializes run()'s threads on the shared tree. */

@@ -727,7 +727,7 @@ class EchoApp : public WhisperApp
 
   public:
     void
-    workloadSetup(Runtime &rt, const core::WorkloadKeymap &map) override
+    setupPartitions(Runtime &rt, const core::WorkloadKeymap &map) override
     {
         wlMap_ = map;
         inst_.clear();
@@ -823,7 +823,7 @@ class EchoApp : public WhisperApp
   private:
     /**
      * The paper run's one store over the whole pool (setup()), or one
-     * store per workload thread (workloadSetup()).
+     * store per workload thread (setupPartitions()).
      */
     std::vector<Instance> inst_;
     std::mutex masterLock_;

@@ -197,7 +197,7 @@ class HaloHashmapApp : public PartitionedKvApp
     }
 
     void
-    workloadSetup(Runtime &rt, const WorkloadKeymap &map) override
+    setupPartitions(Runtime &rt, const WorkloadKeymap &map) override
     {
         store_ = std::make_unique<HaloStore>(storeConfig());
         const std::uint64_t capacity =

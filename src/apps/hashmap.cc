@@ -311,7 +311,7 @@ class HashmapApp : public WhisperApp
      */
 
     void
-    workloadSetup(Runtime &rt, const WorkloadKeymap &map) override
+    setupPartitions(Runtime &rt, const WorkloadKeymap &map) override
     {
         wlMap_ = map;
         inst_.clear();
@@ -412,7 +412,7 @@ class HashmapApp : public WhisperApp
   private:
     /**
      * The paper run's one map over the whole pool (setup()), or one
-     * map per workload thread (workloadSetup()).
+     * map per workload thread (setupPartitions()).
      */
     std::vector<Instance> inst_;
     /** Serializes run()'s threads on the shared map. */

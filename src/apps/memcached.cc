@@ -451,7 +451,7 @@ class MemcachedApp : public WhisperApp
 
   public:
     void
-    workloadSetup(Runtime &rt, const core::WorkloadKeymap &map) override
+    setupPartitions(Runtime &rt, const core::WorkloadKeymap &map) override
     {
         wlMap_ = map;
         inst_.clear();
@@ -545,7 +545,7 @@ class MemcachedApp : public WhisperApp
   private:
     /**
      * The paper run's one cache over the whole pool (setup()), or one
-     * cache per workload thread (workloadSetup()).
+     * cache per workload thread (setupPartitions()).
      */
     std::vector<Instance> inst_;
     /** Serializes run()'s threads on the shared cache. */

@@ -235,7 +235,7 @@ class ModHashmapApp : public ModApp<mod::ModHashmap>
     }
 
     void
-    workloadSetup(Runtime &rt, const WorkloadKeymap &map) override
+    setupPartitions(Runtime &rt, const WorkloadKeymap &map) override
     {
         // One chain bucket per potential key keeps lookups O(1) even
         // at millions of keys (partition size must be a power of 2).
@@ -347,7 +347,7 @@ class ModVectorApp : public ModApp<mod::ModVector>
      * chunk.
      */
     void
-    workloadSetup(Runtime &rt, const WorkloadKeymap &map) override
+    setupPartitions(Runtime &rt, const WorkloadKeymap &map) override
     {
         slotsPT_ = (map.slotsPerThread() + mod::ModVector::kElems - 1) /
                    mod::ModVector::kElems;

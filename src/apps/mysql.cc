@@ -359,7 +359,7 @@ class MysqlApp : public WhisperApp
 
   public:
     void
-    workloadSetup(Runtime &rt, const core::WorkloadKeymap &map) override
+    setupPartitions(Runtime &rt, const core::WorkloadKeymap &map) override
     {
         wlMap_ = map;
         inst_.clear();
@@ -477,7 +477,7 @@ class MysqlApp : public WhisperApp
   private:
     /**
      * The paper run's one database over the whole pool (setup()), or
-     * one database per workload thread (workloadSetup()).
+     * one database per workload thread (setupPartitions()).
      */
     std::vector<Instance> inst_;
     std::uint64_t rows_ = 0;

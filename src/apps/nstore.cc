@@ -798,7 +798,7 @@ class NstoreApp : public WhisperApp
 
   public:
     void
-    workloadSetup(Runtime &rt, const core::WorkloadKeymap &map) override
+    setupPartitions(Runtime &rt, const core::WorkloadKeymap &map) override
     {
         wlMap_ = map;
         inst_.clear();
@@ -907,7 +907,7 @@ class NstoreApp : public WhisperApp
     /**
      * The paper run's one partitioned database over the whole pool
      * (setup()), or one single-partition database per workload
-     * thread (workloadSetup()).
+     * thread (setupPartitions()).
      */
     std::vector<Instance> inst_;
     core::WorkloadKeymap wlMap_;

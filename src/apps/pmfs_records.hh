@@ -70,8 +70,8 @@ class PmfsRecordApp : public core::WhisperApp
      * would overflow a journal segment.
      */
     void
-    workloadSetup(core::Runtime &rt,
-                  const core::WorkloadKeymap &map) override
+    setupPartitions(core::Runtime &rt,
+                    const core::WorkloadKeymap &map) override
     {
         map_ = map;
         volumes_.clear();

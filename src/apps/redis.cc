@@ -340,7 +340,7 @@ class RedisApp : public WhisperApp
      */
 
     void
-    workloadSetup(Runtime &rt, const WorkloadKeymap &map) override
+    setupPartitions(Runtime &rt, const WorkloadKeymap &map) override
     {
         wlMap_ = map;
         inst_.clear();
@@ -457,7 +457,7 @@ class RedisApp : public WhisperApp
 
     /**
      * The paper run's one dictionary over the whole pool (setup()),
-     * or one server shard per workload thread (workloadSetup()).
+     * or one server shard per workload thread (setupPartitions()).
      */
     std::vector<Instance> inst_;
     WorkloadKeymap wlMap_;

@@ -538,7 +538,7 @@ class VacationApp : public WhisperApp
 
   public:
     void
-    workloadSetup(Runtime &rt, const core::WorkloadKeymap &map) override
+    setupPartitions(Runtime &rt, const core::WorkloadKeymap &map) override
     {
         wlMap_ = map;
         inst_.clear();
@@ -632,7 +632,7 @@ class VacationApp : public WhisperApp
     /**
      * The paper run's one reservation system over the whole pool
      * (setup()), or one item-only instance per workload thread
-     * (workloadSetup()).
+     * (setupPartitions()).
      */
     std::vector<Instance> inst_;
     std::uint64_t itemCount_ = 0;

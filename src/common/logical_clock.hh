@@ -1,13 +1,15 @@
 /**
  * @file
- * Global logical clock stamping every trace event.
+ * Logical clock stamping trace events.
  *
- * The paper timestamps PM operations with ftrace's global clock and
- * defines epoch dependencies over a 50 us window. We use a process-wide
- * monotonic atomic counter where one tick nominally equals one
- * nanosecond; instrumented operations advance it by small costs so
- * that inter-thread windows and rates (Table 1 epochs/second) are
- * meaningful and fully deterministic.
+ * The paper timestamps PM operations with ftrace's clock and defines
+ * epoch dependencies over a 50 us window. We use a monotonic atomic
+ * counter where one tick nominally equals one nanosecond;
+ * instrumented operations advance it by small costs so that
+ * inter-thread windows and rates (Table 1 epochs/second) are
+ * meaningful. A Runtime's contexts share one clock while they work on
+ * shared state (paper runs); partitioned workload clients each run on
+ * their own clock from a common base (Runtime::splitClocks()).
  */
 
 #ifndef WHISPER_COMMON_LOGICAL_CLOCK_HH
@@ -21,10 +23,12 @@ namespace whisper
 {
 
 /**
- * Monotonic, process-wide tick source.
+ * Monotonic tick source.
  *
- * advance() models the cost of an instrumented operation; all threads
- * share the counter, so cross-thread timestamp comparisons are valid.
+ * advance() models the cost of an instrumented operation. Threads
+ * sharing a clock get timestamps in one host-schedule order; threads
+ * on split clocks get timestamps in their own parallel time, which
+ * TraceSet::merged() orders by (tick, tid).
  */
 class LogicalClock
 {
@@ -39,8 +43,11 @@ class LogicalClock
         return ticks.fetch_add(cost, std::memory_order_relaxed) + cost;
     }
 
-    /** Reset to zero (only between experiments). */
-    void reset() { ticks.store(0, std::memory_order_relaxed); }
+    /**
+     * Set to @p to (only between experiments, or to start a split
+     * clock at its shared clock's time).
+     */
+    void reset(Tick to = 0) { ticks.store(to, std::memory_order_relaxed); }
 
     /** Nominal per-operation costs, in ticks (1 tick == 1 ns). */
     static constexpr Tick kStoreCost = 2;

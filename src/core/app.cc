@@ -22,7 +22,7 @@ accessLayerName(AccessLayer layer)
 // Default workload surface: an app without one (the `faulty` fixture)
 // stops here, named, when a driver asks it for generated work.
 void
-WhisperApp::workloadSetup(Runtime &rt, const WorkloadKeymap &map)
+WhisperApp::setupPartitions(Runtime &rt, const WorkloadKeymap &map)
 {
     (void)rt;
     (void)map;

@@ -262,17 +262,28 @@ class WhisperApp
      * mixes against them (the `faulty` fixture does not; the defaults
      * below stop a driver with a fatal() naming it). The driver calls
      * workloadSetup() once (single-threaded) with the key partition
-     * plan; the adapter builds *per-thread* structure instances over
-     * disjoint pool regions and preloads each thread's slice (see
-     * WorkloadKeymap for why sharing would break determinism). The
+     * plan; the adapter's setupPartitions() builds *per-thread*
+     * structure instances over disjoint pool regions and preloads each
+     * thread's slice (see WorkloadKeymap for why sharing would break
+     * determinism), then every context moves onto its own clock. The
      * per-op calls then run concurrently, thread @p tid only ever
      * receiving keys it owns. workloadThreadDone() is the per-thread
      * epilogue (e.g. MOD's threadExit); workloadCheck() validates
      * structural invariants after the run.
      */
 
-    /** Build per-thread structures and preload every partition. */
-    virtual void workloadSetup(Runtime &rt, const WorkloadKeymap &map);
+    /**
+     * Build per-thread structures and preload every partition
+     * (setupPartitions()), then split the runtime's clocks
+     * (Runtime::splitClocks()): from here on each client stamps its
+     * events from its own clock.
+     */
+    void
+    workloadSetup(Runtime &rt, const WorkloadKeymap &map)
+    {
+        setupPartitions(rt, map);
+        rt.splitClocks();
+    }
 
     /** Point lookup; returns whether @p key was found. */
     virtual bool workloadGet(pm::PmContext &ctx, ThreadId tid,
@@ -359,6 +370,14 @@ class WhisperApp
         (void)lines;
         (void)report;
     }
+
+    /**
+     * Workload hook under workloadSetup(): build the per-thread
+     * structures over disjoint pool regions and preload every
+     * partition of @p map, on the runtime's shared clock. Default:
+     * fatal(), naming the app (no workload surface).
+     */
+    virtual void setupPartitions(Runtime &rt, const WorkloadKeymap &map);
 
     /** Empty report pre-stamped with this app's name and layer. */
     VerifyReport

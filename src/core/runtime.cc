@@ -30,6 +30,13 @@ Runtime::ctx(ThreadId tid)
 }
 
 void
+Runtime::splitClocks()
+{
+    for (auto &ctx : contexts_)
+        ctx->splitClock();
+}
+
+void
 Runtime::runThreads(unsigned n,
                     const std::function<void(pm::PmContext &,
                                              ThreadId)> &fn)

@@ -2,8 +2,9 @@
  * @file
  * Execution runtime tying the substrates together.
  *
- * A Runtime owns one simulated PM device (PmPool), the global logical
- * clock, the per-thread trace buffers and the per-thread PmContexts.
+ * A Runtime owns one simulated PM device (PmPool), the logical clock
+ * its contexts share until splitClocks(), the per-thread trace buffers
+ * and the per-thread PmContexts.
  * Applications are written against PmContext; the runtime provides
  * thread launch, crash injection and re-mount orchestration so that
  * every WHISPER app and every test drives the stack the same way.
@@ -39,7 +40,6 @@ class Runtime
             bool record_volatile = false, std::uint32_t elision = 0);
 
     pm::PmPool &pool() { return *pool_; }
-    LogicalClock &clock() { return clock_; }
     trace::TraceSet &traces() { return traces_; }
     const trace::TraceSet &traces() const { return traces_; }
 
@@ -48,6 +48,18 @@ class Runtime
 
     /** Per-thread instrumented context (tid < maxThreads). */
     pm::PmContext &ctx(ThreadId tid);
+
+    /**
+     * Put every context on its own clock, started at the shared
+     * clock's current time (PmContext::splitClock()), so no thread's
+     * PM op advances a clock another thread advances. Timestamps are then
+     * each thread's parallel time, and TraceSet::merged() orders
+     * them by (tick, tid): a deterministic order, whatever the host
+     * schedule. Only for partitioned clients, each thread seeing only
+     * its own keys (WhisperApp::workloadSetup() calls it after
+     * preload). One-way for the Runtime's life.
+     */
+    void splitClocks();
 
     /**
      * Run @p fn on @p n real threads (tid 0..n-1), joining all.

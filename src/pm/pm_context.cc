@@ -10,7 +10,7 @@ namespace whisper::pm
 PmContext::PmContext(PmPool &pool, LogicalClock &clock, ThreadId tid,
                      trace::TraceBuffer *tb, std::uint32_t elision,
                      std::shared_ptr<DramPages> dram)
-    : pool_(pool), clock_(clock), tid_(tid), tb_(tb), elision_(elision),
+    : pool_(pool), clock_(&clock), tid_(tid), tb_(tb), elision_(elision),
       dram_(std::move(dram)),
       // Spread tx ids across threads so they are globally unique.
       nextTx_(static_cast<TxId>(tid) << 40)
@@ -22,7 +22,7 @@ PmContext::emit(EventKind kind, Addr addr, std::uint32_t size,
                 DataClass cls, std::uint8_t aux, Tick cost)
 {
     localTicks_ += cost;
-    const Tick now = clock_.advance(cost);
+    const Tick now = clock_->advance(cost);
     if (tb_)
         tb_->push({now, addr, size, kind, cls, aux, origin_});
 }
@@ -224,7 +224,7 @@ PmContext::vBurst(const void *base, std::size_t span, unsigned loads,
         return;
     }
     localTicks_ += cost;
-    clock_.advance(cost);
+    clock_->advance(cost);
     if (tb_)
         tb_->addVolatileBulk(loads, stores);
 }
@@ -233,7 +233,16 @@ void
 PmContext::compute(Tick ns)
 {
     localTicks_ += ns;
-    clock_.advance(ns);
+    clock_->advance(ns);
+}
+
+void
+PmContext::splitClock()
+{
+    if (clock_ == &ownClock_)
+        return;
+    ownClock_.reset(clock_->now());
+    clock_ = &ownClock_;
 }
 
 void

@@ -5,10 +5,12 @@
  * PmContext is the C++ equivalent of the paper's PM_* macros
  * (their Figure 2): every store, non-temporal store, flush and fence
  * goes through here, is applied to the pool with correct persistency
- * semantics, advances the global logical clock, and is appended to the
- * thread's trace buffer. Durable-transaction boundaries and volatile
- * (DRAM) accesses are traced through the same object so that one trace
- * carries everything the analyses and the timing simulator need.
+ * semantics, advances the context's logical clock (the Runtime's
+ * shared one, or the context's own after Runtime::splitClocks()), and
+ * is appended to the thread's trace buffer. Durable-transaction
+ * boundaries and volatile (DRAM) accesses are traced through the same
+ * object so that one trace carries everything the analyses and the
+ * timing simulator need.
  *
  * Persistency semantics implemented (x86-TSO):
  *  - a cacheable store only dirties the line; it becomes durable when
@@ -142,6 +144,8 @@ class PmContext
 {
   public:
     /**
+     * @param clock the clock this context advances until
+     *        splitClock(); a Runtime's contexts share one
      * @param elision the txlib::ElisionPolicy mask the logging layers
      *        consult on this context (txlib/elision.hh); fixed for
      *        the context's life, so concurrent runs never share it
@@ -267,10 +271,19 @@ class PmContext
     void compute(Tick ns);
 
     /** Current logical time (does not advance the clock). */
-    Tick now() const { return clock_.now(); }
+    Tick now() const { return clock_->now(); }
 
     /**
-     * Ticks this context has contributed to the global clock. Unlike
+     * Move this context onto its own clock, started at the current
+     * time of the clock it shares. From then on its events, bursts and
+     * compute advance only its own clock, in a cache line no other
+     * thread writes, and now() reads it. One-way; a second call does
+     * nothing. Only for partitioned clients (Runtime::splitClocks()).
+     */
+    void splitClock();
+
+    /**
+     * Ticks this context has contributed to its clock. Unlike
      * now(), deltas of this counter are interleaving-independent: they
      * sum only the costs of *this thread's* operations, so per-op
      * latencies derived from them are deterministic for any schedule
@@ -392,7 +405,8 @@ class PmContext
     }
 
     PmPool &pool_;
-    LogicalClock &clock_;
+    /** The clock this context advances: shared, or &ownClock_. */
+    LogicalClock *clock_;
     ThreadId tid_;
     trace::TraceBuffer *tb_;
     const std::uint32_t elision_;
@@ -426,6 +440,9 @@ class PmContext
         std::uint64_t number = 0;
     };
     std::array<DramSlot, 16> dramCache_;
+
+    /** This context's own clock once split (splitClock()). */
+    alignas(64) LogicalClock ownClock_;
 };
 
 /**

@@ -94,7 +94,7 @@ inline constexpr std::size_t kOriginCount =
  */
 struct TraceEvent
 {
-    Tick ts;            //!< global logical timestamp
+    Tick ts;            //!< logical timestamp (the emitting context's clock)
     Addr addr;          //!< pool offset, or tx id for Tx* events
     std::uint32_t size; //!< bytes touched (0 for fences)
     EventKind kind;

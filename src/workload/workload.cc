@@ -185,7 +185,8 @@ WorkloadResult::json() const
 }
 
 WorkloadResult
-runWorkload(const WorkloadOptions &opts)
+runWorkload(const WorkloadOptions &opts,
+            const std::function<void(core::Runtime &)> &before_mix)
 {
     if (opts.keys == 0 || opts.threads == 0 || opts.opsPerThread == 0)
         fatal("workload needs keys > 0, threads > 0, ops > 0");
@@ -234,6 +235,8 @@ runWorkload(const WorkloadOptions &opts)
     }
     lincheck::HistoryRecorder &rec = s.recorder();
     rt.clearTraces();
+    if (before_mix)
+        before_mix(rt);
 
     // Per-thread state, all derived on this thread in tid order so
     // the forked Rng streams are a pure function of (seed, threads).

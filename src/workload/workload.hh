@@ -23,6 +23,7 @@
 #ifndef WHISPER_WORKLOAD_WORKLOAD_HH
 #define WHISPER_WORKLOAD_WORKLOAD_HH
 
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -149,11 +150,16 @@ struct WorkloadResult
 
 /**
  * Run one generated workload: create the app, build and preload the
- * per-thread partitions (workloadSetup), clear traces, run the mix on
- * every thread, merge histograms in tid order and validate. fatal()
- * if the app does not implement the workload surface.
+ * per-thread partitions (workloadSetup, which also puts every client
+ * on its own clock), clear traces, call @p before_mix (when given) on
+ * the runtime, run the mix on every thread, merge histograms in tid
+ * order and validate. fatal() if the app does not implement the
+ * workload surface. Tests use @p before_mix to perturb the schedule,
+ * e.g. with a FenceObserver that yields.
  */
-WorkloadResult runWorkload(const WorkloadOptions &opts);
+WorkloadResult runWorkload(
+    const WorkloadOptions &opts,
+    const std::function<void(core::Runtime &)> &before_mix = {});
 
 } // namespace whisper::workload
 

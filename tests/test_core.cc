@@ -55,6 +55,59 @@ TEST(Runtime, ThreadsShareTheClock)
     EXPECT_GE(t0, 100u);
 }
 
+TEST(Runtime, SplitClocksAreThreadLocal)
+{
+    Runtime rt(1 << 20, 2);
+    rt.ctx(0).compute(100);
+    rt.splitClocks();
+    // Both own clocks start at the shared clock's time...
+    EXPECT_EQ(rt.ctx(0).now(), 100u);
+    EXPECT_EQ(rt.ctx(1).now(), 100u);
+    // ...and move only with their own context's work.
+    rt.ctx(0).compute(50);
+    EXPECT_EQ(rt.ctx(0).now(), 150u);
+    EXPECT_EQ(rt.ctx(1).now(), 100u);
+    rt.ctx(1).compute(7);
+    EXPECT_EQ(rt.ctx(0).now(), 150u);
+    EXPECT_EQ(rt.ctx(1).now(), 107u);
+    // The split is one-way: a second call neither rejoins nor rewinds.
+    rt.splitClocks();
+    EXPECT_EQ(rt.ctx(0).now(), 150u);
+    EXPECT_EQ(rt.ctx(1).now(), 107u);
+}
+
+TEST(Runtime, SplitKeepsOneThreadTraceIdentical)
+{
+    // One context that splits mid-run stamps the same trace as one
+    // that never does: its own clock starts where the shared one was.
+    auto work = [](Runtime &rt, bool split) {
+        pm::PmContext &ctx = rt.ctx(0);
+        const std::uint64_t v = 9;
+        ctx.store(64, &v, 8);
+        ctx.persist(64, 8);
+        if (split)
+            rt.splitClocks();
+        const TxId tx = ctx.txBegin();
+        ctx.store(128, &v, 8);
+        ctx.compute(30);
+        ctx.flush(128, 8);
+        ctx.fence(pm::FenceKind::Durability);
+        ctx.txEnd(tx);
+        return rt.traces().merged();
+    };
+    Runtime shared(1 << 20, 2);
+    Runtime split(1 << 20, 2);
+    const auto a = work(shared, false);
+    const auto b = work(split, true);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); i++) {
+        EXPECT_EQ(a[i].tid, b[i].tid) << i;
+        EXPECT_EQ(a[i].ev.ts, b[i].ev.ts) << i;
+        EXPECT_EQ(a[i].ev.addr, b[i].ev.addr) << i;
+        EXPECT_EQ(a[i].ev.kind, b[i].ev.kind) << i;
+    }
+}
+
 TEST(Runtime, CrashClearsPendingState)
 {
     Runtime rt(1 << 20, 1);

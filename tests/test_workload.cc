@@ -8,12 +8,16 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/hash.hh"
 #include "common/rng.hh"
+#include "core/runtime.hh"
 #include "workload/keydist.hh"
 #include "workload/latency_histogram.hh"
 #include "workload/workload.hh"
@@ -350,7 +354,7 @@ TEST(WorkloadDriver, SingleThreadDigestPinnedForEveryApp)
 TEST(WorkloadDriver, AppWithoutWorkloadSurfaceIsFatal)
 {
     // The `faulty` fixture has no workload surface; the driver stops
-    // at the default workloadSetup(), which names the app.
+    // at the default setupPartitions(), which names the app.
     WorkloadOptions opts = smokeOptions("faulty", 'A');
     opts.poolBytes = 1 << 20;
     EXPECT_DEATH(runWorkload(opts),
@@ -408,6 +412,89 @@ TEST(WorkloadDriver, InsertsLandAndAreReadable)
     ASSERT_TRUE(r.verified);
     EXPECT_GT(r.ops.inserts, 0u);
     EXPECT_EQ(r.ops.readsFound, r.ops.reads);
+}
+
+// ---- Per-client clocks -------------------------------------------------
+
+/** FNV-1a over a run's merged trace, timestamps included. */
+std::uint64_t
+traceDigest(const WorkloadResult &r)
+{
+    std::uint64_t h = kFnvOffset;
+    for (const trace::MergedEvent &m : r.runtime->traces().merged()) {
+        const trace::TraceEvent &ev = m.ev;
+        h = fnv1aWord(h, m.tid);
+        h = fnv1aWord(h, ev.ts);
+        h = fnv1aWord(h, ev.addr);
+        h = fnv1aWord(h, std::uint64_t(ev.size) << 32 |
+                             std::uint64_t(ev.kind) << 24 |
+                             std::uint64_t(ev.cls) << 16 |
+                             std::uint64_t(ev.aux) << 8 | ev.origin);
+    }
+    return h;
+}
+
+/**
+ * Yields at every fence of the thread it is attached to, and sleeps
+ * at every eighth: a schedule far from what the host picks unaided.
+ */
+struct YieldingObserver : pm::FenceObserver
+{
+    unsigned fences = 0;
+
+    void
+    onFence(ThreadId tid, pm::FenceKind kind, bool admitted) override
+    {
+        (void)tid;
+        (void)kind;
+        (void)admitted;
+        if (++fences % 8 == 0)
+            std::this_thread::sleep_for(std::chrono::microseconds(20));
+        else
+            std::this_thread::yield();
+    }
+};
+
+TEST(WorkloadDriver, PartitionedTraceIndependentOfSchedule)
+{
+    // Each client stamps its events from its own clock, so neither
+    // the run's digest nor its merged trace (timestamps included)
+    // may depend on how the host interleaves the two clients. nfs
+    // also reads its clock for relatime, through ctx.now().
+    for (const char *app : {"hashmap", "nfs", "mysql", "exim"}) {
+        WorkloadOptions opts = smokeOptions(app, 'A');
+        opts.opsPerThread = 200;
+        const WorkloadResult plain = runWorkload(opts);
+        YieldingObserver yields;
+        const WorkloadResult perturbed =
+            runWorkload(opts, [&yields](core::Runtime &rt) {
+                rt.ctx(1).setFenceObserver(&yields);
+            });
+        EXPECT_GT(yields.fences, 0u) << app;
+        EXPECT_TRUE(plain.verified) << app;
+        EXPECT_EQ(plain.digest(), perturbed.digest()) << app;
+        EXPECT_EQ(traceDigest(plain), traceDigest(perturbed)) << app;
+    }
+}
+
+TEST(WorkloadDriver, SingleThreadTraceMatchesSharedClock)
+{
+    // One client's own clock continues from the shared clock's time,
+    // so its trace equals, event for event, the trace the shared
+    // clock stamped before clients got their own clocks (pinned).
+    const std::map<std::string, std::uint64_t> golden = {
+        {"hashmap", 0x0c7220a12a452813ull},
+        {"nfs", 0x20c8f2c6df460d5bull},
+        {"mysql", 0x2e00b115e9f1d5ffull},
+        {"exim", 0xcc83c3a6ba18137aull}};
+    for (const auto &[app, digest] : golden) {
+        WorkloadOptions opts = smokeOptions(app, 'A');
+        opts.threads = 1;
+        opts.opsPerThread = 200;
+        const WorkloadResult r = runWorkload(opts);
+        EXPECT_EQ(traceDigest(r), digest)
+            << app << " 0x" << std::hex << traceDigest(r);
+    }
 }
 
 } // namespace
