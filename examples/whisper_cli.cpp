@@ -678,13 +678,24 @@ cmdCrashfuzz(int argc, char **argv)
         replay = replay_arg;
     const std::uint64_t pool_lines =
         (options.config.poolBytes + kCacheLineSize - 1) / kCacheLineSize;
-    for (const LineAddr line : survivors) {
+    for (std::size_t i = 0; i < survivors.size(); i++) {
+        const LineAddr line = survivors[i];
         if (line >= pool_lines) {
             std::fprintf(stderr,
                          "whisper_cli: crashfuzz: survivor line %llu "
                          "beyond the %llu-line pool\n",
                          (unsigned long long)line,
                          (unsigned long long)pool_lines);
+            return usage();
+        }
+        // Reproducers print survivor sets ascending; the crash walks
+        // them in step with the ascending fault lists.
+        if (i > 0 && line <= survivors[i - 1]) {
+            std::fprintf(stderr,
+                         "whisper_cli: crashfuzz: survivor line %llu "
+                         "after %llu: lines must ascend\n",
+                         (unsigned long long)line,
+                         (unsigned long long)survivors[i - 1]);
             return usage();
         }
     }
@@ -710,6 +721,7 @@ cmdCrashfuzz(int argc, char **argv)
         const fuzz::CaseOutcome out = fuzz::runCase(
             c, options.config,
             have_survivors ? &survivors : nullptr);
+        fuzz::warnRecoveryNotes(app, case_id, out);
         if (json) {
             std::printf("%s\n",
                         core::toJson(out.report).c_str());

@@ -112,6 +112,31 @@ if [[ "$docs_only" == 0 ]]; then
 fi
 
 # ---------------------------------------------------------------
+# Fault-sweep output order: worker threads run cases concurrently,
+# but the sweep reports each case's recovery notes (buddy headers
+# reformatted) afterwards, in case order. Two runs of the same
+# 4-job fault sweep must print byte-identical stdout and stderr.
+# ---------------------------------------------------------------
+if [[ "$docs_only" == 0 ]]; then
+    echo "== crashfuzz: fault-sweep rerun stability (stderr included) =="
+    sweep_dir=$(mktemp -d /tmp/whisper-fault-sweep-XXXXXX)
+    for run in a b; do
+        run_leg build/examples/whisper_cli crashfuzz --cases 32 \
+            --jobs 4 --faults \
+            >"$sweep_dir/$run.out" 2>"$sweep_dir/$run.err" ||
+            failures=$((failures + 1))
+    done
+    if ! cmp -s "$sweep_dir/a.out" "$sweep_dir/b.out" ||
+        ! cmp -s "$sweep_dir/a.err" "$sweep_dir/b.err"; then
+        echo "FAIL: fault sweep output differs between reruns"
+        failures=$((failures + 1))
+    else
+        echo "ok: fault sweep stdout and stderr identical across reruns"
+    fi
+    rm -rf "$sweep_dir"
+fi
+
+# ---------------------------------------------------------------
 # Halo (Hybrid layer) recovery contract. The DRAM index is rebuilt
 # by segment scan, so the sweep stresses the reconstruct-not-replay
 # path: 256 multi-threaded crash+fault cases must hold the

@@ -38,6 +38,13 @@ struct AllocStats
     std::uint64_t splits = 0;      //!< buddy only
     std::uint64_t coalesces = 0;   //!< buddy only
     std::uint64_t bytesLive = 0;
+    /**
+     * @{ Set by the last recover() (buddy only): block headers found
+     * bad and reformatted as free, and the first one's offset.
+     */
+    std::uint64_t headersReformatted = 0;
+    Addr firstBadHeader = 0;
+    /** @} */
 };
 
 /**

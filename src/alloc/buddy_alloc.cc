@@ -186,21 +186,21 @@ BuddyAllocator::recover(pm::PmContext &ctx)
     for (auto &list : freeLists_)
         list.clear();
     stats_.bytesLive = 0;
+    stats_.headersReformatted = 0;
+    stats_.firstBadHeader = 0;
 
     Addr block = base_;
     const Addr end = base_ + size_;
-    std::uint64_t reformatted = 0;
-    Addr first_bad = 0;
     while (block < end) {
         BuddyHeader *hdr = header(ctx, block);
         if (hdr->magic != BuddyHeader::kMagic) {
             // Unreachable garbage (e.g. torn split, or a header line
             // zero-filled by the media-fault scrub); treat the region
             // as free. This mirrors a fsck-style conservative scan.
-            // One summary warn per recovery: fault sweeps reformat
-            // thousands of blocks and must not flood the log.
-            if (reformatted++ == 0)
-                first_bad = block;
+            // Counted, not logged: fault sweeps reformat thousands of
+            // blocks, and the caller reports one summary line.
+            if (stats_.headersReformatted++ == 0)
+                stats_.firstBadHeader = block;
             writeHeader(ctx, block, 0, BlockState::Free, true);
             pushFree(block, 0);
             block += kMinBlock;
@@ -222,11 +222,16 @@ BuddyAllocator::recover(pm::PmContext &ctx)
         }
         block += bytes;
     }
-    if (reformatted > 0) {
-        warn("buddy recovery: %llu bad header(s) reformatted "
+}
+
+void
+warnReformatted(const std::string &who, std::uint64_t headers, Addr first)
+{
+    if (headers > 0) {
+        warn("buddy recovery: %s: %llu bad header(s) reformatted "
              "(first at %llu)",
-             static_cast<unsigned long long>(reformatted),
-             static_cast<unsigned long long>(first_bad));
+             who.c_str(), static_cast<unsigned long long>(headers),
+             static_cast<unsigned long long>(first));
     }
 }
 

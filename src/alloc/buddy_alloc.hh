@@ -19,6 +19,7 @@
 #define WHISPER_ALLOC_BUDDY_ALLOC_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "alloc/allocator.hh"
@@ -107,6 +108,16 @@ class BuddyAllocator : public PmAllocator
     std::vector<std::vector<Addr>> freeLists_;
     AllocStats stats_;
 };
+
+/**
+ * warn() once that recovery of @p who's buddy heap reformatted
+ * @p headers bad block headers, the first at @p first (the
+ * AllocStats recovery figures); silent when @p headers is 0. Callers
+ * that recover many heaps at once (the crash fuzzer's worker threads)
+ * collect the figures and warn in a fixed order.
+ */
+void warnReformatted(const std::string &who, std::uint64_t headers,
+                     Addr first);
 
 } // namespace whisper::alloc
 

@@ -382,6 +382,12 @@ class EchoApp : public WhisperApp
 
     VerifyReport verify(Runtime &rt) override { return verifyRecovered(rt); }
 
+    alloc::AllocStats
+    recoveredHeapStats() const override
+    {
+        return inst_[0].heap->stats();
+    }
+
     void
     recover(Runtime &rt) override
     {

@@ -24,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "alloc/allocator.hh"
 #include "common/logging.hh"
 #include "core/runtime.hh"
 #include "core/verify_report.hh"
@@ -199,6 +200,13 @@ class WhisperApp
 
     /** Re-mount and recover after a crash. */
     virtual void recover(Runtime &rt) = 0;
+
+    /**
+     * Allocator stats of the buddy heap the last recover() walked, so
+     * its caller can report the headers it reformatted
+     * (alloc::warnReformatted). Default: the app has no such heap.
+     */
+    virtual alloc::AllocStats recoveredHeapStats() const { return {}; }
 
     /**
      * Media-fault scrub, run after a crash and BEFORE recover(): every

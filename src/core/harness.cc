@@ -3,6 +3,8 @@
 #include <atomic>
 #include <cstdio>
 
+#include "alloc/buddy_alloc.hh"
+
 namespace whisper::core
 {
 
@@ -157,6 +159,9 @@ crashAndVerify(RunResult &result, const CrashOptions &opts)
     result.runtime->crash(opts.seed, opts.survival);
     Session s(result);
     VerifyReport report = s.recover();
+    const alloc::AllocStats heap = s.app().recoveredHeapStats();
+    alloc::warnReformatted(s.app().name(), heap.headersReformatted,
+                           heap.firstBadHeader);
     report.merge(s.app().verifyRecovered(s.rt()));
     return report;
 }

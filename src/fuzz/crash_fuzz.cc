@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "alloc/buddy_alloc.hh"
 #include "common/flags.hh"
 #include "common/hash.hh"
 #include "common/logging.hh"
@@ -358,6 +359,9 @@ runCase(const FuzzCase &c, const FuzzConfig &config,
         rt.crashWithFaults(out.survivors, faults);
 
     core::VerifyReport verdict = s.recover();
+    const alloc::AllocStats heap = app.recoveredHeapStats();
+    out.headersReformatted = heap.headersReformatted;
+    out.firstBadHeader = heap.firstBadHeader;
     const core::VerifyReport invariants =
         app.checkRecoveryInvariants(rt);
     verdict.merge(invariants);
@@ -532,11 +536,27 @@ parseFaultPlan(const char *text, pm::FaultPlan &out)
     return true;
 }
 
+void
+warnRecoveryNotes(const std::string &app, std::uint64_t case_id,
+                  const CaseOutcome &out)
+{
+    alloc::warnReformatted(app + " case " + std::to_string(case_id),
+                           out.headersReformatted, out.firstBadHeader);
+}
+
 Reproducer
 shrink(const FuzzCase &c, const CaseOutcome &outcome,
        const FuzzConfig &config)
 {
     panic_if(outcome.ok, "shrink() needs a failing case");
+    // Trials run one at a time: each reports its notes as it ends.
+    auto trial = [&](const FuzzCase &fc,
+                     const std::vector<LineAddr> *survivors = nullptr,
+                     std::uint64_t at = ~std::uint64_t(0)) {
+        CaseOutcome out = runCase(fc, config, survivors, at);
+        warnRecoveryNotes(fc.app, fc.caseId, out);
+        return out;
+    };
 
     // Phase 1: latest failing crash point inside a bounded window
     // after the found one — the closest power cut to the bug.
@@ -544,14 +564,14 @@ shrink(const FuzzCase &c, const CaseOutcome &outcome,
     FuzzCase best = c;
     for (std::uint64_t k = c.crashAt + kProbeWindow; k > c.crashAt;
          k--) {
-        if (!runCase(c, config, nullptr, k).ok) {
+        if (!trial(c, nullptr, k).ok) {
             best.crashAt = k;
             break;
         }
     }
     CaseOutcome best_out =
         best.crashAt == c.crashAt ? outcome
-                                  : runCase(best, config);
+                                  : trial(best);
     if (best_out.ok) { // window probe not reproducible; keep original
         best.crashAt = c.crashAt;
         best_out = outcome;
@@ -586,7 +606,7 @@ shrink(const FuzzCase &c, const CaseOutcome &outcome,
                              s.end());
             trials++;
             const CaseOutcome probe =
-                runCase(best, config, &candidate);
+                trial(best, &candidate);
             if (!probe.ok) {
                 s = candidate;
                 why = probe.why;
@@ -604,7 +624,7 @@ shrink(const FuzzCase &c, const CaseOutcome &outcome,
     // The empty set is the global minimum — take it when it fails.
     if (!s.empty() && trials < kTrialBudget + 8) {
         const std::vector<LineAddr> none;
-        const CaseOutcome probe = runCase(best, config, &none);
+        const CaseOutcome probe = trial(best, &none);
         if (!probe.ok) {
             s = none;
             why = probe.why;
@@ -658,6 +678,7 @@ sweep(const SweepOptions &options)
                     (!out.lincheckOk && !out.ok) ? 1 : 0;
             }
             digest = fold(digest, out.digest);
+            warnRecoveryNotes(app, i, out);
             if (!out.lincheckDump.empty()) {
                 if (dump_notices < kLincheckDumpWarnCap) {
                     warn("lincheck: %s case %llu: %s (history: %s)",

@@ -112,6 +112,14 @@ struct CaseOutcome
     std::uint64_t linesTorn = 0;      //!< word-torn survivor lines
     std::uint64_t linesPoisoned = 0;  //!< lines lost to media
     std::uint64_t transientFaults = 0; //!< retried reads (counted only)
+    /**
+     * @{ Buddy heap headers recovery reformatted, and the first one's
+     * offset (the app's recoveredHeapStats()); reported by
+     * warnRecoveryNotes(), never folded into the digest.
+     */
+    std::uint64_t headersReformatted = 0;
+    Addr firstBadHeader = 0;
+    /** @} */
     /** @{ \name Lincheck dimension (FuzzConfig::lincheck only) */
     bool lincheckRan = false;
     bool lincheckOk = true;       //!< every key found a witness
@@ -202,6 +210,15 @@ CaseOutcome runCase(const FuzzCase &c, const FuzzConfig &config,
                         nullptr,
                     std::uint64_t crash_at_override =
                         ~std::uint64_t(0));
+
+/**
+ * warn() the notes of @p out's recovery (buddy headers reformatted),
+ * naming @p app and @p case_id. runCase() does not print them: sweep
+ * workers run cases concurrently, so the sweep reports each case's
+ * notes in case order, and a single replay reports its own.
+ */
+void warnRecoveryNotes(const std::string &app, std::uint64_t case_id,
+                       const CaseOutcome &out);
 
 /**
  * Shrink a failing case: probe a bounded window after the crash point

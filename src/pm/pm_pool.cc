@@ -3,25 +3,79 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <functional>
 
 #include "common/logging.hh"
 
 namespace whisper::pm
 {
 
-PmPool::PmPool(std::size_t size, const DimmConfig &dimms)
-    : size_(size),
-      dimms_(dimms),
-      arch_(size, 0),
-      durable_(size, 0),
-      lineStates_((size + kCacheLineSize - 1) / kCacheLineSize),
-      poisoned_((size + kCacheLineSize - 1) / kCacheLineSize)
+namespace
+{
+
+std::size_t
+checkedSize(std::size_t size)
 {
     panic_if(size == 0, "empty PmPool");
-    for (auto &st : lineStates_)
-        st.store(0, std::memory_order_relaxed);
-    for (auto &p : poisoned_)
-        p.store(0, std::memory_order_relaxed);
+    return size;
+}
+
+} // namespace
+
+PmPool::PmPool(std::size_t size, const DimmConfig &dimms)
+    : size_(checkedSize(size)),
+      lines_((size + kCacheLineSize - 1) / kCacheLineSize),
+      dimms_(dimms),
+      arch_(size),
+      durable_(size),
+      lineStates_(lines_),
+      poisoned_(lines_),
+      // One bit per page, in whole 64-bit words.
+      written_(((lines_ >> kLinesPerPageBits) / 64 + 1) *
+               sizeof(std::uint64_t))
+{
+}
+
+void
+PmPool::markWritten(LineAddr first, LineAddr last)
+{
+    auto *words = reinterpret_cast<std::uint64_t *>(written_.data());
+    for (LineAddr page = first >> kLinesPerPageBits;
+         page <= last >> kLinesPerPageBits; page++) {
+        // Test first, as clearPoison() does: after a page's first
+        // write every later store to it only reads its map word.
+        std::atomic_ref<std::uint64_t> word(words[page / 64]);
+        const std::uint64_t bit = std::uint64_t(1) << (page % 64);
+        if (!(word.load(std::memory_order_relaxed) & bit))
+            word.fetch_or(bit, std::memory_order_relaxed);
+    }
+}
+
+template <typename Fn>
+void
+PmPool::forEachWrittenPage(Fn &&fn) const
+{
+    auto *words = reinterpret_cast<std::uint64_t *>(written_.data());
+    const std::size_t n = written_.size() / sizeof(std::uint64_t);
+    for (std::size_t w = 0; w < n; w++) {
+        std::uint64_t m = std::atomic_ref<std::uint64_t>(words[w]).load(
+            std::memory_order_relaxed);
+        for (; m != 0; m &= m - 1)
+            fn(static_cast<LineAddr>(w * 64 + std::countr_zero(m)));
+    }
+}
+
+template <typename Fn>
+void
+PmPool::forEachWrittenLine(Fn &&fn) const
+{
+    forEachWrittenPage([&](LineAddr page) {
+        const LineAddr first = page << kLinesPerPageBits;
+        const LineAddr end = std::min<LineAddr>(
+            first + (LineAddr(1) << kLinesPerPageBits), lines_);
+        for (LineAddr line = first; line < end; line++)
+            fn(line);
+    });
 }
 
 void
@@ -74,10 +128,11 @@ PmPool::applyStore(Addr off, const void *src, std::size_t n)
         return;
     const LineAddr first = lineOf(off);
     const LineAddr last = lineOf(off + n - 1);
+    markWritten(first, last);
     ShardGuard guard(*this, first, last);
     std::memcpy(arch_.data() + off, src, n);
     for (LineAddr line = first; line <= last; line++) {
-        lineStates_[line].store(1, std::memory_order_relaxed);
+        lineState(line).store(1, std::memory_order_relaxed);
         clearPoison(line);
     }
 }
@@ -88,8 +143,9 @@ PmPool::clearPoison(LineAddr line)
     // Writing a poisoned line re-programs the failed cells (the device
     // remaps on write); the line is readable again. Only fault plans
     // poison, so the plain load keeps the store path read-only here.
-    if (poisoned_[line].load(std::memory_order_relaxed) &&
-        poisoned_[line].exchange(0, std::memory_order_relaxed))
+    const std::atomic_ref<std::uint8_t> p = poison(line);
+    if (p.load(std::memory_order_relaxed) &&
+        p.exchange(0, std::memory_order_relaxed))
         events_.poisonCleared++;
 }
 
@@ -105,8 +161,9 @@ PmPool::applyCas64(Addr off, std::uint64_t expected, std::uint64_t desired)
     std::memcpy(&cur, arch_.data() + off, 8);
     if (cur != expected)
         return false;
+    markWritten(line, line);
     std::memcpy(arch_.data() + off, &desired, 8);
-    lineStates_[line].store(1, std::memory_order_relaxed);
+    lineState(line).store(1, std::memory_order_relaxed);
     clearPoison(line);
     return true;
 }
@@ -133,7 +190,7 @@ PmPool::applyLoad(Addr off, void *dst, std::size_t n) const
     }
     ShardGuard guard(*this, first, last);
     for (LineAddr line = first; line <= last; line++) {
-        if (poisoned_[line].load(std::memory_order_relaxed)) {
+        if (poison(line).load(std::memory_order_relaxed)) {
             // Uncorrectable: retries cannot help, the media lost the
             // line. Recoverable by scrubLine(); never a panic.
             events_.mediaErrors++;
@@ -147,7 +204,7 @@ PmPool::applyLoad(Addr off, void *dst, std::size_t n) const
 void
 PmPool::persistLine(LineAddr line)
 {
-    panic_if(line >= lineStates_.size(), "persist of line %llu beyond pool",
+    panic_if(line >= lines_, "persist of line %llu beyond pool",
              static_cast<unsigned long long>(line));
     ShardGuard guard(*this, line, line);
     persistLineLocked(line);
@@ -159,7 +216,7 @@ PmPool::persistLineLocked(LineAddr line)
     const Addr base = line << kCacheLineBits;
     const std::size_t n = std::min(kCacheLineSize, size_ - base);
     std::memcpy(durable_.data() + base, arch_.data() + base, n);
-    lineStates_[line].store(0, std::memory_order_relaxed);
+    lineState(line).store(0, std::memory_order_relaxed);
     // The caller holds this shard's lock: no other thread writes it.
     std::atomic<std::uint64_t> &count =
         lineShards_[shardOf(line)].persisted[dimms_.dimmOf(line)];
@@ -206,17 +263,21 @@ PmPool::persistRange(Addr off, std::size_t n)
 bool
 PmPool::lineDirty(LineAddr line) const
 {
-    panic_if(line >= lineStates_.size(), "line %llu beyond pool",
+    panic_if(line >= lines_, "line %llu beyond pool",
              static_cast<unsigned long long>(line));
-    return lineStates_[line].load(std::memory_order_relaxed) != 0;
+    return lineState(line).load(std::memory_order_relaxed) != 0;
 }
+
+// Only a store marks a line dirty, and a store marks its page written:
+// the walks below skip nothing but clean lines.
 
 std::uint64_t
 PmPool::dirtyLineCount() const
 {
     std::uint64_t n = 0;
-    for (const auto &st : lineStates_)
-        n += st.load(std::memory_order_relaxed) != 0;
+    forEachWrittenLine([&](LineAddr line) {
+        n += lineState(line).load(std::memory_order_relaxed) != 0;
+    });
     return n;
 }
 
@@ -224,23 +285,25 @@ std::vector<LineAddr>
 PmPool::dirtyLines() const
 {
     std::vector<LineAddr> lines;
-    for (LineAddr line = 0; line < lineStates_.size(); line++) {
-        if (lineStates_[line].load(std::memory_order_relaxed))
+    forEachWrittenLine([&](LineAddr line) {
+        if (lineState(line).load(std::memory_order_relaxed))
             lines.push_back(line);
-    }
+    });
     return lines;
 }
 
 std::vector<LineAddr>
 PmPool::pickSurvivors(Rng &rng, double survival) const
 {
+    // One draw per dirty line in ascending order, as a scan of every
+    // line would make: survivor sets do not depend on the walk.
     std::vector<LineAddr> survivors;
-    for (LineAddr line = 0; line < lineStates_.size(); line++) {
-        if (lineStates_[line].load(std::memory_order_relaxed) &&
+    forEachWrittenLine([&](LineAddr line) {
+        if (lineState(line).load(std::memory_order_relaxed) &&
             rng.chance(survival)) {
             survivors.push_back(line);
         }
-    }
+    });
     return survivors;
 }
 
@@ -309,20 +372,25 @@ void
 PmPool::crashWithFaults(const std::vector<LineAddr> &survivors,
                         const FaultResolution &faults)
 {
+    // The poisoned list is sorted and the torn list follows the
+    // ascending survivors, so one forward cursor each finds a
+    // survivor's fault.
+    panic_if(std::adjacent_find(survivors.begin(), survivors.end(),
+                                std::greater_equal<>()) !=
+                 survivors.end(),
+             "crash survivors not strictly ascending");
+    auto poisoned = faults.poisoned.begin();
+    auto torn = faults.torn.begin();
     for (const LineAddr line : survivors) {
         if (!lineDirty(line))
             continue;
-        if (std::find(faults.poisoned.begin(), faults.poisoned.end(),
-                      line) != faults.poisoned.end())
+        while (poisoned != faults.poisoned.end() && *poisoned < line)
+            ++poisoned;
+        if (poisoned != faults.poisoned.end() && *poisoned == line)
             continue; // lost outright below
-        const TornLine *torn = nullptr;
-        for (const TornLine &t : faults.torn) {
-            if (t.line == line) {
-                torn = &t;
-                break;
-            }
-        }
-        if (!torn) {
+        while (torn != faults.torn.end() && torn->line < line)
+            ++torn;
+        if (torn == faults.torn.end() || torn->line != line) {
             persistLine(line);
             // Crash survivals are a separate phenomenon from cache
             // evictions; conflating them skewed every eviction-rate
@@ -333,6 +401,7 @@ PmPool::crashWithFaults(const std::vector<LineAddr> &survivors,
         // Torn: only the masked 8-byte words reached the media; the
         // rest keep their previous durable value.
         ShardGuard guard(*this, line, line);
+        markWritten(line, line);
         const Addr base = line << kCacheLineBits;
         for (unsigned w = 0; w < 8; w++) {
             if (!(torn->mask & (1u << w)))
@@ -343,67 +412,77 @@ PmPool::crashWithFaults(const std::vector<LineAddr> &survivors,
             std::memcpy(durable_.data() + word, arch_.data() + word,
                         8);
         }
-        lineStates_[line].store(0, std::memory_order_relaxed);
+        lineState(line).store(0, std::memory_order_relaxed);
         events_.linesTorn++;
     }
     for (const LineAddr line : faults.poisoned) {
-        panic_if(line >= lineStates_.size(),
-                 "poison of line %llu beyond pool",
+        panic_if(line >= lines_, "poison of line %llu beyond pool",
                  static_cast<unsigned long long>(line));
         ShardGuard guard(*this, line, line);
+        markWritten(line, line);
         const Addr base = line << kCacheLineBits;
         const std::size_t n = std::min(kCacheLineSize, size_ - base);
         std::memset(durable_.data() + base, 0, n);
-        poisoned_[line].store(1, std::memory_order_relaxed);
+        poison(line).store(1, std::memory_order_relaxed);
         events_.linesPoisoned++;
     }
-    arch_ = durable_;
-    for (auto &st : lineStates_)
-        st.store(0, std::memory_order_relaxed);
+    // Re-mount: the architectural image reloads from the durable one.
+    // Unwritten pages are zero in both and hold no dirty line.
+    forEachWrittenPage([&](LineAddr page) {
+        const Addr base = page << kPageBits;
+        const std::size_t n =
+            std::min(std::size_t(1) << kPageBits, size_ - base);
+        std::memcpy(arch_.data() + base, durable_.data() + base, n);
+    });
+    forEachWrittenLine([&](LineAddr line) {
+        lineState(line).store(0, std::memory_order_relaxed);
+    });
     events_.crashes++;
 }
 
 void
 PmPool::scrubLine(LineAddr line)
 {
-    panic_if(line >= lineStates_.size(), "scrub of line %llu beyond pool",
+    panic_if(line >= lines_, "scrub of line %llu beyond pool",
              static_cast<unsigned long long>(line));
     ShardGuard guard(*this, line, line);
+    markWritten(line, line);
     const Addr base = line << kCacheLineBits;
     const std::size_t n = std::min(kCacheLineSize, size_ - base);
     std::memset(arch_.data() + base, 0, n);
     std::memset(durable_.data() + base, 0, n);
-    lineStates_[line].store(0, std::memory_order_relaxed);
-    poisoned_[line].store(0, std::memory_order_relaxed);
+    lineState(line).store(0, std::memory_order_relaxed);
+    poison(line).store(0, std::memory_order_relaxed);
     events_.linesScrubbed++;
 }
 
 void
 PmPool::poisonLine(LineAddr line)
 {
-    panic_if(line >= lineStates_.size(),
-             "poison of line %llu beyond pool",
+    panic_if(line >= lines_, "poison of line %llu beyond pool",
              static_cast<unsigned long long>(line));
-    poisoned_[line].store(1, std::memory_order_relaxed);
+    markWritten(line, line);
+    poison(line).store(1, std::memory_order_relaxed);
     events_.linesPoisoned++;
 }
 
 bool
 PmPool::linePoisoned(LineAddr line) const
 {
-    panic_if(line >= lineStates_.size(), "line %llu beyond pool",
+    panic_if(line >= lines_, "line %llu beyond pool",
              static_cast<unsigned long long>(line));
-    return poisoned_[line].load(std::memory_order_relaxed) != 0;
+    return poison(line).load(std::memory_order_relaxed) != 0;
 }
 
 std::vector<LineAddr>
 PmPool::poisonedLines() const
 {
+    // Poisoning a line marks its page, like a store.
     std::vector<LineAddr> lines;
-    for (LineAddr line = 0; line < poisoned_.size(); line++) {
-        if (poisoned_[line].load(std::memory_order_relaxed))
+    forEachWrittenLine([&](LineAddr line) {
+        if (poison(line).load(std::memory_order_relaxed))
             lines.push_back(line);
-    }
+    });
     return lines;
 }
 
@@ -411,8 +490,8 @@ void
 PmPool::evictRandomLines(Rng &rng, std::uint64_t n)
 {
     for (std::uint64_t i = 0; i < n; i++) {
-        const LineAddr line = rng.next(lineStates_.size());
-        if (lineStates_[line].load(std::memory_order_relaxed)) {
+        const LineAddr line = rng.next(lines_);
+        if (lineState(line).load(std::memory_order_relaxed)) {
             persistLine(line);
             events_.linesEvicted++;
         }

@@ -20,6 +20,15 @@
  *
  * Persistent data structures store POff<T> offsets, never pointers;
  * offsets remain valid across crash()/recover().
+ *
+ * Both images and the per-line dirty and poison bytes live in
+ * kernel-zeroed anonymous mappings (LazyRegion), so a pool costs time
+ * and memory in proportion to the 4 KiB pages written, not to its
+ * size. A written-page map (one bit per 4 KiB of the pool, set on the
+ * first write of any of the four arrays in that page and never
+ * cleared) bounds every whole-pool walk: the dirty and poisoned line
+ * lists, the crash's survivor draw and its durable-to-architectural
+ * reload visit only marked pages, in ascending line order.
  */
 
 #ifndef WHISPER_PM_PM_POOL_HH
@@ -35,6 +44,7 @@
 #include "common/rng.hh"
 #include "common/types.hh"
 #include "pm/fault_plan.hh"
+#include "pm/lazy_region.hh"
 
 namespace whisper::pm
 {
@@ -76,7 +86,7 @@ class PmPool
                     const DimmConfig &dimms = DimmConfig{4, 4});
 
     std::size_t size() const { return size_; }
-    std::size_t lineCount() const { return lineStates_.size(); }
+    std::size_t lineCount() const { return lines_; }
 
     /** DIMM interleaving geometry of this pool. */
     const DimmConfig &dimmConfig() const { return dimms_; }
@@ -159,7 +169,7 @@ class PmPool
     /** True if the line differs (dirty) from the durable image. */
     bool lineDirty(LineAddr line) const;
 
-    /** Number of currently dirty lines (linear scan; test helper). */
+    /** Number of currently dirty lines (written-page walk). */
     std::uint64_t dirtyLineCount() const;
 
     /** All currently dirty lines, ascending (crash-fuzz helper). */
@@ -194,7 +204,8 @@ class PmPool
 
     /**
      * Crash with an explicit survivor set: exactly the dirty lines in
-     * @p survivors persist, everything else keeps its durable value.
+     * @p survivors (strictly ascending) persist, everything else keeps
+     * its durable value.
      * The crash-fuzz shrinker uses this to search for the smallest
      * surviving-line set that still breaks recovery.
      */
@@ -231,6 +242,8 @@ class PmPool
      * words, and lines in @p faults.poisoned are lost outright — the
      * durable image forgets them (zero-filled) and reads of the line
      * raise PmMediaError until it is scrubbed or re-programmed.
+     * @p survivors must ascend strictly, as pickSurvivors() returns
+     * them; @p faults then ascends with them (resolveFaults()).
      */
     void crashWithFaults(const std::vector<LineAddr> &survivors,
                          const FaultResolution &faults);
@@ -330,19 +343,53 @@ class PmPool
         std::atomic<std::uint64_t> mediaErrors{0};
     };
 
+    /** 4 KiB: the kernel's zero-fill granule, one written-map bit. */
+    static constexpr unsigned kPageBits = 12;
+    static constexpr unsigned kLinesPerPageBits = kPageBits - kCacheLineBits;
+
     void boundsCheck(Addr off, std::size_t n) const;
     void persistLineLocked(LineAddr line);
     /** Clear @p line's poison, if any; the caller holds its shard. */
     void clearPoison(LineAddr line);
 
+    /** @{ Atomic views of one line's dirty and poison bytes. */
+    std::atomic_ref<std::uint8_t>
+    lineState(LineAddr line) const
+    {
+        return std::atomic_ref<std::uint8_t>(lineStates_.data()[line]);
+    }
+
+    std::atomic_ref<std::uint8_t>
+    poison(LineAddr line) const
+    {
+        return std::atomic_ref<std::uint8_t>(poisoned_.data()[line]);
+    }
+    /** @} */
+
+    /**
+     * Mark the pages holding lines [first, last] written. A marked
+     * page is only read here, so once a thread's pages are marked its
+     * stores write no cache line of the map.
+     */
+    void markWritten(LineAddr first, LineAddr last);
+
+    /** Call @p fn(page) for every written page, ascending. */
+    template <typename Fn> void forEachWrittenPage(Fn &&fn) const;
+
+    /** Call @p fn(line) for every line of a written page, ascending. */
+    template <typename Fn> void forEachWrittenLine(Fn &&fn) const;
+
     std::size_t size_;
+    std::size_t lines_;
     DimmConfig dimms_;
-    std::vector<std::uint8_t> arch_;
-    std::vector<std::uint8_t> durable_;
-    /** 1 == dirty. Atomic so concurrent app threads may mark freely. */
-    std::vector<std::atomic<std::uint8_t>> lineStates_;
-    /** 1 == poisoned: loads raise PmMediaError until scrubbed. */
-    std::vector<std::atomic<std::uint8_t>> poisoned_;
+    LazyRegion arch_;
+    LazyRegion durable_;
+    /** One byte per line, 1 == dirty; written through lineState(). */
+    LazyRegion lineStates_;
+    /** One byte per line, 1 == poisoned: loads raise PmMediaError. */
+    LazyRegion poisoned_;
+    /** One bit per 4 KiB page, 64-bit words; set, never cleared. */
+    LazyRegion written_;
     mutable std::array<LineShard, kLineShards> lineShards_;
     FaultPlan faultPlan_;
     /** Global load index driving transient-fault injection. */

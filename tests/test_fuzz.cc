@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "fuzz/crash_fuzz.hh"
 
 namespace whisper
@@ -407,6 +411,41 @@ TEST(CrashFuzz, FaultSweepEachLayerScrubsOrDegrades)
     // The fault grids guarantee poisoned cases in every sweep; at
     // least some must have surfaced as named, tolerated degradation.
     EXPECT_GT(degraded_total, 0u);
+}
+
+TEST(CrashFuzz, RecoveryNotesPrintInCaseOrder)
+{
+    // Echo case 12 of the default fault sweep scrubs a poisoned buddy
+    // header line, so heap recovery reformats the blocks behind it.
+    // runCase() carries that note in its outcome instead of printing
+    // it from a worker thread; the sweep prints each case's note in
+    // case order, whatever the job count.
+    fuzz::SweepOptions options;
+    options.apps = {"echo"};
+    options.cases = 16;
+    options.jobs = 4;
+    options.config.faults = true;
+    const std::uint64_t total =
+        fuzz::profilePmOps("echo", options.config);
+    const fuzz::CaseOutcome out = fuzz::runCase(
+        fuzz::deriveCase("echo", 12, total, options.config),
+        options.config);
+    EXPECT_EQ(out.headersReformatted, 1024u);
+    EXPECT_EQ(out.firstBadHeader, 34944u);
+
+    testing::internal::CaptureStderr();
+    fuzz::sweep(options);
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("warn: buddy recovery: echo case 12: 1024 bad "
+                       "header(s) reformatted (first at 34944)\n"),
+              std::string::npos)
+        << err;
+    std::vector<unsigned long long> ids;
+    for (std::size_t at = err.find("echo case "); at != std::string::npos;
+         at = err.find("echo case ", at + 1))
+        ids.push_back(std::stoull(err.substr(at + 10)));
+    EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end())) << err;
+    EXPECT_GE(ids.size(), 2u) << err;
 }
 
 TEST(CrashFuzz, SweepKeepsPerCaseReportsForJsonStream)

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
+#include <memory>
 #include <numeric>
 #include <set>
 #include <thread>
@@ -633,6 +635,116 @@ TEST(PmPool, TransientFaultsRetryInvisibly)
     }
     EXPECT_GE(w.pool.stats().transientFaults, 3u);
     EXPECT_EQ(w.pool.stats().mediaErrors, 0u);
+}
+
+/** Resident set size of this process, in bytes (Linux /proc). */
+std::size_t
+residentBytes()
+{
+    std::FILE *f = std::fopen("/proc/self/status", "r");
+    if (!f)
+        return 0;
+    char row[256];
+    std::size_t kb = 0;
+    while (std::fgets(row, sizeof(row), f)) {
+        if (std::sscanf(row, "VmRSS: %zu kB", &kb) == 1)
+            break;
+    }
+    std::fclose(f);
+    return kb * 1024;
+}
+
+TEST(PmPool, ConstructionTouchesOnlyWrittenPages)
+{
+    // The images and line arrays are kernel-zeroed on first touch: a
+    // 1 GiB pool costs resident memory only for the pages written.
+    constexpr std::size_t kLimit = 16 << 20;
+    const std::size_t before = residentBytes();
+    ASSERT_GT(before, 0u) << "no VmRSS in /proc/self/status";
+    auto pool = std::make_unique<pm::PmPool>(std::size_t(1) << 30);
+    EXPECT_LT(residentBytes(), before + kLimit);
+
+    const std::uint64_t v = 0x5ca77e7ed;
+    for (const Addr off : {Addr(4096), Addr(300) << 20, Addr(1000) << 20})
+        pool->applyStore(off, &v, sizeof(v));
+    pool->crashHard();
+    EXPECT_LT(residentBytes(), before + kLimit);
+    EXPECT_EQ(*pool->at<std::uint64_t>(Addr(300) << 20), 0u);
+    EXPECT_EQ(pool->dirtyLineCount(), 0u);
+}
+
+TEST(PmPool, TouchedWalksMatchFullScan)
+{
+    // Not a multiple of 4 KiB: the last page is short and its last
+    // line holds 40 bytes.
+    constexpr std::size_t kSize = (std::size_t(1) << 20) + 3 * 64 + 40;
+    pm::PmPool pool(kSize);
+    const LineAddr lines = pool.lineCount();
+    ASSERT_EQ(lines, (kSize + 63) / 64);
+
+    // The first and last lines, and lines on both sides of page edges
+    // (64 lines to a 4 KiB page).
+    const std::vector<LineAddr> written = {
+        0, 63, 64, 127, 128, 191, 4095, 4096, 8191, lines - 2, lines - 1};
+    for (const LineAddr line : written) {
+        const Addr off = line << kCacheLineBits;
+        const std::uint64_t v = line + 1;
+        pool.applyStore(off, &v, sizeof(v));
+    }
+    std::uint64_t cas_old = 0;
+    ASSERT_TRUE(pool.applyCas64(Addr(1000) << kCacheLineBits, cas_old,
+                                0xca5));
+    // Persist some so the dirty set is a strict subset of the written.
+    pool.persistLine(63);
+    pool.persistLine(4096);
+    // Poison and scrub lines of pages nothing was stored to.
+    pool.poisonLine(640);
+    pool.poisonLine(2000);
+    pool.scrubLine(2000);
+
+    auto dirty_scan = [&] {
+        std::vector<LineAddr> out;
+        for (LineAddr l = 0; l < lines; l++)
+            if (pool.lineDirty(l))
+                out.push_back(l);
+        return out;
+    };
+    auto poisoned_scan = [&] {
+        std::vector<LineAddr> out;
+        for (LineAddr l = 0; l < lines; l++)
+            if (pool.linePoisoned(l))
+                out.push_back(l);
+        return out;
+    };
+    const std::vector<LineAddr> dirty = dirty_scan();
+    EXPECT_EQ(dirty.size(), written.size() - 2 + 1);
+    EXPECT_EQ(pool.dirtyLines(), dirty);
+    EXPECT_EQ(pool.dirtyLineCount(), dirty.size());
+    EXPECT_EQ(pool.poisonedLines(), poisoned_scan());
+    EXPECT_EQ(pool.poisonedLines(), std::vector<LineAddr>{640});
+
+    // The same draws as one rng.chance per dirty line, ascending.
+    Rng walk(0xd1ce), scan(0xd1ce);
+    const std::vector<LineAddr> survivors = pool.pickSurvivors(walk, 0.5);
+    std::vector<LineAddr> expect;
+    for (LineAddr l = 0; l < lines; l++)
+        if (pool.lineDirty(l) && scan.chance(0.5))
+            expect.push_back(l);
+    EXPECT_EQ(survivors, expect);
+    EXPECT_EQ(walk(), scan());
+    ASSERT_GE(survivors.size(), 2u);
+
+    // Tear the first survivor, poison the last one and a clean line.
+    pm::FaultResolution faults;
+    faults.torn.push_back({survivors.front(), 0b00000110});
+    faults.poisoned = {survivors.back(), 4096};
+    std::sort(faults.poisoned.begin(), faults.poisoned.end());
+    pool.crashWithFaults(survivors, faults);
+    EXPECT_EQ(std::memcmp(pool.archBase(), pool.durableBase(), kSize), 0);
+    EXPECT_EQ(pool.dirtyLineCount(), 0u);
+    EXPECT_EQ(dirty_scan(), std::vector<LineAddr>{});
+    EXPECT_EQ(pool.poisonedLines(), poisoned_scan());
+    EXPECT_EQ(pool.stats().linesTorn, 1u);
 }
 
 } // namespace
