@@ -406,6 +406,24 @@ else
 fi
 
 # ---------------------------------------------------------------
+# One per-client instance recipe: slicing, preload and the check of
+# every shard live in src/apps/instance_app.hh, and the shared-heap
+# MOD/Halo family's in src/apps/partitioned_kv.hh. A private
+# workloadCheck or PoolSlices in an app would let the shard checks
+# drift apart again (check context, invariant names, shard prefix).
+# ---------------------------------------------------------------
+echo "== source: single per-client instance recipe =="
+copies=$(grep -rnE 'workloadCheck\(|PoolSlices[ ({]' src/apps \
+    --exclude=instance_app.hh --exclude=partitioned_kv.hh || true)
+if [[ -n "$copies" ]]; then
+    echo "FAIL: workload check or pool slicing outside the app bases:"
+    echo "$copies"
+    failures=$((failures + 1))
+else
+    echo "ok: shard checks and slices come from InstanceApp"
+fi
+
+# ---------------------------------------------------------------
 # No process-global policy: two sweeps in one process must not be
 # able to interfere through global state. Apps come from the constant
 # table in src/apps/register.cc, never from a runtime registry, and

@@ -1,9 +1,10 @@
 /**
  * @file
  * Factories for the fourteen WHISPER applications and the two test
- * fixtures, plus the invariant check the three PMFS applications
- * share. The KV apps of MOD and Halo share PartitionedKvApp
- * (partitioned_kv.hh); nfs and exim share PmfsRecordApp
+ * fixtures. The KV apps of MOD and Halo share PartitionedKvApp
+ * (partitioned_kv.hh); every other suite app derives from
+ * InstanceApp (instance_app.hh), through its layer's base where the
+ * layer has one, and nfs and exim share PmfsRecordApp
  * (pmfs_records.hh).
  *
  * Table 1 of the paper maps each application to its access layer and
@@ -31,7 +32,6 @@
 #include <memory>
 
 #include "core/app.hh"
-#include "pmfs/pmfs.hh"
 
 namespace whisper::apps
 {
@@ -58,19 +58,6 @@ makeHaloHashmapApp(const core::AppConfig &);
 std::unique_ptr<core::WhisperApp> makeFaultyApp(const core::AppConfig &);
 std::unique_ptr<core::WhisperApp>
 makeModHashmapBrokenApp(const core::AppConfig &);
-
-/**
- * PMFS recovery invariants of one volume: journal retired
- * ("journal-quiescent") and fsck-clean ("fsck").
- */
-inline void
-checkPmfs(pm::PmContext &ctx, pmfs::Pmfs &fs, core::VerifyReport &rep)
-{
-    std::string why;
-    rep.check(fs.journalQuiescent(ctx, &why), "journal-quiescent", why);
-    why.clear();
-    rep.check(fs.fsck(ctx, &why), "fsck", why);
-}
 
 } // namespace whisper::apps
 

@@ -14,6 +14,7 @@
 #include <mutex>
 
 #include "apps/apps.hh"
+#include "apps/instance_app.hh"
 #include "common/logging.hh"
 #include "txlib/nvml.hh"
 
@@ -269,21 +270,15 @@ checkTree(pm::PmContext &ctx, const Instance &t, std::string *why)
     return ok;
 }
 
-class CtreeApp : public WhisperApp
+class CtreeApp : public NvmlApp<Instance>
 {
   public:
-    explicit CtreeApp(const AppConfig &config) : WhisperApp(config) {}
+    explicit CtreeApp(const AppConfig &config)
+        : NvmlApp<Instance>(config, sizeof(CtRoot) + (2u << 20))
+    {
+    }
 
     std::string name() const override { return "ctree"; }
-    AccessLayer layer() const override { return AccessLayer::LibNvml; }
-
-    void
-    setup(Runtime &rt) override
-    {
-        inst_.clear();
-        inst_.push_back(formatTree(rt.ctx(0), 0, config_.poolBytes,
-                                   config_.threads));
-    }
 
     void
     run(Runtime &rt, pm::PmContext &ctx, ThreadId tid) override
@@ -310,38 +305,6 @@ class CtreeApp : public WhisperApp
         }
     }
 
-    VerifyReport verify(Runtime &rt) override { return verifyRecovered(rt); }
-
-    void recover(Runtime &rt) override { inst_[0].pool->recover(rt.ctx(0)); }
-
-    VerifyReport
-    verifyRecovered(Runtime &rt) override
-    {
-        VerifyReport rep = report();
-        std::string why;
-        rep.check(checkTree(rt.ctx(0), inst_[0], &why), "tree-intact",
-                  why);
-        return rep;
-    }
-
-    VerifyReport
-    checkRecoveryInvariants(Runtime &rt) override
-    {
-        VerifyReport rep = report();
-        std::string why;
-        rep.check(inst_[0].pool->logsQuiescent(rt.ctx(0), &why),
-                  "logs-quiescent", why);
-        return rep;
-    }
-
-  protected:
-    void
-    scrubLayer(Runtime &rt, std::vector<LineAddr> &lines,
-               VerifyReport &rep) override
-    {
-        inst_[0].pool->scrub(rt.ctx(0), lines, rep);
-    }
-
     /** @{ \name Generated-workload surface
      *
      * One private crit-bit tree + NvmlPool per worker thread over a
@@ -350,25 +313,6 @@ class CtreeApp : public WhisperApp
      * the suite convention for the generated workloads: consecutive
      * key ids, one point lookup each.
      */
-
-    void
-    setupPartitions(Runtime &rt, const WorkloadKeymap &map) override
-    {
-        wlMap_ = map;
-        inst_.clear();
-        const PoolSlices slices(config_.poolBytes, map.threads,
-                                sizeof(CtRoot) + (2u << 20), "ctree");
-        for (unsigned t = 0; t < map.threads; t++) {
-            pm::PmContext &ctx = rt.ctx(t);
-            inst_.push_back(
-                formatTree(ctx, slices.base(t), slices.bytes, 1));
-            const ThreadId tid = static_cast<ThreadId>(t);
-            for (std::uint64_t i = 0; i < map.perThread(); i++) {
-                const std::uint64_t key = map.lo(tid) + i;
-                insert(ctx, inst_[t], key, key * 0x9e3779b97f4a7c15ull);
-            }
-        }
-    }
 
     bool
     workloadGet(pm::PmContext &ctx, ThreadId tid,
@@ -412,32 +356,37 @@ class CtreeApp : public WhisperApp
         return found;
     }
 
-    VerifyReport
-    workloadCheck(Runtime &rt) override
-    {
-        VerifyReport rep = report();
-        for (unsigned t = 0; t < inst_.size(); t++) {
-            std::string why;
-            rep.check(checkTree(rt.ctx(0), inst_[t], &why),
-                      "tree-intact",
-                      "shard " + std::to_string(t) + ": " + why);
-            rep.check(inst_[t].pool->logsQuiescent(rt.ctx(0), &why),
-                      "logs-quiescent", why);
-        }
-        return rep;
-    }
-
     /** @} */
 
+  protected:
+    Instance
+    format(pm::PmContext &ctx, Addr base, std::size_t bytes,
+           bool workload) override
+    {
+        return formatTree(ctx, base, bytes, lanes(workload));
+    }
+
+    void
+    preload(pm::PmContext &ctx, ThreadId tid) override
+    {
+        for (std::uint64_t i = 0; i < wlMap_.perThread(); i++) {
+            const std::uint64_t key = wlMap_.lo(tid) + i;
+            insert(ctx, inst_[tid], key, key * 0x9e3779b97f4a7c15ull);
+        }
+    }
+
+    void
+    checkStructure(pm::PmContext &ctx, Instance &t, bool clean,
+                   VerifyReport &rep) override
+    {
+        (void)clean;
+        std::string why;
+        rep.check(checkTree(ctx, t, &why), "tree-intact", why);
+    }
+
   private:
-    /**
-     * The paper run's one tree over the whole pool (setup()), or one
-     * tree per workload thread (setupPartitions()).
-     */
-    std::vector<Instance> inst_;
     /** Serializes run()'s threads on the shared tree. */
     std::mutex treeLock_;
-    WorkloadKeymap wlMap_;
 };
 
 } // namespace

@@ -30,6 +30,7 @@
 
 #include "alloc/buddy_alloc.hh"
 #include "apps/apps.hh"
+#include "apps/instance_app.hh"
 #include "common/logging.hh"
 
 namespace whisper::apps
@@ -322,21 +323,19 @@ checkStore(pm::PmContext &ctx, const Instance &st, std::string *why)
     return true;
 }
 
-class EchoApp : public WhisperApp
+class EchoApp : public InstanceApp<Instance>
 {
   public:
-    explicit EchoApp(const AppConfig &config) : WhisperApp(config) {}
+    explicit EchoApp(const AppConfig &config)
+        : InstanceApp(config,
+                      sizeof(EchoRoot) +
+                          kLogEntriesPerClient * sizeof(LogEntry) +
+                          (4u << 20))
+    {
+    }
 
     std::string name() const override { return "echo"; }
     AccessLayer layer() const override { return AccessLayer::Native; }
-
-    void
-    setup(Runtime &rt) override
-    {
-        inst_.clear();
-        inst_.push_back(formatStore(rt.ctx(0), 0, config_.poolBytes,
-                                    config_.threads));
-    }
 
     void
     run(Runtime &rt, pm::PmContext &ctx, ThreadId tid) override
@@ -379,8 +378,6 @@ class EchoApp : public WhisperApp
             done += batch;
         }
     }
-
-    VerifyReport verify(Runtime &rt) override { return verifyRecovered(rt); }
 
     alloc::AllocStats
     recoveredHeapStats() const override
@@ -450,16 +447,6 @@ class EchoApp : public WhisperApp
                 ctx.fence(FenceKind::Ordering);
             }
         }
-    }
-
-    VerifyReport
-    verifyRecovered(Runtime &rt) override
-    {
-        VerifyReport rep = report();
-        std::string why;
-        rep.check(checkStore(rt.ctx(0), inst_[0], &why), "store-intact",
-                  why);
-        return rep;
     }
 
     VerifyReport
@@ -732,28 +719,6 @@ class EchoApp : public WhisperApp
     }
 
   public:
-    void
-    setupPartitions(Runtime &rt, const core::WorkloadKeymap &map) override
-    {
-        wlMap_ = map;
-        inst_.clear();
-        const PoolSlices slices(
-            config_.poolBytes, map.threads,
-            sizeof(EchoRoot) + kLogEntriesPerClient * sizeof(LogEntry) +
-                (4u << 20),
-            "echo");
-        for (unsigned t = 0; t < map.threads; t++) {
-            pm::PmContext &ctx = rt.ctx(t);
-            inst_.push_back(
-                formatStore(ctx, slices.base(t), slices.bytes, 1));
-            for (std::uint64_t i = 0; i < map.perThread(); i++) {
-                const std::uint64_t key = map.lo(t) + i;
-                applyUpdate(ctx, inst_[t], key,
-                            key * 0x9e3779b97f4a7c15ull, 1);
-            }
-        }
-    }
-
     bool
     workloadGet(pm::PmContext &ctx, ThreadId tid,
                 std::uint64_t key) override
@@ -814,26 +779,35 @@ class EchoApp : public WhisperApp
         return found;
     }
 
-    VerifyReport
-    workloadCheck(Runtime &rt) override
+  protected:
+    Instance
+    format(pm::PmContext &ctx, Addr base, std::size_t bytes,
+           bool workload) override
     {
-        VerifyReport rep = report();
-        for (unsigned t = 0; t < inst_.size(); t++) {
-            std::string why;
-            rep.check(checkStore(rt.ctx(t), inst_[t], &why),
-                      "store-intact", why);
+        return formatStore(ctx, base, bytes, lanes(workload));
+    }
+
+    void
+    preload(pm::PmContext &ctx, ThreadId tid) override
+    {
+        for (std::uint64_t i = 0; i < wlMap_.perThread(); i++) {
+            const std::uint64_t key = wlMap_.lo(tid) + i;
+            applyUpdate(ctx, inst_[tid], key, key * 0x9e3779b97f4a7c15ull,
+                        1);
         }
-        return rep;
+    }
+
+    void
+    checkStructure(pm::PmContext &ctx, Instance &st, bool clean,
+                   VerifyReport &rep) override
+    {
+        (void)clean;
+        std::string why;
+        rep.check(checkStore(ctx, st, &why), "store-intact", why);
     }
 
   private:
-    /**
-     * The paper run's one store over the whole pool (setup()), or one
-     * store per workload thread (setupPartitions()).
-     */
-    std::vector<Instance> inst_;
     std::mutex masterLock_;
-    core::WorkloadKeymap wlMap_;
 };
 
 } // namespace

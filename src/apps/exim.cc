@@ -56,18 +56,10 @@ class EximApp : public PmfsRecordApp
     std::string name() const override { return "exim"; }
 
     void
-    setup(Runtime &rt) override
-    {
-        volumes_.clear();
-        volumes_.push_back(
-            formatVolume(rt.ctx(0), 0, config_.poolBytes, false));
-    }
-
-    void
     run(Runtime &rt, pm::PmContext &ctx, ThreadId tid) override
     {
         (void)rt;
-        PmfsVolume &v = volumes_[0];
+        PmfsVolume &v = inst_[0];
         Rng rng(config_.seed * 59 + tid);
         // Message bodies: 8-24 KB (the postal 100 KB profile scaled
         // to the run size; the access pattern — multi-block appends —
@@ -129,8 +121,8 @@ class EximApp : public PmfsRecordApp
      * journaled-append profile at KV-op granularity.
      */
     PmfsVolume
-    formatVolume(pm::PmContext &ctx, Addr base, std::size_t bytes,
-                 bool workload) override
+    format(pm::PmContext &ctx, Addr base, std::size_t bytes,
+           bool workload) override
     {
         PmfsVolume v;
         v.fs = std::make_unique<pmfs::Pmfs>(ctx, base, bytes);
@@ -155,8 +147,8 @@ class EximApp : public PmfsRecordApp
         const int n = std::snprintf(
             line, sizeof(line), "delivered msg %llu to mbox %u\n",
             static_cast<unsigned long long>(key), stripeOf(tid, key));
-        volumes_[tid].fs->append(ctx, volumes_[tid].log, line,
-                                 static_cast<std::size_t>(n));
+        inst_[tid].fs->append(ctx, inst_[tid].log, line,
+                              static_cast<std::size_t>(n));
     }
 
   private:
@@ -170,7 +162,7 @@ class EximApp : public PmfsRecordApp
     checkRun(Runtime &rt, bool post_crash)
     {
         pm::PmContext &ctx = rt.ctx(0);
-        PmfsVolume &v = volumes_[0];
+        PmfsVolume &v = inst_[0];
         VerifyReport rep = report();
         std::string why;
         rep.check(v.fs->fsck(ctx, &why), "fsck", why);

@@ -11,6 +11,7 @@
 #include <mutex>
 
 #include "apps/apps.hh"
+#include "apps/instance_app.hh"
 #include "common/logging.hh"
 #include "txlib/nvml.hh"
 
@@ -224,21 +225,15 @@ checkMap(pm::PmContext &ctx, const Instance &m, std::string *why)
     return true;
 }
 
-class HashmapApp : public WhisperApp
+class HashmapApp : public NvmlApp<Instance>
 {
   public:
-    explicit HashmapApp(const AppConfig &config) : WhisperApp(config) {}
+    explicit HashmapApp(const AppConfig &config)
+        : NvmlApp<Instance>(config, sizeof(MapRoot) + (2u << 20))
+    {
+    }
 
     std::string name() const override { return "hashmap"; }
-    AccessLayer layer() const override { return AccessLayer::LibNvml; }
-
-    void
-    setup(Runtime &rt) override
-    {
-        inst_.clear();
-        inst_.push_back(formatMap(rt.ctx(0), 0, config_.poolBytes,
-                                  config_.threads));
-    }
 
     void
     run(Runtime &rt, pm::PmContext &ctx, ThreadId tid) override
@@ -278,29 +273,6 @@ class HashmapApp : public WhisperApp
         }
     }
 
-    VerifyReport verify(Runtime &rt) override { return verifyRecovered(rt); }
-
-    void recover(Runtime &rt) override { inst_[0].pool->recover(rt.ctx(0)); }
-
-    VerifyReport
-    verifyRecovered(Runtime &rt) override
-    {
-        VerifyReport rep = report();
-        std::string why;
-        rep.check(checkMap(rt.ctx(0), inst_[0], &why), "map-intact", why);
-        return rep;
-    }
-
-    VerifyReport
-    checkRecoveryInvariants(Runtime &rt) override
-    {
-        VerifyReport rep = report();
-        std::string why;
-        rep.check(inst_[0].pool->logsQuiescent(rt.ctx(0), &why),
-                  "logs-quiescent", why);
-        return rep;
-    }
-
     /** @{ \name Generated-workload surface
      *
      * One private map (root + NvmlPool) per worker thread over a
@@ -310,33 +282,11 @@ class HashmapApp : public WhisperApp
      * discipline per op is run()'s.
      */
 
-    void
-    setupPartitions(Runtime &rt, const WorkloadKeymap &map) override
-    {
-        wlMap_ = map;
-        inst_.clear();
-        scratch_.assign(config_.threads,
-                        std::vector<std::uint64_t>(2048));
-        const PoolSlices slices(config_.poolBytes, map.threads,
-                                sizeof(MapRoot) + (2u << 20),
-                                "hashmap");
-        for (unsigned t = 0; t < map.threads; t++) {
-            pm::PmContext &ctx = rt.ctx(t);
-            inst_.push_back(
-                formatMap(ctx, slices.base(t), slices.bytes, 1));
-            const ThreadId tid = static_cast<ThreadId>(t);
-            for (std::uint64_t i = 0; i < map.perThread(); i++) {
-                const std::uint64_t key = map.lo(tid) + i;
-                putOrPanic(ctx, inst_[t], key, key * 0x9e3779b97f4a7c15ull);
-            }
-        }
-    }
-
     bool
     workloadGet(pm::PmContext &ctx, ThreadId tid,
                 std::uint64_t key) override
     {
-        pad(ctx, scratch_[tid].data());
+        pad(ctx, this);
         std::uint64_t value = 0;
         return find(ctx, inst_[tid], key, value) != kNullAddr;
     }
@@ -345,7 +295,7 @@ class HashmapApp : public WhisperApp
     workloadPut(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
                 std::uint64_t value) override
     {
-        pad(ctx, scratch_[tid].data());
+        pad(ctx, this);
         putOrPanic(ctx, inst_[tid], key, value);
     }
 
@@ -353,7 +303,7 @@ class HashmapApp : public WhisperApp
     workloadRmw(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
                 std::uint64_t delta) override
     {
-        pad(ctx, scratch_[tid].data());
+        pad(ctx, this);
         Instance &m = inst_[tid];
         std::uint64_t value = 0;
         const Addr off = find(ctx, m, key, value);
@@ -375,7 +325,7 @@ class HashmapApp : public WhisperApp
     workloadScan(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
                  std::uint64_t len) override
     {
-        pad(ctx, scratch_[tid].data());
+        pad(ctx, this);
         std::uint64_t found = 0;
         std::uint64_t value = 0;
         for (std::uint64_t j = 0; j < len; j++)
@@ -385,40 +335,37 @@ class HashmapApp : public WhisperApp
         return found;
     }
 
-    VerifyReport
-    workloadCheck(Runtime &rt) override
-    {
-        VerifyReport rep = report();
-        for (unsigned t = 0; t < inst_.size(); t++) {
-            std::string why;
-            rep.check(checkMap(rt.ctx(0), inst_[t], &why), "map-intact",
-                      "shard " + std::to_string(t) + ": " + why);
-            rep.check(inst_[t].pool->logsQuiescent(rt.ctx(0), &why),
-                      "logs-quiescent", why);
-        }
-        return rep;
-    }
-
     /** @} */
 
   protected:
-    void
-    scrubLayer(Runtime &rt, std::vector<LineAddr> &lines,
-               VerifyReport &rep) override
+    Instance
+    format(pm::PmContext &ctx, Addr base, std::size_t bytes,
+           bool workload) override
     {
-        inst_[0].pool->scrub(rt.ctx(0), lines, rep);
+        return formatMap(ctx, base, bytes, lanes(workload));
+    }
+
+    void
+    preload(pm::PmContext &ctx, ThreadId tid) override
+    {
+        for (std::uint64_t i = 0; i < wlMap_.perThread(); i++) {
+            const std::uint64_t key = wlMap_.lo(tid) + i;
+            putOrPanic(ctx, inst_[tid], key, key * 0x9e3779b97f4a7c15ull);
+        }
+    }
+
+    void
+    checkStructure(pm::PmContext &ctx, Instance &m, bool clean,
+                   VerifyReport &rep) override
+    {
+        (void)clean;
+        std::string why;
+        rep.check(checkMap(ctx, m, &why), "map-intact", why);
     }
 
   private:
-    /**
-     * The paper run's one map over the whole pool (setup()), or one
-     * map per workload thread (setupPartitions()).
-     */
-    std::vector<Instance> inst_;
     /** Serializes run()'s threads on the shared map. */
     std::mutex mapLock_;
-    WorkloadKeymap wlMap_;
-    std::vector<std::vector<std::uint64_t>> scratch_;
 };
 
 } // namespace

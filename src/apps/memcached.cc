@@ -14,6 +14,7 @@
 #include <mutex>
 
 #include "apps/apps.hh"
+#include "apps/instance_app.hh"
 #include "common/hash.hh"
 #include "common/logging.hh"
 #include "txlib/mnemosyne.hh"
@@ -332,34 +333,24 @@ checkCache(pm::PmContext &ctx, const Instance &c, std::string *why)
     return true;
 }
 
-class MemcachedApp : public WhisperApp
+class MemcachedApp : public MneApp<Instance>
 {
   public:
-    explicit MemcachedApp(const AppConfig &config) : WhisperApp(config)
+    explicit MemcachedApp(const AppConfig &config)
+        : MneApp<Instance>(config, sizeof(CacheRoot) + (2u << 20))
     {
     }
 
     std::string name() const override { return "memcached"; }
-    AccessLayer
-    layer() const override
-    {
-        return AccessLayer::LibMnemosyne;
-    }
 
     void
     setup(Runtime &rt) override
     {
-        pm::PmContext &ctx = rt.ctx(0);
-        const std::uint64_t capacity =
-            std::max<std::uint64_t>(1024, config_.opsPerThread / 2);
-        inst_.clear();
-        inst_.push_back(formatCache(ctx, 0, config_.poolBytes,
-                                    config_.threads, capacity));
-
+        MneApp<Instance>::setup(rt);
         // Warm the cache to ~half capacity.
         Rng rng(config_.seed);
-        for (std::uint64_t i = 0; i < capacity / 2; i++)
-            randomSet(ctx, rng.next(keySpace()), rng);
+        for (std::uint64_t i = 0; i < capacity() / 2; i++)
+            randomSet(rt.ctx(0), rng.next(keySpace()), rng);
     }
 
     void
@@ -380,97 +371,11 @@ class MemcachedApp : public WhisperApp
         }
     }
 
-    VerifyReport verify(Runtime &rt) override { return verifyRecovered(rt); }
-
-    void recover(Runtime &rt) override { inst_[0].heap->recover(rt.ctx(0)); }
-
-    VerifyReport
-    verifyRecovered(Runtime &rt) override
-    {
-        VerifyReport rep = report();
-        std::string why;
-        rep.check(checkCache(rt.ctx(0), inst_[0], &why), "cache-intact",
-                  why);
-        return rep;
-    }
-
-    VerifyReport
-    checkRecoveryInvariants(Runtime &rt) override
-    {
-        VerifyReport rep = report();
-        std::string why;
-        rep.check(inst_[0].heap->logsQuiescent(rt.ctx(0), &why),
-                  "logs-quiescent", why);
-        return rep;
-    }
-
-  protected:
-    void
-    scrubLayer(Runtime &rt, std::vector<LineAddr> &lines,
-               VerifyReport &rep) override
-    {
-        inst_[0].heap->scrub(rt.ctx(0), lines, rep);
-    }
-
-  private:
-    std::uint64_t
-    keySpace() const
-    {
-        return std::max<std::uint64_t>(2048, config_.opsPerThread * 2);
-    }
-
-    /** run()'s SET: @p key := rng-filled bytes on the shared cache. */
-    void
-    randomSet(pm::PmContext &ctx, std::uint64_t key, Rng &rng)
-    {
-        std::lock_guard<std::mutex> guard(cacheLock_);
-        std::uint8_t value[kValueBytes];
-        for (auto &b : value)
-            b = static_cast<std::uint8_t>(rng());
-        setOp(ctx, inst_[0], key, value);
-    }
-
     // ---- Unified workload driver surface ------------------------------
     //
     // Each workload thread gets its own cache (root + Mnemosyne heap
     // over a disjoint pool slice), mirroring memcached deployments
-    // that run one worker per core with partitioned key ownership. The
-    // per-shard capacity exceeds the keymap's slot count so workload-
-    // owned keys are never evicted: a GET on a loaded or inserted key
-    // must always hit.
-
-    /** Deterministic 48-byte value from a 64-bit seed (splitmix64). */
-    static void
-    expandValue(std::uint64_t seed, std::uint8_t out[kValueBytes])
-    {
-        for (std::size_t i = 0; i < kValueBytes; i += 8) {
-            const std::uint64_t z = splitmix64(seed);
-            std::memcpy(out + i, &z, 8);
-        }
-    }
-
-  public:
-    void
-    setupPartitions(Runtime &rt, const core::WorkloadKeymap &map) override
-    {
-        wlMap_ = map;
-        inst_.clear();
-        const PoolSlices slices(config_.poolBytes, map.threads,
-                                sizeof(CacheRoot) + (2u << 20),
-                                "memcached");
-        for (unsigned t = 0; t < map.threads; t++) {
-            pm::PmContext &ctx = rt.ctx(t);
-            inst_.push_back(formatCache(ctx, slices.base(t),
-                                        slices.bytes, 1,
-                                        map.slotsPerThread() + 64));
-            for (std::uint64_t i = 0; i < map.perThread(); i++) {
-                const std::uint64_t key = map.lo(t) + i;
-                std::uint8_t value[kValueBytes];
-                expandValue(key * 0x9e3779b97f4a7c15ull, value);
-                setOp(ctx, inst_[t], key, value);
-            }
-        }
-    }
+    // that run one worker per core with partitioned key ownership.
 
     bool
     workloadGet(pm::PmContext &ctx, ThreadId tid,
@@ -528,29 +433,78 @@ class MemcachedApp : public WhisperApp
         return found;
     }
 
-    VerifyReport
-    workloadCheck(Runtime &rt) override
+  protected:
+    /**
+     * A workload shard's capacity exceeds the keymap's slot count, so
+     * workload-owned keys are never evicted: a GET on a loaded or
+     * inserted key must always hit.
+     */
+    Instance
+    format(pm::PmContext &ctx, Addr base, std::size_t bytes,
+           bool workload) override
     {
-        VerifyReport rep = report();
-        for (unsigned t = 0; t < inst_.size(); t++) {
-            std::string why;
-            rep.check(checkCache(rt.ctx(t), inst_[t], &why),
-                      "cache-intact", why);
-            rep.check(inst_[t].heap->logsQuiescent(rt.ctx(t), &why),
-                      "logs-quiescent", why);
+        return formatCache(ctx, base, bytes, lanes(workload),
+                           workload ? wlMap_.slotsPerThread() + 64
+                                    : capacity());
+    }
+
+    void
+    preload(pm::PmContext &ctx, ThreadId tid) override
+    {
+        for (std::uint64_t i = 0; i < wlMap_.perThread(); i++) {
+            const std::uint64_t key = wlMap_.lo(tid) + i;
+            std::uint8_t value[kValueBytes];
+            expandValue(key * 0x9e3779b97f4a7c15ull, value);
+            setOp(ctx, inst_[tid], key, value);
         }
-        return rep;
+    }
+
+    void
+    checkStructure(pm::PmContext &ctx, Instance &c, bool clean,
+                   VerifyReport &rep) override
+    {
+        (void)clean;
+        std::string why;
+        rep.check(checkCache(ctx, c, &why), "cache-intact", why);
     }
 
   private:
-    /**
-     * The paper run's one cache over the whole pool (setup()), or one
-     * cache per workload thread (setupPartitions()).
-     */
-    std::vector<Instance> inst_;
+    /** The paper run's cache capacity. */
+    std::uint64_t
+    capacity() const
+    {
+        return std::max<std::uint64_t>(1024, config_.opsPerThread / 2);
+    }
+
+    std::uint64_t
+    keySpace() const
+    {
+        return std::max<std::uint64_t>(2048, config_.opsPerThread * 2);
+    }
+
+    /** run()'s SET: @p key := rng-filled bytes on the shared cache. */
+    void
+    randomSet(pm::PmContext &ctx, std::uint64_t key, Rng &rng)
+    {
+        std::lock_guard<std::mutex> guard(cacheLock_);
+        std::uint8_t value[kValueBytes];
+        for (auto &b : value)
+            b = static_cast<std::uint8_t>(rng());
+        setOp(ctx, inst_[0], key, value);
+    }
+
+    /** Deterministic 48-byte value from a 64-bit seed (splitmix64). */
+    static void
+    expandValue(std::uint64_t seed, std::uint8_t out[kValueBytes])
+    {
+        for (std::size_t i = 0; i < kValueBytes; i += 8) {
+            const std::uint64_t z = splitmix64(seed);
+            std::memcpy(out + i, &z, 8);
+        }
+    }
+
     /** Serializes run()'s threads on the shared cache. */
     std::mutex cacheLock_;
-    core::WorkloadKeymap wlMap_;
 };
 
 } // namespace

@@ -16,6 +16,7 @@
 #include <mutex>
 
 #include "apps/apps.hh"
+#include "apps/instance_app.hh"
 #include "common/hash.hh"
 #include "common/logging.hh"
 #include "pmfs/pmfs.hh"
@@ -61,6 +62,8 @@ struct Instance
     pmfs::Ino index = pmfs::kInvalidIno;
     pmfs::Ino binlog = pmfs::kInvalidIno;
     std::uint64_t commits = 0; //!< workload binlog records appended
+    std::uint64_t firstId = 0; //!< id of the row in slot 0
+    std::uint64_t rows = 0;    //!< rows loaded into slots [0, rows)
 };
 
 /** Format an empty database over [@p base, @p base + @p bytes). */
@@ -99,21 +102,20 @@ appendCommit(pm::PmContext &ctx, Instance &db, ThreadId tid,
 }
 
 /**
- * fsck, then every row in slots [0, @p rows) must carry id
- * @p first_id + slot and a valid checksum, and the binlog must end at
- * a record boundary. Row images are non-journaled user data; PMFS
- * guarantees metadata consistency only, so a crash can tear an
- * in-flight page write — exactly the PMFS contract. The filesystem
- * fences at every journal commit, which bounds the exposure to the
- * writes of the last in-flight transaction: the one index and one
- * non-index update, i.e. at most two rows. With @p post_crash set
- * that many invalid rows are tolerated (a real InnoDB would rebuild
- * them from its redo log); after a *clean* run every row must
- * validate.
+ * fsck, then every loaded row must carry its slot's id and a valid
+ * checksum, and the binlog must end at a record boundary. Row images
+ * are non-journaled user data; PMFS guarantees metadata consistency
+ * only, so a crash can tear an in-flight page write — exactly the
+ * PMFS contract. The filesystem fences at every journal commit, which
+ * bounds the exposure to the writes of the last in-flight
+ * transaction: the one index and one non-index update, i.e. at most
+ * two rows. With @p post_crash set that many invalid rows are
+ * tolerated (a real InnoDB would rebuild them from its redo log);
+ * after a *clean* run every row must validate.
  */
 bool
-checkDb(pm::PmContext &ctx, Instance &db, std::uint64_t first_id,
-        std::uint64_t rows, bool post_crash, std::string *why)
+checkDb(pm::PmContext &ctx, Instance &db, bool post_crash,
+        std::string *why)
 {
     std::string fsck_why;
     if (!db.fs->fsck(ctx, &fsck_why)) {
@@ -123,10 +125,10 @@ checkDb(pm::PmContext &ctx, Instance &db, std::uint64_t first_id,
     }
     const std::uint64_t torn_budget = post_crash ? 2 : 0;
     std::uint64_t torn = 0;
-    for (std::uint64_t r = 0; r < rows; r++) {
+    for (std::uint64_t r = 0; r < db.rows; r++) {
         Row row{};
         readRow(ctx, db, r, row);
-        if (row.id != first_id + r || row.checksum != rowChecksum(row)) {
+        if (row.id != db.firstId + r || row.checksum != rowChecksum(row)) {
             torn++;
             if (torn > torn_budget) {
                 if (why) {
@@ -152,30 +154,31 @@ checkDb(pm::PmContext &ctx, Instance &db, std::uint64_t first_id,
     return true;
 }
 
-class MysqlApp : public WhisperApp
+class MysqlApp : public PmfsApp<Instance>
 {
   public:
-    explicit MysqlApp(const AppConfig &config) : WhisperApp(config) {}
+    explicit MysqlApp(const AppConfig &config)
+        : PmfsApp<Instance>(config, 8u << 20)
+    {
+    }
 
     std::string name() const override { return "mysql"; }
-    AccessLayer layer() const override { return AccessLayer::Filesystem; }
 
     void
     setup(Runtime &rt) override
     {
         pm::PmContext &ctx = rt.ctx(0);
-        inst_.clear();
-        inst_.push_back(formatDb(ctx, 0, config_.poolBytes));
+        PmfsApp<Instance>::setup(rt);
         Instance &db = inst_[0];
 
-        rows_ = std::max<std::uint64_t>(
+        db.rows = std::max<std::uint64_t>(
             512, std::min<std::uint64_t>(config_.opsPerThread * 4,
                                          16384));
         Rng rng(config_.seed);
         std::vector<Row> chunk(32);
-        for (std::uint64_t r = 0; r < rows_; r += chunk.size()) {
+        for (std::uint64_t r = 0; r < db.rows; r += chunk.size()) {
             const std::uint64_t n =
-                std::min<std::uint64_t>(chunk.size(), rows_ - r);
+                std::min<std::uint64_t>(chunk.size(), db.rows - r);
             for (std::uint64_t i = 0; i < n; i++) {
                 Row &row = chunk[i];
                 row = Row{};
@@ -189,8 +192,8 @@ class MysqlApp : public WhisperApp
                          n * kRowBytes);
         }
         // Index file: one 16-byte entry per row.
-        std::vector<std::uint64_t> idx(rows_ * 2);
-        for (std::uint64_t r = 0; r < rows_; r++) {
+        std::vector<std::uint64_t> idx(db.rows * 2);
+        for (std::uint64_t r = 0; r < db.rows; r++) {
             idx[r * 2] = r;
             idx[r * 2 + 1] = r * kRowBytes;
         }
@@ -204,7 +207,7 @@ class MysqlApp : public WhisperApp
         (void)rt;
         Instance &db = inst_[0];
         Rng rng(config_.seed * 241 + tid);
-        ZipfianGenerator zipf(rows_);
+        ZipfianGenerator zipf(db.rows);
 
         for (std::uint64_t op = 0; op < config_.opsPerThread; op++) {
             // OLTP-complex: 10 point selects.
@@ -227,44 +230,6 @@ class MysqlApp : public WhisperApp
             updateRow(ctx, db, zipf.next(rng), rng, false);
             appendCommit(ctx, db, tid, op);
         }
-    }
-
-    VerifyReport
-    verify(Runtime &rt) override
-    {
-        VerifyReport rep = report();
-        std::string why;
-        rep.check(checkDb(rt.ctx(0), inst_[0], 0, rows_, false, &why),
-                  "db-intact", why);
-        return rep;
-    }
-
-    void recover(Runtime &rt) override { inst_[0].fs->mount(rt.ctx(0)); }
-
-    VerifyReport
-    verifyRecovered(Runtime &rt) override
-    {
-        VerifyReport rep = report();
-        std::string why;
-        rep.check(checkDb(rt.ctx(0), inst_[0], 0, rows_, true, &why),
-                  "db-intact", why);
-        return rep;
-    }
-
-    VerifyReport
-    checkRecoveryInvariants(Runtime &rt) override
-    {
-        VerifyReport rep = report();
-        checkPmfs(rt.ctx(0), *inst_[0].fs, rep);
-        return rep;
-    }
-
-  protected:
-    void
-    scrubLayer(Runtime &rt, std::vector<LineAddr> &lines,
-               VerifyReport &rep) override
-    {
-        inst_[0].fs->scrub(rt.ctx(0), lines, rep);
     }
 
   private:
@@ -358,45 +323,6 @@ class MysqlApp : public WhisperApp
     }
 
   public:
-    void
-    setupPartitions(Runtime &rt, const core::WorkloadKeymap &map) override
-    {
-        wlMap_ = map;
-        inst_.clear();
-        const PoolSlices slices(config_.poolBytes, map.threads, 8u << 20,
-                                "mysql");
-        for (unsigned t = 0; t < map.threads; t++) {
-            pm::PmContext &ctx = rt.ctx(t);
-            inst_.push_back(formatDb(ctx, slices.base(t), slices.bytes));
-            Instance &db = inst_[t];
-
-            // Preload rows page by page (one syscall per 32 rows,
-            // mirroring setup()'s chunked load).
-            std::vector<Row> chunk(32);
-            for (std::uint64_t s = 0; s < map.perThread();
-                 s += chunk.size()) {
-                const std::uint64_t n = std::min<std::uint64_t>(
-                    chunk.size(), map.perThread() - s);
-                for (std::uint64_t i = 0; i < n; i++) {
-                    const std::uint64_t key = map.lo(t) + s + i;
-                    wlFillRow(key, key * 0x9e3779b97f4a7c15ull,
-                              chunk[i]);
-                }
-                db.fs->write(ctx, db.table, s * kRowBytes,
-                             chunk.data(), n * kRowBytes);
-            }
-            std::vector<std::uint64_t> idx(map.perThread() * 2);
-            for (std::uint64_t s = 0; s < map.perThread(); s++) {
-                idx[s * 2] = map.lo(t) + s;
-                idx[s * 2 + 1] = s * kRowBytes;
-            }
-            if (!idx.empty()) {
-                db.fs->write(ctx, db.index, 0, idx.data(),
-                             idx.size() * sizeof(std::uint64_t));
-            }
-        }
-    }
-
     bool
     workloadGet(pm::PmContext &ctx, ThreadId tid,
                 std::uint64_t key) override
@@ -452,38 +378,55 @@ class MysqlApp : public WhisperApp
         return found;
     }
 
-    VerifyReport
-    workloadCheck(Runtime &rt) override
+  protected:
+    Instance
+    format(pm::PmContext &ctx, Addr base, std::size_t bytes,
+           bool workload) override
     {
-        VerifyReport rep = report();
-        for (unsigned t = 0; t < inst_.size(); t++) {
-            pm::PmContext &ctx = rt.ctx(t);
-            Instance &db = inst_[t];
-            // A clean run leaves the descriptor COMMITTED (commit is
-            // lazy about the FREE transition); mount-time recovery
-            // retires it, exactly like the run path's recover().
-            db.fs->mount(ctx);
-            checkPmfs(ctx, *db.fs, rep);
-            // Every preloaded row must validate (clean-run contract).
-            std::string why;
-            rep.check(checkDb(ctx, db, wlMap_.lo(t), wlMap_.perThread(),
-                              false, &why),
-                      "db-intact",
-                      "shard " + std::to_string(t) + ": " + why);
+        (void)workload;
+        return formatDb(ctx, base, bytes);
+    }
+
+    /** Rows page by page (one syscall per 32 rows, as setup() loads). */
+    void
+    preload(pm::PmContext &ctx, ThreadId tid) override
+    {
+        Instance &db = inst_[tid];
+        db.firstId = wlMap_.lo(tid);
+        db.rows = wlMap_.perThread();
+        std::vector<Row> chunk(32);
+        for (std::uint64_t s = 0; s < db.rows; s += chunk.size()) {
+            const std::uint64_t n =
+                std::min<std::uint64_t>(chunk.size(), db.rows - s);
+            for (std::uint64_t i = 0; i < n; i++) {
+                const std::uint64_t key = db.firstId + s + i;
+                wlFillRow(key, key * 0x9e3779b97f4a7c15ull, chunk[i]);
+            }
+            db.fs->write(ctx, db.table, s * kRowBytes, chunk.data(),
+                         n * kRowBytes);
         }
-        return rep;
+        std::vector<std::uint64_t> idx(db.rows * 2);
+        for (std::uint64_t s = 0; s < db.rows; s++) {
+            idx[s * 2] = db.firstId + s;
+            idx[s * 2 + 1] = s * kRowBytes;
+        }
+        if (!idx.empty()) {
+            db.fs->write(ctx, db.index, 0, idx.data(),
+                         idx.size() * sizeof(std::uint64_t));
+        }
+    }
+
+    void
+    checkStructure(pm::PmContext &ctx, Instance &db, bool clean,
+                   VerifyReport &rep) override
+    {
+        std::string why;
+        rep.check(checkDb(ctx, db, !clean, &why), "db-intact", why);
     }
 
   private:
-    /**
-     * The paper run's one database over the whole pool (setup()), or
-     * one database per workload thread (setupPartitions()).
-     */
-    std::vector<Instance> inst_;
-    std::uint64_t rows_ = 0;
     /** Serializes run()'s threads on the shared database. */
     std::mutex dbLock_;
-    core::WorkloadKeymap wlMap_;
 };
 
 } // namespace

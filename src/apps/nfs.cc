@@ -59,9 +59,8 @@ class NfsApp : public PmfsRecordApp
     setup(Runtime &rt) override
     {
         pm::PmContext &ctx = rt.ctx(0);
-        volumes_.clear();
-        volumes_.push_back(formatVolume(ctx, 0, config_.poolBytes, false));
-        pmfs::Pmfs &fs = *volumes_[0].fs;
+        PmfsRecordApp::setup(rt);
+        pmfs::Pmfs &fs = *inst_[0].fs;
         // A starting fileset in every export directory.
         Rng rng(config_.seed);
         std::vector<std::uint8_t> buf(kMeanFileBytes);
@@ -82,7 +81,7 @@ class NfsApp : public PmfsRecordApp
     run(Runtime &rt, pm::PmContext &ctx, ThreadId tid) override
     {
         (void)rt;
-        pmfs::Pmfs &fs = *volumes_[0].fs;
+        pmfs::Pmfs &fs = *inst_[0].fs;
         Rng rng(config_.seed * 101 + tid);
         std::vector<std::uint8_t> buf(4 * kMeanFileBytes);
         for (auto &b : buf)
@@ -142,7 +141,7 @@ class NfsApp : public PmfsRecordApp
     {
         VerifyReport rep = report();
         std::string why;
-        rep.check(volumes_[0].fs->fsck(rt.ctx(0), &why), "fsck", why);
+        rep.check(inst_[0].fs->fsck(rt.ctx(0), &why), "fsck", why);
         return rep;
     }
 
@@ -155,8 +154,8 @@ class NfsApp : public PmfsRecordApp
      * directory for the thread's 512-byte records.
      */
     PmfsVolume
-    formatVolume(pm::PmContext &ctx, Addr base, std::size_t bytes,
-                 bool workload) override
+    format(pm::PmContext &ctx, Addr base, std::size_t bytes,
+           bool workload) override
     {
         PmfsVolume v;
         v.fs = std::make_unique<pmfs::Pmfs>(ctx, base, bytes);
@@ -193,7 +192,7 @@ class NfsApp : public PmfsRecordApp
     pmfs::Ino
     pickFile(pm::PmContext &ctx, unsigned d, Rng &rng)
     {
-        pmfs::Pmfs &fs = *volumes_[0].fs;
+        pmfs::Pmfs &fs = *inst_[0].fs;
         const auto names = fs.readdir(ctx, dirPath(d));
         if (names.empty())
             return pmfs::kInvalidIno;

@@ -30,6 +30,7 @@
 
 #include "alloc/buddy_alloc.hh"
 #include "apps/apps.hh"
+#include "apps/instance_app.hh"
 #include "common/hash.hh"
 #include "common/logging.hh"
 #include "txlib/mnemosyne.hh" // foldChecksum
@@ -451,11 +452,12 @@ checkPartition(pm::PmContext &ctx, const Instance &db, unsigned p,
 /** Which driver shapes the transactions. */
 enum class NstoreWorkload { Ycsb, Tpcc };
 
-class NstoreApp : public WhisperApp
+class NstoreApp : public InstanceApp<Instance>
 {
   public:
     NstoreApp(const AppConfig &config, NstoreWorkload workload)
-        : WhisperApp(config), workload_(workload)
+        : InstanceApp(config, kPartBytes + kUndoLogBytes + (4u << 20)),
+          workload_(workload)
     {
     }
 
@@ -471,9 +473,7 @@ class NstoreApp : public WhisperApp
     setup(Runtime &rt) override
     {
         pm::PmContext &ctx = rt.ctx(0);
-        inst_.clear();
-        inst_.push_back(
-            formatDb(ctx, 0, config_.poolBytes, config_.threads));
+        InstanceApp::setup(rt);
 
         // Load phase: each partition gets its initial tuples.
         const std::uint64_t rows = initialRows();
@@ -500,8 +500,6 @@ class NstoreApp : public WhisperApp
                 tpccTx(ctx, tid, rng, zipf, op);
         }
     }
-
-    VerifyReport verify(Runtime &rt) override { return verifyRecovered(rt); }
 
     alloc::AllocStats
     recoveredHeapStats() const override
@@ -532,37 +530,6 @@ class NstoreApp : public WhisperApp
             }
         }
         db.heap->recover(ctx);
-    }
-
-    VerifyReport
-    verifyRecovered(Runtime &rt) override
-    {
-        VerifyReport rep = report();
-        std::string why;
-        bool ok = true;
-        for (unsigned p = 0; ok && p < inst_[0].partitions; p++)
-            ok = checkPartition(rt.ctx(0), inst_[0], p, &why);
-        rep.check(ok, "tables-intact", why);
-        return rep;
-    }
-
-    VerifyReport
-    checkRecoveryInvariants(Runtime &rt) override
-    {
-        // OPTWAL descriptor state: recovery must retire every
-        // partition's active undo log (the single pointer write that
-        // commits or rolls back the in-flight transaction).
-        VerifyReport rep = report();
-        for (unsigned p = 0; p < inst_[0].partitions; p++) {
-            if (!rep.check(
-                    partition(rt.ctx(0), inst_[0], p)->activeLog ==
-                        kNullAddr,
-                    "undo-retired",
-                    "partition " + std::to_string(p) +
-                        " still publishes an active undo log"))
-                break;
-        }
-        return rep;
     }
 
   protected:
@@ -803,25 +770,6 @@ class NstoreApp : public WhisperApp
     // write.
 
   public:
-    void
-    setupPartitions(Runtime &rt, const core::WorkloadKeymap &map) override
-    {
-        wlMap_ = map;
-        inst_.clear();
-        const PoolSlices slices(config_.poolBytes, map.threads,
-                                kPartBytes + kUndoLogBytes + (4u << 20),
-                                "nstore");
-        for (unsigned t = 0; t < map.threads; t++) {
-            pm::PmContext &ctx = rt.ctx(t);
-            inst_.push_back(
-                formatDb(ctx, slices.base(t), slices.bytes, 1));
-            Rng rng(config_.seed + t);
-            for (std::uint64_t i = 0; i < map.perThread(); i++)
-                insertTuple(ctx, inst_[t], 0, map.lo(t) + i, rng,
-                            nullptr);
-        }
-    }
-
     bool
     workloadGet(pm::PmContext &ctx, ThreadId tid,
                 std::uint64_t key) override
@@ -891,32 +839,56 @@ class NstoreApp : public WhisperApp
         return found;
     }
 
-    VerifyReport
-    workloadCheck(Runtime &rt) override
+  protected:
+    /** The paper run's database has one partition per client thread. */
+    Instance
+    format(pm::PmContext &ctx, Addr base, std::size_t bytes,
+           bool workload) override
     {
-        VerifyReport rep = report();
-        for (unsigned t = 0; t < inst_.size(); t++) {
-            std::string why;
-            rep.check(checkPartition(rt.ctx(t), inst_[t], 0, &why),
-                      "tables-intact", why);
-            rep.check(partition(rt.ctx(t), inst_[t], 0)->activeLog ==
-                          kNullAddr,
-                      "undo-retired",
-                      "workload shard " + std::to_string(t) +
-                          " still publishes an active undo log");
+        return formatDb(ctx, base, bytes, lanes(workload));
+    }
+
+    void
+    preload(pm::PmContext &ctx, ThreadId tid) override
+    {
+        Rng rng(config_.seed + tid);
+        for (std::uint64_t i = 0; i < wlMap_.perThread(); i++)
+            insertTuple(ctx, inst_[tid], 0, wlMap_.lo(tid) + i, rng,
+                        nullptr);
+    }
+
+    void
+    checkStructure(pm::PmContext &ctx, Instance &db, bool clean,
+                   VerifyReport &rep) override
+    {
+        (void)clean;
+        std::string why;
+        bool ok = true;
+        for (unsigned p = 0; ok && p < db.partitions; p++)
+            ok = checkPartition(ctx, db, p, &why);
+        rep.check(ok, "tables-intact", why);
+    }
+
+    /**
+     * OPTWAL descriptor state: recovery must retire every partition's
+     * active undo log (the single pointer write that commits or rolls
+     * back the in-flight transaction).
+     */
+    void
+    checkLayer(pm::PmContext &ctx, Instance &db,
+               VerifyReport &rep) override
+    {
+        for (unsigned p = 0; p < db.partitions; p++) {
+            if (!rep.check(partition(ctx, db, p)->activeLog == kNullAddr,
+                           "undo-retired",
+                           "partition " + std::to_string(p) +
+                               " still publishes an active undo log"))
+                break;
         }
-        return rep;
     }
 
   private:
     NstoreWorkload workload_;
-    /**
-     * The paper run's one partitioned database over the whole pool
-     * (setup()), or one single-partition database per workload
-     * thread (setupPartitions()).
-     */
-    std::vector<Instance> inst_;
-    core::WorkloadKeymap wlMap_;
 };
 
 } // namespace

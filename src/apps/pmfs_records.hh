@@ -1,8 +1,7 @@
 /**
  * @file
- * What the PMFS apps nfs and exim share: their volumes (the paper
- * run's one over the whole pool, or one per workload thread), the
- * layer's recovery hooks on the paper run's volume, and the
+ * What the PMFS apps nfs and exim share on top of the PMFS layer
+ * (PmfsApp, instance_app.hh): their volume type and the
  * generated-workload record store.
  *
  * A workload thread's keys map to fixed-size records striped over its
@@ -21,6 +20,7 @@
 #include <vector>
 
 #include "apps/apps.hh"
+#include "apps/instance_app.hh"
 #include "common/hash.hh"
 #include "pmfs/pmfs.hh"
 
@@ -37,53 +37,10 @@ struct PmfsVolume
     pmfs::Ino log = pmfs::kInvalidIno;
 };
 
-class PmfsRecordApp : public core::WhisperApp
+class PmfsRecordApp : public PmfsApp<PmfsVolume>
 {
   public:
-    core::AccessLayer
-    layer() const override
-    {
-        return core::AccessLayer::Filesystem;
-    }
-
-    void
-    recover(core::Runtime &rt) override
-    {
-        volumes_[0].fs->mount(rt.ctx(0));
-    }
-
-    core::VerifyReport
-    checkRecoveryInvariants(core::Runtime &rt) override
-    {
-        core::VerifyReport rep = report();
-        checkPmfs(rt.ctx(0), *volumes_[0].fs, rep);
-        return rep;
-    }
-
     /** @{ \name Generated-workload surface (each op pads once) */
-
-    /**
-     * One volume per thread over its own pool slice, each preloaded
-     * with the thread's keys (key k holds k * golden ratio) 128 KiB
-     * per syscall: a write journals the block metadata it appends in
-     * one transaction, and a whole-file write at large key counts
-     * would overflow a journal segment.
-     */
-    void
-    setupPartitions(core::Runtime &rt,
-                    const core::WorkloadKeymap &map) override
-    {
-        map_ = map;
-        volumes_.clear();
-        const core::PoolSlices slices(config_.poolBytes, map.threads,
-                                      8u << 20, name().c_str());
-        for (unsigned t = 0; t < map.threads; t++) {
-            pm::PmContext &ctx = rt.ctx(t);
-            volumes_.push_back(
-                formatVolume(ctx, slices.base(t), slices.bytes, true));
-            preload(ctx, static_cast<ThreadId>(t));
-        }
-    }
 
     bool
     workloadGet(pm::PmContext &ctx, ThreadId tid,
@@ -124,25 +81,11 @@ class PmfsRecordApp : public core::WhisperApp
         std::uint64_t found = 0;
         std::uint8_t rec[kMaxRecordBytes];
         for (std::uint64_t j = 0; j < len; j++) {
-            const std::uint64_t k = map_.scanKey(tid, key, j);
+            const std::uint64_t k = wlMap_.scanKey(tid, key, j);
             if (load(ctx, tid, k, rec) == k)
                 found++;
         }
         return found;
-    }
-
-    core::VerifyReport
-    workloadCheck(core::Runtime &rt) override
-    {
-        core::VerifyReport rep = report();
-        for (unsigned t = 0; t < volumes_.size(); t++) {
-            // A clean run leaves the descriptor COMMITTED (commit is
-            // lazy about the FREE transition); mount-time recovery
-            // retires it, exactly like the run path's recover().
-            volumes_[t].fs->mount(rt.ctx(t));
-            checkPmfs(rt.ctx(t), *volumes_[t].fs, rep);
-        }
-        return rep;
     }
 
     /** @} */
@@ -154,7 +97,7 @@ class PmfsRecordApp : public core::WhisperApp
     /** Records of @p record_bytes over @p stripes files per volume. */
     PmfsRecordApp(const core::AppConfig &config, std::size_t record_bytes,
                   unsigned stripes, Pad pad)
-        : WhisperApp(config), recordBytes_(record_bytes),
+        : PmfsApp(config, 8u << 20), recordBytes_(record_bytes),
           stripes_(stripes), pad_(pad)
     {
         panic_if(record_bytes > kMaxRecordBytes || record_bytes < 24,
@@ -170,31 +113,62 @@ class PmfsRecordApp : public core::WhisperApp
         (void)key;
     }
 
-    /**
-     * The app's volume over [@p base, @p base + @p bytes): the paper
-     * run's, or with @p workload a workload thread's, which carries
-     * the record stripes.
-     */
-    virtual PmfsVolume formatVolume(pm::PmContext &ctx, Addr base,
-                                    std::size_t bytes, bool workload) = 0;
-
     /** The stripe (file index) holding @p key of thread @p tid. */
     unsigned
     stripeOf(ThreadId tid, std::uint64_t key) const
     {
-        return static_cast<unsigned>(map_.localIndex(tid, key) %
+        return static_cast<unsigned>(wlMap_.localIndex(tid, key) %
                                      stripes_);
     }
 
+    /**
+     * Thread @p tid's keys (key k holds k * golden ratio), 128 KiB
+     * per syscall: a write journals the block metadata it appends in
+     * one transaction, and a whole-file write at large key counts
+     * would overflow a journal segment.
+     */
     void
-    scrubLayer(core::Runtime &rt, std::vector<LineAddr> &lines,
-               core::VerifyReport &rep) override
+    preload(pm::PmContext &ctx, ThreadId tid) final
     {
-        volumes_[0].fs->scrub(rt.ctx(0), lines, rep);
+        constexpr std::uint64_t kPreloadChunkBytes = 128u << 10;
+        const PmfsVolume &v = inst_[tid];
+        const std::uint64_t keys = wlMap_.perThread();
+        std::vector<std::uint8_t> buf;
+        for (unsigned f = 0; f < stripes_; f++) {
+            const std::uint64_t recs =
+                keys / stripes_ + (f < keys % stripes_ ? 1 : 0);
+            if (recs == 0)
+                continue;
+            buf.resize(recs * recordBytes_);
+            for (std::uint64_t s = 0; s < recs; s++) {
+                const std::uint64_t key =
+                    wlMap_.lo(tid) + s * stripes_ + f;
+                fill(key, key * 0x9e3779b97f4a7c15ull,
+                     buf.data() + s * recordBytes_);
+            }
+            for (std::uint64_t off = 0; off < buf.size();
+                 off += kPreloadChunkBytes) {
+                const std::uint64_t n = std::min<std::uint64_t>(
+                    kPreloadChunkBytes, buf.size() - off);
+                v.fs->write(ctx, v.files[f], off, buf.data() + off, n);
+            }
+        }
     }
 
-    /** The paper run's one volume, or one per workload thread. */
-    std::vector<PmfsVolume> volumes_;
+    /**
+     * Records carry no check of their own: the layer's journal and
+     * fsck check covers a workload shard, and nfs and exim check their
+     * paper runs in verify() and verifyRecovered().
+     */
+    void
+    checkStructure(pm::PmContext &ctx, PmfsVolume &v, bool clean,
+                   core::VerifyReport &rep) final
+    {
+        (void)ctx;
+        (void)v;
+        (void)clean;
+        (void)rep;
+    }
 
   private:
     static constexpr std::size_t kMaxRecordBytes = 512;
@@ -220,40 +194,13 @@ class PmfsRecordApp : public core::WhisperApp
         std::memcpy(out, words, recordBytes_);
     }
 
-    void
-    preload(pm::PmContext &ctx, ThreadId tid)
-    {
-        constexpr std::uint64_t kPreloadChunkBytes = 128u << 10;
-        const PmfsVolume &v = volumes_[tid];
-        const std::uint64_t keys = map_.perThread();
-        std::vector<std::uint8_t> buf;
-        for (unsigned f = 0; f < stripes_; f++) {
-            const std::uint64_t recs =
-                keys / stripes_ + (f < keys % stripes_ ? 1 : 0);
-            if (recs == 0)
-                continue;
-            buf.resize(recs * recordBytes_);
-            for (std::uint64_t s = 0; s < recs; s++) {
-                const std::uint64_t key = map_.lo(tid) + s * stripes_ + f;
-                fill(key, key * 0x9e3779b97f4a7c15ull,
-                     buf.data() + s * recordBytes_);
-            }
-            for (std::uint64_t off = 0; off < buf.size();
-                 off += kPreloadChunkBytes) {
-                const std::uint64_t n = std::min<std::uint64_t>(
-                    kPreloadChunkBytes, buf.size() - off);
-                v.fs->write(ctx, v.files[f], off, buf.data() + off, n);
-            }
-        }
-    }
-
     /** Read @p key's record into @p rec; returns its stored key. */
     std::uint64_t
     load(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
          std::uint8_t *rec)
     {
-        const std::uint64_t local = map_.localIndex(tid, key);
-        const PmfsVolume &v = volumes_[tid];
+        const std::uint64_t local = wlMap_.localIndex(tid, key);
+        const PmfsVolume &v = inst_[tid];
         v.fs->read(ctx, v.files[local % stripes_],
                    local / stripes_ * recordBytes_, rec, recordBytes_);
         std::uint64_t stored = 0;
@@ -267,8 +214,8 @@ class PmfsRecordApp : public core::WhisperApp
     {
         std::uint8_t rec[kMaxRecordBytes];
         fill(key, value, rec);
-        const std::uint64_t local = map_.localIndex(tid, key);
-        const PmfsVolume &v = volumes_[tid];
+        const std::uint64_t local = wlMap_.localIndex(tid, key);
+        const PmfsVolume &v = inst_[tid];
         v.fs->write(ctx, v.files[local % stripes_],
                     local / stripes_ * recordBytes_, rec, recordBytes_);
         recordWritten(ctx, tid, key);
@@ -277,7 +224,6 @@ class PmfsRecordApp : public core::WhisperApp
     const std::size_t recordBytes_;
     const unsigned stripes_;
     const Pad pad_;
-    core::WorkloadKeymap map_;
 };
 
 } // namespace whisper::apps

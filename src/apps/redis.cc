@@ -17,6 +17,7 @@
 
 
 #include "apps/apps.hh"
+#include "apps/instance_app.hh"
 #include "common/logging.hh"
 #include "txlib/mnemosyne.hh" // foldChecksum
 #include "txlib/nvml.hh"
@@ -231,20 +232,15 @@ checkDict(pm::PmContext &ctx, const Instance &d, std::string *why)
     return true;
 }
 
-class RedisApp : public WhisperApp
+class RedisApp : public NvmlApp<Instance>
 {
   public:
-    explicit RedisApp(const AppConfig &config) : WhisperApp(config) {}
+    explicit RedisApp(const AppConfig &config)
+        : NvmlApp<Instance>(config, sizeof(DictRoot) + (2u << 20))
+    {
+    }
 
     std::string name() const override { return "redis"; }
-    AccessLayer layer() const override { return AccessLayer::LibNvml; }
-
-    void
-    setup(Runtime &rt) override
-    {
-        inst_.clear();
-        inst_.push_back(formatDict(rt.ctx(0), 0, config_.poolBytes));
-    }
 
     void
     run(Runtime &rt, pm::PmContext &ctx, ThreadId tid) override
@@ -297,38 +293,6 @@ class RedisApp : public WhisperApp
         }
     }
 
-    VerifyReport verify(Runtime &rt) override { return verifyRecovered(rt); }
-
-    void recover(Runtime &rt) override { inst_[0].pool->recover(rt.ctx(0)); }
-
-    VerifyReport
-    verifyRecovered(Runtime &rt) override
-    {
-        VerifyReport rep = report();
-        std::string why;
-        rep.check(checkDict(rt.ctx(0), inst_[0], &why), "dict-intact",
-                  why);
-        return rep;
-    }
-
-    VerifyReport
-    checkRecoveryInvariants(Runtime &rt) override
-    {
-        VerifyReport rep = report();
-        std::string why;
-        rep.check(inst_[0].pool->logsQuiescent(rt.ctx(0), &why),
-                  "logs-quiescent", why);
-        return rep;
-    }
-
-  protected:
-    void
-    scrubLayer(Runtime &rt, std::vector<LineAddr> &lines,
-               VerifyReport &rep) override
-    {
-        inst_[0].pool->scrub(rt.ctx(0), lines, rep);
-    }
-
     /** @{ \name Generated-workload surface
      *
      * Real deployments scale single-threaded Redis by running one
@@ -338,29 +302,6 @@ class RedisApp : public WhisperApp
      * device slice — executing its clients' commands inline with the
      * run() event-loop padding per command.
      */
-
-    void
-    setupPartitions(Runtime &rt, const WorkloadKeymap &map) override
-    {
-        wlMap_ = map;
-        inst_.clear();
-        const PoolSlices slices(config_.poolBytes, map.threads,
-                                sizeof(DictRoot) + (2u << 20), "redis");
-        for (unsigned t = 0; t < map.threads; t++) {
-            pm::PmContext &ctx = rt.ctx(t);
-            inst_.push_back(
-                formatDict(ctx, slices.base(t), slices.bytes));
-            const ThreadId tid = static_cast<ThreadId>(t);
-            for (std::uint64_t i = 0; i < map.perThread(); i++) {
-                const std::uint64_t k = map.lo(tid) + i;
-                char key[kKeyBytes], val[kValBytes];
-                const int klen = formatKey(key, k);
-                const int vlen = formatVal(
-                    val, k * 0x9e3779b97f4a7c15ull);
-                setCmd(ctx, inst_[t], key, klen, val, vlen);
-            }
-        }
-    }
 
     bool
     workloadGet(pm::PmContext &ctx, ThreadId tid,
@@ -423,22 +364,38 @@ class RedisApp : public WhisperApp
         return found;
     }
 
-    VerifyReport
-    workloadCheck(Runtime &rt) override
+    /** @} */
+
+  protected:
+    /** One lane either way: a server's one event loop writes it. */
+    Instance
+    format(pm::PmContext &ctx, Addr base, std::size_t bytes,
+           bool workload) override
     {
-        VerifyReport rep = report();
-        for (unsigned t = 0; t < inst_.size(); t++) {
-            std::string why;
-            rep.check(checkDict(rt.ctx(0), inst_[t], &why),
-                      "dict-intact",
-                      "shard " + std::to_string(t) + ": " + why);
-            rep.check(inst_[t].pool->logsQuiescent(rt.ctx(0), &why),
-                      "logs-quiescent", why);
-        }
-        return rep;
+        (void)workload;
+        return formatDict(ctx, base, bytes);
     }
 
-    /** @} */
+    void
+    preload(pm::PmContext &ctx, ThreadId tid) override
+    {
+        for (std::uint64_t i = 0; i < wlMap_.perThread(); i++) {
+            const std::uint64_t k = wlMap_.lo(tid) + i;
+            char key[kKeyBytes], val[kValBytes];
+            const int klen = formatKey(key, k);
+            const int vlen = formatVal(val, k * 0x9e3779b97f4a7c15ull);
+            setCmd(ctx, inst_[tid], key, klen, val, vlen);
+        }
+    }
+
+    void
+    checkStructure(pm::PmContext &ctx, Instance &d, bool clean,
+                   VerifyReport &rep) override
+    {
+        (void)clean;
+        std::string why;
+        rep.check(checkDict(ctx, d, &why), "dict-intact", why);
+    }
 
   private:
     static int
@@ -454,13 +411,6 @@ class RedisApp : public WhisperApp
         return std::snprintf(buf, kValBytes, "value-%016llx",
                              static_cast<unsigned long long>(v));
     }
-
-    /**
-     * The paper run's one dictionary over the whole pool (setup()),
-     * or one server shard per workload thread (setupPartitions()).
-     */
-    std::vector<Instance> inst_;
-    WorkloadKeymap wlMap_;
 };
 
 } // namespace

@@ -21,6 +21,7 @@
 #include <mutex>
 
 #include "apps/apps.hh"
+#include "apps/instance_app.hh"
 #include "common/logging.hh"
 #include "txlib/mnemosyne.hh"
 
@@ -434,19 +435,15 @@ checkTables(pm::PmContext &ctx, const Instance &v, std::string *why)
     return true;
 }
 
-class VacationApp : public WhisperApp
+class VacationApp : public MneApp<Instance>
 {
   public:
-    explicit VacationApp(const AppConfig &config) : WhisperApp(config)
+    explicit VacationApp(const AppConfig &config)
+        : MneApp<Instance>(config, sizeof(VacationRoot) + (2u << 20))
     {
     }
 
     std::string name() const override { return "vacation"; }
-    AccessLayer
-    layer() const override
-    {
-        return AccessLayer::LibMnemosyne;
-    }
 
     void
     setup(Runtime &rt) override
@@ -457,10 +454,7 @@ class VacationApp : public WhisperApp
         itemCount_ = std::bit_floor(std::max<std::uint64_t>(
             256, std::min<std::uint64_t>(config_.opsPerThread * 2,
                                          16384)));
-        inst_.clear();
-        inst_.push_back(formatTables(
-            ctx, 0, config_.poolBytes, config_.threads,
-            std::max<std::uint64_t>(64, itemCount_ / 4)));
+        MneApp<Instance>::setup(rt);
 
         // Populate the three item trees (setup phase; plain persists).
         Rng rng(config_.seed);
@@ -494,38 +488,6 @@ class VacationApp : public WhisperApp
         }
     }
 
-    VerifyReport verify(Runtime &rt) override { return verifyRecovered(rt); }
-
-    void recover(Runtime &rt) override { inst_[0].heap->recover(rt.ctx(0)); }
-
-    VerifyReport
-    verifyRecovered(Runtime &rt) override
-    {
-        VerifyReport rep = report();
-        std::string why;
-        rep.check(checkTables(rt.ctx(0), inst_[0], &why),
-                  "tables-intact", why);
-        return rep;
-    }
-
-    VerifyReport
-    checkRecoveryInvariants(Runtime &rt) override
-    {
-        VerifyReport rep = report();
-        std::string why;
-        rep.check(inst_[0].heap->logsQuiescent(rt.ctx(0), &why),
-                  "logs-quiescent", why);
-        return rep;
-    }
-
-  protected:
-    void
-    scrubLayer(Runtime &rt, std::vector<LineAddr> &lines,
-               VerifyReport &rep) override
-    {
-        inst_[0].heap->scrub(rt.ctx(0), lines, rep);
-    }
-
     // ---- Unified workload driver surface ------------------------------
     //
     // The KV workload maps onto the item tables: a key is an item id in
@@ -535,32 +497,6 @@ class VacationApp : public WhisperApp
     // op costs do not depend on cross-thread interleaving.
     // Reservations and the global counters stay a run()-only feature;
     // the shared check then validates tree shape and checksums.
-
-  public:
-    void
-    setupPartitions(Runtime &rt, const core::WorkloadKeymap &map) override
-    {
-        wlMap_ = map;
-        inst_.clear();
-        const PoolSlices slices(config_.poolBytes, map.threads,
-                                sizeof(VacationRoot) + (2u << 20),
-                                "vacation");
-        for (unsigned t = 0; t < map.threads; t++) {
-            pm::PmContext &ctx = rt.ctx(t);
-            inst_.push_back(
-                formatTables(ctx, slices.base(t), slices.bytes, 1, 0));
-
-            // Scrambled insertion order keeps the BST shallow
-            // (sequential order would degrade it to a linked list).
-            Rng order_rng(config_.seed ^ (0xace1ull + t));
-            ScrambledSequence order(map.perThread(), order_rng);
-            for (std::uint64_t i = 0; i < map.perThread(); i++) {
-                const std::uint64_t key = map.lo(t) + order.at(i);
-                insertItemSetup(ctx, inst_[t], kCar, key, 4,
-                                key * 0x9e3779b97f4a7c15ull);
-            }
-        }
-    }
 
     bool
     workloadGet(pm::PmContext &ctx, ThreadId tid,
@@ -614,31 +550,44 @@ class VacationApp : public WhisperApp
         return found;
     }
 
-    VerifyReport
-    workloadCheck(Runtime &rt) override
+  protected:
+    /** The paper run's tables have customers; a client's have none. */
+    Instance
+    format(pm::PmContext &ctx, Addr base, std::size_t bytes,
+           bool workload) override
     {
-        VerifyReport rep = report();
-        for (unsigned t = 0; t < inst_.size(); t++) {
-            std::string why;
-            rep.check(checkTables(rt.ctx(t), inst_[t], &why),
-                      "tree-intact", why);
-            rep.check(inst_[t].heap->logsQuiescent(rt.ctx(t), &why),
-                      "logs-quiescent", why);
+        return formatTables(
+            ctx, base, bytes, lanes(workload),
+            workload ? 0 : std::max<std::uint64_t>(64, itemCount_ / 4));
+    }
+
+    void
+    preload(pm::PmContext &ctx, ThreadId tid) override
+    {
+        // Scrambled insertion order keeps the BST shallow
+        // (sequential order would degrade it to a linked list).
+        Rng order_rng(config_.seed ^ (0xace1ull + tid));
+        ScrambledSequence order(wlMap_.perThread(), order_rng);
+        for (std::uint64_t i = 0; i < wlMap_.perThread(); i++) {
+            const std::uint64_t key = wlMap_.lo(tid) + order.at(i);
+            insertItemSetup(ctx, inst_[tid], kCar, key, 4,
+                            key * 0x9e3779b97f4a7c15ull);
         }
-        return rep;
+    }
+
+    void
+    checkStructure(pm::PmContext &ctx, Instance &v, bool clean,
+                   VerifyReport &rep) override
+    {
+        (void)clean;
+        std::string why;
+        rep.check(checkTables(ctx, v, &why), "tables-intact", why);
     }
 
   private:
-    /**
-     * The paper run's one reservation system over the whole pool
-     * (setup()), or one item-only instance per workload thread
-     * (setupPartitions()).
-     */
-    std::vector<Instance> inst_;
     std::uint64_t itemCount_ = 0;
     /** Serializes run()'s threads on the shared tables. */
     std::mutex tableLock_;
-    core::WorkloadKeymap wlMap_;
 };
 
 } // namespace

@@ -277,7 +277,11 @@ class WhisperApp
      * per-op calls then run concurrently, thread @p tid only ever
      * receiving keys it owns. workloadThreadDone() is the per-thread
      * epilogue (e.g. MOD's threadExit); workloadCheck() validates
-     * structural invariants after the run.
+     * structural invariants after the run. The instance recipe (one
+     * instance per thread at PoolSlices::base(t), preloaded, and the
+     * check of every shard) is written once, in apps::InstanceApp
+     * (src/apps/instance_app.hh); the MOD and Halo KV apps share one
+     * heap instead (apps::PartitionedKvApp).
      */
 
     /**
