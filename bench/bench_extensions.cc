@@ -10,10 +10,9 @@
  * retold as service levels: the logging layers pay their write
  * amplification as p99 latency, the MOD layer trades median for
  * tail, and the filesystem's journal batching shows up as the widest
- * p50/p999 spread. Seeds are fixed, clients partitioned and
- * histograms mergeable, but PMFS relatime and MOD grace ripeness
- * read the other clients' progress, so the nfs and mod-hashmap rows
- * can move in the last digit between runs.
+ * p50/p999 spread. Seeds are fixed, histograms mergeable and
+ * clients partitioned, each on its own instance and clock, so every
+ * row repeats exactly between runs.
  *
  * MOD scaling: update throughput of the striped-commit structures
  * with 1, 2 and 4 writer threads on disjoint keys. Each thread count

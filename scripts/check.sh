@@ -197,27 +197,33 @@ if [[ "$docs_only" == 0 ]]; then
 fi
 
 # ---------------------------------------------------------------
-# Workload smoke: one YCSB mix on three access layers. Each run must
+# Workload smoke: YCSB mixes on three access layers. Each run must
 # verify its invariants, and two runs at the same seed must print an
 # identical JSON object — the determinism contract the latency
 # numbers in docs/WORKLOADS.md rest on. nfs reads its client's clock
-# for relatime, so it guards the per-client clocks too.
+# for relatime, so it guards the per-client clocks too; the MOD apps
+# run the update-heavy mix A as well, whose grace batches would
+# follow the host schedule if clients shared a heap.
 # ---------------------------------------------------------------
 if [[ "$docs_only" == 0 ]]; then
     echo "== workload: YCSB digest-stability smoke =="
-    for app in hashmap nfs mod-hashmap; do
+    for run in hashmap:B nfs:B mod-hashmap:A mod-hashmap:B \
+        mod-vector:A mod-vector:B; do
+        app=${run%:*}
+        mix=${run#*:}
         a=$(run_leg build/examples/whisper_cli workload --app "$app" \
-            --mix B --keys 2000 --threads 2 --ops 200 --json)
+            --mix "$mix" --keys 2000 --threads 2 --ops 200 --json)
         b=$(run_leg build/examples/whisper_cli workload --app "$app" \
-            --mix B --keys 2000 --threads 2 --ops 200 --json)
+            --mix "$mix" --keys 2000 --threads 2 --ops 200 --json)
         if [[ "$a" != "$b" ]]; then
-            echo "FAIL: workload JSON unstable across runs for $app"
+            echo "FAIL: workload JSON unstable across runs for $app" \
+                "mix $mix"
             failures=$((failures + 1))
         elif ! grep -q '"verified":true' <<<"$a"; then
-            echo "FAIL: workload verification failed for $app"
+            echo "FAIL: workload verification failed for $app mix $mix"
             failures=$((failures + 1))
         else
-            echo "ok: $app mix B deterministic and verified"
+            echo "ok: $app mix $mix deterministic and verified"
         fi
     done
 fi
@@ -407,14 +413,14 @@ fi
 
 # ---------------------------------------------------------------
 # One per-client instance recipe: slicing, preload and the check of
-# every shard live in src/apps/instance_app.hh, and the shared-heap
-# MOD/Halo family's in src/apps/partitioned_kv.hh. A private
-# workloadCheck or PoolSlices in an app would let the shard checks
-# drift apart again (check context, invariant names, shard prefix).
+# every shard live in src/apps/instance_app.hh, for every suite app.
+# A private workloadCheck or PoolSlices in an app would let the shard
+# checks drift apart again (check context, invariant names, shard
+# prefix) or bring back a heap that workload clients share.
 # ---------------------------------------------------------------
 echo "== source: single per-client instance recipe =="
 copies=$(grep -rnE 'workloadCheck\(|PoolSlices[ ({]' src/apps \
-    --exclude=instance_app.hh --exclude=partitioned_kv.hh || true)
+    --exclude=instance_app.hh || true)
 if [[ -n "$copies" ]]; then
     echo "FAIL: workload check or pool slicing outside the app bases:"
     echo "$copies"

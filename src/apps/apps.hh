@@ -1,10 +1,10 @@
 /**
  * @file
  * Factories for the fourteen WHISPER applications and the two test
- * fixtures. The KV apps of MOD and Halo share PartitionedKvApp
- * (partitioned_kv.hh); every other suite app derives from
- * InstanceApp (instance_app.hh), through its layer's base where the
- * layer has one, and nfs and exim share PmfsRecordApp
+ * fixtures. Every suite app derives from InstanceApp
+ * (instance_app.hh), through its layer's base where the layer has
+ * one; the KV apps of MOD and Halo share PartitionedKvApp
+ * (partitioned_kv.hh), and nfs and exim share PmfsRecordApp
  * (pmfs_records.hh).
  *
  * Table 1 of the paper maps each application to its access layer and

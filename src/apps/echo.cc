@@ -385,11 +385,10 @@ class EchoApp : public InstanceApp<Instance>
         return inst_[0].heap->stats();
     }
 
+  protected:
     void
-    recover(Runtime &rt) override
+    recoverInstance(pm::PmContext &ctx, Instance &st) override
     {
-        pm::PmContext &ctx = rt.ctx(0);
-        Instance &st = inst_[0];
         // Before the heap reclaims VOLATILE blocks, unlink anything
         // the crash left half-published: entries whose descriptor
         // never reached CREATED (or whose block never reached
@@ -449,34 +448,37 @@ class EchoApp : public InstanceApp<Instance>
         }
     }
 
+  public:
     VerifyReport
     checkRecoveryInvariants(Runtime &rt) override
     {
         // Descriptor/state protocol: after recovery every reachable
         // entry and version must have finished INPROGRESS -> CREATED
-        // and VOLATILE -> PERSISTENT; recover() prunes stragglers.
+        // and VOLATILE -> PERSISTENT; recovery prunes stragglers.
         pm::PmContext &ctx = rt.ctx(0);
         VerifyReport rep = report();
-        const Instance &st = inst_[0];
-        EchoRoot *r = root(ctx, st);
-        for (std::uint64_t b = 0; b < kBuckets; b++) {
-            for (Addr cur = r->buckets[b].head; cur != kNullAddr;) {
-                const Entry *ent = ctx.pool().at<Entry>(cur);
-                if (!rep.check(ent->status == kCreated &&
-                                   st.heap->state(ctx, cur) ==
-                                       alloc::BlockState::Persistent,
-                               "descriptors-settled",
-                               "echo entry with unsettled descriptor"))
-                    return rep;
-                for (Addr v = ent->versions; v != kNullAddr;) {
-                    if (!rep.check(st.heap->state(ctx, v) ==
-                                       alloc::BlockState::Persistent,
-                                   "versions-persistent",
-                                   "echo version still VOLATILE"))
+        for (const Instance &st : inst_) {
+            EchoRoot *r = root(ctx, st);
+            for (std::uint64_t b = 0; b < kBuckets; b++) {
+                for (Addr cur = r->buckets[b].head; cur != kNullAddr;) {
+                    const Entry *ent = ctx.pool().at<Entry>(cur);
+                    if (!rep.check(
+                            ent->status == kCreated &&
+                                st.heap->state(ctx, cur) ==
+                                    alloc::BlockState::Persistent,
+                            "descriptors-settled",
+                            "echo entry with unsettled descriptor"))
                         return rep;
-                    v = ctx.pool().at<Version>(v)->next;
+                    for (Addr v = ent->versions; v != kNullAddr;) {
+                        if (!rep.check(st.heap->state(ctx, v) ==
+                                           alloc::BlockState::Persistent,
+                                       "versions-persistent",
+                                       "echo version still VOLATILE"))
+                            return rep;
+                        v = ctx.pool().at<Version>(v)->next;
+                    }
+                    cur = ent->next;
                 }
-                cur = ent->next;
             }
         }
         return rep;
@@ -495,18 +497,16 @@ class EchoApp : public InstanceApp<Instance>
      * block whose header was zeroed.
      */
     void
-    scrubLayer(Runtime &rt, std::vector<LineAddr> &lines,
-               VerifyReport &rep) override
+    scrubInstance(pm::PmContext &ctx, Instance &st,
+                  std::vector<LineAddr> &lines, VerifyReport &rep) override
     {
-        pm::PmContext &ctx = rt.ctx(0);
-        const Instance &st = inst_[0];
         const Addr root_off = st.rootOff;
         const Addr heap_off = st.heapOff;
         const Addr logs_end = st.logsEnd();
         std::vector<LineAddr> root_lines, log_lines, heap_lines, rest;
         for (const LineAddr line : lines) {
             const Addr off = static_cast<Addr>(line) << kCacheLineBits;
-            if (off < root_off + sizeof(EchoRoot))
+            if (off >= root_off && off < root_off + sizeof(EchoRoot))
                 root_lines.push_back(line);
             else if (off >= st.logsOff && off < logs_end)
                 log_lines.push_back(line);

@@ -22,7 +22,7 @@
  * comparison against the journal.
  *
  * Thread discipline matches the MOD apps: keys carry their owning
- * thread in the top 16 bits and mutations are single-writer per
+ * lane in the top 16 bits and mutations are single-writer per
  * partition, so record images and the rebuilt index are independent
  * of thread interleaving (bit-identical fuzz digests). The same shape
  * gives it mod-hashmap's run() script and generated-workload surface
@@ -51,7 +51,7 @@ namespace
 static_assert(halo::kValWords == 3,
               "runHashmap() puts three value words");
 
-class HaloHashmapApp : public PartitionedKvApp
+class HaloHashmapApp : public PartitionedKvApp<HaloStore>
 {
   public:
     explicit HaloHashmapApp(const AppConfig &config)
@@ -67,86 +67,102 @@ class HaloHashmapApp : public PartitionedKvApp
     AccessLayer layer() const override { return AccessLayer::Hybrid; }
 
     void
-    setup(Runtime &rt) override
-    {
-        (void)rt;
-        // Nothing persistent to format: every index structure is
-        // DRAM, and segment headers are written lazily at first open.
-        store_ = std::make_unique<HaloStore>(storeConfig());
-    }
-
-    void
     run(Runtime &rt, pm::PmContext &ctx, ThreadId tid) override
     {
         (void)rt;
+        HaloStore &store = inst_[0];
         // The removes leave tombstones the recovery scan must honor.
         runHashmap(
             ctx, tid, 467,
             [&](std::uint64_t key, const std::uint64_t *vals) {
                 Addr prior = kNullAddr;
-                const bool was_insert = !store_->indexLookup(key, prior);
-                panic_if(!store_->put(ctx, tid, key, vals),
+                const bool was_insert = !store.indexLookup(key, prior);
+                panic_if(!store.put(ctx, tid, key, vals),
                          "halo-hashmap: segment area exhausted");
                 return was_insert;
             },
             [&](std::uint64_t key) {
-                panic_if(!store_->remove(ctx, tid, key),
+                panic_if(!store.remove(ctx, tid, key),
                          "halo-hashmap: segment area exhausted");
             });
     }
 
-    VerifyReport
-    verify(Runtime &rt) override
+    bool workloadHasRemove() const override { return true; }
+
+  protected:
+    /**
+     * Nothing persistent to format: every index structure is DRAM,
+     * and segment headers are written lazily at first open.
+     */
+    HaloStore
+    format(pm::PmContext &ctx, Addr base, std::size_t bytes,
+           bool workload) override
     {
-        VerifyReport rep = report();
-        pm::PmContext &ctx = rt.ctx(0);
-        for (unsigned t = 0; t < store_->threads(); t++) {
-            const ThreadId tid = static_cast<ThreadId>(t);
-            rep.check(store_->nextCounter(tid) > 0, "seq-monotonic",
-                      "sequence counter wrapped");
-            // After threadExit every batch has been fenced.
-            for (const auto &[key, c] : store_->committed(tid)) {
-                std::uint64_t vals[halo::kValWords];
-                const bool found = store_->get(ctx, key, vals);
-                if (c.tombstone) {
-                    if (!rep.check(!found, "tombstone-respected",
-                                   "removed key still readable"))
-                        break;
-                } else if (!rep.check(found &&
-                                          std::equal(vals, vals +
-                                                         halo::kValWords,
-                                                     c.vals),
-                                      "committed-pair-readable",
-                                      "key " + std::to_string(key)))
-                    break;
-            }
-        }
-        checkIndexBacking(rt, rep);
-        return rep;
+        (void)ctx;
+        HaloStore::Config cfg;
+        cfg.base = base;
+        cfg.bytes = bytes;
+        cfg.threads = lanes(workload);
+        HaloStore store(cfg);
+        panic_if(workload && store.allocator().segmentsPerThread() *
+                                     halo::kRecordsPerSegment <
+                                 wlMap_.slotsPerThread(),
+                 "halo-hashmap: pool too small for workload keys");
+        return store;
     }
 
     void
-    recover(Runtime &rt) override
+    recoverInstance(pm::PmContext &ctx, HaloStore &store) override
     {
-        store_->recoverScan(rt.pool(), 1);
+        store.recoverScan(ctx.pool(), 1);
     }
 
-    VerifyReport
-    verifyRecovered(Runtime &rt) override
+    /**
+     * After a clean run: every committed pair readable as written.
+     * After the rebuild scan: committed pairs reachable, nothing
+     * visible that was not genuinely written.
+     */
+    void
+    checkStructure(pm::PmContext &ctx, HaloStore &store, bool clean,
+                   VerifyReport &rep) override
     {
-        VerifyReport rep = report();
-        const pm::PmPool &pool = rt.pool();
-
+        const pm::PmPool &pool = ctx.pool();
+        if (clean) {
+            for (unsigned t = 0; t < store.threads(); t++) {
+                const ThreadId tid = static_cast<ThreadId>(t);
+                rep.check(store.nextCounter(tid) > 0, "seq-monotonic",
+                          "sequence counter wrapped");
+                // After threadExit every batch has been fenced.
+                for (const auto &[key, c] : store.committed(tid)) {
+                    std::uint64_t vals[halo::kValWords];
+                    const bool found = store.get(ctx, key, vals);
+                    const bool ok =
+                        c.tombstone
+                            ? rep.check(!found, "tombstone-respected",
+                                        "removed key still readable")
+                            : rep.check(
+                                  found && std::equal(vals,
+                                                      vals + halo::kValWords,
+                                                      c.vals),
+                                  "committed-pair-readable",
+                                  "key " + std::to_string(key));
+                    if (!ok)
+                        break;
+                }
+            }
+            checkIndexBacking(pool, store, rep);
+            return;
+        }
         // Committed pairs reachable. A fenced record's line is always
         // in the durable image; only a media fault can take it, and
         // the scrub has already degraded that loss by name.
-        for (unsigned t = 0; t < store_->threads(); t++) {
+        for (unsigned t = 0; t < store.threads(); t++) {
             const ThreadId tid = static_cast<ThreadId>(t);
-            for (const auto &[key, c] : store_->committed(tid)) {
+            for (const auto &[key, c] : store.committed(tid)) {
                 if (c.addr != kNullAddr &&
-                    store_->lineLost(lineOf(c.addr)))
+                    store.lineLost(lineOf(c.addr)))
                     continue; // excused: pm-line-lost degradation
-                if (!checkCommitted(pool, tid, key, c, rep))
+                if (!checkCommitted(pool, store, tid, key, c, rep))
                     break;
             }
         }
@@ -155,18 +171,18 @@ class HaloHashmapApp : public PartitionedKvApp
         // entry and every applied tombstone must match the oracle's
         // journal of real writes bit for bit.
         bool more = true;
-        store_->forEachIndexed([&](std::uint64_t key, Addr addr) {
+        store.forEachIndexed([&](std::uint64_t key, Addr addr) {
             if (more)
-                more = checkGenuine(pool, key, addr, rep);
+                more = checkGenuine(pool, store, key, addr, rep);
         });
-        for (unsigned t = 0; t < store_->threads() && more; t++) {
+        for (unsigned t = 0; t < store.threads() && more; t++) {
             const ThreadId tid = static_cast<ThreadId>(t);
             for (const auto &[key, seq] :
-                 store_->recoveredTombstones(tid)) {
+                 store.recoveredTombstones(tid)) {
                 HaloStore::WrittenOp w;
                 if (!rep.check(
                         HaloRecord::ownerOfSeq(seq) == tid &&
-                            store_->writtenOp(
+                            store.writtenOp(
                                 tid, HaloRecord::counterOfSeq(seq),
                                 w) &&
                             w.tombstone && w.key == key,
@@ -177,102 +193,87 @@ class HaloHashmapApp : public PartitionedKvApp
                 }
             }
         }
-        return rep;
     }
 
-    VerifyReport
-    checkRecoveryInvariants(Runtime &rt) override
+    void
+    checkLayer(pm::PmContext &ctx, HaloStore &store,
+               VerifyReport &rep) override
     {
-        VerifyReport rep = report();
-        for (unsigned t = 0; t < store_->threads(); t++) {
+        for (unsigned t = 0; t < store.threads(); t++) {
             const ThreadId tid = static_cast<ThreadId>(t);
-            rep.check(store_->nextCounter(tid) >
-                          store_->maxRecoveredCounter(tid),
+            rep.check(store.nextCounter(tid) >
+                          store.maxRecoveredCounter(tid),
                       "seq-monotonic",
                       "sequence counter resumed at or below a "
                       "recovered record");
         }
-        checkIndexBacking(rt, rep);
-        return rep;
+        checkIndexBacking(ctx.pool(), store, rep);
     }
 
-    void
-    setupPartitions(Runtime &rt, const WorkloadKeymap &map) override
-    {
-        store_ = std::make_unique<HaloStore>(storeConfig());
-        const std::uint64_t capacity =
-            store_->allocator().segmentsPerThread() *
-            halo::kRecordsPerSegment;
-        panic_if(capacity < map.slotsPerThread(),
-                 "halo-hashmap: pool too small for workload keys");
-        startWorkload(map);
-        preload(rt);
-    }
-
-    bool workloadHasRemove() const override { return true; }
-
-  protected:
     bool
-    read(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
-         std::uint64_t &value) override
+    read(pm::PmContext &ctx, HaloStore &store, ThreadId tid,
+         std::uint64_t key, std::uint64_t &value) override
     {
+        (void)tid;
         std::uint64_t vals[halo::kValWords];
-        if (!store_->get(ctx, HaloStore::makeKey(tid, key), vals))
+        if (!store.get(ctx, key, vals))
             return false;
         value = vals[0];
         return true;
     }
 
     void
-    write(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
-          std::uint64_t value) override
+    write(pm::PmContext &ctx, HaloStore &store, ThreadId tid,
+          std::uint64_t key, std::uint64_t value) override
     {
         const std::uint64_t vals[halo::kValWords] = {value, key, tid};
-        panic_if(!store_->put(ctx, tid, HaloStore::makeKey(tid, key),
-                              vals),
+        panic_if(!store.put(ctx, 0, key, vals),
                  "halo-hashmap: segment area exhausted");
     }
 
     bool
-    erase(pm::PmContext &ctx, ThreadId tid, std::uint64_t key) override
+    erase(pm::PmContext &ctx, HaloStore &store, ThreadId tid,
+          std::uint64_t key) override
     {
+        (void)tid;
         // remove() always appends a tombstone and reports exhaustion,
         // not presence: ask the index whether the key was there.
         std::uint64_t vals[halo::kValWords];
-        const bool found =
-            store_->get(ctx, HaloStore::makeKey(tid, key), vals);
-        panic_if(!store_->remove(ctx, tid, HaloStore::makeKey(tid, key)),
+        const bool found = store.get(ctx, key, vals);
+        panic_if(!store.remove(ctx, 0, key),
                  "halo-hashmap: segment area exhausted");
         return found;
     }
 
     void
-    durabilityPoint(pm::PmContext &ctx, ThreadId tid) override
+    durabilityPoint(pm::PmContext &ctx, HaloStore &store,
+                    ThreadId lane) override
     {
-        store_->durabilityPoint(ctx, tid);
+        store.durabilityPoint(ctx, lane);
     }
 
     void
-    threadExit(pm::PmContext &ctx, ThreadId tid) override
+    threadExit(pm::PmContext &ctx, HaloStore &store,
+               ThreadId lane) override
     {
-        store_->threadExit(ctx, tid);
+        store.threadExit(ctx, lane);
     }
 
     void
-    scrubLayer(Runtime &rt, std::vector<LineAddr> &lines,
-               VerifyReport &rep) override
+    scrubInstance(pm::PmContext &ctx, HaloStore &store,
+                  std::vector<LineAddr> &lines, VerifyReport &rep) override
     {
-        (void)rt;
+        (void)ctx;
         // Claim every line inside the segment area. There is nothing
         // to repair — records are independent, so a lost line costs
         // exactly the records it held — but the loss is noted so
-        // verifyRecovered() can excuse those records, and degraded
+        // the recovered check can excuse those records, and degraded
         // here with its record count.
         std::vector<LineAddr> claimed;
         auto inArea = [&](LineAddr line) {
             const Addr addr = static_cast<Addr>(line)
                               << kCacheLineBits;
-            return store_->allocator().segmentOf(addr) !=
+            return store.allocator().segmentOf(addr) !=
                    ~std::uint64_t(0);
         };
         for (const LineAddr line : lines) {
@@ -281,7 +282,7 @@ class HaloHashmapApp : public PartitionedKvApp
         }
         if (claimed.empty())
             return;
-        const std::size_t records = store_->noteLostLines(claimed);
+        const std::size_t records = store.noteLostLines(claimed);
         lines.erase(std::remove_if(lines.begin(), lines.end(),
                                    inArea),
                     lines.end());
@@ -295,54 +296,43 @@ class HaloHashmapApp : public PartitionedKvApp
     }
 
   private:
-    HaloStore::Config
-    storeConfig() const
-    {
-        HaloStore::Config cfg;
-        cfg.base = 0;
-        cfg.bytes = config_.poolBytes;
-        cfg.threads = config_.threads;
-        return cfg;
-    }
-
     /** Every index entry names a valid record in a used segment. */
-    void
-    checkIndexBacking(Runtime &rt, VerifyReport &rep)
+    static void
+    checkIndexBacking(const pm::PmPool &pool, const HaloStore &store,
+                      VerifyReport &rep)
     {
-        const pm::PmPool &pool = rt.pool();
         bool more = true;
-        store_->forEachIndexed([&](std::uint64_t key, Addr addr) {
+        store.forEachIndexed([&](std::uint64_t key, Addr addr) {
             if (!more)
                 return;
             HaloRecord rec;
-            if (!rep.check(store_->recordAt(pool, addr, rec) &&
+            if (!rep.check(store.recordAt(pool, addr, rec) &&
                                rec.key == key,
                            "index-record-match",
                            "index entry names no valid record")) {
                 more = false;
                 return;
             }
-            const std::uint64_t seg =
-                store_->allocator().segmentOf(addr);
-            more = rep.check(store_->allocator().segmentUsed(seg),
+            const std::uint64_t seg = store.allocator().segmentOf(addr);
+            more = rep.check(store.allocator().segmentUsed(seg),
                              "index-addr-allocated",
                              "index entry in an unused segment");
         });
     }
 
     /** One committed key's post-recovery obligation. */
-    bool
-    checkCommitted(const pm::PmPool &pool, ThreadId tid,
-                   std::uint64_t key, const HaloStore::CommitState &c,
-                   VerifyReport &rep)
+    static bool
+    checkCommitted(const pm::PmPool &pool, const HaloStore &store,
+                   ThreadId tid, std::uint64_t key,
+                   const HaloStore::CommitState &c, VerifyReport &rep)
     {
         Addr addr = kNullAddr;
-        const bool present = store_->indexLookup(key, addr);
+        const bool present = store.indexLookup(key, addr);
         if (c.tombstone) {
             if (!present)
                 return true;
             HaloRecord rec;
-            if (!rep.check(store_->recordAt(pool, addr, rec),
+            if (!rep.check(store.recordAt(pool, addr, rec),
                            "index-dangling",
                            "index entry unreadable after rebuild"))
                 return false;
@@ -354,7 +344,7 @@ class HaloHashmapApp : public PartitionedKvApp
                              "record");
         }
         if (!present) {
-            const auto &tombs = store_->recoveredTombstones(tid);
+            const auto &tombs = store.recoveredTombstones(tid);
             const auto it = tombs.find(key);
             if (it != tombs.end() && it->second > c.seq)
                 return true; // later tombstone survived: legitimate
@@ -363,7 +353,7 @@ class HaloHashmapApp : public PartitionedKvApp
                                  " unreachable after rebuild");
         }
         HaloRecord rec;
-        if (!rep.check(store_->recordAt(pool, addr, rec),
+        if (!rep.check(store.recordAt(pool, addr, rec),
                        "index-dangling",
                        "index entry unreadable after rebuild"))
             return false;
@@ -383,21 +373,21 @@ class HaloHashmapApp : public PartitionedKvApp
     }
 
     /** One index entry's genuineness against the written journal. */
-    bool
-    checkGenuine(const pm::PmPool &pool, std::uint64_t key, Addr addr,
-                 VerifyReport &rep)
+    static bool
+    checkGenuine(const pm::PmPool &pool, const HaloStore &store,
+                 std::uint64_t key, Addr addr, VerifyReport &rep)
     {
         HaloRecord rec;
-        if (!rep.check(store_->recordAt(pool, addr, rec),
+        if (!rep.check(store.recordAt(pool, addr, rec),
                        "index-dangling",
                        "index entry unreadable after rebuild"))
             return false;
         const ThreadId tid = HaloRecord::ownerOfSeq(rec.seq);
         HaloStore::WrittenOp w;
         return rep.check(
-            tid < store_->threads() && rec.key == key &&
+            tid < store.threads() && rec.key == key &&
                 HaloStore::partitionOf(key) == tid &&
-                store_->writtenOp(
+                store.writtenOp(
                     tid, HaloRecord::counterOfSeq(rec.seq), w) &&
                 w.key == key && !w.tombstone &&
                 std::equal(w.vals, w.vals + halo::kValWords,
@@ -405,8 +395,6 @@ class HaloHashmapApp : public PartitionedKvApp
             "phantom-record",
             "visible record was never genuinely written");
     }
-
-    std::unique_ptr<HaloStore> store_;
 };
 
 } // namespace

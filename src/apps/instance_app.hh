@@ -1,23 +1,22 @@
 /**
  * @file
- * The per-client instance recipe, written once for every suite app
- * that gives each workload client its own instance of the paper run's
- * structure (all but the MOD and Halo KV apps, which share one heap:
- * partitioned_kv.hh), plus the recovery hooks of the layers under
- * them.
+ * The per-client instance recipe, written once for every suite app:
+ * each workload client gets its own instance of the paper run's
+ * structure, plus the recovery hooks of the layers under them.
  *
  * The paper run formats one instance over the whole pool for
  * config_.threads threads (setup()). A generated workload formats one
  * single-lane instance per client at PoolSlices::base(t) and preloads
  * the client's partition (setupPartitions()). The post-run check runs,
  * for every shard, the app's structure check and then its layer's
- * check, all through rt.ctx(0), and reports each failure as
- * "shard t: why" (workloadCheck()).
+ * check, all through rt.ctx(0), and with several clients reports
+ * each failure as "shard t: why" (workloadCheck()). The crash path
+ * runs over every instance likewise.
  *
  * An app supplies its format routine, its preload and its named
- * structure check. A layer base (NvmlApp, MneApp, PmfsApp) supplies
- * recover(), scrubLayer() and the layer check on the paper run's
- * instance; echo and N-store keep recovery code of their own.
+ * structure check. A layer base (NvmlApp, MneApp, PmfsApp, ModApp)
+ * supplies the recovery, scrub and check of one instance; echo,
+ * N-store and halo-hashmap write their own.
  */
 
 #ifndef WHISPER_APPS_INSTANCE_APP_HH
@@ -46,35 +45,40 @@ class InstanceApp : public core::WhisperApp
     core::VerifyReport
     verify(core::Runtime &rt) override
     {
-        return checkPaperStructure(rt, true);
+        return checkEach(rt, [this](auto &ctx, auto &inst, auto &rep) {
+            checkStructure(ctx, inst, true, rep);
+        });
+    }
+
+    void
+    recover(core::Runtime &rt) final
+    {
+        for (Instance &inst : inst_)
+            recoverInstance(rt.ctx(0), inst);
     }
 
     core::VerifyReport
     verifyRecovered(core::Runtime &rt) override
     {
-        return checkPaperStructure(rt, false);
+        return checkEach(rt, [this](auto &ctx, auto &inst, auto &rep) {
+            checkStructure(ctx, inst, false, rep);
+        });
     }
 
     core::VerifyReport
     checkRecoveryInvariants(core::Runtime &rt) override
     {
-        core::VerifyReport rep = report();
-        checkLayer(rt.ctx(0), inst_[0], rep);
-        return rep;
+        return checkEach(rt, [this](auto &ctx, auto &inst, auto &rep) {
+            checkLayer(ctx, inst, rep);
+        });
     }
 
     core::VerifyReport
     workloadCheck(core::Runtime &rt) override
     {
-        core::VerifyReport rep = report();
-        for (unsigned t = 0; t < inst_.size(); t++) {
-            core::VerifyReport shard = report();
-            checkShard(rt.ctx(0), inst_[t], shard);
-            for (const core::VerifyViolation &v : shard.violations())
-                rep.fail(v.invariant,
-                         "shard " + std::to_string(t) + ": " + v.detail);
-        }
-        return rep;
+        return checkEach(rt, [this](auto &ctx, auto &inst, auto &rep) {
+            checkShard(ctx, inst, rep);
+        });
     }
 
   protected:
@@ -94,6 +98,17 @@ class InstanceApp : public core::WhisperApp
 
     /** Load client @p tid's partition of wlMap_ into inst_[tid]. */
     virtual void preload(pm::PmContext &ctx, ThreadId tid) = 0;
+
+    /** The layer's recovery of @p inst after a crash. */
+    virtual void recoverInstance(pm::PmContext &ctx, Instance &inst) = 0;
+
+    /**
+     * The layer's media scrub of @p inst (see scrubLayer()): repair
+     * or degrade the @p lines inside it and erase them.
+     */
+    virtual void scrubInstance(pm::PmContext &ctx, Instance &inst,
+                               std::vector<LineAddr> &lines,
+                               core::VerifyReport &rep) = 0;
 
     /**
      * The app's named structure check of @p inst: after a clean run
@@ -141,6 +156,14 @@ class InstanceApp : public core::WhisperApp
         }
     }
 
+    void
+    scrubLayer(core::Runtime &rt, std::vector<LineAddr> &lines,
+               core::VerifyReport &rep) final
+    {
+        for (Instance &inst : inst_)
+            scrubInstance(rt.ctx(0), inst, lines, rep);
+    }
+
     /**
      * The paper run's one instance over the whole pool (setup()), or
      * one instance per workload client (setupPartitions()).
@@ -149,11 +172,26 @@ class InstanceApp : public core::WhisperApp
     core::WorkloadKeymap wlMap_;
 
   private:
+    /**
+     * @p check of every instance through rt.ctx(0); with several
+     * instances each failure reads "shard t: why".
+     */
+    template <class Check>
     core::VerifyReport
-    checkPaperStructure(core::Runtime &rt, bool clean)
+    checkEach(core::Runtime &rt, Check &&check)
     {
         core::VerifyReport rep = report();
-        checkStructure(rt.ctx(0), inst_[0], clean, rep);
+        if (inst_.size() == 1) {
+            check(rt.ctx(0), inst_[0], rep);
+            return rep;
+        }
+        for (unsigned t = 0; t < inst_.size(); t++) {
+            core::VerifyReport shard = report();
+            check(rt.ctx(0), inst_[t], shard);
+            for (const core::VerifyViolation &v : shard.violations())
+                rep.fail(v.invariant,
+                         "shard " + std::to_string(t) + ": " + v.detail);
+        }
         return rep;
     }
 
@@ -163,7 +201,7 @@ class InstanceApp : public core::WhisperApp
 /**
  * The logging libraries' hooks on every instance's library object
  * @p Lib: NVML's undo-logging NvmlPool, Mnemosyne's redo-logging
- * MnemosyneHeap. recover() rolls the paper instance's logs back or
+ * MnemosyneHeap. Recovery rolls each instance's logs back or
  * forward, the layer check requires every log slot retired
  * ("logs-quiescent"), and the scrub repairs what the library's
  * redundancy allows.
@@ -174,14 +212,14 @@ class LogLibApp : public InstanceApp<Instance>
   public:
     core::AccessLayer layer() const override { return Layer; }
 
-    void
-    recover(core::Runtime &rt) override
-    {
-        (this->inst_[0].*Lib)->recover(rt.ctx(0));
-    }
-
   protected:
     using InstanceApp<Instance>::InstanceApp;
+
+    void
+    recoverInstance(pm::PmContext &ctx, Instance &inst) override
+    {
+        (inst.*Lib)->recover(ctx);
+    }
 
     void
     checkLayer(pm::PmContext &ctx, Instance &inst,
@@ -193,10 +231,11 @@ class LogLibApp : public InstanceApp<Instance>
     }
 
     void
-    scrubLayer(core::Runtime &rt, std::vector<LineAddr> &lines,
-               core::VerifyReport &rep) override
+    scrubInstance(pm::PmContext &ctx, Instance &inst,
+                  std::vector<LineAddr> &lines,
+                  core::VerifyReport &rep) override
     {
-        (this->inst_[0].*Lib)->scrub(rt.ctx(0), lines, rep);
+        (inst.*Lib)->scrub(ctx, lines, rep);
     }
 };
 
@@ -209,8 +248,8 @@ using MneApp =
     LogLibApp<Instance, &Instance::heap, core::AccessLayer::LibMnemosyne>;
 
 /**
- * The PMFS layer's hooks on every instance's volume `fs`: recover()
- * mounts the paper volume (journal rollback), the layer check requires
+ * The PMFS layer's hooks on every instance's volume `fs`: recovery
+ * mounts the volume (journal rollback), the layer check requires
  * the journal retired ("journal-quiescent") and the volume fsck-clean
  * ("fsck").
  */
@@ -224,14 +263,14 @@ class PmfsApp : public InstanceApp<Instance>
         return core::AccessLayer::Filesystem;
     }
 
-    void
-    recover(core::Runtime &rt) override
-    {
-        this->inst_[0].fs->mount(rt.ctx(0));
-    }
-
   protected:
     using InstanceApp<Instance>::InstanceApp;
+
+    void
+    recoverInstance(pm::PmContext &ctx, Instance &inst) override
+    {
+        inst.fs->mount(ctx);
+    }
 
     void
     checkLayer(pm::PmContext &ctx, Instance &inst,
@@ -247,7 +286,7 @@ class PmfsApp : public InstanceApp<Instance>
     /**
      * A clean run leaves the journal descriptor COMMITTED (commit is
      * lazy about the FREE transition), so a shard is mounted first,
-     * as recover() does. Its journal is checked before the structure:
+     * as recovery does. Its journal is checked before the structure:
      * a file read may journal an atime update (relatime).
      */
     void
@@ -260,10 +299,11 @@ class PmfsApp : public InstanceApp<Instance>
     }
 
     void
-    scrubLayer(core::Runtime &rt, std::vector<LineAddr> &lines,
-               core::VerifyReport &rep) override
+    scrubInstance(pm::PmContext &ctx, Instance &inst,
+                  std::vector<LineAddr> &lines,
+                  core::VerifyReport &rep) override
     {
-        this->inst_[0].fs->scrub(rt.ctx(0), lines, rep);
+        inst.fs->scrub(ctx, lines, rep);
     }
 };
 

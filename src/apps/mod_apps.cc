@@ -20,11 +20,13 @@
  * mod-hashmap's run() is the hash-map script halo-hashmap shares, and
  * mod-vector keeps its own run() and chunk preload.
  *
- * Thread discipline: the key space (top 16 bits = tid) and the vector
- * spine (a contiguous slot region per tid) are partitioned so each
- * thread only ever supersedes its own nodes — the per-thread garbage
- * lanes then reclaim strictly behind the owning thread's dfence, and
- * per-thread byte counts are independent of interleaving.
+ * Thread discipline: the key space (top 16 bits = lane) and the
+ * vector spine (a contiguous slot region per lane) are partitioned so
+ * each thread only ever supersedes its own nodes — the per-lane
+ * garbage lanes then reclaim strictly behind the owning thread's
+ * dfence, and per-thread byte counts are independent of
+ * interleaving. A workload client owns a single-lane heap, whose
+ * grace batches never wait on another client.
  */
 
 #include <algorithm>
@@ -49,151 +51,149 @@ constexpr std::uint64_t kBucketsPerPartition = 16384;
 /** Vector spine slots per thread region. */
 constexpr std::uint64_t kSlotsPerThread = 256;
 
-/** Table at pool offset 0; the MOD heap fills the rest of the pool. */
-constexpr Addr kTableOff = 0;
-
 static_assert(mod::ModHashmap::kValWords == 3,
               "runHashmap() puts three value words");
 
+/** A structure's table, the MOD heap behind it, and both's attach
+ *  parameters: the paper run's over the whole pool, or a client's. */
+template <class Structure>
+struct ModInstance
+{
+    Addr tableOff = 0;
+    std::uint64_t units = 0; //!< buckets or spine slots
+    Addr heapBase = 0;
+    std::size_t heapBytes = 0;
+    std::unique_ptr<mod::ModHeap> heap;
+    std::unique_ptr<Structure> structure;
+};
+
 /**
- * What the two MOD apps share around their structure @p Structure (a
- * table at kTableOff, the MOD heap behind it): format, attach and
- * mark-from-the-roots recovery, the layer's checks and scrub, and the
- * heap's durability point and thread exit under the partitioned KV
- * surface. Each app keeps its own run() script and store hooks.
+ * What the two MOD apps share around their structure @p Structure:
+ * format, attach and mark-from-the-roots recovery, the layer's checks
+ * and scrub, and the heap's durability point and thread exit under
+ * the partitioned KV surface. Each app keeps its own run() script and
+ * store hooks.
  */
 template <class Structure>
-class ModApp : public PartitionedKvApp
+class ModApp : public PartitionedKvApp<ModInstance<Structure>>
 {
   public:
+    using Instance = ModInstance<Structure>;
+
     AccessLayer layer() const override { return AccessLayer::LibMod; }
-
-    void setup(Runtime &rt) override { format(rt.ctx(0)); }
-
-    VerifyReport
-    verify(Runtime &rt) override
-    {
-        VerifyReport rep = report();
-        rep.check(heap_->magicIntact(rt.ctx(0)), "heap-magic",
-                  "mod heap magic lost");
-        std::string why;
-        rep.check(structure_->check(rt.ctx(0), &why), "structure-intact",
-                  why);
-        return rep;
-    }
-
-    void
-    recover(Runtime &rt) override
-    {
-        pm::PmContext &ctx = rt.ctx(0);
-        heap_ = std::make_unique<mod::ModHeap>(
-            heapBase_, config_.poolBytes - heapBase_, config_.threads);
-        structure_ = build(nullptr);
-        // Mark from the roots, then sweep: allocator occupancy becomes
-        // exactly the reachable node set and the garbage lanes are
-        // cleared (nothing on them can be reachable).
-        std::vector<Addr> live;
-        structure_->reachable(ctx, live);
-        heap_->recover(ctx, live);
-    }
-
-    VerifyReport
-    verifyRecovered(Runtime &rt) override
-    {
-        VerifyReport rep = report();
-        std::string why;
-        rep.check(structure_->check(rt.ctx(0), &why), "structure-intact",
-                  why);
-        return rep;
-    }
-
-    VerifyReport
-    checkRecoveryInvariants(Runtime &rt) override
-    {
-        pm::PmContext &ctx = rt.ctx(0);
-        VerifyReport rep = report();
-        rep.check(heap_->magicIntact(ctx), "heap-magic",
-                  "mod heap magic lost");
-        std::string why;
-        rep.check(heap_->gcQuiescent(ctx, &why), "gc-quiescent", why);
-        // The MOD commit contract: every root names a fully-persisted,
-        // still-allocated node — GC must never have reclaimed anything
-        // a durable root can reach.
-        std::vector<Addr> live;
-        structure_->reachable(ctx, live);
-        const std::string lost =
-            std::string("reachable mod ") + unit_ + " not allocated";
-        for (const Addr node : live) {
-            if (!rep.check(heap_->isLiveNode(node), "roots-allocated",
-                           lost))
-                break;
-        }
-        return rep;
-    }
 
   protected:
     /** @p unit names one node of the structure in check messages. */
     ModApp(const AppConfig &config, const char *unit)
-        : PartitionedKvApp(config), unit_(unit)
+        : PartitionedKvApp<Instance>(config), unit_(unit)
     {
     }
+
+    /** Table units (buckets or slots) of a paper or client instance. */
+    virtual std::uint64_t tableUnits(bool workload) const = 0;
 
     /**
-     * A new structure over the table at kTableOff and heap_:
-     * formatted through @p ctx, or attached (no writes) when @p ctx
-     * is null.
+     * A new structure over @p inst's table and heap: formatted
+     * through @p ctx, or attached (no writes) when @p ctx is null.
      */
-    virtual std::unique_ptr<Structure> build(pm::PmContext *ctx) = 0;
+    virtual std::unique_ptr<Structure> build(pm::PmContext *ctx,
+                                             Instance &inst) = 0;
 
-    /** Put the heap behind a table of @p table_bytes (@p what). */
-    void
-    place(std::size_t table_bytes, const char *what)
+    /** The table at @p base, then a heap over the rest of the range. */
+    Instance
+    format(pm::PmContext &ctx, Addr base, std::size_t bytes,
+           bool workload) override
     {
-        heapBase_ = lineBase(table_bytes + 2 * kCacheLineSize);
-        panic_if(heapBase_ >= config_.poolBytes,
-                 "%s: pool too small for %s", name().c_str(), what);
-    }
-
-    /** Format the heap, then the structure. */
-    void
-    format(pm::PmContext &ctx)
-    {
-        heap_ = std::make_unique<mod::ModHeap>(
-            ctx, heapBase_, config_.poolBytes - heapBase_,
-            config_.threads);
-        structure_ = build(&ctx);
-    }
-
-    void
-    durabilityPoint(pm::PmContext &ctx, ThreadId tid) override
-    {
-        heap_->durabilityPoint(ctx, tid);
+        Instance inst;
+        inst.tableOff = base;
+        inst.units = tableUnits(workload);
+        inst.heapBase =
+            base + lineBase(Structure::tableBytes(inst.units) +
+                            2 * kCacheLineSize);
+        panic_if(inst.heapBase >= base + bytes,
+                 "%s: pool too small for its %s table",
+                 this->name().c_str(), unit_);
+        inst.heapBytes = base + bytes - inst.heapBase;
+        inst.heap = std::make_unique<mod::ModHeap>(
+            ctx, inst.heapBase, inst.heapBytes, this->lanes(workload));
+        inst.structure = build(&ctx, inst);
+        return inst;
     }
 
     void
-    threadExit(pm::PmContext &ctx, ThreadId tid) override
+    recoverInstance(pm::PmContext &ctx, Instance &inst) override
     {
-        heap_->threadExit(ctx, tid);
+        inst.heap = std::make_unique<mod::ModHeap>(
+            inst.heapBase, inst.heapBytes, inst.heap->maxThreads());
+        inst.structure = build(nullptr, inst);
+        // Mark from the roots, then sweep: allocator occupancy becomes
+        // exactly the reachable node set and the garbage lanes are
+        // cleared (nothing on them can be reachable).
+        std::vector<Addr> live;
+        inst.structure->reachable(ctx, live);
+        inst.heap->recover(ctx, live);
     }
 
     void
-    scrubLayer(Runtime &rt, std::vector<LineAddr> &lines,
+    checkStructure(pm::PmContext &ctx, Instance &inst, bool clean,
+                   VerifyReport &rep) override
+    {
+        if (clean)
+            rep.check(inst.heap->magicIntact(ctx), "heap-magic",
+                      "mod heap magic lost");
+        std::string why;
+        rep.check(inst.structure->check(ctx, &why), "structure-intact",
+                  why);
+    }
+
+    void
+    checkLayer(pm::PmContext &ctx, Instance &inst,
                VerifyReport &rep) override
     {
-        pm::PmContext &ctx = rt.ctx(0);
+        rep.check(inst.heap->magicIntact(ctx), "heap-magic",
+                  "mod heap magic lost");
+        std::string why;
+        rep.check(inst.heap->gcQuiescent(ctx, &why), "gc-quiescent", why);
+        // The MOD commit contract: every root names a fully-persisted,
+        // still-allocated node — GC must never have reclaimed anything
+        // a durable root can reach.
+        std::vector<Addr> live;
+        inst.structure->reachable(ctx, live);
+        const std::string lost =
+            std::string("reachable mod ") + unit_ + " not allocated";
+        for (const Addr node : live) {
+            if (!rep.check(inst.heap->isLiveNode(node), "roots-allocated",
+                           lost))
+                break;
+        }
+    }
+
+    void
+    scrubInstance(pm::PmContext &ctx, Instance &inst,
+                  std::vector<LineAddr> &lines, VerifyReport &rep) override
+    {
         // Structure first (root table repair + chain truncation needs
         // to see which node lines were hit), then the heap claims the
         // remaining arena/lane lines.
-        structure_->scrub(ctx, lines, rep);
-        heap_->scrub(ctx, lines);
+        inst.structure->scrub(ctx, lines, rep);
+        inst.heap->scrub(ctx, lines);
     }
 
-    std::unique_ptr<mod::ModHeap> heap_;
-    std::unique_ptr<Structure> structure_;
+    void
+    durabilityPoint(pm::PmContext &ctx, Instance &inst,
+                    ThreadId lane) override
+    {
+        inst.heap->durabilityPoint(ctx, lane);
+    }
+
+    void
+    threadExit(pm::PmContext &ctx, Instance &inst, ThreadId lane) override
+    {
+        inst.heap->threadExit(ctx, lane);
+    }
 
   private:
     const char *unit_;
-    Addr heapBase_ = 0;
 };
 
 /**
@@ -207,8 +207,6 @@ class ModHashmapApp : public ModApp<mod::ModHashmap>
     ModHashmapApp(const AppConfig &config, bool broken_commit)
         : ModApp(config, "node"), brokenCommit_(broken_commit)
     {
-        buckets_ = kBucketsPerPartition * config_.threads;
-        place(mod::ModHashmap::tableBytes(buckets_), "bucket table");
     }
 
     std::string
@@ -221,80 +219,81 @@ class ModHashmapApp : public ModApp<mod::ModHashmap>
     run(Runtime &rt, pm::PmContext &ctx, ThreadId tid) override
     {
         (void)rt;
+        mod::ModHashmap &map = *inst_[0].structure;
         // A put that finds the heap exhausted is skipped; updates of
         // repeated keys are real shadow path copies.
         runHashmap(
             ctx, tid, 353,
             [&](std::uint64_t key, const std::uint64_t *vals) {
                 bool was_insert = false;
-                return structure_->put(ctx, tid, key, vals,
-                                       was_insert) &&
+                return map.put(ctx, tid, key, vals, was_insert) &&
                        was_insert;
             },
-            [&](std::uint64_t key) { structure_->remove(ctx, tid, key); });
-    }
-
-    void
-    setupPartitions(Runtime &rt, const WorkloadKeymap &map) override
-    {
-        // One chain bucket per potential key keeps lookups O(1) even
-        // at millions of keys (partition size must be a power of 2).
-        std::uint64_t per = kBucketsPerPartition;
-        while (per < map.slotsPerThread())
-            per <<= 1;
-        buckets_ = per * config_.threads;
-        place(mod::ModHashmap::tableBytes(buckets_), "workload table");
-        format(rt.ctx(0));
-        startWorkload(map);
-        preload(rt);
+            [&](std::uint64_t key) { map.remove(ctx, tid, key); });
     }
 
     bool workloadHasRemove() const override { return true; }
 
   protected:
-    bool
-    read(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
-         std::uint64_t &value) override
+    /**
+     * A partition's buckets; a client's cover one chain bucket per
+     * potential key, so lookups stay O(1) even at millions of keys
+     * (partition size must be a power of 2).
+     */
+    std::uint64_t
+    tableUnits(bool workload) const override
     {
+        std::uint64_t per = kBucketsPerPartition;
+        while (workload && per < wlMap_.slotsPerThread())
+            per <<= 1;
+        return per * lanes(workload);
+    }
+
+    bool
+    read(pm::PmContext &ctx, Instance &inst, ThreadId tid,
+         std::uint64_t key, std::uint64_t &value) override
+    {
+        (void)tid;
         std::uint64_t vals[mod::ModHashmap::kValWords];
-        if (!structure_->lookup(ctx, partitionKey(tid, key), vals))
+        if (!inst.structure->lookup(ctx, key, vals))
             return false;
         value = vals[0];
         return true;
     }
 
     void
-    write(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
-          std::uint64_t value) override
+    write(pm::PmContext &ctx, Instance &inst, ThreadId tid,
+          std::uint64_t key, std::uint64_t value) override
     {
         const std::uint64_t vals[mod::ModHashmap::kValWords] = {
             value, key, tid};
         bool inserted = false;
-        panic_if(!structure_->put(ctx, tid, partitionKey(tid, key), vals,
-                                  inserted),
+        panic_if(!inst.structure->put(ctx, 0, key, vals, inserted),
                  "mod-hashmap: heap exhausted");
     }
 
     bool
-    erase(pm::PmContext &ctx, ThreadId tid, std::uint64_t key) override
+    erase(pm::PmContext &ctx, Instance &inst, ThreadId tid,
+          std::uint64_t key) override
     {
-        return structure_->remove(ctx, tid, partitionKey(tid, key));
+        (void)tid;
+        return inst.structure->remove(ctx, 0, key);
     }
 
     std::unique_ptr<mod::ModHashmap>
-    build(pm::PmContext *ctx) override
+    build(pm::PmContext *ctx, Instance &inst) override
     {
+        const unsigned parts = inst.heap->maxThreads();
         if (ctx)
             return std::make_unique<mod::ModHashmap>(
-                *ctx, *heap_, kTableOff, buckets_, config_.threads,
+                *ctx, *inst.heap, inst.tableOff, inst.units, parts,
                 brokenCommit_);
         return std::make_unique<mod::ModHashmap>(
-            *heap_, kTableOff, buckets_, config_.threads, brokenCommit_);
+            *inst.heap, inst.tableOff, inst.units, parts, brokenCommit_);
     }
 
   private:
     const bool brokenCommit_;
-    std::uint64_t buckets_ = 0;
 };
 
 class ModVectorApp : public ModApp<mod::ModVector>
@@ -303,8 +302,6 @@ class ModVectorApp : public ModApp<mod::ModVector>
     explicit ModVectorApp(const AppConfig &config)
         : ModApp(config, "chunk")
     {
-        slots_ = kSlotsPerThread * config_.threads;
-        place(mod::ModVector::tableBytes(slots_), "spine table");
     }
 
     std::string name() const override { return "mod-vector"; }
@@ -313,6 +310,7 @@ class ModVectorApp : public ModApp<mod::ModVector>
     run(Runtime &rt, pm::PmContext &ctx, ThreadId tid) override
     {
         (void)rt;
+        Instance &inst = inst_[0];
         Rng rng(config_.seed * 419 + tid);
         std::vector<std::uint64_t> scratch(2048);
 
@@ -327,121 +325,96 @@ class ModVectorApp : public ModApp<mod::ModVector>
             const std::uint64_t first = rng.next(4);
             std::uint64_t vals[5] = {rng(), rng(), rng(), rng(),
                                      rng()};
-            structure_->write(ctx, tid, slot, first, vals, 5,
-                              mod::ModVector::kElems);
+            inst.structure->write(ctx, tid, slot, first, vals, 5,
+                                  mod::ModVector::kElems);
             ctx.vStore(scratch.data() + (slot % scratch.size()), 8);
 
             if ((op + 1) % kDurabilityInterval == 0)
-                durabilityPoint(ctx, tid);
+                durabilityPoint(ctx, inst, tid);
         }
-        threadExit(ctx, tid);
-    }
-
-    /**
-     * The workload sees the vector as a dense KV array: thread @p
-     * tid's key with local index l lives in chunk tid*slotsPT +
-     * l/kElems at element l%kElems — each thread owns a contiguous
-     * spine region exactly as in run(), so shadow copies and garbage
-     * lanes stay per-thread. Every key maps to a distinct element (no
-     * aliasing); preloading fills whole chunks, one shadow write per
-     * chunk.
-     */
-    void
-    setupPartitions(Runtime &rt, const WorkloadKeymap &map) override
-    {
-        slotsPT_ = (map.slotsPerThread() + mod::ModVector::kElems - 1) /
-                   mod::ModVector::kElems;
-        slotsPT_ = std::max<std::uint64_t>(slotsPT_, 1);
-        // Round each thread's chunk region up to a whole writer
-        // stripe. The stripe mutex is held across gated PM ops, so
-        // two threads sharing a stripe deadlock under a SchedGate
-        // schedule (owner blocked on the mutex, holder waiting for
-        // its turn) — run() keeps the same invariant by making
-        // kSlotsPerThread a stripe multiple.
-        slotsPT_ = (slotsPT_ + mod::ModVector::kSlotsPerStripe - 1) /
-                   mod::ModVector::kSlotsPerStripe *
-                   mod::ModVector::kSlotsPerStripe;
-        slots_ = slotsPT_ * config_.threads;
-        place(mod::ModVector::tableBytes(slots_), "workload spine");
-        format(rt.ctx(0));
-        startWorkload(map);
-        for (unsigned t = 0; t < map.threads; t++) {
-            pm::PmContext &ctx = rt.ctx(t);
-            const ThreadId tid = static_cast<ThreadId>(t);
-            std::uint64_t written = 0;
-            std::uint64_t chunk = 0;
-            while (written < map.perThread()) {
-                const std::uint64_t k = std::min<std::uint64_t>(
-                    mod::ModVector::kElems, map.perThread() - written);
-                std::uint64_t vals[mod::ModVector::kElems];
-                for (std::uint64_t e = 0; e < k; e++)
-                    vals[e] = (map.lo(tid) + written + e) *
-                              0x9e3779b97f4a7c15ull;
-                panic_if(!structure_->write(ctx, tid,
-                                            tid * slotsPT_ + chunk, 0,
-                                            vals, k, k),
-                         "mod-vector: heap exhausted during preload");
-                written += k;
-                chunk++;
-                if (chunk % kDurabilityInterval == 0)
-                    durabilityPoint(ctx, tid);
-            }
-            durabilityPoint(ctx, tid);
-        }
+        threadExit(ctx, inst, tid);
     }
 
     // No erase: a MOD vector has no deletion; the history workloads
     // fold tombstone traffic into puts for this app.
 
   protected:
-    bool
-    read(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
-         std::uint64_t &value) override
+    /**
+     * The paper spine has a kSlotsPerThread region per thread. A
+     * client sees its vector as a dense KV array: its key with local
+     * index l lives in chunk l/kElems at element l%kElems, so every
+     * key maps to a distinct element (no aliasing). Its spine rounds
+     * up to whole writer stripes, as every paper region is.
+     */
+    std::uint64_t
+    tableUnits(bool workload) const override
     {
-        return structure_->get(ctx, slotOf(tid, key), idxOf(tid, key),
-                               value);
+        if (!workload)
+            return kSlotsPerThread * lanes(workload);
+        constexpr std::uint64_t stripe = mod::ModVector::kSlotsPerStripe;
+        const std::uint64_t chunks = std::max<std::uint64_t>(
+            1, (wlMap_.slotsPerThread() + mod::ModVector::kElems - 1) /
+                   mod::ModVector::kElems);
+        return (chunks + stripe - 1) / stripe * stripe;
+    }
+
+    /** Preloading fills whole chunks, one shadow write per chunk. */
+    void
+    preload(pm::PmContext &ctx, ThreadId tid) override
+    {
+        Instance &inst = inst_[tid];
+        const std::uint64_t keys = wlMap_.perThread();
+        std::uint64_t written = 0;
+        std::uint64_t chunk = 0;
+        while (written < keys) {
+            const std::uint64_t k = std::min<std::uint64_t>(
+                mod::ModVector::kElems, keys - written);
+            std::uint64_t vals[mod::ModVector::kElems];
+            for (std::uint64_t e = 0; e < k; e++)
+                vals[e] =
+                    (wlMap_.lo(tid) + written + e) * 0x9e3779b97f4a7c15ull;
+            panic_if(!inst.structure->write(ctx, 0, chunk, 0, vals, k, k),
+                     "mod-vector: heap exhausted during preload");
+            written += k;
+            chunk++;
+            if (chunk % kDurabilityInterval == 0)
+                durabilityPoint(ctx, inst, 0);
+        }
+        durabilityPoint(ctx, inst, 0);
+    }
+
+    bool
+    read(pm::PmContext &ctx, Instance &inst, ThreadId tid,
+         std::uint64_t key, std::uint64_t &value) override
+    {
+        const std::uint64_t l = wlMap_.localIndex(tid, key);
+        return inst.structure->get(ctx, l / mod::ModVector::kElems,
+                                   l % mod::ModVector::kElems, value);
     }
 
     void
-    write(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
-          std::uint64_t value) override
+    write(pm::PmContext &ctx, Instance &inst, ThreadId tid,
+          std::uint64_t key, std::uint64_t value) override
     {
-        const std::uint64_t slot = slotOf(tid, key);
-        const std::uint64_t idx = idxOf(tid, key);
-        const std::uint64_t count =
-            std::max<std::uint64_t>(structure_->chunkCount(ctx, slot),
-                                    idx + 1);
-        panic_if(!structure_->write(ctx, tid, slot, idx, &value, 1,
-                                    count),
+        const std::uint64_t l = wlMap_.localIndex(tid, key);
+        const std::uint64_t slot = l / mod::ModVector::kElems;
+        const std::uint64_t idx = l % mod::ModVector::kElems;
+        const std::uint64_t count = std::max<std::uint64_t>(
+            inst.structure->chunkCount(ctx, slot), idx + 1);
+        panic_if(!inst.structure->write(ctx, 0, slot, idx, &value, 1,
+                                        count),
                  "mod-vector: heap exhausted");
     }
 
     std::unique_ptr<mod::ModVector>
-    build(pm::PmContext *ctx) override
+    build(pm::PmContext *ctx, Instance &inst) override
     {
         if (ctx)
-            return std::make_unique<mod::ModVector>(*ctx, *heap_,
-                                                    kTableOff, slots_);
-        return std::make_unique<mod::ModVector>(*heap_, kTableOff,
-                                                slots_);
+            return std::make_unique<mod::ModVector>(
+                *ctx, *inst.heap, inst.tableOff, inst.units);
+        return std::make_unique<mod::ModVector>(*inst.heap,
+                                                inst.tableOff, inst.units);
     }
-
-  private:
-    std::uint64_t
-    slotOf(ThreadId tid, std::uint64_t key) const
-    {
-        return tid * slotsPT_ +
-               wlMap_.localIndex(tid, key) / mod::ModVector::kElems;
-    }
-
-    std::uint64_t
-    idxOf(ThreadId tid, std::uint64_t key) const
-    {
-        return wlMap_.localIndex(tid, key) % mod::ModVector::kElems;
-    }
-
-    std::uint64_t slots_ = 0;
-    std::uint64_t slotsPT_ = 0;
 };
 
 } // namespace

@@ -507,11 +507,10 @@ class NstoreApp : public InstanceApp<Instance>
         return inst_[0].heap->stats();
     }
 
+  protected:
     void
-    recover(Runtime &rt) override
+    recoverInstance(pm::PmContext &ctx, Instance &db) override
     {
-        pm::PmContext &ctx = rt.ctx(0);
-        Instance &db = inst_[0];
         // Roll back every partition's in-flight transaction, then
         // prune half-inserted (VOLATILE) tuples, then let the heap
         // reclaim.
@@ -532,7 +531,6 @@ class NstoreApp : public InstanceApp<Instance>
         db.heap->recover(ctx);
     }
 
-  protected:
     /**
      * Media scrub (WhisperApp::scrubRecovered). Partition headers are
      * all reconstructible words (magic, counters, pointer slots): a
@@ -544,11 +542,9 @@ class NstoreApp : public InstanceApp<Instance>
      * lost lines, and tupleCount is recounted when its word was hit.
      */
     void
-    scrubLayer(Runtime &rt, std::vector<LineAddr> &lines,
-               VerifyReport &rep) override
+    scrubInstance(pm::PmContext &ctx, Instance &db,
+                  std::vector<LineAddr> &lines, VerifyReport &rep) override
     {
-        pm::PmContext &ctx = rt.ctx(0);
-        const Instance &db = inst_[0];
         const Addr undo_end = db.undoLogOff(db.partitions);
         std::vector<LineAddr> part_lines, undo_lines, heap_lines,
             rest;

@@ -2,15 +2,17 @@
  * @file
  * The generated-workload surface of the partitioned KV apps
  * (mod-hashmap, mod-vector, halo-hashmap), written once over their
- * store hooks.
+ * store hooks on top of the per-client instance recipe
+ * (instance_app.hh).
  *
- * MOD and the Halo store share one shape: thread @p tid owns its
+ * MOD and the Halo store share one shape: each lane owns its
  * partition of the key space and writes it single-writer, with a
- * batched durability point every kDurabilityInterval ops. An app
- * supplies read/write (and erase, where it deletes) of one key, its
- * layer's durability point and thread exit; this base adds the
- * suite's per-op DRAM padding, the cadence, the preload and the
- * hash maps' run() script.
+ * batched durability point every kDurabilityInterval ops. A workload
+ * client's calls land on lane 0 of its own instance, where its keys
+ * need no partition bits. An app supplies read/write (and erase,
+ * where it deletes) of one key, its layer's durability point and
+ * thread exit; this base adds the suite's per-op DRAM padding, the
+ * cadence, the preload and the hash maps' run() script.
  */
 
 #ifndef WHISPER_APPS_PARTITIONED_KV_HH
@@ -18,28 +20,29 @@
 
 #include <vector>
 
+#include "apps/instance_app.hh"
 #include "common/rng.hh"
-#include "core/app.hh"
 
 namespace whisper::apps
 {
 
-class PartitionedKvApp : public core::WhisperApp
+template <class Instance>
+class PartitionedKvApp : public InstanceApp<Instance>
 {
   public:
     /** Ops between durability points. */
     static constexpr std::uint64_t kDurabilityInterval = 16;
 
     /** @{ \name Generated-workload surface
-     * Every op but probe pads first and counts towards the thread's
+     * Every op but probe pads first and counts towards the client's
      * next durability point. */
     bool
     workloadGet(pm::PmContext &ctx, ThreadId tid,
                 std::uint64_t key) override
     {
-        pad(ctx, tid);
+        padOver(ctx, this);
         std::uint64_t value = 0;
-        const bool found = read(ctx, tid, key, value);
+        const bool found = read(ctx, this->inst_[tid], tid, key, value);
         opDone(ctx, tid);
         return found;
     }
@@ -48,8 +51,8 @@ class PartitionedKvApp : public core::WhisperApp
     workloadPut(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
                 std::uint64_t value) override
     {
-        pad(ctx, tid);
-        write(ctx, tid, key, value);
+        padOver(ctx, this);
+        write(ctx, this->inst_[tid], tid, key, value);
         opDone(ctx, tid);
     }
 
@@ -57,10 +60,11 @@ class PartitionedKvApp : public core::WhisperApp
     workloadRmw(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
                 std::uint64_t delta) override
     {
-        pad(ctx, tid);
+        padOver(ctx, this);
+        Instance &inst = this->inst_[tid];
         std::uint64_t value = 0;
-        const bool found = read(ctx, tid, key, value);
-        write(ctx, tid, key, value + delta);
+        const bool found = read(ctx, inst, tid, key, value);
+        write(ctx, inst, tid, key, value + delta);
         opDone(ctx, tid);
         return found;
     }
@@ -69,11 +73,12 @@ class PartitionedKvApp : public core::WhisperApp
     workloadScan(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
                  std::uint64_t len) override
     {
-        pad(ctx, tid);
+        padOver(ctx, this);
         std::uint64_t found = 0;
         std::uint64_t value = 0;
         for (std::uint64_t j = 0; j < len; j++) {
-            if (read(ctx, tid, wlMap_.scanKey(tid, key, j), value))
+            if (read(ctx, this->inst_[tid], tid,
+                     this->wlMap_.scanKey(tid, key, j), value))
                 found++;
         }
         opDone(ctx, tid);
@@ -84,15 +89,15 @@ class PartitionedKvApp : public core::WhisperApp
     workloadProbe(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
                   std::uint64_t &value) override
     {
-        return read(ctx, tid, key, value);
+        return read(ctx, this->inst_[tid], tid, key, value);
     }
 
     bool
     workloadRemove(pm::PmContext &ctx, ThreadId tid,
                    std::uint64_t key) override
     {
-        pad(ctx, tid);
-        const bool found = erase(ctx, tid, key);
+        padOver(ctx, this);
+        const bool found = erase(ctx, this->inst_[tid], tid, key);
         opDone(ctx, tid);
         return found;
     }
@@ -100,68 +105,68 @@ class PartitionedKvApp : public core::WhisperApp
     void
     workloadThreadDone(pm::PmContext &ctx, ThreadId tid) override
     {
-        threadExit(ctx, tid);
-    }
-
-    core::VerifyReport
-    workloadCheck(core::Runtime &rt) override
-    {
-        return verify(rt);
+        threadExit(ctx, this->inst_[tid], 0);
     }
 
     bool supportsLincheck() const override { return true; }
     /** @} */
 
   protected:
-    using WhisperApp::WhisperApp;
+    explicit PartitionedKvApp(const core::AppConfig &config)
+        : InstanceApp<Instance>(config, 0), wlOps_(config.threads, 0)
+    {
+    }
 
-    /** @{ \name Store hooks (keys are workload keys of @p tid) */
+    /** @{ \name Store hooks on client @p tid's instance @p inst
+     * (lane 0; keys are workload keys of @p tid) */
     /** Value of @p key into @p value (untouched when absent); found. */
-    virtual bool read(pm::PmContext &ctx, ThreadId tid,
+    virtual bool read(pm::PmContext &ctx, Instance &inst, ThreadId tid,
                       std::uint64_t key, std::uint64_t &value) = 0;
 
     /** Durable insert-or-update of @p key := @p value. */
-    virtual void write(pm::PmContext &ctx, ThreadId tid,
+    virtual void write(pm::PmContext &ctx, Instance &inst, ThreadId tid,
                        std::uint64_t key, std::uint64_t value) = 0;
 
     /** Durable delete of @p key; returns whether it was present.
      *  Apps that override it answer workloadHasRemove() with true. */
     virtual bool
-    erase(pm::PmContext &ctx, ThreadId tid, std::uint64_t key)
+    erase(pm::PmContext &ctx, Instance &inst, ThreadId tid,
+          std::uint64_t key)
     {
-        return WhisperApp::workloadRemove(ctx, tid, key);
+        (void)inst;
+        return core::WhisperApp::workloadRemove(ctx, tid, key);
     }
-
-    virtual void durabilityPoint(pm::PmContext &ctx, ThreadId tid) = 0;
-    virtual void threadExit(pm::PmContext &ctx, ThreadId tid) = 0;
     /** @} */
 
-    /** Adopt @p map: per-thread padding buffers and op counters. */
+    /** @{ \name Lane hooks: @p lane of @p inst */
+    virtual void durabilityPoint(pm::PmContext &ctx, Instance &inst,
+                                 ThreadId lane) = 0;
+    virtual void threadExit(pm::PmContext &ctx, Instance &inst,
+                            ThreadId lane) = 0;
+    /** @} */
+
+    /** Write k * golden ratio to every loaded key k of client @p tid,
+     *  with the cadence's durability points and one after the last. */
     void
-    startWorkload(const core::WorkloadKeymap &map)
+    preload(pm::PmContext &ctx, ThreadId tid) override
     {
-        wlMap_ = map;
-        scratch_.assign(config_.threads,
-                        std::vector<std::uint64_t>(2048));
-        wlOps_.assign(config_.threads, 0);
+        Instance &inst = this->inst_[tid];
+        const core::WorkloadKeymap &map = this->wlMap_;
+        for (std::uint64_t i = 0; i < map.perThread(); i++) {
+            const std::uint64_t key = map.lo(tid) + i;
+            write(ctx, inst, tid, key, key * 0x9e3779b97f4a7c15ull);
+            if ((i + 1) % kDurabilityInterval == 0)
+                durabilityPoint(ctx, inst, 0);
+        }
+        durabilityPoint(ctx, inst, 0);
     }
 
-    /** Write k * golden ratio to every loaded key k, with the
-     *  cadence's durability points and one after each thread's last. */
+    /** A shard's clean check is the paper run's verify(). */
     void
-    preload(core::Runtime &rt)
+    checkShard(pm::PmContext &ctx, Instance &inst,
+               core::VerifyReport &rep) override
     {
-        for (unsigned t = 0; t < wlMap_.threads; t++) {
-            pm::PmContext &ctx = rt.ctx(t);
-            const ThreadId tid = static_cast<ThreadId>(t);
-            for (std::uint64_t i = 0; i < wlMap_.perThread(); i++) {
-                const std::uint64_t key = wlMap_.lo(tid) + i;
-                write(ctx, tid, key, key * 0x9e3779b97f4a7c15ull);
-                if ((i + 1) % kDurabilityInterval == 0)
-                    durabilityPoint(ctx, tid);
-            }
-            durabilityPoint(ctx, tid);
-        }
+        this->checkStructure(ctx, inst, true, rep);
     }
 
     /** One op's DRAM work over @p buf (paper Fig. 6 proportions). */
@@ -180,24 +185,26 @@ class PartitionedKvApp : public core::WhisperApp
     }
 
     /**
-     * run() of the hash maps: per op a DRAM burst, then with
-     * probability 0.1 @p remove of one of the thread's own inserts,
-     * else @p put (key, three random words) → key was new, over a
-     * keyspace small enough that keys repeat; the cadence's
-     * durability points, then threadExit. @p seed_mul is the app's
-     * Rng seed multiplier.
+     * run() of the hash maps over the paper instance: per op a DRAM
+     * burst, then with probability 0.1 @p remove of one of the
+     * thread's own inserts, else @p put (key, three random words) →
+     * key was new, over a keyspace small enough that keys repeat; the
+     * cadence's durability points on lane @p tid, then threadExit.
+     * @p seed_mul is the app's Rng seed multiplier.
      */
     template <class Put, class Remove>
     void
     runHashmap(pm::PmContext &ctx, ThreadId tid, std::uint64_t seed_mul,
                Put &&put, Remove &&remove)
     {
-        Rng rng(config_.seed * seed_mul + tid);
-        const std::uint64_t keyspace = config_.opsPerThread + 64;
+        const core::AppConfig &cfg = this->config_;
+        Instance &inst = this->inst_[0];
+        Rng rng(cfg.seed * seed_mul + tid);
+        const std::uint64_t keyspace = cfg.opsPerThread + 64;
         std::vector<std::uint64_t> inserted;
-        inserted.reserve(config_.opsPerThread);
+        inserted.reserve(cfg.opsPerThread);
 
-        for (std::uint64_t op = 0; op < config_.opsPerThread; op++) {
+        for (std::uint64_t op = 0; op < cfg.opsPerThread; op++) {
             padOver(ctx, inserted.data());
             if (!inserted.empty() && rng.chance(0.1)) {
                 const std::size_t idx = rng.next(inserted.size());
@@ -215,28 +222,20 @@ class PartitionedKvApp : public core::WhisperApp
                 }
             }
             if ((op + 1) % kDurabilityInterval == 0)
-                durabilityPoint(ctx, tid);
+                durabilityPoint(ctx, inst, tid);
         }
-        threadExit(ctx, tid);
+        threadExit(ctx, inst, tid);
     }
-
-    core::WorkloadKeymap wlMap_;
 
   private:
-    void
-    pad(pm::PmContext &ctx, ThreadId tid)
-    {
-        padOver(ctx, scratch_[tid].data());
-    }
-
     void
     opDone(pm::PmContext &ctx, ThreadId tid)
     {
         if (++wlOps_[tid] % kDurabilityInterval == 0)
-            durabilityPoint(ctx, tid);
+            durabilityPoint(ctx, this->inst_[tid], 0);
     }
 
-    std::vector<std::vector<std::uint64_t>> scratch_;
+    /** Ops each workload client has run. */
     std::vector<std::uint64_t> wlOps_;
 };
 

@@ -279,9 +279,8 @@ class WhisperApp
      * epilogue (e.g. MOD's threadExit); workloadCheck() validates
      * structural invariants after the run. The instance recipe (one
      * instance per thread at PoolSlices::base(t), preloaded, and the
-     * check of every shard) is written once, in apps::InstanceApp
-     * (src/apps/instance_app.hh); the MOD and Halo KV apps share one
-     * heap instead (apps::PartitionedKvApp).
+     * check of every shard) is written once, for every suite app,
+     * in apps::InstanceApp (src/apps/instance_app.hh).
      */
 
     /**

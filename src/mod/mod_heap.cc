@@ -147,10 +147,7 @@ ModHeap::arenaOf(Addr off) const
 Addr
 ModHeap::alloc(pm::PmContext &ctx, std::size_t n)
 {
-    const ThreadId tid = ctx.tid();
-    panic_if(tid >= maxThreads_, "mod alloc from tid %u beyond %u arenas",
-             tid, maxThreads_);
-    return arenas_[tid]->alloc(ctx, n);
+    return arenas_[ctx.tid() % maxThreads_]->alloc(ctx, n);
 }
 
 void
@@ -207,8 +204,9 @@ ModHeap::durabilityPoint(pm::PmContext &ctx, ThreadId tid)
 {
     // One gate turn for the whole durability point: under a fuzzing
     // schedule the fence, the grace arithmetic and any reclaim frees
-    // land at one deterministic position in the global op order.
-    pm::GateTurn turn(ctx.schedGate(), tid);
+    // land at one deterministic position in the global op order. The
+    // turn is the context's own, whichever lane it serves.
+    pm::GateTurn turn(ctx.schedGate(), ctx.tid());
     Lane &lane = lanes_.at(tid);
     // The dfence makes every swap this thread issued durable; the
     // durable image can no longer name the nodes retired before it.
@@ -248,7 +246,7 @@ ModHeap::threadExit(pm::PmContext &ctx, ThreadId tid)
     // Other threads may have quiesced since the durability point
     // above; try once more so the last thread out reclaims its own
     // backlog. Whatever stays is swept by the next recovery.
-    pm::GateTurn turn(ctx.schedGate(), tid);
+    pm::GateTurn turn(ctx.schedGate(), ctx.tid());
     reclaimRipe(ctx, tid);
 }
 

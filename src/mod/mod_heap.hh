@@ -127,8 +127,8 @@ class ModHeap
 
     /**
      * Allocate a shadow node from the calling thread's arena (the
-     * context's tid picks it); adds no ordering point and contends
-     * no cross-thread lock.
+     * context's tid, folded onto the heap's lanes, picks it); adds no
+     * ordering point and contends no cross-thread lock.
      */
     Addr alloc(pm::PmContext &ctx, std::size_t n);
 

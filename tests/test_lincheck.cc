@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <thread>
 
@@ -387,9 +388,9 @@ TEST(LincheckFuzz, GoldenDigestsWithLincheckOnMultiThreadFaults)
     options.shrinkViolations = false;
     const auto reports = fuzz::sweep(options);
     ASSERT_EQ(reports.size(), 3u);
-    EXPECT_EQ(reports[0].digest, 0x22602b645b48bde9ull);
-    EXPECT_EQ(reports[1].digest, 0x85fbe364c3adda72ull);
-    EXPECT_EQ(reports[2].digest, 0xd2215561756e20a4ull);
+    EXPECT_EQ(reports[0].digest, 0x72bab5f7996a6ad2ull);
+    EXPECT_EQ(reports[1].digest, 0xf09cba7697d57418ull);
+    EXPECT_EQ(reports[2].digest, 0xae2b24a0b24ade08ull);
     for (const auto &rep : reports)
         EXPECT_EQ(rep.violations, 0u) << rep.app;
 }
@@ -436,18 +437,41 @@ TEST(LincheckFuzz, SweepCleanAndDeterministic)
     }
 }
 
-/** Delete the history dumps a @p cases-case sweep of @p app wrote. */
-void
-removeDumps(const std::string &app, std::uint64_t cases)
+/**
+ * A private TMPDIR for one test: the lincheck dumps it provokes
+ * (lincheckDumpPath(), named by app and case) land in a fresh
+ * directory, removed with its contents at scope exit, so tests that
+ * dump the same cases can run as parallel processes.
+ */
+class ScopedTmpdir
 {
-    const char *tmp = std::getenv("TMPDIR");
-    const std::string dir = tmp && *tmp ? tmp : "/tmp";
-    for (std::uint64_t id = 0; id < cases; id++) {
-        std::remove((dir + "/whisper-lincheck-" + app + "-" +
-                     std::to_string(id) + ".hist")
-                        .c_str());
+  public:
+    ScopedTmpdir()
+    {
+        const char *tmp = std::getenv("TMPDIR");
+        if (tmp)
+            saved_ = tmp;
+        std::string path = (tmp && *tmp ? saved_ : std::string("/tmp")) +
+                           "/whisper-lincheck-test-XXXXXX";
+        if (!mkdtemp(path.data()))
+            ADD_FAILURE() << "mkdtemp failed for " << path;
+        dir_ = path;
+        setenv("TMPDIR", dir_.c_str(), 1);
     }
-}
+
+    ~ScopedTmpdir()
+    {
+        if (saved_.empty())
+            unsetenv("TMPDIR");
+        else
+            setenv("TMPDIR", saved_.c_str(), 1);
+        std::filesystem::remove_all(dir_);
+    }
+
+  private:
+    std::string saved_;
+    std::string dir_;
+};
 
 /**
  * The acceptance-criterion test: a commit path that durably publishes
@@ -457,6 +481,7 @@ removeDumps(const std::string &app, std::uint64_t cases)
  */
 TEST(LincheckFuzz, CatchesBrokenCommitStructuralChecksMiss)
 {
+    const ScopedTmpdir tmpdir;
     fuzz::FuzzConfig config;
     config.opsPerThread = 12;
     config.lincheck = true;
@@ -486,7 +511,6 @@ TEST(LincheckFuzz, CatchesBrokenCommitStructuralChecksMiss)
                                               dumped, error))
             << error;
         EXPECT_FALSE(lincheck::check(dumped).ok);
-        std::remove(out.lincheckDump.c_str());
 
         // The same case through the structural-only pipeline (run()
         // workload, no lincheck) accepts the broken commit: that is
@@ -514,6 +538,7 @@ TEST(LincheckFuzz, CatchesBrokenCommitStructuralChecksMiss)
  */
 TEST(LincheckFuzz, DumpNoticesThrottledPerSweep)
 {
+    const ScopedTmpdir tmpdir;
     fuzz::SweepOptions options;
     options.cases = 32;
     options.jobs = 2;
@@ -545,7 +570,6 @@ TEST(LincheckFuzz, DumpNoticesThrottledPerSweep)
     EXPECT_NE(notices[0][0].find("lincheck: mod-hashmap-broken case "),
               std::string::npos)
         << notices[0][0];
-    removeDumps("mod-hashmap-broken", options.cases);
 }
 
 /**
@@ -554,6 +578,7 @@ TEST(LincheckFuzz, DumpNoticesThrottledPerSweep)
  */
 TEST(LincheckFuzz, BrokenFixtureReplayNamesFixture)
 {
+    const ScopedTmpdir tmpdir;
     fuzz::FuzzConfig config;
     config.opsPerThread = 12;
     config.lincheck = true;
@@ -565,7 +590,6 @@ TEST(LincheckFuzz, BrokenFixtureReplayNamesFixture)
         const fuzz::FuzzCase c =
             fuzz::deriveCase(app, id, total, config);
         const fuzz::CaseOutcome out = fuzz::runCase(c, config);
-        std::remove(out.lincheckDump.c_str());
         if (out.ok || out.lincheckOk)
             continue;
         caught = true;
@@ -578,7 +602,6 @@ TEST(LincheckFuzz, BrokenFixtureReplayNamesFixture)
 
         const fuzz::CaseOutcome again =
             fuzz::runCase(c, config, &out.survivors);
-        std::remove(again.lincheckDump.c_str());
         EXPECT_FALSE(again.ok);
         EXPECT_EQ(again.why, out.why);
     }
@@ -592,6 +615,7 @@ TEST(LincheckFuzz, BrokenFixtureReplayNamesFixture)
  */
 TEST(LincheckFuzz, BrokenSweepLeavesConcurrentPlainSweepAlone)
 {
+    const ScopedTmpdir tmpdir;
     fuzz::SweepOptions plain;
     plain.cases = 16;
     plain.jobs = 2;
@@ -610,7 +634,6 @@ TEST(LincheckFuzz, BrokenSweepLeavesConcurrentPlainSweepAlone)
     beside = fuzz::sweep(plain);
     other.join();
     testing::internal::GetCapturedStderr();
-    removeDumps("mod-hashmap-broken", broken.cases);
 
     ASSERT_EQ(alone.size(), 1u);
     ASSERT_EQ(beside.size(), 1u);

@@ -314,7 +314,7 @@ TEST(WorkloadDriver, DigestDeterministicAcrossRuns)
     const WorkloadResult lc = runWorkload(big);
     EXPECT_TRUE(lc.lincheckRan);
     EXPECT_EQ(lc.lincheckViolations, 0u);
-    EXPECT_EQ(lc.digest(), 0x6dd5c9f826fa5794ull);
+    EXPECT_EQ(lc.digest(), 0x844cb8b7aa6e2051ull);
 }
 
 TEST(WorkloadDriver, SingleThreadDigestPinnedForEveryApp)
@@ -419,16 +419,19 @@ TEST(WorkloadDriver, CheckNamesCorruptShard)
 {
     // Each of these apps gives every client its own instance; the
     // post-run check must name a corrupt shard under the invariant
-    // verifyRecovered() reports. A shard's root magic sits at its
-    // slice's base. mysql's base holds a PMFS superblock, which mount
-    // cannot survive, so mysql loses a row checksum instead. nfs and
-    // exim are left out: their records carry no check of their own.
+    // verifyRecovered() reports. A shard's root magic (for MOD, its
+    // table's) sits at its slice's base. mysql's base holds a PMFS
+    // superblock, which mount cannot survive, so mysql loses a row
+    // checksum instead. nfs and exim are left out: their records
+    // carry no check of their own.
     const std::map<std::string, std::string> invariant = {
         {"echo", "store-intact"},     {"ycsb", "tables-intact"},
         {"tpcc", "tables-intact"},    {"redis", "dict-intact"},
         {"ctree", "tree-intact"},     {"hashmap", "map-intact"},
         {"vacation", "tables-intact"}, {"memcached", "cache-intact"},
-        {"mysql", "db-intact"}};
+        {"mysql", "db-intact"},
+        {"mod-hashmap", "structure-intact"},
+        {"mod-vector", "structure-intact"}};
     for (const auto &[app, name] : invariant) {
         core::AppConfig cfg;
         cfg.threads = 2;
@@ -518,8 +521,12 @@ TEST(WorkloadDriver, PartitionedTraceIndependentOfSchedule)
     // Each client stamps its events from its own clock, so neither
     // the run's digest nor its merged trace (timestamps included)
     // may depend on how the host interleaves the two clients. nfs
-    // also reads its clock for relatime, through ctx.now().
-    for (const char *app : {"hashmap", "nfs", "mysql", "exim"}) {
+    // also reads its clock for relatime, through ctx.now(). A MOD
+    // client's grace batches ripen on its own heap, never waiting
+    // on the other client.
+    for (const char *app : {"hashmap", "nfs", "mysql", "exim",
+                            "mod-hashmap", "mod-vector",
+                            "halo-hashmap"}) {
         WorkloadOptions opts = smokeOptions(app, 'A');
         opts.opsPerThread = 200;
         const WorkloadResult plain = runWorkload(opts);
