@@ -95,6 +95,25 @@ flagError(const FlagParser &fp)
     return usage();
 }
 
+/**
+ * Report a failed trace read. A malformed event is bad input: name
+ * it and where it sits, exit 2. Any other failure exits 1.
+ */
+int
+traceReadFailed(const trace::TraceReadFault &fault)
+{
+    const char *name = trace::traceReadErrorName(fault.error);
+    if (!fault.badEvent()) {
+        std::fprintf(stderr, "trace read failed: %s\n", name);
+        return 1;
+    }
+    std::fprintf(stderr,
+                 "trace read failed: %s (section %zu, event %llu)\n",
+                 name, fault.section,
+                 static_cast<unsigned long long>(fault.event));
+    return 2;
+}
+
 int
 cmdRecord(int argc, char **argv)
 {
@@ -154,10 +173,9 @@ cmdAnalyze(int argc, char **argv)
     // Streams the file's per-thread sections across --jobs workers;
     // the printed table is byte-identical at any job count.
     analysis::AnalysisResult result;
-    if (!analysis::analyzeTraceFile(path, result, options)) {
-        std::fputs("trace read failed\n", stderr);
-        return 1;
-    }
+    trace::TraceReadFault fault;
+    if (!analysis::analyzeTraceFile(path, result, options, &fault))
+        return traceReadFailed(fault);
 
     TextTable table(std::string("analysis of ") + path);
     table.header({"metric", "value"});
@@ -208,10 +226,9 @@ cmdOptimize(int argc, char **argv)
     // summary adds up per thread, so output is byte-identical at any
     // --jobs value (scripts/check.sh diffs --jobs 1 against N).
     analysis::OptimizeResult result;
-    if (!analysis::optimizeTraceFile(path, result, options)) {
-        std::fputs("trace read failed\n", stderr);
-        return 1;
-    }
+    trace::TraceReadFault fault;
+    if (!analysis::optimizeTraceFile(path, result, options, &fault))
+        return traceReadFailed(fault);
     const analysis::OptimizeSummary &s = result.summary;
     const auto suggestions = analysis::suggestElisions(s);
 
@@ -356,10 +373,9 @@ cmdSimulate(int argc, char **argv)
     }
 
     trace::TraceSet traces;
-    if (!trace::readTraceFile(pos[0], traces)) {
-        std::fputs("trace read failed\n", stderr);
-        return 1;
-    }
+    trace::TraceReadFault fault;
+    if (!trace::readTraceFile(pos[0], traces, &fault))
+        return traceReadFailed(fault);
 
     const std::map<std::string, sim::ModelKind> by_name = {
         {"x86-nvm", sim::ModelKind::X86Nvm},

@@ -290,6 +290,61 @@ if [[ "$docs_only" == 0 ]]; then
 fi
 
 # ---------------------------------------------------------------
+# Analysis goldens and trace validation, on the device leg's
+# deterministic workload trace: `analyze` must print the same table
+# past its first line (the file name) at --jobs 1 and $(nproc), and
+# the pinned epoch, transaction, self-dependency and amplification
+# figures. A copy with one event's kind byte overwritten (byte 20 of
+# section 0's first event, at file offset 16 + 16 + 20) must be
+# refused with exit 2 and the error's name and place.
+# ---------------------------------------------------------------
+if [[ "$docs_only" == 0 ]]; then
+    echo "== analyze: --jobs determinism, goldens, bad-event reject =="
+    ana_trace=$(mktemp /tmp/whisper-analyze-XXXXXX.bin)
+    ana_bad=$(mktemp /tmp/whisper-analyze-XXXXXX.bin)
+    run_leg build/examples/whisper_cli workload --app hashmap \
+        --mix A --keys 1000 --threads 2 --ops 150 \
+        --trace "$ana_trace" >/dev/null
+    one=$(run_leg build/examples/whisper_cli analyze "$ana_trace" \
+        --jobs 1 | tail -n +2)
+    many=$(run_leg build/examples/whisper_cli analyze "$ana_trace" \
+        --jobs "$(nproc)" | tail -n +2)
+    cp "$ana_trace" "$ana_bad"
+    printf '\x7f' | dd of="$ana_bad" bs=1 seek=52 conv=notrunc \
+        2>/dev/null
+    bad_rc=0
+    bad_err=$(build/examples/whisper_cli analyze "$ana_bad" 2>&1 \
+        >/dev/null) || bad_rc=$?
+    rm -f "$ana_trace" "$ana_bad"
+    analyze_ok=1
+    if [[ -z "$one" || "$one" != "$many" ]]; then
+        echo "FAIL: analyze output varies with --jobs"
+        analyze_ok=0
+    fi
+    for want in '^epochs  *1144$' '^transactions  *143$' \
+        '^self-dependent  *75\.61%$' '^write amplification  *8\.50x$'
+    do
+        if ! grep -qE "$want" <<<"$one"; then
+            echo "FAIL: analyze golden '$want' missing"
+            analyze_ok=0
+        fi
+    done
+    if [[ "$bad_rc" != 2 ]] ||
+        ! grep -qF 'trace read failed: bad-kind (section 0, event 0)' \
+            <<<"$bad_err"; then
+        echo "FAIL: corrupt kind byte not refused (exit $bad_rc):" \
+            "$bad_err"
+        analyze_ok=0
+    fi
+    if [[ "$analyze_ok" == 1 ]]; then
+        echo "ok: analyze bit-identical at --jobs 1 and $(nproc)," \
+            "goldens hold, bad kind byte exits 2"
+    else
+        failures=$((failures + 1))
+    fi
+fi
+
+# ---------------------------------------------------------------
 # PM device model (DESIGN.md §13): the default device must be the
 # paper's Table 3 machine, byte-identical whether the flag is given
 # or not; and the calibrated (optane) model's cycle counts are pinned

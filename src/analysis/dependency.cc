@@ -1,90 +1,79 @@
 #include "analysis/dependency.hh"
 
-#include <algorithm>
 #include <unordered_map>
 
 namespace whisper::analysis
 {
 
 void
-DependencyShard::scan(const std::vector<Epoch> &epochs, Tick window,
+DependencyShard::scan(const EpochOrder &order, Tick window,
                       std::size_t shardIndex, std::size_t shardCount)
 {
-    selfFlags_.assign(epochs.size(), 0);
-    crossFlags_.assign(epochs.size(), 0);
+    flags_.assign(order.size(), 0);
     if (shardCount == 0)
         shardCount = 1;
 
-    // Last write time of each owned line, per thread. Thread ids are
-    // dense and small in this suite; a flat array per line keeps the
-    // scan cache-friendly.
-    ThreadId max_tid = 0;
-    for (const Epoch &ep : epochs)
-        max_tid = std::max(max_tid, ep.tid);
-    const std::size_t nthreads = static_cast<std::size_t>(max_tid) + 1;
+    // Last write time of each owned line, per thread: one row of
+    // nthreads ticks per line in a flat table. Thread ids are dense
+    // and small in this suite, so the rows stay short.
+    const std::size_t nthreads =
+        static_cast<std::size_t>(order.maxTid()) + 1;
+    std::unordered_map<LineAddr, std::size_t> row_of;
+    row_of.reserve(1 << 16);
+    std::vector<Tick> last_write;
 
-    std::unordered_map<LineAddr, std::vector<Tick>> last_write;
-    last_write.reserve(1 << 16);
-
-    for (std::size_t i = 0; i < epochs.size(); i++) {
-        const Epoch &ep = epochs[i];
-        bool self_dep = false;
-        bool cross_dep = false;
-        const Tick horizon = ep.endTs > window ? ep.endTs - window : 0;
-        for (const LineAddr line : ep.lines) {
+    for (std::size_t i = 0; i < order.size(); i++) {
+        const ThreadId tid = order.tid(i);
+        const Tick end = order.endTs(i);
+        const auto lines = order.lines(i);
+        std::uint8_t flags = 0;
+        const Tick horizon = end > window ? end - window : 0;
+        for (const LineAddr line : lines) {
             if (line % shardCount != shardIndex)
                 continue;
-            auto it = last_write.find(line);
-            if (it != last_write.end()) {
-                const auto &times = it->second;
-                for (std::size_t t = 0; t < nthreads; t++) {
-                    if (times[t] == 0 || times[t] < horizon)
-                        continue;
-                    // times[t] <= ep.endTs holds because epochs are
-                    // processed in end-timestamp order.
-                    if (t == ep.tid)
-                        self_dep = true;
-                    else
-                        cross_dep = true;
-                }
+            auto it = row_of.find(line);
+            if (it == row_of.end())
+                continue;
+            const Tick *times = &last_write[it->second];
+            for (std::size_t t = 0; t < nthreads; t++) {
+                if (times[t] == 0 || times[t] < horizon)
+                    continue;
+                // times[t] <= end holds because epochs are processed
+                // in end-timestamp order.
+                flags |= t == tid ? kSelf : kCross;
             }
         }
         // Update after classification so an epoch does not depend on
         // itself.
-        for (const LineAddr line : ep.lines) {
+        for (const LineAddr line : lines) {
             if (line % shardCount != shardIndex)
                 continue;
-            auto &times = last_write[line];
-            if (times.empty())
-                times.assign(nthreads, 0);
-            times[ep.tid] = ep.endTs;
+            auto [it, fresh] = row_of.try_emplace(line, last_write.size());
+            if (fresh)
+                last_write.resize(last_write.size() + nthreads, 0);
+            last_write[it->second + tid] = end;
         }
-        selfFlags_[i] = self_dep;
-        crossFlags_[i] = cross_dep;
+        flags_[i] = flags;
     }
 }
 
 void
 DependencyShard::merge(const DependencyShard &other)
 {
-    if (selfFlags_.size() < other.selfFlags_.size()) {
-        selfFlags_.resize(other.selfFlags_.size(), 0);
-        crossFlags_.resize(other.crossFlags_.size(), 0);
-    }
-    for (std::size_t i = 0; i < other.selfFlags_.size(); i++) {
-        selfFlags_[i] |= other.selfFlags_[i];
-        crossFlags_[i] |= other.crossFlags_[i];
-    }
+    if (flags_.size() < other.flags_.size())
+        flags_.resize(other.flags_.size(), 0);
+    for (std::size_t i = 0; i < other.flags_.size(); i++)
+        flags_[i] |= other.flags_[i];
 }
 
 DependencySummary
 DependencyShard::summarize() const
 {
     DependencySummary out;
-    out.totalEpochs = selfFlags_.size();
-    for (std::size_t i = 0; i < selfFlags_.size(); i++) {
-        out.selfDependent += selfFlags_[i] != 0;
-        out.crossDependent += crossFlags_[i] != 0;
+    out.totalEpochs = flags_.size();
+    for (const std::uint8_t f : flags_) {
+        out.selfDependent += (f & kSelf) != 0;
+        out.crossDependent += (f & kCross) != 0;
     }
     return out;
 }
@@ -93,7 +82,7 @@ DependencySummary
 analyzeDependencies(const EpochBuilder &builder, Tick window)
 {
     DependencyShard shard;
-    shard.scan(builder.epochs(), window, 0, 1);
+    shard.scan(builder.order(), window, 0, 1);
     return shard.summarize();
 }
 

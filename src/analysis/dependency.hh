@@ -59,8 +59,8 @@ struct DependencySummary
 /**
  * Per-epoch dependency flags for one shard of the line space.
  *
- * scan() walks the globally ordered epoch list once, but classifies
- * and records write history only for lines owned by this shard
+ * scan() walks the global epoch order once, but classifies and
+ * records write history only for lines owned by this shard
  * (line % shardCount == shardIndex). merge() ORs another shard's
  * flags in; summarize() counts flagged epochs. One shard covering
  * the whole line space is exactly the sequential algorithm.
@@ -69,11 +69,10 @@ class DependencyShard
 {
   public:
     /**
-     * Classify @p epochs (globally ordered by end timestamp, as
-     * EpochBuilder produces) against the lines owned by shard
-     * @p shardIndex of @p shardCount, within @p window ticks.
+     * Classify the epochs of @p order against the lines owned by
+     * shard @p shardIndex of @p shardCount, within @p window ticks.
      */
-    void scan(const std::vector<Epoch> &epochs, Tick window,
+    void scan(const EpochOrder &order, Tick window,
               std::size_t shardIndex, std::size_t shardCount);
 
     /** OR @p other's per-epoch flags into this shard's. */
@@ -82,23 +81,16 @@ class DependencyShard
     /** Count flagged epochs. */
     DependencySummary summarize() const;
 
-    const std::vector<std::uint8_t> &selfFlags() const
-    {
-        return selfFlags_;
-    }
-    const std::vector<std::uint8_t> &crossFlags() const
-    {
-        return crossFlags_;
-    }
-
   private:
-    std::vector<std::uint8_t> selfFlags_;
-    std::vector<std::uint8_t> crossFlags_;
+    static constexpr std::uint8_t kSelf = 1;
+    static constexpr std::uint8_t kCross = 2;
+
+    std::vector<std::uint8_t> flags_; //!< kSelf | kCross per epoch
 };
 
 /**
- * Scan epochs (must be globally ordered by end timestamp, as
- * EpochBuilder produces) for WAW dependencies within @p window ticks.
+ * Scan @p builder's epochs for WAW dependencies within @p window
+ * ticks: the pipeline's scan, over one shard.
  */
 DependencySummary analyzeDependencies(const EpochBuilder &builder,
                                       Tick window = kDependencyWindow);

@@ -14,15 +14,24 @@
  * trace file — and different threads' accumulators are independent,
  * which is what lets the parallel pipeline (pipeline.hh) fan them out
  * across cores and still join into the exact sequential result.
+ *
+ * At each closing fence the accumulator folds the epoch into its
+ * statistics and keeps only what the dependency pass needs: the end
+ * tick and the epoch's lines, in one flat per-thread array
+ * (ThreadEpochs, 12 bytes per epoch plus 8 per line). A full Epoch
+ * value is built only for an optional observer, which EpochBuilder —
+ * the reference the tests compare against — installs.
  */
 
 #ifndef WHISPER_ANALYSIS_EPOCH_HH
 #define WHISPER_ANALYSIS_EPOCH_HH
 
+#include <functional>
+#include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "analysis/epoch_stats.hh"
 #include "trace/trace_set.hh"
 
 namespace whisper::analysis
@@ -61,19 +70,57 @@ struct TxInfo
 };
 
 /**
+ * One thread's closed epochs, compactly: each epoch's end tick and
+ * its sorted unique lines, the lines of all epochs back to back in
+ * one array.
+ */
+class ThreadEpochs
+{
+  public:
+    explicit ThreadEpochs(ThreadId tid = 0) : tid_(tid) {}
+
+    ThreadId tid() const { return tid_; }
+
+    std::size_t size() const { return endTs_.size(); }
+
+    /** Closing-fence tick of epoch @p i (per-thread program order). */
+    Tick endTs(std::size_t i) const { return endTs_[i]; }
+
+    /** Sorted unique lines of epoch @p i. */
+    std::span<const LineAddr>
+    lines(std::size_t i) const
+    {
+        const std::size_t begin = i ? lineEnd_[i - 1] : 0;
+        return {lines_.data() + begin, lineEnd_[i] - begin};
+    }
+
+    /** Append a closed epoch ending at @p endTs over @p lines. */
+    void push(Tick endTs, std::span<const LineAddr> lines);
+
+  private:
+    ThreadId tid_;
+    std::vector<Tick> endTs_;
+    std::vector<std::uint32_t> lineEnd_; //!< exclusive end in lines_
+    std::vector<LineAddr> lines_;
+};
+
+/**
  * Streaming epoch reconstruction for ONE thread.
  *
  * Feed the thread's events in program order via add()/addChunk();
- * epochs() and transactions() are valid once the stream ends (a
- * trailing open epoch — stores never fenced — is not counted, it was
- * never ordered). The result is a pure function of the event
- * sequence, so accumulators for different threads can run on
- * different cores.
+ * the results are complete once the stream ends (a trailing open
+ * epoch — stores never fenced — is not counted, it was never
+ * ordered). The result is a pure function of the event sequence, so
+ * accumulators for different threads can run on different cores.
  */
 class ThreadEpochAccumulator
 {
   public:
-    explicit ThreadEpochAccumulator(ThreadId tid);
+    /** Called with every epoch as its closing fence is consumed. */
+    using EpochObserver = std::function<void(const Epoch &)>;
+
+    explicit ThreadEpochAccumulator(ThreadId tid,
+                                    EpochObserver observer = {});
 
     /** Consume the next event of this thread, in program order. */
     void add(const trace::TraceEvent &ev);
@@ -89,8 +136,11 @@ class ThreadEpochAccumulator
     ThreadId tid() const { return tid_; }
 
     /** Closed epochs so far, in per-thread program order. */
-    std::vector<Epoch> &epochs() { return epochs_; }
-    const std::vector<Epoch> &epochs() const { return epochs_; }
+    ThreadEpochs &epochs() { return epochs_; }
+    const ThreadEpochs &epochs() const { return epochs_; }
+
+    /** Statistics of the closed epochs (transactions not folded). */
+    const EpochStatsAccumulator &stats() const { return stats_; }
 
     /** Transactions seen so far, in first-touch order. */
     std::vector<TxInfo> &transactions() { return txs_; }
@@ -98,51 +148,97 @@ class ThreadEpochAccumulator
 
   private:
     TxInfo &txInfo(TxId tx);
+    void closeEpoch(const trace::TraceEvent &fence);
+
+    /** The epoch between its first store and its closing fence. */
+    struct OpenEpoch
+    {
+        Tick startTs = 0;
+        TxId tx = 0;
+        std::uint64_t storeCount = 0;
+        std::uint64_t storeBytes = 0;
+        std::uint64_t ntStoreCount = 0;
+    };
 
     ThreadId tid_;
-    std::uint64_t nextIndex_ = 0;
-    Epoch cur_;
-    std::unordered_set<LineAddr> curLines_;
+    EpochObserver observer_;
+    OpenEpoch cur_;
     bool open_ = false;
+    /** The open epoch's stored lines; duplicates folded lazily. */
+    std::vector<LineAddr> curLines_;
+    std::size_t foldAt_ = 0;
     TxId curTx_ = 0;
     std::unordered_map<TxId, std::size_t> txIndex_;
-    std::vector<Epoch> epochs_;
+    ThreadEpochs epochs_;
+    EpochStatsAccumulator stats_;
     std::vector<TxInfo> txs_;
 };
 
 /**
- * Rebuilds epochs and transaction footprints from a TraceSet, or
- * assembles them from per-thread accumulator results. Either way the
- * final epoch list is globally ordered by end timestamp (ties broken
- * by tid), which the dependency analysis relies on.
+ * Every thread's closed epochs in the global order the dependency
+ * pass walks: by end tick, ties broken by tid, then by recording
+ * order — what a stable sort by (end tick, tid) of the threads'
+ * epochs concatenated in recording order gives. Sorted as 16-byte
+ * keys; the epochs themselves stay in their threads' arrays.
+ */
+class EpochOrder
+{
+  public:
+    EpochOrder() = default;
+
+    /** Order @p threads, given in recording order. */
+    explicit EpochOrder(std::vector<ThreadEpochs> threads);
+
+    std::size_t size() const { return order_.size(); }
+
+    /** The @p i-th epoch's thread id, end tick and lines. */
+    ThreadId tid(std::size_t i) const
+    {
+        return threads_[order_[i].thread].tid();
+    }
+    Tick endTs(std::size_t i) const { return order_[i].endTs; }
+    std::span<const LineAddr>
+    lines(std::size_t i) const
+    {
+        return threads_[order_[i].thread].lines(order_[i].index);
+    }
+
+    /** Largest thread id of any thread (0 when there is none). */
+    ThreadId maxTid() const;
+
+  private:
+    struct Key
+    {
+        Tick endTs;
+        std::uint32_t thread; //!< into threads_, sorted by tid
+        std::uint32_t index;  //!< epoch within its thread
+    };
+
+    std::vector<ThreadEpochs> threads_;
+    std::vector<Key> order_;
+};
+
+/**
+ * Reference reconstruction of a whole TraceSet, with every epoch
+ * materialized: epochs() lists them in the global order (end
+ * timestamp, ties broken by tid), and order() is the compact form of
+ * the same epochs that the dependency analysis scans.
  */
 class EpochBuilder
 {
   public:
-    /** Reconstruct all threads' epochs (per-thread program order). */
     explicit EpochBuilder(const trace::TraceSet &traces);
-
-    /**
-     * Assemble from already-reconstructed per-thread results,
-     * concatenated in recording order. Produces a state bit-identical
-     * to the TraceSet constructor when the inputs come from
-     * ThreadEpochAccumulators fed the same per-thread streams.
-     */
-    EpochBuilder(std::vector<Epoch> epochs, std::vector<TxInfo> txs);
 
     const std::vector<Epoch> &epochs() const { return epochs_; }
     const std::vector<TxInfo> &transactions() const { return txs_; }
-
-    /** Epochs of one thread, in order. */
-    std::vector<const Epoch *> epochsOf(ThreadId tid) const;
+    const EpochOrder &order() const { return order_; }
 
     std::uint64_t epochCount() const { return epochs_.size(); }
 
   private:
-    void sortEpochs();
-
     std::vector<Epoch> epochs_;
     std::vector<TxInfo> txs_;
+    EpochOrder order_;
 };
 
 } // namespace whisper::analysis

@@ -1,21 +1,31 @@
 #include "analysis/epoch_stats.hh"
 
+#include "analysis/epoch.hh"
+
 namespace whisper::analysis
 {
 
 void
-EpochStatsAccumulator::addEpoch(const Epoch &ep)
+EpochStatsAccumulator::addEpoch(std::uint64_t lines,
+                                std::uint64_t storeBytes,
+                                trace::FenceKind endKind)
 {
     totalEpochs_++;
-    epochSizes_.add(ep.size());
-    if (ep.isSingleton()) {
+    epochSizes_.add(lines);
+    if (lines == 1) {
         singletons_++;
-        singletonBytes_.add(ep.storeBytes);
-        if (ep.storeBytes < 10)
+        singletonBytes_.add(storeBytes);
+        if (storeBytes < 10)
             singletonSmall_++;
     }
-    if (ep.endKind == trace::FenceKind::Durability)
+    if (endKind == trace::FenceKind::Durability)
         durabilityFences_++;
+}
+
+void
+EpochStatsAccumulator::addEpoch(const Epoch &ep)
+{
+    addEpoch(ep.size(), ep.storeBytes, ep.endKind);
 }
 
 void

@@ -16,11 +16,20 @@
 #ifndef WHISPER_ANALYSIS_EPOCH_STATS_HH
 #define WHISPER_ANALYSIS_EPOCH_STATS_HH
 
-#include "analysis/epoch.hh"
 #include "common/histogram.hh"
+#include "trace/event.hh"
+
+namespace whisper::trace
+{
+class TraceSet;
+} // namespace whisper::trace
 
 namespace whisper::analysis
 {
+
+struct Epoch;
+struct TxInfo;
+class EpochBuilder;
 
 /** Summary of one application run's epoch behaviour. */
 struct EpochSummary
@@ -46,7 +55,14 @@ struct EpochSummary
 class EpochStatsAccumulator
 {
   public:
-    /** Fold in one epoch. */
+    /**
+     * Fold in one epoch of @p lines unique lines and @p storeBytes
+     * stored bytes, closed by a fence of kind @p endKind.
+     */
+    void addEpoch(std::uint64_t lines, std::uint64_t storeBytes,
+                  trace::FenceKind endKind);
+
+    /** Fold in one reconstructed epoch. */
     void addEpoch(const Epoch &ep);
 
     /** Fold in one transaction record. */

@@ -1,7 +1,6 @@
 #include "analysis/optimize.hh"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "common/thread_pool.hh"
 #include "trace/trace_reader.hh"
@@ -245,6 +244,7 @@ struct OptimizeShard
 {
     OptimizeSummary summary;
     std::uint64_t eventCount = 0;
+    trace::TraceReadFault fault;
 };
 
 OptimizeResult
@@ -272,44 +272,51 @@ optimizeTraces(const trace::TraceSet &traces,
         ThreadOptimizeAccumulator acc(buf.tid());
         acc.addChunk(buf.events().data(), buf.events().size());
         acc.finish();
-        return OptimizeShard{acc.summary(), buf.size()};
+        return OptimizeShard{acc.summary(), buf.size(), {}};
     });
     return joinShards(std::move(shards));
 }
 
 bool
 optimizeTraceFile(const std::string &path, OptimizeResult &out,
-                  const OptimizeOptions &options)
+                  const OptimizeOptions &options,
+                  trace::TraceReadFault *fault)
 {
     trace::TraceFileReader reader;
-    if (!reader.open(path))
-        return false;
-
-    ThreadPool pool(options.jobs);
-    try {
-        auto shards =
-            pool.map(reader.sections().size(), [&](std::size_t i) {
-                OptimizeShard shard;
-                ThreadOptimizeAccumulator acc(
-                    reader.sections()[i].tid);
-                const bool ok = reader.streamSection(
-                    i, [&](const trace::TraceEvent *events,
-                           std::size_t count) {
-                        shard.eventCount += count;
-                        acc.addChunk(events, count);
-                    });
-                if (!ok) {
-                    throw std::runtime_error(
-                        "trace section stream failed");
-                }
-                acc.finish();
-                shard.summary = acc.summary();
-                return shard;
-            });
-        out = joinShards(std::move(shards));
-    } catch (const std::runtime_error &) {
+    if (!reader.open(path)) {
+        if (fault)
+            *fault = {reader.lastError()};
         return false;
     }
+
+    ThreadPool pool(options.jobs);
+    auto shards =
+        pool.map(reader.sections().size(), [&](std::size_t i) {
+            OptimizeShard shard;
+            ThreadOptimizeAccumulator acc(reader.sections()[i].tid);
+            const bool ok = reader.streamSection(
+                i,
+                [&](const trace::TraceEvent *events,
+                    std::size_t count) {
+                    shard.eventCount += count;
+                    acc.addChunk(events, count);
+                },
+                trace::TraceFileReader::kDefaultChunkEvents,
+                &shard.fault);
+            if (ok) {
+                acc.finish();
+                shard.summary = acc.summary();
+            }
+            return shard;
+        });
+    for (const OptimizeShard &shard : shards) {
+        if (shard.fault.error != trace::TraceReadError::None) {
+            if (fault)
+                *fault = shard.fault;
+            return false;
+        }
+    }
+    out = joinShards(std::move(shards));
     return true;
 }
 

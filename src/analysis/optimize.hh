@@ -47,6 +47,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "trace/trace_reader.hh"
 #include "trace/trace_set.hh"
 
 namespace whisper::analysis
@@ -211,10 +212,13 @@ OptimizeResult optimizeTraces(const trace::TraceSet &traces,
 
 /**
  * Classify a trace file, streaming per-thread sections in parallel.
- * Returns false when the file cannot be opened or is corrupt.
+ * Returns false when the file cannot be opened or is corrupt, and
+ * reports why through @p fault when given (the first failing section
+ * in file order).
  */
 bool optimizeTraceFile(const std::string &path, OptimizeResult &out,
-                       const OptimizeOptions &options = {});
+                       const OptimizeOptions &options = {},
+                       trace::TraceReadFault *fault = nullptr);
 
 } // namespace whisper::analysis
 

@@ -1,8 +1,6 @@
 #include "analysis/pipeline.hh"
 
 #include <algorithm>
-#include <iterator>
-#include <stdexcept>
 #include <utility>
 
 #include "common/thread_pool.hh"
@@ -17,17 +15,28 @@ namespace
 /** Everything one per-thread shard produces before the join. */
 struct ThreadShardResult
 {
-    std::vector<Epoch> epochs;
-    std::vector<TxInfo> txs;
+    ThreadEpochs epochs;
+    EpochStatsAccumulator stats;
     trace::AccessCounters counters;
     Tick firstTick = 0;
     Tick lastTick = 0;
     std::uint64_t eventCount = 0;
+    trace::TraceReadFault fault;
 };
+
+/** Move @p acc's epochs and statistics, transactions folded, to @p r. */
+void
+takeEpochs(ThreadEpochAccumulator &acc, ThreadShardResult &r)
+{
+    r.epochs = std::move(acc.epochs());
+    r.stats = acc.stats();
+    for (const TxInfo &tx : acc.transactions())
+        r.stats.addTransaction(tx);
+}
 
 /**
  * Join per-thread shard results (in recording order) and run the
- * epoch-level passes. All merges fold in fixed order on the calling
+ * dependency pass. All merges fold in fixed order on the calling
  * thread; only the shard bodies run on the pool.
  */
 AnalysisResult
@@ -36,8 +45,8 @@ joinAndFinish(std::vector<ThreadShardResult> shards, ThreadPool &pool)
     AnalysisResult out;
     out.threadCount = shards.size();
 
-    std::vector<Epoch> epochs;
-    std::vector<TxInfo> txs;
+    std::vector<ThreadEpochs> threads;
+    EpochStatsAccumulator stats;
     trace::AccessCounters counters;
     Tick first = ~Tick(0);
     for (auto &shard : shards) {
@@ -47,43 +56,21 @@ joinAndFinish(std::vector<ThreadShardResult> shards, ThreadPool &pool)
             out.lastTick = std::max(out.lastTick, shard.lastTick);
         }
         counters.merge(shard.counters);
-        std::move(shard.epochs.begin(), shard.epochs.end(),
-                  std::back_inserter(epochs));
-        std::move(shard.txs.begin(), shard.txs.end(),
-                  std::back_inserter(txs));
+        stats.merge(shard.stats);
+        threads.push_back(std::move(shard.epochs));
     }
     out.firstTick = first == ~Tick(0) ? 0 : first;
-
-    EpochBuilder builder(std::move(epochs), std::move(txs));
-
-    // Epoch statistics: shard the (sorted) epoch list, fold each
-    // range independently, merge in range order.
-    const auto ranges =
-        shardRanges(builder.epochs().size(), pool.workerCount());
-    auto statShards =
-        pool.map(ranges.size(), [&](std::size_t s) {
-            EpochStatsAccumulator acc;
-            for (std::size_t i = ranges[s].begin; i < ranges[s].end;
-                 i++) {
-                acc.addEpoch(builder.epochs()[i]);
-            }
-            return acc;
-        });
-    EpochStatsAccumulator stats;
-    for (const auto &shard : statShards)
-        stats.merge(shard);
-    for (const TxInfo &tx : builder.transactions())
-        stats.addTransaction(tx);
     out.epochs = stats.finalize(out.firstTick, out.lastTick);
 
     // Dependencies: shard the line address space; each shard scans
-    // the whole epoch list but owns a disjoint line subset, so the
+    // the whole epoch order but owns a disjoint line subset, so the
     // OR-join reproduces the sequential flags exactly.
+    const EpochOrder order(std::move(threads));
     const std::size_t depShards =
         std::max<std::size_t>(1, pool.workerCount());
     auto lineShards = pool.map(depShards, [&](std::size_t s) {
         DependencyShard shard;
-        shard.scan(builder.epochs(), kDependencyWindow, s, depShards);
+        shard.scan(order, kDependencyWindow, s, depShards);
         return shard;
     });
     DependencyShard merged;
@@ -111,8 +98,7 @@ analyzeTraces(const trace::TraceSet &traces,
         ThreadShardResult r;
         ThreadEpochAccumulator acc(buf.tid());
         acc.addChunk(buf.events().data(), buf.events().size());
-        r.epochs = std::move(acc.epochs());
-        r.txs = std::move(acc.transactions());
+        takeEpochs(acc, r);
         // In-memory counters come from the buffer: they include
         // bulk-accounted volatile accesses that were never
         // materialized as events.
@@ -129,44 +115,50 @@ analyzeTraces(const trace::TraceSet &traces,
 
 bool
 analyzeTraceFile(const std::string &path, AnalysisResult &out,
-                 const AnalysisOptions &options)
+                 const AnalysisOptions &options,
+                 trace::TraceReadFault *fault)
 {
     trace::TraceFileReader reader;
-    if (!reader.open(path))
-        return false;
-
-    ThreadPool pool(options.jobs);
-    try {
-        auto shards =
-            pool.map(reader.sections().size(), [&](std::size_t i) {
-                ThreadShardResult r;
-                ThreadEpochAccumulator acc(
-                    reader.sections()[i].tid);
-                const bool ok = reader.streamSection(
-                    i, [&](const trace::TraceEvent *events,
-                           std::size_t count) {
-                        if (count == 0)
-                            return;
-                        if (r.eventCount == 0)
-                            r.firstTick = events[0].ts;
-                        r.lastTick = events[count - 1].ts;
-                        r.eventCount += count;
-                        for (std::size_t j = 0; j < count; j++)
-                            r.counters.add(events[j]);
-                        acc.addChunk(events, count);
-                    });
-                if (!ok) {
-                    throw std::runtime_error(
-                        "trace section stream failed");
-                }
-                r.epochs = std::move(acc.epochs());
-                r.txs = std::move(acc.transactions());
-                return r;
-            });
-        out = joinAndFinish(std::move(shards), pool);
-    } catch (const std::runtime_error &) {
+    if (!reader.open(path)) {
+        if (fault)
+            *fault = {reader.lastError()};
         return false;
     }
+
+    ThreadPool pool(options.jobs);
+    auto shards =
+        pool.map(reader.sections().size(), [&](std::size_t i) {
+            ThreadShardResult r;
+            ThreadEpochAccumulator acc(reader.sections()[i].tid);
+            const bool ok = reader.streamSection(
+                i,
+                [&](const trace::TraceEvent *events,
+                    std::size_t count) {
+                    if (count == 0)
+                        return;
+                    if (r.eventCount == 0)
+                        r.firstTick = events[0].ts;
+                    r.lastTick = events[count - 1].ts;
+                    r.eventCount += count;
+                    for (std::size_t j = 0; j < count; j++)
+                        r.counters.add(events[j]);
+                    acc.addChunk(events, count);
+                },
+                trace::TraceFileReader::kDefaultChunkEvents, &r.fault);
+            if (ok)
+                takeEpochs(acc, r);
+            return r;
+        });
+    // The first failing section in file order names the failure, so
+    // the report does not depend on which worker failed first.
+    for (const ThreadShardResult &r : shards) {
+        if (r.fault.error != trace::TraceReadError::None) {
+            if (fault)
+                *fault = r.fault;
+            return false;
+        }
+    }
+    out = joinAndFinish(std::move(shards), pool);
     return true;
 }
 

@@ -12,9 +12,12 @@
  *     per-thread folds), so threads shard trivially. File inputs are
  *     streamed chunk-by-chunk (trace_reader.hh) and never
  *     materialized whole.
- *  2. *Join*: per-thread epochs/transactions concatenate in recording
- *     order and sort into the global end-timestamp order; counters
- *     merge in recording order.
+ *     Each shard folds its epochs into statistics as their fences
+ *     close and keeps, per epoch, only the end tick and its lines
+ *     (ThreadEpochs in epoch.hh).
+ *  2. *Join*: statistics and counters merge in recording order; the
+ *     threads' epochs are ordered by end timestamp as 16-byte keys
+ *     (EpochOrder), never copied.
  *  3. *Line shards*: the dependency pass shards the line address
  *     space, each shard computing exact per-epoch flags for its lines
  *     (dependency.hh), OR-merged in shard order.
@@ -33,6 +36,7 @@
 #include "analysis/access_mix.hh"
 #include "analysis/dependency.hh"
 #include "analysis/epoch_stats.hh"
+#include "trace/trace_reader.hh"
 
 namespace whisper::analysis
 {
@@ -64,13 +68,18 @@ AnalysisResult analyzeTraces(const trace::TraceSet &traces,
 
 /**
  * Analyze a trace file by streaming its per-thread sections from
- * disk in chunks — peak memory is one chunk per job plus the
- * reconstructed epochs, independent of trace size. Returns false on
- * I/O or format failure. The result is identical to loading the file
- * with readTraceFile() and calling analyzeTraces().
+ * disk in chunks. Peak memory is one chunk per job plus, per epoch,
+ * 12 bytes, its lines at 8 bytes each, a 16-byte order key and one
+ * flag byte per dependency shard, plus one last-write row per
+ * distinct line; the events themselves are never held. Returns false on I/O or format failure, or on an event the
+ * reader rejects (trace_reader.hh), and reports why through
+ * @p fault when given — for a rejected event, the first failing
+ * section in file order. The result is identical to loading the
+ * file with readTraceFile() and calling analyzeTraces().
  */
 bool analyzeTraceFile(const std::string &path, AnalysisResult &out,
-                      const AnalysisOptions &options = {});
+                      const AnalysisOptions &options = {},
+                      trace::TraceReadFault *fault = nullptr);
 
 } // namespace whisper::analysis
 

@@ -4,7 +4,6 @@
 #include <memory>
 
 #include "common/logging.hh"
-#include "trace/trace_reader.hh"
 
 namespace whisper::trace
 {
@@ -58,22 +57,28 @@ writeTraceFile(const std::string &path, const TraceSet &traces)
 }
 
 bool
-readTraceFile(const std::string &path, TraceSet &traces)
+readTraceFile(const std::string &path, TraceSet &traces,
+              TraceReadFault *fault)
 {
     panic_if(traces.threadCount() != 0,
              "readTraceFile into a non-empty TraceSet");
     TraceFileReader reader;
-    if (!reader.open(path))
+    if (!reader.open(path)) {
+        if (fault)
+            *fault = {reader.lastError()};
         return false;
+    }
     for (std::size_t i = 0; i < reader.sections().size(); i++) {
         TraceBuffer *buf =
             traces.createBuffer(reader.sections()[i].tid);
         buf->setRecordVolatile(true);
         const bool ok = reader.streamSection(
-            i, [&](const TraceEvent *events, std::size_t count) {
+            i,
+            [&](const TraceEvent *events, std::size_t count) {
                 for (std::size_t j = 0; j < count; j++)
                     buf->push(events[j]);
-            });
+            },
+            TraceFileReader::kDefaultChunkEvents, fault);
         if (!ok)
             return false;
     }

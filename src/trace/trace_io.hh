@@ -15,6 +15,7 @@
 
 #include <string>
 
+#include "trace/trace_reader.hh"
 #include "trace/trace_set.hh"
 
 namespace whisper::trace
@@ -55,10 +56,13 @@ static_assert(sizeof(TraceSectionHeader) == 16,
 bool writeTraceFile(const std::string &path, const TraceSet &traces);
 
 /**
- * Load a trace file into @p traces (which must be empty).
- * Returns false on I/O failure or format mismatch.
+ * Load a trace file into @p traces (which must be empty). Returns
+ * false on I/O failure, format mismatch or a malformed event (see
+ * TraceFileReader::streamSection), reporting why through @p fault
+ * when given.
  */
-bool readTraceFile(const std::string &path, TraceSet &traces);
+bool readTraceFile(const std::string &path, TraceSet &traces,
+                   TraceReadFault *fault = nullptr);
 
 } // namespace whisper::trace
 

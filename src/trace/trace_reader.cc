@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <unordered_set>
 
 #include "common/logging.hh"
 #include "trace/trace_io.hh"
@@ -20,6 +21,27 @@ struct FileCloser
 
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
+/** Why @p ev is malformed after an event at @p prevTs, or None. */
+TraceReadError
+checkEvent(const TraceEvent &ev, Tick prevTs)
+{
+    // DramStore, None and Durability end their enums.
+    if (static_cast<std::uint8_t>(ev.kind) >
+        static_cast<std::uint8_t>(EventKind::DramStore))
+        return TraceReadError::BadKind;
+    if (static_cast<std::uint8_t>(ev.cls) >
+        static_cast<std::uint8_t>(DataClass::None))
+        return TraceReadError::BadClass;
+    if (ev.kind == EventKind::Fence &&
+        ev.aux > static_cast<std::uint8_t>(FenceKind::Durability))
+        return TraceReadError::BadFenceKind;
+    if (ev.origin >= kOriginCount)
+        return TraceReadError::BadOrigin;
+    if (ev.ts < prevTs)
+        return TraceReadError::BackwardTs;
+    return TraceReadError::None;
+}
+
 } // namespace
 
 const char *
@@ -31,6 +53,12 @@ traceReadErrorName(TraceReadError err)
     case TraceReadError::BadHeader: return "bad-header";
     case TraceReadError::Truncated: return "truncated";
     case TraceReadError::ShortRead: return "short-read";
+    case TraceReadError::DuplicateTid: return "duplicate-tid";
+    case TraceReadError::BadKind: return "bad-kind";
+    case TraceReadError::BadClass: return "bad-class";
+    case TraceReadError::BadFenceKind: return "bad-fence-kind";
+    case TraceReadError::BadOrigin: return "bad-origin";
+    case TraceReadError::BackwardTs: return "backward-ts";
     }
     return "unknown";
 }
@@ -83,6 +111,7 @@ TraceFileReader::open(const std::string &path)
     // size — a byte-truncated trace fails here, up front, instead of
     // aborting an analysis stream halfway through with a short read.
     std::uint64_t off = sizeof(TraceFileHeader);
+    std::unordered_set<ThreadId> tids;
     for (std::uint32_t i = 0; i < hdr.threadCount; i++) {
         if (off + sizeof(TraceSectionHeader) > file_size) {
             warn("truncated section header in %s", path.c_str());
@@ -109,6 +138,13 @@ TraceFileReader::open(const std::string &path)
             lastError_ = TraceReadError::Truncated;
             return false;
         }
+        if (!tids.insert(sec.tid).second) {
+            warn("duplicate section tid %u in %s", sec.tid,
+                 path.c_str());
+            sections_.clear();
+            lastError_ = TraceReadError::DuplicateTid;
+            return false;
+        }
         sections_.push_back({sec.tid, sec.eventCount, off});
         off += sec.eventCount * sizeof(TraceEvent);
     }
@@ -120,15 +156,15 @@ bool
 TraceFileReader::streamSection(std::size_t index,
                                const EventChunkSink &sink,
                                std::size_t chunkEvents,
-                               TraceReadError *err) const
+                               TraceReadFault *fault) const
 {
-    const auto fail = [&](TraceReadError e) {
-        if (err)
-            *err = e;
+    const auto fail = [&](TraceReadError e, std::uint64_t event = 0) {
+        if (fault)
+            *fault = {e, index, event};
         return false;
     };
-    if (err)
-        *err = TraceReadError::None;
+    if (fault)
+        *fault = {};
     if (index >= sections_.size() || chunkEvents == 0)
         return fail(TraceReadError::Io);
     const TraceSectionInfo &sec = sections_[index];
@@ -147,18 +183,26 @@ TraceFileReader::streamSection(std::size_t index,
     std::vector<TraceEvent> chunk(
         std::min<std::size_t>(chunkEvents, sec.eventCount ?
                                                sec.eventCount : 1));
-    std::uint64_t remaining = sec.eventCount;
-    while (remaining > 0) {
+    std::uint64_t done = 0;
+    Tick prevTs = 0;
+    while (done < sec.eventCount) {
         const std::size_t want = static_cast<std::size_t>(
-            std::min<std::uint64_t>(remaining, chunk.size()));
+            std::min<std::uint64_t>(sec.eventCount - done,
+                                    chunk.size()));
         if (std::fread(chunk.data(), sizeof(TraceEvent), want,
                        f.get()) != want) {
             warn("short read in section %zu of %s", index,
                  path_.c_str());
             return fail(TraceReadError::ShortRead);
         }
+        for (std::size_t j = 0; j < want; j++) {
+            const TraceReadError e = checkEvent(chunk[j], prevTs);
+            if (e != TraceReadError::None)
+                return fail(e, done + j);
+            prevTs = chunk[j].ts;
+        }
         sink(chunk.data(), want);
-        remaining -= want;
+        done += want;
     }
     return true;
 }

@@ -35,7 +35,9 @@ struct TraceSectionInfo
  * Why a reader call failed. open() validates every section's extent
  * against the real file size, so a byte-truncated trace is rejected
  * up front as Truncated instead of failing with a short read halfway
- * through an analysis stream.
+ * through an analysis stream. streamSection() checks every event it
+ * hands out and rejects the first malformed one with one of the
+ * event errors (BadKind onward).
  */
 enum class TraceReadError
 {
@@ -44,10 +46,31 @@ enum class TraceReadError
     BadHeader, //!< wrong magic or unsupported version
     Truncated, //!< headers claim more bytes than the file holds
     ShortRead, //!< payload vanished between open() and streaming
+    DuplicateTid, //!< two sections name the same thread
+    BadKind,   //!< kind byte is not an EventKind
+    BadClass,  //!< cls byte is not a DataClass
+    BadFenceKind, //!< a Fence whose aux byte is not a FenceKind
+    BadOrigin, //!< origin byte >= kOriginCount
+    BackwardTs, //!< ts below the previous event's in its section
 };
 
 /** Stable lowercase name for @p err ("none", "io", ...). */
 const char *traceReadErrorName(TraceReadError err);
+
+/** A failed read: what went wrong and, for a bad event, where. */
+struct TraceReadFault
+{
+    TraceReadError error = TraceReadError::None;
+    std::size_t section = 0; //!< failing section (stream errors)
+    std::uint64_t event = 0; //!< event index within the section
+
+    /** True for the errors that name one event (BadKind onward). */
+    bool
+    badEvent() const
+    {
+        return error >= TraceReadError::BadKind;
+    }
+};
 
 /** Callback receiving one chunk of events in program order. */
 using EventChunkSink =
@@ -71,9 +94,9 @@ class TraceFileReader
 
     /**
      * Index @p path. Returns false (and leaves the reader empty) on
-     * I/O failure, bad magic, an unsupported version, or a file too
-     * short for the sections its headers describe; lastError() then
-     * says which.
+     * I/O failure, bad magic, an unsupported version, a file too
+     * short for the sections its headers describe, or two sections
+     * with one tid; lastError() then says which.
      */
     bool open(const std::string &path);
 
@@ -96,15 +119,18 @@ class TraceFileReader
     /**
      * Stream section @p index through @p sink in program order,
      * @p chunkEvents events at a time. Thread-safe against concurrent
-     * streamSection() calls on the same reader. Returns false on I/O
-     * failure, reporting the cause through @p err when given (the
-     * per-call out-param keeps concurrent shards race-free; open()
-     * already bounds every section, so ShortRead here means the file
-     * shrank after indexing).
+     * streamSection() calls on the same reader. Every event is
+     * checked before its chunk is handed out; the first malformed
+     * one stops the stream. Returns false on I/O failure or a
+     * malformed event, reporting the cause, and for an event its
+     * index, through @p fault when given (the per-call out-param
+     * keeps concurrent shards race-free; open() already bounds every
+     * section, so ShortRead here means the file shrank after
+     * indexing).
      */
     bool streamSection(std::size_t index, const EventChunkSink &sink,
                        std::size_t chunkEvents = kDefaultChunkEvents,
-                       TraceReadError *err = nullptr) const;
+                       TraceReadFault *fault = nullptr) const;
 
   private:
     std::string path_;

@@ -17,6 +17,7 @@
 #include "common/thread_pool.hh"
 #include "core/harness.hh"
 #include "trace/trace_io.hh"
+#include "workload/workload.hh"
 
 namespace whisper::analysis
 {
@@ -192,6 +193,37 @@ TEST(Dependency, DisjointLinesNoDependency)
     EXPECT_EQ(deps.crossDependent, 0u);
 }
 
+TEST(Dependency, EqualEndTicksOrderByTidNotRecordingOrder)
+{
+    // Buffer 1 is recorded before buffer 0, and every epoch stores
+    // line 1. In (end tick, tid) order thread 0's epoch at 1100 comes
+    // before thread 1's: it sees thread 1's 1050 epoch (cross), and
+    // thread 1's 1100 epoch sees both (self and cross). Recording
+    // order would put thread 1's first and count one cross epoch.
+    TraceSet set;
+    auto *b1 = set.createBuffer(1);
+    auto *b0 = set.createBuffer(0);
+    b1->push(ev(1000, EventKind::PmStore, 64));
+    b1->push(ev(1050, EventKind::Fence));
+    b1->push(ev(1060, EventKind::PmStore, 64));
+    b1->push(ev(1100, EventKind::Fence));
+    b0->push(ev(1000, EventKind::PmStore, 64));
+    b0->push(ev(1100, EventKind::Fence));
+
+    EpochBuilder builder(set);
+    const auto deps = analyzeDependencies(builder);
+    EXPECT_EQ(deps.totalEpochs, 3u);
+    EXPECT_EQ(deps.selfDependent, 1u);
+    EXPECT_EQ(deps.crossDependent, 2u);
+    for (const unsigned jobs : {1u, 4u}) {
+        AnalysisOptions options;
+        options.jobs = jobs;
+        const AnalysisResult result = analyzeTraces(set, options);
+        EXPECT_EQ(result.dependencies.selfDependent, 1u) << jobs;
+        EXPECT_EQ(result.dependencies.crossDependent, 2u) << jobs;
+    }
+}
+
 TEST(AccessMix, Fractions)
 {
     TraceSet set;
@@ -294,6 +326,36 @@ recordedApp(const std::string &name, std::uint64_t ops = 120)
     return result;
 }
 
+/**
+ * A 2-client hashmap YCSB-A workload run. Each client stamps events
+ * from its own clock, so epochs of different threads end at equal
+ * ticks, which paper runs on one shared clock never produce.
+ */
+workload::WorkloadResult
+recordedWorkload()
+{
+    workload::WorkloadOptions opts;
+    opts.app = "hashmap";
+    opts.mix = workload::MixSpec::ycsb('A');
+    opts.keys = 1000;
+    opts.threads = 2;
+    opts.opsPerThread = 150;
+    workload::WorkloadResult result = workload::runWorkload(opts);
+    EXPECT_TRUE(result.verified);
+
+    // Guard the point of the input: some end tick repeats across
+    // threads.
+    EpochBuilder builder(result.runtime->traces());
+    bool tie = false;
+    for (std::size_t i = 1; i < builder.epochs().size(); i++) {
+        tie |= builder.epochs()[i].endTs ==
+                   builder.epochs()[i - 1].endTs &&
+               builder.epochs()[i].tid != builder.epochs()[i - 1].tid;
+    }
+    EXPECT_TRUE(tie);
+    return result;
+}
+
 TEST(ThreadEpochAccumulator, ChunkedFeedMatchesOneShot)
 {
     // Chunk boundaries must not affect reconstruction: feed the same
@@ -307,22 +369,25 @@ TEST(ThreadEpochAccumulator, ChunkedFeedMatchesOneShot)
                 ev(100 + t, EventKind::PmStore, (t % 7) * 64));
     }
 
-    ThreadEpochAccumulator one(3);
+    std::vector<Epoch> one_epochs, chunked_epochs;
+    ThreadEpochAccumulator one(
+        3, [&](const Epoch &ep) { one_epochs.push_back(ep); });
     one.addChunk(events.data(), events.size());
 
-    ThreadEpochAccumulator chunked(3);
+    ThreadEpochAccumulator chunked(
+        3, [&](const Epoch &ep) { chunked_epochs.push_back(ep); });
     for (std::size_t i = 0; i < events.size(); i += 3) {
         chunked.addChunk(events.data() + i,
                          std::min<std::size_t>(3, events.size() - i));
     }
 
-    ASSERT_EQ(one.epochs().size(), chunked.epochs().size());
-    for (std::size_t i = 0; i < one.epochs().size(); i++) {
-        EXPECT_EQ(one.epochs()[i].lines, chunked.epochs()[i].lines);
-        EXPECT_EQ(one.epochs()[i].startTs, chunked.epochs()[i].startTs);
-        EXPECT_EQ(one.epochs()[i].endTs, chunked.epochs()[i].endTs);
-        EXPECT_EQ(one.epochs()[i].storeBytes,
-                  chunked.epochs()[i].storeBytes);
+    ASSERT_EQ(one_epochs.size(), chunked_epochs.size());
+    for (std::size_t i = 0; i < one_epochs.size(); i++) {
+        EXPECT_EQ(one_epochs[i].lines, chunked_epochs[i].lines);
+        EXPECT_EQ(one_epochs[i].startTs, chunked_epochs[i].startTs);
+        EXPECT_EQ(one_epochs[i].endTs, chunked_epochs[i].endTs);
+        EXPECT_EQ(one_epochs[i].storeBytes,
+                  chunked_epochs[i].storeBytes);
     }
 }
 
@@ -366,8 +431,7 @@ TEST(DependencyShard, LineShardedJoinMatchesSequential)
         DependencyShard merged;
         for (std::size_t s = 0; s < shards; s++) {
             DependencyShard part;
-            part.scan(builder.epochs(), kDependencyWindow, s,
-                      shards);
+            part.scan(builder.order(), kDependencyWindow, s, shards);
             merged.merge(part);
         }
         const DependencySummary joined = merged.summarize();
@@ -382,10 +446,13 @@ TEST(Pipeline, ParallelBitIdenticalToSequentialOnAppTraces)
     // The headline guarantee: for real recorded app traces spanning
     // the native and all three paper access layers, analyze with
     // 2/4/8 jobs == 1 job.
+    std::vector<std::shared_ptr<core::Runtime>> runs;
     for (const char *app :
-         {"hashmap", "vacation", "nfs", "ycsb", "tpcc"}) {
-        core::RunResult run = recordedApp(app, 80);
-        const trace::TraceSet &traces = run.runtime->traces();
+         {"hashmap", "vacation", "nfs", "ycsb", "tpcc"})
+        runs.push_back(recordedApp(app, 80).runtime);
+    runs.push_back(recordedWorkload().runtime);
+    for (const auto &run : runs) {
+        const trace::TraceSet &traces = run->traces();
 
         const AnalysisResult sequential = analyzeTraces(traces);
         EXPECT_GT(sequential.epochs.totalEpochs, 0u);
@@ -400,23 +467,26 @@ TEST(Pipeline, ParallelBitIdenticalToSequentialOnAppTraces)
 
 TEST(Pipeline, MatchesLegacySequentialAnalyses)
 {
-    core::RunResult run = recordedApp("redis");
-    const trace::TraceSet &traces = run.runtime->traces();
+    for (const auto &run :
+         {recordedApp("redis").runtime, recordedWorkload().runtime}) {
+        const trace::TraceSet &traces = run->traces();
 
-    EpochBuilder builder(traces);
-    const EpochSummary summary = summarizeEpochs(builder, traces);
-    const DependencySummary deps = analyzeDependencies(builder);
-    const AccessMix mix = computeAccessMix(traces);
+        EpochBuilder builder(traces);
+        const EpochSummary summary = summarizeEpochs(builder, traces);
+        const DependencySummary deps = analyzeDependencies(builder);
+        const AccessMix mix = computeAccessMix(traces);
 
-    AnalysisOptions options;
-    options.jobs = 4;
-    const AnalysisResult result = analyzeTraces(traces, options);
-    expectSummariesIdentical(result.epochs, summary);
-    EXPECT_EQ(result.dependencies.selfDependent, deps.selfDependent);
-    EXPECT_EQ(result.dependencies.crossDependent,
-              deps.crossDependent);
-    EXPECT_EQ(result.mix.pmAccesses, mix.pmAccesses);
-    EXPECT_EQ(result.mix.dramAccesses, mix.dramAccesses);
+        AnalysisOptions options;
+        options.jobs = 4;
+        const AnalysisResult result = analyzeTraces(traces, options);
+        expectSummariesIdentical(result.epochs, summary);
+        EXPECT_EQ(result.dependencies.selfDependent,
+                  deps.selfDependent);
+        EXPECT_EQ(result.dependencies.crossDependent,
+                  deps.crossDependent);
+        EXPECT_EQ(result.mix.pmAccesses, mix.pmAccesses);
+        EXPECT_EQ(result.mix.dramAccesses, mix.dramAccesses);
+    }
 }
 
 TEST(Pipeline, FileStreamingMatchesInMemory)

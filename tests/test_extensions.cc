@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "analysis/epoch.hh"
 #include "analysis/epoch_stats.hh"
 #include "common/logical_clock.hh"
 #include "core/harness.hh"

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/access_mix.hh"
+#include "analysis/epoch.hh"
 #include "analysis/epoch_stats.hh"
 #include "core/harness.hh"
 #include "core/runtime.hh"

@@ -11,6 +11,7 @@
 #include <thread>
 
 #include "analysis/dependency.hh"
+#include "analysis/epoch.hh"
 #include "analysis/epoch_stats.hh"
 #include "common/logical_clock.hh"
 #include "core/runtime.hh"
@@ -318,8 +319,9 @@ TEST(AnalysisEdge, InterleavedThreadsAttributeCorrectly)
               trace::DataClass::None, 0, 0});
     analysis::EpochBuilder builder(set);
     ASSERT_EQ(builder.epochCount(), 2u);
-    const auto t0 = builder.epochsOf(0);
-    const auto t1 = builder.epochsOf(1);
+    std::vector<const analysis::Epoch *> t0, t1;
+    for (const analysis::Epoch &ep : builder.epochs())
+        (ep.tid == 0 ? t0 : t1).push_back(&ep);
     ASSERT_EQ(t0.size(), 1u);
     ASSERT_EQ(t1.size(), 1u);
     EXPECT_EQ(t0[0]->size(), 2u); // lines 0 and 1

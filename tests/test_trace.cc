@@ -269,6 +269,150 @@ TEST(TraceReader, RejectsByteTruncatedTrace)
     std::remove(path.c_str());
 }
 
+TEST(TraceReader, RejectsDuplicateSectionTid)
+{
+    TraceSet set;
+    set.createBuffer(0)->push(ev(1, EventKind::PmStore));
+    set.createBuffer(1)->push(ev(2, EventKind::PmStore));
+    const std::string path = "/tmp/whisper_reader_dup_tid.bin";
+    ASSERT_TRUE(writeTraceFile(path, set));
+    // Rename section 1's thread to 0: a TraceSet cannot hold both.
+    std::FILE *f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    std::fseek(f,
+               static_cast<long>(sizeof(TraceFileHeader) +
+                                 sizeof(TraceSectionHeader) +
+                                 sizeof(TraceEvent)),
+               SEEK_SET);
+    std::fputc(0, f);
+    std::fclose(f);
+
+    TraceFileReader reader;
+    EXPECT_FALSE(reader.open(path));
+    EXPECT_EQ(reader.lastError(), TraceReadError::DuplicateTid);
+    EXPECT_EQ(reader.threadCount(), 0u);
+    EXPECT_STREQ(traceReadErrorName(reader.lastError()),
+                 "duplicate-tid");
+    TraceSet loaded;
+    TraceReadFault fault;
+    EXPECT_FALSE(readTraceFile(path, loaded, &fault));
+    EXPECT_EQ(fault.error, TraceReadError::DuplicateTid);
+    EXPECT_FALSE(fault.badEvent());
+    std::remove(path.c_str());
+}
+
+/**
+ * Write a two-section trace (10 valid events each), overwrite byte
+ * @p byte (0..23) of event @p event in section @p section with
+ * @p value, and return where it went.
+ */
+std::string
+traceWithPatchedEvent(const std::string &name, std::size_t section,
+                      std::size_t event, std::size_t byte,
+                      std::uint8_t value)
+{
+    TraceSet set;
+    for (ThreadId tid : {0u, 1u}) {
+        TraceBuffer *b = set.createBuffer(tid);
+        for (Tick t = 1; t <= 10; t++) {
+            b->push(t % 4 == 0
+                        ? ev(t, EventKind::Fence, 0, 0, DataClass::None)
+                        : ev(t, EventKind::PmStore, t * 64));
+        }
+    }
+    const std::string path = "/tmp/whisper_reader_" + name + ".bin";
+    EXPECT_TRUE(writeTraceFile(path, set));
+    const long off = static_cast<long>(
+        sizeof(TraceFileHeader) +
+        section * (sizeof(TraceSectionHeader) + 10 * sizeof(TraceEvent)) +
+        sizeof(TraceSectionHeader) + event * sizeof(TraceEvent) + byte);
+    std::FILE *f = std::fopen(path.c_str(), "r+b");
+    EXPECT_NE(f, nullptr);
+    std::fseek(f, off, SEEK_SET);
+    std::fputc(value, f);
+    std::fclose(f);
+    return path;
+}
+
+/**
+ * Expect @p path to index cleanly, then fail to stream (in 3-event
+ * chunks, so checks span chunk boundaries) and to load with @p want
+ * at section 1, event @p event.
+ */
+void
+expectBadEvent(const std::string &path, std::uint64_t event,
+               TraceReadError want)
+{
+    TraceFileReader reader;
+    ASSERT_TRUE(reader.open(path));
+    EXPECT_TRUE(reader.streamSection(0, [](const TraceEvent *,
+                                           std::size_t) {}));
+    TraceReadFault fault;
+    std::uint64_t handed = 0;
+    EXPECT_FALSE(reader.streamSection(
+        1, [&](const TraceEvent *, std::size_t n) { handed += n; }, 3,
+        &fault));
+    EXPECT_EQ(fault.error, want);
+    EXPECT_TRUE(fault.badEvent());
+    EXPECT_EQ(fault.section, 1u);
+    EXPECT_EQ(fault.event, event);
+    // Only whole chunks before the bad event's reach the sink.
+    EXPECT_EQ(handed, event / 3 * 3);
+
+    TraceSet loaded;
+    TraceReadFault load_fault;
+    EXPECT_FALSE(readTraceFile(path, loaded, &load_fault));
+    EXPECT_EQ(load_fault.error, want);
+    EXPECT_EQ(load_fault.section, 1u);
+    EXPECT_EQ(load_fault.event, event);
+    std::remove(path.c_str());
+}
+
+TEST(TraceReader, RejectsUnknownEventKind)
+{
+    expectBadEvent(traceWithPatchedEvent("kind", 1, 5, 20, 0x7f), 5,
+                   TraceReadError::BadKind);
+    EXPECT_STREQ(traceReadErrorName(TraceReadError::BadKind),
+                 "bad-kind");
+}
+
+TEST(TraceReader, RejectsUnknownDataClass)
+{
+    expectBadEvent(traceWithPatchedEvent("class", 1, 0, 21, 6), 0,
+                   TraceReadError::BadClass);
+    EXPECT_STREQ(traceReadErrorName(TraceReadError::BadClass),
+                 "bad-class");
+}
+
+TEST(TraceReader, RejectsUnknownFenceKind)
+{
+    // Event 3 (tick 4) is a fence; aux 2 is no FenceKind.
+    expectBadEvent(traceWithPatchedEvent("fence", 1, 3, 22, 2), 3,
+                   TraceReadError::BadFenceKind);
+    EXPECT_STREQ(traceReadErrorName(TraceReadError::BadFenceKind),
+                 "bad-fence-kind");
+}
+
+TEST(TraceReader, RejectsOutOfRangeOrigin)
+{
+    expectBadEvent(traceWithPatchedEvent("origin", 1, 9, 23,
+                                         static_cast<std::uint8_t>(
+                                             kOriginCount)),
+                   9, TraceReadError::BadOrigin);
+    EXPECT_STREQ(traceReadErrorName(TraceReadError::BadOrigin),
+                 "bad-origin");
+}
+
+TEST(TraceReader, RejectsBackwardTimestamp)
+{
+    // Event 6 (tick 7) drops to tick 0, below event 5's tick 6,
+    // which the reader handed out in the previous 3-event chunk.
+    expectBadEvent(traceWithPatchedEvent("ts", 1, 6, 0, 0), 6,
+                   TraceReadError::BackwardTs);
+    EXPECT_STREQ(traceReadErrorName(TraceReadError::BackwardTs),
+                 "backward-ts");
+}
+
 TEST(TraceReader, ReportsShortReadWhenFileShrinksAfterOpen)
 {
     TraceSet set;
@@ -301,13 +445,13 @@ TEST(TraceReader, ReportsShortReadWhenFileShrinksAfterOpen)
         std::fclose(f);
     }
 
-    TraceReadError err = TraceReadError::None;
+    TraceReadFault fault;
     std::size_t seen = 0;
     EXPECT_FALSE(reader.streamSection(
         0,
         [&](const TraceEvent *, std::size_t count) { seen += count; },
-        TraceFileReader::kDefaultChunkEvents, &err));
-    EXPECT_EQ(err, TraceReadError::ShortRead);
+        TraceFileReader::kDefaultChunkEvents, &fault));
+    EXPECT_EQ(fault.error, TraceReadError::ShortRead);
     EXPECT_LT(seen, 50u);
     std::remove(path.c_str());
 }
