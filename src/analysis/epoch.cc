@@ -185,7 +185,10 @@ EpochBuilder::EpochBuilder(const trace::TraceSet &traces)
     for (const auto &buf : traces.buffers()) {
         ThreadEpochAccumulator acc(
             buf->tid(), [&](const Epoch &ep) { epochs_.push_back(ep); });
-        acc.addChunk(buf->events().data(), buf->events().size());
+        buf->forEachChunk(
+            [&](const trace::TraceEvent *events, std::size_t n) {
+                acc.addChunk(events, n);
+            });
         threads.push_back(std::move(acc.epochs()));
         std::move(acc.transactions().begin(),
                   acc.transactions().end(), std::back_inserter(txs_));

@@ -270,7 +270,10 @@ optimizeTraces(const trace::TraceSet &traces,
     auto shards = pool.map(buffers.size(), [&](std::size_t i) {
         const trace::TraceBuffer &buf = *buffers[i];
         ThreadOptimizeAccumulator acc(buf.tid());
-        acc.addChunk(buf.events().data(), buf.events().size());
+        buf.forEachChunk(
+            [&](const trace::TraceEvent *events, std::size_t n) {
+                acc.addChunk(events, n);
+            });
         acc.finish();
         return OptimizeShard{acc.summary(), buf.size(), {}};
     });

@@ -97,7 +97,10 @@ analyzeTraces(const trace::TraceSet &traces,
         const trace::TraceBuffer &buf = *buffers[i];
         ThreadShardResult r;
         ThreadEpochAccumulator acc(buf.tid());
-        acc.addChunk(buf.events().data(), buf.events().size());
+        buf.forEachChunk(
+            [&](const trace::TraceEvent *events, std::size_t n) {
+                acc.addChunk(events, n);
+            });
         takeEpochs(acc, r);
         // In-memory counters come from the buffer: they include
         // bulk-accounted volatile accesses that were never
@@ -105,8 +108,8 @@ analyzeTraces(const trace::TraceSet &traces,
         r.counters = buf.counters();
         r.eventCount = buf.size();
         if (!buf.empty()) {
-            r.firstTick = buf.events().front().ts;
-            r.lastTick = buf.events().back().ts;
+            r.firstTick = buf.front().ts;
+            r.lastTick = buf.back().ts;
         }
         return r;
     });

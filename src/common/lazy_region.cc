@@ -1,4 +1,4 @@
-#include "pm/lazy_region.hh"
+#include "common/lazy_region.hh"
 
 #include <sys/mman.h>
 
@@ -8,7 +8,7 @@
 
 #include "common/logging.hh"
 
-namespace whisper::pm
+namespace whisper
 {
 
 LazyRegion::LazyRegion(std::size_t bytes) : bytes_(bytes)
@@ -33,4 +33,10 @@ LazyRegion::LazyRegion(LazyRegion &&other) noexcept
 {
 }
 
-} // namespace whisper::pm
+void
+LazyRegion::adviseHugePages()
+{
+    madvise(base_, bytes_, MADV_HUGEPAGE);
+}
+
+} // namespace whisper

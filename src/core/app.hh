@@ -287,12 +287,18 @@ class WhisperApp
      * Build per-thread structures and preload every partition
      * (setupPartitions()), then split the runtime's clocks
      * (Runtime::splitClocks()): from here on each client stamps its
-     * events from its own clock.
+     * events from its own clock. The preload runs untraced
+     * (trace::UntracedScope): it does every PM op and clock advance,
+     * but records no event and no counter, so traces then start
+     * empty.
      */
     void
     workloadSetup(Runtime &rt, const WorkloadKeymap &map)
     {
-        setupPartitions(rt, map);
+        {
+            trace::UntracedScope untraced(rt.traces());
+            setupPartitions(rt, map);
+        }
         rt.splitClocks();
     }
 

@@ -137,8 +137,11 @@ runApp(const std::string &name, const AppConfig &config)
 {
     Session s(name, config);
     Runtime &rt = s.rt();
-    s.app().setup(rt);
-    rt.clearTraces();
+    {
+        // Traces start empty: setup() records nothing.
+        trace::UntracedScope untraced(rt.traces());
+        s.app().setup(rt);
+    }
     s.run([&](pm::PmContext &ctx, ThreadId tid) {
         s.app().run(rt, ctx, tid);
     });

@@ -168,7 +168,7 @@ runLincheckOps(pm::PmContext &ctx, ThreadId tid, core::WhisperApp &app,
 /**
  * Set a case's app up: loaded over the lincheck keymap for the
  * lincheck dimension (recording from the baseline when @p record),
- * setup() otherwise. Traces then start empty.
+ * an untraced setup() otherwise. Traces then start empty.
  */
 core::WorkloadKeymap
 setUp(core::Session &s, const FuzzConfig &config,
@@ -185,6 +185,7 @@ setUp(core::Session &s, const FuzzConfig &config,
         if (record)
             s.record(map);
     } else {
+        trace::UntracedScope untraced(s.rt().traces());
         s.app().setup(s.rt());
     }
     s.rt().clearTraces();

@@ -44,7 +44,7 @@
 #include "common/rng.hh"
 #include "common/types.hh"
 #include "pm/fault_plan.hh"
-#include "pm/lazy_region.hh"
+#include "common/lazy_region.hh"
 
 namespace whisper::pm
 {

@@ -50,6 +50,10 @@ enum class DataClass : std::uint8_t
     None,       //!< not a write (loads, fences)
 };
 
+/** Number of data classes (None ends the enum). */
+inline constexpr std::size_t kDataClassCount =
+    static_cast<std::size_t>(DataClass::None) + 1;
+
 /** Flavour of an sfence, as classified by the instrumentation. */
 enum class FenceKind : std::uint8_t
 {

@@ -1,5 +1,10 @@
 #include "trace/trace_buffer.hh"
 
+#include <algorithm>
+#include <cstring>
+
+#include "common/logging.hh"
+
 namespace whisper::trace
 {
 
@@ -15,65 +20,71 @@ AccessCounters::merge(const AccessCounters &other)
     dramStores += other.dramStores;
     pmStoreBytes += other.pmStoreBytes;
     pmNtStoreBytes += other.pmNtStoreBytes;
-    for (std::size_t i = 0; i < 6; i++)
+    for (std::size_t i = 0; i < kDataClassCount; i++)
         pmBytesByClass[i] += other.pmBytesByClass[i];
 }
 
 TraceBuffer::TraceBuffer(ThreadId tid, bool record_volatile)
     : tid_(tid), recordVolatile_(record_volatile)
 {
-    events_.reserve(1024);
 }
 
 void
-AccessCounters::add(const TraceEvent &ev)
+TraceBuffer::append(const TraceEvent *events, std::size_t n)
 {
-    switch (ev.kind) {
-      case EventKind::PmStore:
-        pmStores++;
-        pmStoreBytes += ev.size;
-        pmBytesByClass[static_cast<int>(ev.cls)] += ev.size;
-        break;
-      case EventKind::PmNtStore:
-        pmNtStores++;
-        pmNtStoreBytes += ev.size;
-        pmBytesByClass[static_cast<int>(ev.cls)] += ev.size;
-        break;
-      case EventKind::PmLoad:
-        pmLoads++;
-        break;
-      case EventKind::PmFlush:
-        pmFlushes++;
-        break;
-      case EventKind::Fence:
-        fences++;
-        break;
-      case EventKind::DramLoad:
-        dramLoads++;
-        break;
-      case EventKind::DramStore:
-        dramStores++;
-        break;
-      default:
-        break;
-    }
-}
-
-void
-TraceBuffer::push(const TraceEvent &ev)
-{
-    counters_.add(ev);
-    if (!recordVolatile_ && (ev.kind == EventKind::DramLoad ||
-                             ev.kind == EventKind::DramStore)) {
+    if (suspended_ || !recordVolatile_) {
+        // Some events may be dropped: take the per-event path.
+        for (std::size_t i = 0; i < n; i++)
+            push(events[i]);
         return;
     }
-    events_.push_back(ev);
+    for (std::size_t i = 0; i < n; i++)
+        counters_.add(events[i]);
+    while (n > 0) {
+        if (cur_ == end_)
+            grow();
+        const std::size_t take =
+            std::min(n, static_cast<std::size_t>(end_ - cur_));
+        std::memcpy(cur_, events, take * sizeof(TraceEvent));
+        cur_ += take;
+        events += take;
+        n -= take;
+    }
+}
+
+void
+TraceBuffer::grow()
+{
+    if (!chunks_.empty())
+        sealed_ += chunkEvents(chunks_.size() - 1);
+    const std::size_t events = chunkEvents(chunks_.size());
+    LazyRegion &chunk = chunks_.emplace_back(events * sizeof(TraceEvent));
+    if (chunk.size() >= kHugePageBytes)
+        chunk.adviseHugePages();
+    tail_ = cur_ = chunkData(chunks_.size() - 1);
+    end_ = tail_ + events;
+}
+
+const TraceEvent &
+TraceBuffer::at(std::size_t i) const
+{
+    panic_if(i >= size(), "trace event %zu beyond %zu", i, size());
+    std::size_t k = 0;
+    while (i >= chunkEvents(k))
+        i -= chunkEvents(k++);
+    return chunkData(k)[i];
 }
 
 void
 TraceBuffer::clear()
 {
-    events_.clear();
+    while (chunks_.size() > 1)
+        chunks_.pop_back();
+    sealed_ = 0;
+    if (!chunks_.empty()) {
+        tail_ = cur_ = chunkData(0);
+        end_ = tail_ + kFirstChunkEvents;
+    }
     counters_ = AccessCounters{};
 }
 

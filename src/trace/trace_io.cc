@@ -46,12 +46,13 @@ writeTraceFile(const std::string &path, const TraceSet &traces)
                                    buf->size())};
         if (!writePod(f.get(), sec))
             return false;
-        const auto &events = buf->events();
-        if (!events.empty() &&
-            std::fwrite(events.data(), sizeof(TraceEvent), events.size(),
-                        f.get()) != events.size()) {
+        bool ok = true;
+        buf->forEachChunk([&](const TraceEvent *events, std::size_t n) {
+            ok = ok && std::fwrite(events, sizeof(TraceEvent), n,
+                                   f.get()) == n;
+        });
+        if (!ok)
             return false;
-        }
     }
     return true;
 }
@@ -75,8 +76,7 @@ readTraceFile(const std::string &path, TraceSet &traces,
         const bool ok = reader.streamSection(
             i,
             [&](const TraceEvent *events, std::size_t count) {
-                for (std::size_t j = 0; j < count; j++)
-                    buf->push(events[j]);
+                buf->append(events, count);
             },
             TraceFileReader::kDefaultChunkEvents, fault);
         if (!ok)

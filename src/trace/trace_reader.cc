@@ -25,12 +25,11 @@ using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 TraceReadError
 checkEvent(const TraceEvent &ev, Tick prevTs)
 {
-    // DramStore, None and Durability end their enums.
+    // DramStore and Durability end their enums.
     if (static_cast<std::uint8_t>(ev.kind) >
         static_cast<std::uint8_t>(EventKind::DramStore))
         return TraceReadError::BadKind;
-    if (static_cast<std::uint8_t>(ev.cls) >
-        static_cast<std::uint8_t>(DataClass::None))
+    if (static_cast<std::size_t>(ev.cls) >= kDataClassCount)
         return TraceReadError::BadClass;
     if (ev.kind == EventKind::Fence &&
         ev.aux > static_cast<std::uint8_t>(FenceKind::Durability))

@@ -65,8 +65,10 @@ TraceSet::merged() const
     std::vector<MergedEvent> out;
     out.reserve(totalEvents());
     for (const auto &buf : buffers_) {
-        for (const auto &ev : buf->events())
-            out.push_back({buf->tid(), ev});
+        buf->forEachChunk([&](const TraceEvent *events, std::size_t n) {
+            for (std::size_t i = 0; i < n; i++)
+                out.push_back({buf->tid(), events[i]});
+        });
     }
     std::stable_sort(out.begin(), out.end(),
                      [](const MergedEvent &a, const MergedEvent &b) {
@@ -83,7 +85,7 @@ TraceSet::firstTick() const
     Tick first = ~Tick(0);
     for (const auto &buf : buffers_) {
         if (!buf->empty())
-            first = std::min(first, buf->events().front().ts);
+            first = std::min(first, buf->front().ts);
     }
     return first == ~Tick(0) ? 0 : first;
 }
@@ -94,7 +96,7 @@ TraceSet::lastTick() const
     Tick last = 0;
     for (const auto &buf : buffers_) {
         if (!buf->empty())
-            last = std::max(last, buf->events().back().ts);
+            last = std::max(last, buf->back().ts);
     }
     return last;
 }
@@ -104,6 +106,18 @@ TraceSet::clear()
 {
     for (auto &buf : buffers_)
         buf->clear();
+}
+
+UntracedScope::UntracedScope(TraceSet &traces) : traces_(traces)
+{
+    for (const auto &buf : traces_.buffers())
+        buf->suspended_++;
+}
+
+UntracedScope::~UntracedScope()
+{
+    for (const auto &buf : traces_.buffers())
+        buf->suspended_--;
 }
 
 } // namespace whisper::trace

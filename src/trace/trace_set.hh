@@ -71,6 +71,28 @@ class TraceSet
     std::vector<std::unique_ptr<TraceBuffer>> buffers_;
 };
 
+/**
+ * RAII suspension of every buffer of a TraceSet: inside the scope no
+ * event is stored and no counter moves, so a phase whose events would
+ * be dropped anyway (a workload preload, an app's setup()) costs no
+ * trace memory. The contexts keep their buffers, so everything else
+ * a traced run does still happens: PM ops, clock advances, crash-plan
+ * counts, and the DRAM page numbering of record-volatile traces.
+ * Create and destroy it while no thread records into @p traces.
+ */
+class UntracedScope
+{
+  public:
+    explicit UntracedScope(TraceSet &traces);
+    ~UntracedScope();
+
+    UntracedScope(const UntracedScope &) = delete;
+    UntracedScope &operator=(const UntracedScope &) = delete;
+
+  private:
+    TraceSet &traces_;
+};
+
 } // namespace whisper::trace
 
 #endif // WHISPER_TRACE_TRACE_SET_HH

@@ -212,8 +212,8 @@ TEST(Optimize, AgreesWithRuntimeFlushDedupe)
 
     std::uint64_t flush_events = 0;
     for (const auto &buf : rt.traces().buffers())
-        for (const auto &event : buf->events())
-            if (event.kind == EventKind::PmFlush)
+        for (std::size_t i = 0; i < buf->size(); i++)
+            if (buf->at(i).kind == EventKind::PmFlush)
                 flush_events++;
     EXPECT_EQ(flush_events, 1u);
 

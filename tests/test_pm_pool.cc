@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <numeric>
@@ -19,6 +18,7 @@
 #include "pm/pm_context.hh"
 #include "pm/pm_pool.hh"
 #include "pm/poff.hh"
+#include "resident.hh"
 
 namespace whisper
 {
@@ -388,8 +388,8 @@ TEST(PmContext, LongFlushAbsorbsOverlappingReflushes)
     EXPECT_EQ(w.ctx.pendingFlushes(), want);
 
     std::size_t flushEvents = 0;
-    for (const trace::TraceEvent &e : w.tb.events())
-        flushEvents += e.kind == trace::EventKind::PmFlush;
+    for (std::size_t i = 0; i < w.tb.size(); i++)
+        flushEvents += w.tb.at(i).kind == trace::EventKind::PmFlush;
     EXPECT_EQ(flushEvents, want.size());
 
     const std::uint64_t before = w.pool.stats().linesPersisted;
@@ -432,14 +432,13 @@ TEST(PmContext, TraceEventsEmitted)
     w.ctx.store(0, &v, 8);
     w.ctx.flush(0, 8);
     w.ctx.fence(pm::FenceKind::Durability);
-    const auto &events = w.tb.events();
-    ASSERT_EQ(events.size(), 3u);
-    EXPECT_EQ(events[0].kind, trace::EventKind::PmStore);
-    EXPECT_EQ(events[1].kind, trace::EventKind::PmFlush);
-    EXPECT_EQ(events[2].kind, trace::EventKind::Fence);
-    EXPECT_EQ(events[2].fenceKind(), trace::FenceKind::Durability);
-    EXPECT_LT(events[0].ts, events[1].ts);
-    EXPECT_LT(events[1].ts, events[2].ts);
+    ASSERT_EQ(w.tb.size(), 3u);
+    EXPECT_EQ(w.tb.at(0).kind, trace::EventKind::PmStore);
+    EXPECT_EQ(w.tb.at(1).kind, trace::EventKind::PmFlush);
+    EXPECT_EQ(w.tb.at(2).kind, trace::EventKind::Fence);
+    EXPECT_EQ(w.tb.at(2).fenceKind(), trace::FenceKind::Durability);
+    EXPECT_LT(w.tb.at(0).ts, w.tb.at(1).ts);
+    EXPECT_LT(w.tb.at(1).ts, w.tb.at(2).ts);
 }
 
 TEST(PmContext, DramBurstStaysInItsBuffersPages)
@@ -458,13 +457,13 @@ TEST(PmContext, DramBurstStaysInItsBuffersPages)
     pm::PmContext ctx{pool, clock, 0, &tb};
     const auto pagesOf = [&](std::size_t from) {
         std::set<Addr> pages;
-        for (std::size_t i = from; i < tb.events().size(); i++)
-            pages.insert(tb.events()[i].addr >> 12);
+        for (std::size_t i = from; i < tb.size(); i++)
+            pages.insert(tb.at(i).addr >> 12);
         return pages;
     };
     ctx.vBurst(a, 1 << 14, 300, 100);
     const std::set<Addr> pagesA = pagesOf(0);
-    std::size_t seen = tb.events().size();
+    std::size_t seen = tb.size();
     ctx.vBurst(b, 1 << 14, 300, 100);
     const std::set<Addr> pagesB = pagesOf(seen);
     EXPECT_EQ(pagesA.size(), 4u);
@@ -473,7 +472,7 @@ TEST(PmContext, DramBurstStaysInItsBuffersPages)
         EXPECT_EQ(pagesA.count(page), 0u) << "page " << page;
 
     // A later plain access to a's last page lands on a burst-a page.
-    seen = tb.events().size();
+    seen = tb.size();
     ctx.vLoad(a + 3 * 4096 + 8, 8);
     EXPECT_EQ(pagesA.count(*pagesOf(seen).begin()), 1u);
 }
@@ -635,23 +634,6 @@ TEST(PmPool, TransientFaultsRetryInvisibly)
     }
     EXPECT_GE(w.pool.stats().transientFaults, 3u);
     EXPECT_EQ(w.pool.stats().mediaErrors, 0u);
-}
-
-/** Resident set size of this process, in bytes (Linux /proc). */
-std::size_t
-residentBytes()
-{
-    std::FILE *f = std::fopen("/proc/self/status", "r");
-    if (!f)
-        return 0;
-    char row[256];
-    std::size_t kb = 0;
-    while (std::fgets(row, sizeof(row), f)) {
-        if (std::sscanf(row, "VmRSS: %zu kB", &kb) == 1)
-            break;
-    }
-    std::fclose(f);
-    return kb * 1024;
 }
 
 TEST(PmPool, ConstructionTouchesOnlyWrittenPages)

@@ -6,12 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <vector>
 
 #include "trace/trace_io.hh"
 #include "trace/trace_reader.hh"
 #include "trace/trace_set.hh"
+#include "resident.hh"
 
 namespace whisper::trace
 {
@@ -68,6 +73,203 @@ TEST(TraceBuffer, ClearResetsEverything)
     buf.clear();
     EXPECT_TRUE(buf.empty());
     EXPECT_EQ(buf.counters().pmStores, 0u);
+}
+
+/** Event @p i of a valid, varied trace: every kind, class and origin. */
+TraceEvent
+patterned(std::size_t i)
+{
+    const auto kind = static_cast<EventKind>(i % 10);
+    const std::uint8_t aux =
+        kind == EventKind::Fence ? static_cast<std::uint8_t>(i / 10 % 2)
+                                 : 0;
+    return TraceEvent{i / 3, i * 64, static_cast<std::uint32_t>(i % 100),
+                      kind, static_cast<DataClass>(i % kDataClassCount),
+                      aux, static_cast<std::uint8_t>(i % kOriginCount)};
+}
+
+std::vector<TraceEvent>
+contents(const TraceBuffer &buf)
+{
+    std::vector<TraceEvent> out;
+    buf.forEachChunk([&](const TraceEvent *events, std::size_t n) {
+        out.insert(out.end(), events, events + n);
+    });
+    return out;
+}
+
+bool
+same(const TraceEvent &a, const TraceEvent &b)
+{
+    return std::memcmp(&a, &b, sizeof(TraceEvent)) == 0;
+}
+
+std::vector<char>
+fileBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+/** Whether @p buf holds exactly ref[0, n), by chunk and by index. */
+void
+expectHolds(const TraceBuffer &buf, const std::vector<TraceEvent> &ref,
+            std::size_t n)
+{
+    ASSERT_EQ(buf.size(), n);
+    EXPECT_EQ(buf.empty(), n == 0);
+    const std::vector<TraceEvent> got = contents(buf);
+    ASSERT_EQ(got.size(), n);
+    for (std::size_t i = 0; i < n; i++) {
+        ASSERT_TRUE(same(got[i], ref[i])) << "chunked event " << i;
+        ASSERT_TRUE(same(buf.at(i), ref[i])) << "indexed event " << i;
+    }
+    if (n > 0) {
+        EXPECT_TRUE(same(buf.front(), ref[0]));
+        EXPECT_TRUE(same(buf.back(), ref[n - 1]));
+    }
+}
+
+TEST(TraceBuffer, ChunkBoundariesHoldEveryEvent)
+{
+    // Sizes on both sides of the first chunk's end, of the first
+    // capped chunk's size and of three capped chunks.
+    constexpr std::size_t kCap = TraceBuffer::kChunkCapEvents;
+    constexpr std::size_t kFirst = TraceBuffer::kFirstChunkEvents;
+    std::vector<TraceEvent> ref(3 * kCap + 5);
+    for (std::size_t i = 0; i < ref.size(); i++)
+        ref[i] = patterned(i);
+    const std::string path = "/tmp/whisper_chunk_bounds.bin";
+    const std::string again = "/tmp/whisper_chunk_bounds_again.bin";
+    for (const std::size_t n : {std::size_t(0), std::size_t(1), kFirst - 1,
+                                kFirst, kFirst + 1, kCap - 1, kCap,
+                                kCap + 1, 3 * kCap + 5}) {
+        SCOPED_TRACE(n);
+        TraceSet set(/*record_volatile=*/true);
+        TraceBuffer *pushed = set.createBuffer(0);
+        TraceBuffer *appended = set.createBuffer(1);
+        AccessCounters counted;
+        for (std::size_t i = 0; i < n; i++) {
+            pushed->push(ref[i]);
+            counted.add(ref[i]);
+        }
+        // Spans of 1000 cross every chunk boundary mid-span.
+        for (std::size_t i = 0; i < n; i += 1000)
+            appended->append(ref.data() + i, std::min<std::size_t>(
+                                                 1000, n - i));
+        expectHolds(*pushed, ref, n);
+        expectHolds(*appended, ref, n);
+        EXPECT_EQ(appended->counters().pmStoreBytes, counted.pmStoreBytes);
+        EXPECT_EQ(appended->counters().dramLoads, counted.dramLoads);
+        for (std::size_t c = 0; c < kDataClassCount; c++)
+            EXPECT_EQ(appended->counters().pmBytesByClass[c],
+                      counted.pmBytesByClass[c]);
+
+        ASSERT_TRUE(writeTraceFile(path, set));
+        TraceSet loaded;
+        ASSERT_TRUE(readTraceFile(path, loaded));
+        expectHolds(*loaded.buffer(0), ref, n);
+        expectHolds(*loaded.buffer(1), ref, n);
+        EXPECT_EQ(loaded.buffer(1)->counters().fences, counted.fences);
+        ASSERT_TRUE(writeTraceFile(again, loaded));
+        EXPECT_EQ(fileBytes(path), fileBytes(again));
+    }
+    std::remove(path.c_str());
+    std::remove(again.c_str());
+}
+
+TEST(TraceBuffer, AppendOfOneSpanMatchesPushes)
+{
+    // One span larger than all growing chunks together; DRAM events
+    // are counted but dropped, as push drops them.
+    constexpr std::size_t kN = 2 * TraceBuffer::kChunkCapEvents + 17;
+    std::vector<TraceEvent> ref(kN);
+    for (std::size_t i = 0; i < kN; i++)
+        ref[i] = patterned(i);
+    for (const bool record_volatile : {true, false}) {
+        TraceBuffer pushed(0, record_volatile);
+        TraceBuffer appended(0, record_volatile);
+        for (const TraceEvent &e : ref)
+            pushed.push(e);
+        appended.append(ref.data(), ref.size());
+        const std::vector<TraceEvent> want = contents(pushed);
+        expectHolds(appended, want, want.size());
+        EXPECT_EQ(want.size() < kN, !record_volatile);
+        EXPECT_EQ(appended.counters().dramStores,
+                  pushed.counters().dramStores);
+        EXPECT_EQ(appended.counters().pmWrites(),
+                  pushed.counters().pmWrites());
+    }
+}
+
+TEST(TraceBuffer, ClearThenRefill)
+{
+    constexpr std::size_t kCap = TraceBuffer::kChunkCapEvents;
+    std::vector<TraceEvent> ref(2 * kCap + 3);
+    for (std::size_t i = 0; i < ref.size(); i++)
+        ref[i] = patterned(i);
+    TraceBuffer buf(0, true);
+    buf.append(ref.data(), ref.size());
+    buf.clear();
+    expectHolds(buf, ref, 0);
+    EXPECT_EQ(buf.counters().pmStores, 0u);
+    EXPECT_EQ(buf.counters().dramLoads, 0u);
+
+    // Refill past the kept first chunk, shifted so no stale event
+    // can pass for a new one.
+    std::vector<TraceEvent> next(ref.begin() + 7, ref.end());
+    for (const TraceEvent &e : next)
+        buf.push(e);
+    expectHolds(buf, next, next.size());
+    buf.clear();
+    buf.push(next[0]);
+    expectHolds(buf, next, 1);
+}
+
+TEST(TraceBuffer, ClearReturnsChunksToTheKernel)
+{
+    // 48 MiB of events: resident while held, released by clear().
+    constexpr std::size_t kEvents = 8 * TraceBuffer::kChunkCapEvents;
+    constexpr std::size_t kBytes = kEvents * sizeof(TraceEvent);
+    const std::size_t before = residentBytes();
+    ASSERT_GT(before, 0u) << "no VmRSS in /proc/self/status";
+    TraceBuffer buf(0);
+    for (std::size_t i = 0; i < kEvents; i++)
+        buf.push(ev(i, EventKind::PmStore, i * 8));
+    const std::size_t full = residentBytes();
+    EXPECT_GT(full, before + kBytes / 2);
+    buf.clear();
+    EXPECT_LT(residentBytes(), full - kBytes / 2);
+}
+
+TEST(TraceBuffer, SuspendedRecordsNothing)
+{
+    TraceSet set;
+    TraceBuffer *buf = set.createBuffer(0);
+    buf->push(ev(1, EventKind::PmStore));
+    {
+        UntracedScope outer(set);
+        {
+            UntracedScope inner(set);
+            EXPECT_TRUE(buf->suspended());
+        }
+        // Still inside the outer scope.
+        EXPECT_TRUE(buf->suspended());
+        buf->push(ev(2, EventKind::PmStore));
+        const TraceEvent more[2] = {ev(3, EventKind::Fence),
+                                    ev(4, EventKind::PmFlush)};
+        buf->append(more, 2);
+        buf->addVolatileBulk(10, 10);
+    }
+    EXPECT_FALSE(buf->suspended());
+    EXPECT_EQ(buf->size(), 1u);
+    EXPECT_EQ(buf->counters().pmStores, 1u);
+    EXPECT_EQ(buf->counters().fences, 0u);
+    EXPECT_EQ(buf->counters().dramAccesses(), 0u);
+    buf->push(ev(5, EventKind::Fence));
+    EXPECT_EQ(buf->size(), 2u);
+    EXPECT_EQ(buf->back().ts, 5u);
 }
 
 TEST(TraceSet, MergeSortsByTimestamp)
@@ -132,9 +334,9 @@ TEST(TraceIo, RoundTrip)
     ASSERT_NE(l1, nullptr);
     ASSERT_EQ(l0->size(), 2u);
     ASSERT_EQ(l1->size(), 1u);
-    EXPECT_EQ(l0->events()[1].fenceKind(), FenceKind::Durability);
-    EXPECT_EQ(l1->events()[0].addr, 4096u);
-    EXPECT_EQ(l1->events()[0].cls, DataClass::Log);
+    EXPECT_EQ(l0->at(1).fenceKind(), FenceKind::Durability);
+    EXPECT_EQ(l1->at(0).addr, 4096u);
+    EXPECT_EQ(l1->at(0).cls, DataClass::Log);
 }
 
 TEST(TraceIo, RejectsMissingFile)
@@ -207,11 +409,11 @@ TEST(TraceReader, StreamsChunksInProgramOrder)
         7));
     std::remove(path.c_str());
 
-    ASSERT_EQ(streamed.size(), b->events().size());
+    ASSERT_EQ(streamed.size(), b->size());
     EXPECT_EQ(chunks, (100 + 6) / 7u);
     for (std::size_t i = 0; i < streamed.size(); i++) {
-        EXPECT_EQ(streamed[i].ts, b->events()[i].ts);
-        EXPECT_EQ(streamed[i].addr, b->events()[i].addr);
+        EXPECT_EQ(streamed[i].ts, b->at(i).ts);
+        EXPECT_EQ(streamed[i].addr, b->at(i).addr);
     }
 }
 
@@ -485,7 +687,7 @@ TEST(AccessCounters, AddMatchesBufferPush)
     EXPECT_EQ(direct.dramStores, buf.counters().dramStores);
     EXPECT_EQ(direct.pmStoreBytes, buf.counters().pmStoreBytes);
     EXPECT_EQ(direct.pmNtStoreBytes, buf.counters().pmNtStoreBytes);
-    for (int c = 0; c < 6; c++)
+    for (std::size_t c = 0; c < kDataClassCount; c++)
         EXPECT_EQ(direct.pmBytesByClass[c],
                   buf.counters().pmBytesByClass[c]);
 }

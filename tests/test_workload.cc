@@ -516,6 +516,34 @@ struct YieldingObserver : pm::FenceObserver
     }
 };
 
+TEST(WorkloadDriver, PreloadIsUntraced)
+{
+    // workloadSetup() records neither events nor counters, and
+    // recording resumes with the first measured op.
+    for (const std::string &app : core::registeredApps()) {
+        core::AppConfig cfg;
+        cfg.threads = 2;
+        cfg.poolBytes = 64 << 20;
+        core::Session s(app, cfg);
+        core::WorkloadKeymap map;
+        map.keys = 600;
+        map.threads = 2;
+        s.app().workloadSetup(s.rt(), map);
+        const trace::TraceSet &traces = s.rt().traces();
+        EXPECT_EQ(traces.totalEvents(), 0u) << app;
+        const trace::AccessCounters c = traces.totalCounters();
+        EXPECT_EQ(c.pmAccesses() + c.pmFlushes + c.fences +
+                      c.dramAccesses(),
+                  0u)
+            << app;
+        EXPECT_GT(s.rt().ctx(1).now(), 0u) << app << ": preload ran";
+
+        s.app().workloadPut(s.rt().ctx(1), 1, map.lo(1), 42);
+        EXPECT_GT(traces.buffer(1)->size(), 0u) << app;
+        EXPECT_GT(traces.totalCounters().pmWrites(), 0u) << app;
+    }
+}
+
 TEST(WorkloadDriver, PartitionedTraceIndependentOfSchedule)
 {
     // Each client stamps its events from its own clock, so neither
