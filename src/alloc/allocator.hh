@@ -73,15 +73,6 @@ class PmAllocator
 
     virtual const AllocStats &stats() const = 0;
 
-    /** Typed convenience allocation (payload is zero-initialized). */
-    template <typename T>
-    pm::POff<T>
-    allocT(pm::PmContext &ctx)
-    {
-        const Addr off = alloc(ctx, sizeof(T));
-        return pm::POff<T>(off);
-    }
-
   protected:
     /**
      * Serializes allocator-internal volatile state across application

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 
-#include "common/thread_pool.hh"
-#include "trace/trace_reader.hh"
+#include "analysis/trace_sections.hh"
 
 namespace whisper::analysis
 {
@@ -247,16 +246,44 @@ struct OptimizeShard
     trace::TraceReadFault fault;
 };
 
-OptimizeResult
-joinShards(std::vector<OptimizeShard> shards)
+/** The shard body: classify one thread's section. */
+OptimizeShard
+optimizeSection(const TraceSection &section)
 {
-    OptimizeResult out;
+    OptimizeShard shard;
+    ThreadOptimizeAccumulator acc(section.tid);
+    const bool ok = section.stream(
+        [&](const trace::TraceEvent *events, std::size_t count) {
+            shard.eventCount += count;
+            acc.addChunk(events, count);
+        },
+        shard.fault);
+    if (ok) {
+        acc.finish();
+        shard.summary = acc.summary();
+    }
+    return shard;
+}
+
+/** Shard every section of the trace, then join; false on a fault. */
+bool
+optimizeSections(const trace::TraceSet *traces,
+                 const trace::TraceFileReader *reader,
+                 const OptimizeOptions &options, OptimizeResult &out,
+                 trace::TraceReadFault *fault)
+{
+    ThreadPool pool(options.jobs);
+    std::vector<OptimizeShard> shards;
+    if (!shardSections(pool, traces, reader, optimizeSection, shards,
+                       fault))
+        return false;
+    out = OptimizeResult();
     out.threadCount = shards.size();
     for (const OptimizeShard &shard : shards) {
         out.totalEvents += shard.eventCount;
         out.summary.merge(shard.summary);
     }
-    return out;
+    return true;
 }
 
 } // namespace
@@ -265,19 +292,9 @@ OptimizeResult
 optimizeTraces(const trace::TraceSet &traces,
                const OptimizeOptions &options)
 {
-    ThreadPool pool(options.jobs);
-    const auto &buffers = traces.buffers();
-    auto shards = pool.map(buffers.size(), [&](std::size_t i) {
-        const trace::TraceBuffer &buf = *buffers[i];
-        ThreadOptimizeAccumulator acc(buf.tid());
-        buf.forEachChunk(
-            [&](const trace::TraceEvent *events, std::size_t n) {
-                acc.addChunk(events, n);
-            });
-        acc.finish();
-        return OptimizeShard{acc.summary(), buf.size(), {}};
-    });
-    return joinShards(std::move(shards));
+    OptimizeResult out;
+    optimizeSections(&traces, nullptr, options, out, nullptr);
+    return out;
 }
 
 bool
@@ -286,41 +303,8 @@ optimizeTraceFile(const std::string &path, OptimizeResult &out,
                   trace::TraceReadFault *fault)
 {
     trace::TraceFileReader reader;
-    if (!reader.open(path)) {
-        if (fault)
-            *fault = {reader.lastError()};
-        return false;
-    }
-
-    ThreadPool pool(options.jobs);
-    auto shards =
-        pool.map(reader.sections().size(), [&](std::size_t i) {
-            OptimizeShard shard;
-            ThreadOptimizeAccumulator acc(reader.sections()[i].tid);
-            const bool ok = reader.streamSection(
-                i,
-                [&](const trace::TraceEvent *events,
-                    std::size_t count) {
-                    shard.eventCount += count;
-                    acc.addChunk(events, count);
-                },
-                trace::TraceFileReader::kDefaultChunkEvents,
-                &shard.fault);
-            if (ok) {
-                acc.finish();
-                shard.summary = acc.summary();
-            }
-            return shard;
-        });
-    for (const OptimizeShard &shard : shards) {
-        if (shard.fault.error != trace::TraceReadError::None) {
-            if (fault)
-                *fault = shard.fault;
-            return false;
-        }
-    }
-    out = joinShards(std::move(shards));
-    return true;
+    return openTrace(path, reader, fault) &&
+           optimizeSections(nullptr, &reader, options, out, fault);
 }
 
 } // namespace whisper::analysis

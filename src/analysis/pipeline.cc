@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/thread_pool.hh"
-#include "trace/trace_reader.hh"
+#include "analysis/trace_sections.hh"
 
 namespace whisper::analysis
 {
@@ -84,36 +83,61 @@ joinAndFinish(std::vector<ThreadShardResult> shards, ThreadPool &pool)
     return out;
 }
 
+/**
+ * The shard body: fold one thread's section into its epochs,
+ * statistics, counters and tick span.
+ */
+ThreadShardResult
+analyzeSection(const TraceSection &section)
+{
+    ThreadShardResult r;
+    ThreadEpochAccumulator acc(section.tid);
+    const trace::TraceBuffer *buf = section.buffer;
+    const bool ok = section.stream(
+        [&](const trace::TraceEvent *events, std::size_t count) {
+            if (r.eventCount == 0)
+                r.firstTick = events[0].ts;
+            r.lastTick = events[count - 1].ts;
+            r.eventCount += count;
+            if (!buf) {
+                for (std::size_t j = 0; j < count; j++)
+                    r.counters.add(events[j]);
+            }
+            acc.addChunk(events, count);
+        },
+        r.fault);
+    if (ok)
+        takeEpochs(acc, r);
+    if (buf)
+        r.counters = buf->counters();
+    return r;
+}
+
+/** Shard every section of the trace, then join; false on a fault. */
+bool
+analyzeSections(const trace::TraceSet *traces,
+                const trace::TraceFileReader *reader,
+                const AnalysisOptions &options, AnalysisResult &out,
+                trace::TraceReadFault *fault)
+{
+    ThreadPool pool(options.jobs);
+    std::vector<ThreadShardResult> shards;
+    if (!shardSections(pool, traces, reader, analyzeSection, shards,
+                       fault))
+        return false;
+    out = joinAndFinish(std::move(shards), pool);
+    return true;
+}
+
 } // namespace
 
 AnalysisResult
 analyzeTraces(const trace::TraceSet &traces,
               const AnalysisOptions &options)
 {
-    ThreadPool pool(options.jobs);
-    const auto &buffers = traces.buffers();
-
-    auto shards = pool.map(buffers.size(), [&](std::size_t i) {
-        const trace::TraceBuffer &buf = *buffers[i];
-        ThreadShardResult r;
-        ThreadEpochAccumulator acc(buf.tid());
-        buf.forEachChunk(
-            [&](const trace::TraceEvent *events, std::size_t n) {
-                acc.addChunk(events, n);
-            });
-        takeEpochs(acc, r);
-        // In-memory counters come from the buffer: they include
-        // bulk-accounted volatile accesses that were never
-        // materialized as events.
-        r.counters = buf.counters();
-        r.eventCount = buf.size();
-        if (!buf.empty()) {
-            r.firstTick = buf.front().ts;
-            r.lastTick = buf.back().ts;
-        }
-        return r;
-    });
-    return joinAndFinish(std::move(shards), pool);
+    AnalysisResult out;
+    analyzeSections(&traces, nullptr, options, out, nullptr);
+    return out;
 }
 
 bool
@@ -122,47 +146,8 @@ analyzeTraceFile(const std::string &path, AnalysisResult &out,
                  trace::TraceReadFault *fault)
 {
     trace::TraceFileReader reader;
-    if (!reader.open(path)) {
-        if (fault)
-            *fault = {reader.lastError()};
-        return false;
-    }
-
-    ThreadPool pool(options.jobs);
-    auto shards =
-        pool.map(reader.sections().size(), [&](std::size_t i) {
-            ThreadShardResult r;
-            ThreadEpochAccumulator acc(reader.sections()[i].tid);
-            const bool ok = reader.streamSection(
-                i,
-                [&](const trace::TraceEvent *events,
-                    std::size_t count) {
-                    if (count == 0)
-                        return;
-                    if (r.eventCount == 0)
-                        r.firstTick = events[0].ts;
-                    r.lastTick = events[count - 1].ts;
-                    r.eventCount += count;
-                    for (std::size_t j = 0; j < count; j++)
-                        r.counters.add(events[j]);
-                    acc.addChunk(events, count);
-                },
-                trace::TraceFileReader::kDefaultChunkEvents, &r.fault);
-            if (ok)
-                takeEpochs(acc, r);
-            return r;
-        });
-    // The first failing section in file order names the failure, so
-    // the report does not depend on which worker failed first.
-    for (const ThreadShardResult &r : shards) {
-        if (r.fault.error != trace::TraceReadError::None) {
-            if (fault)
-                *fault = r.fault;
-            return false;
-        }
-    }
-    out = joinAndFinish(std::move(shards), pool);
-    return true;
+    return openTrace(path, reader, fault) &&
+           analyzeSections(nullptr, &reader, options, out, fault);
 }
 
 } // namespace whisper::analysis

@@ -371,7 +371,7 @@ class CtreeApp : public NvmlApp<Instance>
     {
         for (std::uint64_t i = 0; i < wlMap_.perThread(); i++) {
             const std::uint64_t key = wlMap_.lo(tid) + i;
-            insert(ctx, inst_[tid], key, key * 0x9e3779b97f4a7c15ull);
+            insert(ctx, inst_[tid], key, WorkloadKeymap::loadedValue(key));
         }
     }
 

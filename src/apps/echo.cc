@@ -39,7 +39,6 @@ namespace whisper::apps
 using namespace core;
 using pm::DataClass;
 using pm::FenceKind;
-using pm::POff;
 
 namespace
 {
@@ -366,7 +365,7 @@ class EchoApp : public InstanceApp<Instance>
                 for (int r = 0; r < 6; r++) {
                     const std::uint64_t probe = rng.next(key_space);
                     auto it = local.find(probe);
-                    ctx.vLoad(&probe, 8);
+                    ctx.vLoad(ctx.scratch(), 8);
                     if (it != local.end())
                         ctx.vLoad(&it->second, 8);
                 }
@@ -688,13 +687,12 @@ class EchoApp : public InstanceApp<Instance>
 
     /** run()'s per-update client staging over one probe word. */
     static void
-    wlPad(pm::PmContext &ctx, std::uint64_t key)
+    wlPad(pm::PmContext &ctx)
     {
-        std::uint64_t probe = key;
-        ctx.vStore(&probe, 8);
+        ctx.vStore(ctx.scratch(), 8);
         for (int r = 0; r < 6; r++)
-            ctx.vLoad(&probe, 8);
-        pad(ctx, &probe);
+            ctx.vLoad(ctx.scratch(), 8);
+        pad(ctx, ctx.scratch());
     }
 
     /**
@@ -723,7 +721,7 @@ class EchoApp : public InstanceApp<Instance>
     workloadGet(pm::PmContext &ctx, ThreadId tid,
                 std::uint64_t key) override
     {
-        wlPad(ctx, key);
+        wlPad(ctx);
         const Addr ent = findEntry(ctx, inst_[tid], key);
         if (ent == kNullAddr)
             return false;
@@ -736,7 +734,7 @@ class EchoApp : public InstanceApp<Instance>
                 std::uint64_t value) override
     {
         Instance &st = inst_[tid];
-        wlPad(ctx, key);
+        wlPad(ctx);
         const std::uint64_t ts = takeTimestamp(ctx, st);
 
         // Log-then-apply, a one-update batch in run()'s terms.
@@ -766,7 +764,7 @@ class EchoApp : public InstanceApp<Instance>
     workloadScan(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
                  std::uint64_t len) override
     {
-        wlPad(ctx, key);
+        wlPad(ctx);
         std::uint64_t found = 0;
         for (std::uint64_t j = 0; j < len; j++) {
             const Addr ent =
@@ -792,8 +790,8 @@ class EchoApp : public InstanceApp<Instance>
     {
         for (std::uint64_t i = 0; i < wlMap_.perThread(); i++) {
             const std::uint64_t key = wlMap_.lo(tid) + i;
-            applyUpdate(ctx, inst_[tid], key, key * 0x9e3779b97f4a7c15ull,
-                        1);
+            applyUpdate(ctx, inst_[tid], key,
+                        WorkloadKeymap::loadedValue(key), 1);
         }
     }
 

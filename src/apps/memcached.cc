@@ -109,10 +109,10 @@ formatCache(pm::PmContext &ctx, Addr base, std::size_t bytes,
 void
 pad(pm::PmContext &ctx, std::uint64_t key)
 {
-    char reqbuf[64];
-    std::snprintf(reqbuf, sizeof(reqbuf), "get k%llu",
+    char *reqbuf = static_cast<char *>(ctx.scratch());
+    std::snprintf(reqbuf, 64, "get k%llu",
                   static_cast<unsigned long long>(key));
-    ctx.vStore(reqbuf, sizeof(reqbuf));
+    ctx.vStore(reqbuf, 64);
     ctx.vLoad(reqbuf, 16);
     ctx.vBurst(reqbuf, 1 << 13, 160, 70);
     ctx.compute(5500);
@@ -454,7 +454,7 @@ class MemcachedApp : public MneApp<Instance>
         for (std::uint64_t i = 0; i < wlMap_.perThread(); i++) {
             const std::uint64_t key = wlMap_.lo(tid) + i;
             std::uint8_t value[kValueBytes];
-            expandValue(key * 0x9e3779b97f4a7c15ull, value);
+            expandValue(WorkloadKeymap::loadedValue(key), value);
             setOp(ctx, inst_[tid], key, value);
         }
     }

@@ -371,8 +371,8 @@ class ModVectorApp : public ModApp<mod::ModVector>
                 mod::ModVector::kElems, keys - written);
             std::uint64_t vals[mod::ModVector::kElems];
             for (std::uint64_t e = 0; e < k; e++)
-                vals[e] =
-                    (wlMap_.lo(tid) + written + e) * 0x9e3779b97f4a7c15ull;
+                vals[e] = WorkloadKeymap::loadedValue(wlMap_.lo(tid) +
+                                                      written + e);
             panic_if(!inst.structure->write(ctx, 0, chunk, 0, vals, k, k),
                      "mod-vector: heap exhausted during preload");
             written += k;

@@ -214,7 +214,7 @@ class MysqlApp : public PmfsApp<Instance>
             for (int i = 0; i < 10; i++) {
                 Row row{};
                 readRow(ctx, db, zipf.next(rng), row);
-                ctx.vStore(&row, 64); // result set buffering
+                ctx.vStore(ctx.scratch(), 64); // result set buffering
             }
             // SQL parsing, optimizer, buffer-pool management,
             // client round trips: a sysbench OLTP-complex transaction
@@ -280,10 +280,10 @@ class MysqlApp : public PmfsApp<Instance>
      * one KV op carries a proportional slice.
      */
     static void
-    wlPad(pm::PmContext &ctx, std::uint64_t key)
+    wlPad(pm::PmContext &ctx)
     {
-        ctx.vStore(&key, 8);
-        ctx.vBurst(&key, 1 << 14, 25, 10);
+        ctx.vStore(ctx.scratch(), 8);
+        ctx.vBurst(ctx.scratch(), 1 << 14, 25, 10);
         ctx.compute(55'000);
     }
 
@@ -327,10 +327,10 @@ class MysqlApp : public PmfsApp<Instance>
     workloadGet(pm::PmContext &ctx, ThreadId tid,
                 std::uint64_t key) override
     {
-        wlPad(ctx, key);
+        wlPad(ctx);
         Row row{};
         readRow(ctx, inst_[tid], wlMap_.localIndex(tid, key), row);
-        ctx.vStore(&row, 64); // result set buffering
+        ctx.vStore(ctx.scratch(), 64); // result set buffering
         return row.id == key;
     }
 
@@ -339,7 +339,7 @@ class MysqlApp : public PmfsApp<Instance>
                 std::uint64_t value) override
     {
         Instance &db = inst_[tid];
-        wlPad(ctx, key);
+        wlPad(ctx);
         Row row{};
         wlFillRow(key, value, row);
         wlWriteRow(ctx, db, wlMap_.localIndex(tid, key), row);
@@ -351,7 +351,7 @@ class MysqlApp : public PmfsApp<Instance>
                 std::uint64_t delta) override
     {
         Instance &db = inst_[tid];
-        wlPad(ctx, key);
+        wlPad(ctx);
         const std::uint64_t slot = wlMap_.localIndex(tid, key);
         Row row{};
         readRow(ctx, db, slot, row);
@@ -366,7 +366,7 @@ class MysqlApp : public PmfsApp<Instance>
     workloadScan(pm::PmContext &ctx, ThreadId tid, std::uint64_t key,
                  std::uint64_t len) override
     {
-        wlPad(ctx, key);
+        wlPad(ctx);
         std::uint64_t found = 0;
         for (std::uint64_t j = 0; j < len; j++) {
             const std::uint64_t k = wlMap_.scanKey(tid, key, j);
@@ -400,7 +400,7 @@ class MysqlApp : public PmfsApp<Instance>
                 std::min<std::uint64_t>(chunk.size(), db.rows - s);
             for (std::uint64_t i = 0; i < n; i++) {
                 const std::uint64_t key = db.firstId + s + i;
-                wlFillRow(key, key * 0x9e3779b97f4a7c15ull, chunk[i]);
+                wlFillRow(key, WorkloadKeymap::loadedValue(key), chunk[i]);
             }
             db.fs->write(ctx, db.table, s * kRowBytes, chunk.data(),
                          n * kRowBytes);

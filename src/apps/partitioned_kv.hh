@@ -154,7 +154,7 @@ class PartitionedKvApp : public InstanceApp<Instance>
         const core::WorkloadKeymap &map = this->wlMap_;
         for (std::uint64_t i = 0; i < map.perThread(); i++) {
             const std::uint64_t key = map.lo(tid) + i;
-            write(ctx, inst, tid, key, key * 0x9e3779b97f4a7c15ull);
+            write(ctx, inst, tid, key, core::WorkloadKeymap::loadedValue(key));
             if ((i + 1) % kDurabilityInterval == 0)
                 durabilityPoint(ctx, inst, 0);
         }

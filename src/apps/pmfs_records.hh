@@ -143,7 +143,7 @@ class PmfsRecordApp : public PmfsApp<PmfsVolume>
             for (std::uint64_t s = 0; s < recs; s++) {
                 const std::uint64_t key =
                     wlMap_.lo(tid) + s * stripes_ + f;
-                fill(key, key * 0x9e3779b97f4a7c15ull,
+                fill(key, core::WorkloadKeymap::loadedValue(key),
                      buf.data() + s * recordBytes_);
             }
             for (std::uint64_t off = 0; off < buf.size();

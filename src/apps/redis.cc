@@ -383,7 +383,7 @@ class RedisApp : public NvmlApp<Instance>
             const std::uint64_t k = wlMap_.lo(tid) + i;
             char key[kKeyBytes], val[kValBytes];
             const int klen = formatKey(key, k);
-            const int vlen = formatVal(val, k * 0x9e3779b97f4a7c15ull);
+            const int vlen = formatVal(val, WorkloadKeymap::loadedValue(k));
             setCmd(ctx, inst_[tid], key, klen, val, vlen);
         }
     }

@@ -571,7 +571,7 @@ class VacationApp : public MneApp<Instance>
         for (std::uint64_t i = 0; i < wlMap_.perThread(); i++) {
             const std::uint64_t key = wlMap_.lo(tid) + order.at(i);
             insertItemSetup(ctx, inst_[tid], kCar, key, 4,
-                            key * 0x9e3779b97f4a7c15ull);
+                            WorkloadKeymap::loadedValue(key));
         }
     }
 

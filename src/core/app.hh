@@ -6,13 +6,14 @@
  * implements WhisperApp. The harness (harness.hh) drives the common life cycle:
  *
  *   setup(runtime)            — format pool structures, load data
- *   [traces cleared]          — analysis covers steady state only
- *   run(ctx, tid) x threads   — the measured workload
+ *   run(ctx, tid) x threads   — the measured workload, the only
+ *                               traced phase
  *   verify(runtime)           — application-level invariants
  *
- * and, for crash testing:
+ * and, for crash testing (untraced, like setup and verify):
  *
- *   crash -> recover(runtime) -> verifyRecovered(runtime)
+ *   crash -> scrubRecovered -> recover(runtime)
+ *         -> checkRecoveryInvariants(runtime) -> verifyRecovered(runtime)
  */
 
 #ifndef WHISPER_CORE_APP_HH
@@ -25,6 +26,7 @@
 #include <vector>
 
 #include "alloc/allocator.hh"
+#include "common/hash.hh"
 #include "common/logging.hh"
 #include "core/runtime.hh"
 #include "core/verify_report.hh"
@@ -153,6 +155,12 @@ struct WorkloadKeymap
         return lo(tid) +
                (localIndex(tid, start_key) + j) % perThread();
     }
+    /** The value every adapter preloads loaded key @p key with. */
+    static constexpr std::uint64_t
+    loadedValue(std::uint64_t key)
+    {
+        return key * kGoldenGamma;
+    }
 };
 
 /**
@@ -248,8 +256,9 @@ class WhisperApp
     virtual VerifyReport verifyRecovered(Runtime &rt) = 0;
 
     /**
-     * Access-layer recovery invariants, checked by the crash fuzzer
-     * after recover() in addition to verifyRecovered(): redo logs
+     * Access-layer recovery invariants, checked after recover() and
+     * before verifyRecovered(), which runs only if they hold
+     * (Session::recoverAndVerify()): redo logs
      * fully replayed and retired (Mnemosyne), undo logs rolled back
      * and descriptors NONE (NVML), journal FREE and fsck-clean (PMFS),
      * descriptor/status protocols settled (native), garbage lanes
@@ -289,8 +298,11 @@ class WhisperApp
      * (Runtime::splitClocks()): from here on each client stamps its
      * events from its own clock. The preload runs untraced
      * (trace::UntracedScope): it does every PM op and clock advance,
-     * but records no event and no counter, so traces then start
-     * empty.
+     * but records no event and no counter. A core::Session already
+     * suspends its traces outside its bodies; this scope is kept for
+     * callers that drive a bare Runtime and call workloadSetup()
+     * directly (perfbench's YCSB driver), whose traces then start
+     * empty too.
      */
     void
     workloadSetup(Runtime &rt, const WorkloadKeymap &map)

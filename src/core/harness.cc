@@ -17,13 +17,18 @@ Session::Session(const std::string &app, const AppConfig &config)
         config.elision);
     owned_.app = createApp(app, config);
     owned_.layer = owned_.app->layer();
+    untraced_.emplace(rt().traces());
 }
 
-Session::Session(RunResult &run) : world_(&run) {}
+Session::Session(RunResult &run) : world_(&run)
+{
+    untraced_.emplace(rt().traces());
+}
 
 RunOutcome
 Session::run(const Body &body)
 {
+    untraced_.reset();
     std::atomic<bool> hit{false};
     std::atomic<std::uint64_t> at{0};
     rt().runThreads(rt().maxThreads(),
@@ -39,6 +44,7 @@ Session::run(const Body &body)
         if (pm::SchedGate *gate = ctx.schedGate())
             gate->deactivate(tid);
     });
+    untraced_.emplace(rt().traces());
     RunOutcome out;
     out.fired = hit.load(std::memory_order_relaxed);
     out.opIndex = out.fired ? at.load(std::memory_order_relaxed)
@@ -73,7 +79,7 @@ Session::detachObservers()
 }
 
 VerifyReport
-Session::recover()
+Session::recoverAndVerify()
 {
     // The machine is back on: recovery runs un-counted and unrecorded.
     for (ThreadId tid = 0; tid < rt().maxThreads(); tid++)
@@ -82,9 +88,15 @@ Session::recover()
     crashed_ = true;
     // Media scrub before recovery: a no-op unless a fault plan
     // poisoned lines, in which case recovery must never read them raw.
-    VerifyReport scrub = app().scrubRecovered(rt());
+    VerifyReport verdict = app().scrubRecovered(rt());
     app().recover(rt());
-    return scrub;
+    // verifyRecovered() may assume the layer's invariants: a
+    // half-rolled-back log is named as such, not as its symptoms.
+    const VerifyReport invariants = app().checkRecoveryInvariants(rt());
+    verdict.merge(invariants);
+    if (invariants.ok())
+        verdict.merge(app().verifyRecovered(rt()));
+    return verdict;
 }
 
 HistoryCheck
@@ -137,11 +149,7 @@ runApp(const std::string &name, const AppConfig &config)
 {
     Session s(name, config);
     Runtime &rt = s.rt();
-    {
-        // Traces start empty: setup() records nothing.
-        trace::UntracedScope untraced(rt.traces());
-        s.app().setup(rt);
-    }
+    s.app().setup(rt);
     s.run([&](pm::PmContext &ctx, ThreadId tid) {
         s.app().run(rt, ctx, tid);
     });
@@ -161,11 +169,10 @@ crashAndVerify(RunResult &result, const CrashOptions &opts)
 {
     result.runtime->crash(opts.seed, opts.survival);
     Session s(result);
-    VerifyReport report = s.recover();
+    VerifyReport report = s.recoverAndVerify();
     const alloc::AllocStats heap = s.app().recoveredHeapStats();
     alloc::warnReformatted(s.app().name(), heap.headersReformatted,
                            heap.firstBadHeader);
-    report.merge(s.app().verifyRecovered(s.rt()));
     return report;
 }
 

@@ -13,6 +13,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -60,6 +61,11 @@ struct HistoryCheck
  * bodies, records KV histories and recovers after a power cut. The
  * orderings every driver depends on live here and nowhere else:
  *
+ *  - the run's traces hold only its measured ops: a Session suspends
+ *    its runtime's traces (trace::UntracedScope) from construction
+ *    on, and run() lifts that only while its bodies run. Setup, the
+ *    post-run checks, the history probes, scrub and recovery do
+ *    every PM op and clock advance but record nothing;
  *  - the recorder is enabled before the baseline probes (noteInitial()
  *    is a no-op on a disabled recorder);
  *  - fence observers are detached before recovery's fences, which
@@ -79,7 +85,10 @@ class Session
      */
     Session(const std::string &app, const AppConfig &config);
 
-    /** Continue @p run (crash + recovery after runApp). */
+    /**
+     * Continue @p run (crash + recovery after runApp); its traces are
+     * suspended again for this Session's lifetime.
+     */
     explicit Session(RunResult &run);
 
     Session(const Session &) = delete;
@@ -91,9 +100,9 @@ class Session
     RunResult &world() { return *world_; }
 
     /**
-     * Run @p body on every thread. A body cut short by an armed crash
-     * point unwinds to here; each thread then leaves its schedule
-     * gate's draw set so the others make progress.
+     * Run @p body on every thread, traced. A body cut short by an
+     * armed crash point unwinds to here; each thread then leaves its
+     * schedule gate's draw set so the others make progress.
      */
     RunOutcome run(const Body &body);
 
@@ -109,10 +118,12 @@ class Session
 
     /**
      * After a power cut: detach crash plans and fence observers, scrub
-     * poisoned lines, then app().recover(). Returns the scrub report;
-     * a recorded history now counts as crashed.
+     * poisoned lines, then app().recover(). Returns the one recovery
+     * verdict: the scrub report, then the layer's recovery invariants
+     * and, only if those hold, app().verifyRecovered(). A recorded
+     * history now counts as crashed.
      */
-    VerifyReport recover();
+    VerifyReport recoverAndVerify();
 
     /**
      * Close the recorded history and check it: detach the observers,
@@ -130,14 +141,17 @@ class Session
 
     RunResult owned_;
     RunResult *world_;
+    /** Open whenever no body runs; destroyed before owned_. */
+    std::optional<trace::UntracedScope> untraced_;
     lincheck::HistoryRecorder rec_;
     WorkloadKeymap map_;
     bool crashed_ = false;
 };
 
 /**
- * Run one application: setup, clear traces, run threads, verify.
- * The returned RunResult owns the runtime (and thus the traces).
+ * Run one application: setup, run threads, verify. Only the threads'
+ * run() bodies are traced. The returned RunResult owns the runtime
+ * (and thus the traces).
  */
 RunResult runApp(const std::string &name, const AppConfig &config);
 
@@ -152,8 +166,9 @@ struct CrashOptions
 
 /**
  * Crash-and-recover cycle on an already-run app: injects a crash per
- * @p opts (seed + survival), re-mounts via app.recover() and returns
- * app.verifyRecovered(). The threads/schedule fields describe
+ * @p opts (seed + survival), re-mounts and returns
+ * Session::recoverAndVerify()'s verdict, the crash fuzzer's own. The
+ * threads/schedule fields describe
  * multi-threaded crash schedules and are consumed by the crash
  * fuzzer, which arms its own crash plans before running.
  */

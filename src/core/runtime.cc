@@ -113,13 +113,6 @@ Runtime::armCrashPoint(std::uint64_t op_index)
         plan.gate->reset();
 }
 
-bool
-Runtime::crashPointFired() const
-{
-    return crashPlan_ &&
-           crashPlan_->fired.load(std::memory_order_relaxed);
-}
-
 std::uint64_t
 Runtime::pmOpsSeen() const
 {

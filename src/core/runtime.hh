@@ -101,7 +101,6 @@ class Runtime
     pm::CrashPlan &installCrashPlan(unsigned gate_threads = 1,
                                     std::uint64_t schedule_seed = 0);
     void armCrashPoint(std::uint64_t op_index);
-    bool crashPointFired() const;
     std::uint64_t pmOpsSeen() const;
     /** @} */
 

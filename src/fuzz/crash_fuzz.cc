@@ -168,7 +168,7 @@ runLincheckOps(pm::PmContext &ctx, ThreadId tid, core::WhisperApp &app,
 /**
  * Set a case's app up: loaded over the lincheck keymap for the
  * lincheck dimension (recording from the baseline when @p record),
- * an untraced setup() otherwise. Traces then start empty.
+ * setup() otherwise. The Session traces neither.
  */
 core::WorkloadKeymap
 setUp(core::Session &s, const FuzzConfig &config,
@@ -185,10 +185,8 @@ setUp(core::Session &s, const FuzzConfig &config,
         if (record)
             s.record(map);
     } else {
-        trace::UntracedScope untraced(s.rt().traces());
         s.app().setup(s.rt());
     }
-    s.rt().clearTraces();
     return map;
 }
 
@@ -359,15 +357,10 @@ runCase(const FuzzCase &c, const FuzzConfig &config,
     else
         rt.crashWithFaults(out.survivors, faults);
 
-    core::VerifyReport verdict = s.recover();
+    core::VerifyReport verdict = s.recoverAndVerify();
     const alloc::AllocStats heap = app.recoveredHeapStats();
     out.headersReformatted = heap.headersReformatted;
     out.firstBadHeader = heap.firstBadHeader;
-    const core::VerifyReport invariants =
-        app.checkRecoveryInvariants(rt);
-    verdict.merge(invariants);
-    if (invariants.ok())
-        verdict.merge(app.verifyRecovered(rt));
 
     core::HistoryCheck hc;
     if (config.lincheck) {

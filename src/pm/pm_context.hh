@@ -161,7 +161,6 @@ class PmContext
 
     PmPool &pool() { return pool_; }
     ThreadId tid() const { return tid_; }
-    trace::TraceBuffer *traceBuffer() { return tb_; }
     std::uint32_t elisionPolicy() const { return elision_; }
 
     /** @{ \name Persistent stores */
@@ -194,10 +193,6 @@ class PmContext
     /** Non-temporal store (paper: PM_MOVNTI / memcpy_nt). */
     void ntStore(Addr off, const void *src, std::size_t n,
                  DataClass cls = DataClass::User);
-
-    /** PM_STRCPY: store a NUL-terminated string. */
-    void strcpyPm(Addr off, const char *s,
-                  DataClass cls = DataClass::User);
 
     /** @} */
     /** @{ \name Flush and fence */
@@ -246,6 +241,15 @@ class PmContext
 
     /** Mark abort of @p tx. */
     void txAbort(TxId tx);
+
+    /**
+     * This context's 64-byte DRAM scratch line: the address apps give
+     * vLoad/vStore for a modeled request or result buffer. It is
+     * heap-owned with the context, so its traced address repeats from
+     * process to process; a stack local's in-page offset moves with
+     * ASLR, and with it a recorded trace's bytes.
+     */
+    void *scratch() { return scratch_; }
 
     /** Record a volatile load of @p n bytes at host pointer @p p. */
     void vLoad(const void *p, std::size_t n);
@@ -328,8 +332,6 @@ class PmContext
 
     /** Attach @p plan (nullptr detaches; no overhead when detached). */
     void setCrashPlan(CrashPlan *plan) { plan_ = plan; }
-
-    CrashPlan *crashPlan() { return plan_; }
 
     /** The attached plan's schedule gate, or nullptr when ungated. */
     SchedGate *
@@ -443,6 +445,8 @@ class PmContext
 
     /** This context's own clock once split (splitClock()). */
     alignas(64) LogicalClock ownClock_;
+
+    alignas(64) unsigned char scratch_[64] = {};
 };
 
 /**

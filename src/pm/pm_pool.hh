@@ -88,10 +88,7 @@ class PmPool
     std::size_t size() const { return size_; }
     std::size_t lineCount() const { return lines_; }
 
-    /** DIMM interleaving geometry of this pool. */
-    const DimmConfig &dimmConfig() const { return dimms_; }
-
-    /** Home DIMM of @p off: pure in (off, dimmConfig()). */
+    /** Home DIMM of @p off: pure in (off, the pool's DimmConfig). */
     unsigned dimmOf(Addr off) const
     {
         return dimms_.dimmOf(lineOf(off));
@@ -222,7 +219,6 @@ class PmPool
      * emits PM operations, so traced op counts are unaffected.
      */
     void setFaultPlan(const FaultPlan &plan) { faultPlan_ = plan; }
-    const FaultPlan &faultPlan() const { return faultPlan_; }
 
     /**
      * Resolve @p plan against the current dirty set and @p survivors

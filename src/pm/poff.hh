@@ -52,14 +52,6 @@ struct POff
 
 };
 
-/** Offset of a member of a POff-referenced struct (fine stores). */
-template <typename T, typename M>
-Addr
-memberOff(PmPool &pool, const POff<T> &obj, const M T::*member)
-{
-    return pool.offsetOf(&(obj.get(pool)->*member));
-}
-
 } // namespace whisper::pm
 
 #endif // WHISPER_PM_POFF_HH

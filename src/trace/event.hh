@@ -106,30 +106,10 @@ struct TraceEvent
     std::uint8_t aux;   //!< FenceKind for Fence events
     std::uint8_t origin = 0; //!< Origin of the emitting code site
 
-    bool
-    isPmWrite() const
-    {
-        return kind == EventKind::PmStore || kind == EventKind::PmNtStore;
-    }
-
-    bool
-    isFence() const
-    {
-        return kind == EventKind::Fence;
-    }
-
     FenceKind
     fenceKind() const
     {
         return static_cast<FenceKind>(aux);
-    }
-
-    /** Origin tag, clamped to None for out-of-range bytes. */
-    Origin
-    originTag() const
-    {
-        return origin < kOriginCount ? static_cast<Origin>(origin)
-                                     : Origin::None;
     }
 };
 

@@ -234,7 +234,6 @@ runWorkload(const WorkloadOptions &opts,
         s.record(map);
     }
     lincheck::HistoryRecorder &rec = s.recorder();
-    rt.clearTraces();
     if (before_mix)
         before_mix(rt);
 

@@ -151,9 +151,10 @@ struct WorkloadResult
 /**
  * Run one generated workload: create the app, build and preload the
  * per-thread partitions (workloadSetup, which also puts every client
- * on its own clock), clear traces, call @p before_mix (when given) on
- * the runtime, run the mix on every thread, merge histograms in tid
- * order and validate. fatal() if the app does not implement the
+ * on its own clock), call @p before_mix (when given) on the runtime,
+ * run the mix on every thread, merge histograms in tid order and
+ * validate. Only the mix is traced (core::Session). fatal() if the
+ * app does not implement the
  * workload surface. Tests use @p before_mix to perturb the schedule,
  * e.g. with a FenceObserver that yields.
  */

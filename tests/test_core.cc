@@ -344,7 +344,8 @@ TEST(Harness, RunAppProducesTraces)
     EXPECT_GT(result.lastTick, result.firstTick);
     EXPECT_EQ(result.totalOps, 60u);
 
-    // Single-thread trace fingerprints of every registered app.
+    // Single-thread trace fingerprints of every registered app: the
+    // run() bodies' events alone, without setup's or verify()'s.
     config.threads = 1;
     config.poolBytes = 48 << 20;
     const struct {
@@ -354,17 +355,17 @@ TEST(Harness, RunAppProducesTraces)
     } golden[] = {{"echo", 1348, 185656},
                   {"hashmap", 1501, 409056},
                   {"vacation", 1248, 846242},
-                  {"nfs", 6094, 2409464},
-                  {"mod-hashmap", 16871, 423656},
-                  {"halo-hashmap", 179, 244832},
+                  {"nfs", 5453, 2408180},
+                  {"mod-hashmap", 463, 390840},
+                  {"halo-hashmap", 154, 244732},
                   {"ctree", 2114, 482984},
                   {"redis", 588, 284468},
                   {"memcached", 325, 1379022},
-                  {"exim", 20287, 360639372},
-                  {"mysql", 4471, 21192544},
+                  {"exim", 20094, 360638986},
+                  {"mysql", 3810, 21190642},
                   {"ycsb", 6817, 824414},
                   {"tpcc", 19519, 1210522},
-                  {"mod-vector", 901, 279984}};
+                  {"mod-vector", 615, 279412}};
     for (const auto &g : golden) {
         const RunResult run = runApp(g.app, config);
         EXPECT_TRUE(run.verified) << g.app;
@@ -386,6 +387,102 @@ TEST(Harness, CrashAndVerifyCycle)
     opts.survival = 0.3;
     const VerifyReport report = crashAndVerify(result, opts);
     EXPECT_TRUE(report.ok()) << report.describe();
+}
+
+TEST(Harness, CrashAndVerifyJudgesLayerInvariants)
+{
+    // The one recovery verdict judges the layer's invariants too: a
+    // counter A stored but never flushed survives a crash at survival
+    // 1.0 one step ahead of B, which only counters-equal names.
+    AppConfig config;
+    config.threads = 1;
+    config.opsPerThread = 4;
+    config.poolBytes = 16 << 20;
+    RunResult result = runApp("faulty", config);
+    ASSERT_TRUE(result.verified) << result.report.describe();
+    const std::uint64_t ahead = config.opsPerThread + 1;
+    result.runtime->ctx(0).store(0, &ahead, sizeof(ahead));
+    CrashOptions opts;
+    opts.survival = 1.0;
+    const VerifyReport report = crashAndVerify(result, opts);
+    EXPECT_FALSE(report.ok());
+    bool named = false;
+    for (const VerifyViolation &v : report.violations())
+        named |= v.invariant == "counters-equal";
+    EXPECT_TRUE(named) << report.describe();
+}
+
+/** Everything a trace set records: stored events and every counter. */
+std::vector<std::uint64_t>
+traceFootprint(const trace::TraceSet &traces)
+{
+    const trace::AccessCounters c = traces.totalCounters();
+    return {traces.totalEvents(), c.pmStores,     c.pmNtStores,
+            c.pmLoads,            c.pmFlushes,    c.fences,
+            c.dramLoads,          c.dramStores,   c.pmStoreBytes,
+            c.pmNtStoreBytes};
+}
+
+TEST(Session, TracesHoldOnlyMeasuredOps)
+{
+    // A run's trace is its measured ops: verify(), workloadCheck()
+    // and the lincheck baseline and final probes add no event and
+    // no counter, while the bodies run under Session::run do.
+    for (const std::string &app : registeredApps()) {
+        AppConfig cfg;
+        cfg.threads = 1;
+        cfg.opsPerThread = 30;
+        cfg.poolBytes = 48 << 20;
+        {
+            Session s(app, cfg);
+            s.app().setup(s.rt());
+            s.run([&](pm::PmContext &ctx, ThreadId tid) {
+                s.app().run(s.rt(), ctx, tid);
+            });
+            const trace::TraceSet &traces = s.rt().traces();
+            const auto measured = traceFootprint(traces);
+            EXPECT_GT(measured[0], 0u) << app;
+            const VerifyReport rep = s.app().verify(s.rt());
+            EXPECT_TRUE(rep.ok()) << app << ":\n" << rep.describe();
+            EXPECT_EQ(traceFootprint(traces), measured)
+                << app << ": verify() was traced";
+        }
+
+        cfg.threads = 2;
+        cfg.poolBytes = 64 << 20;
+        Session s(app, cfg);
+        WorkloadKeymap map;
+        map.keys = 600;
+        map.threads = 2;
+        s.app().workloadSetup(s.rt(), map);
+        const trace::TraceSet &traces = s.rt().traces();
+        const bool lincheck = s.app().supportsLincheck();
+        if (lincheck)
+            s.record(map);
+        EXPECT_EQ(traceFootprint(traces)[0], 0u)
+            << app << ": the baseline probes were traced";
+        lincheck::HistoryRecorder &rec = s.recorder();
+        s.run([&](pm::PmContext &ctx, ThreadId tid) {
+            const std::uint64_t key = map.lo(tid);
+            const std::size_t h =
+                rec.invoke(tid, lincheck::OpKind::Put, key, 7);
+            s.app().workloadPut(ctx, tid, key, 7);
+            rec.response(tid, h, false, 0);
+            s.app().workloadGet(ctx, tid, key);
+            s.app().workloadThreadDone(ctx, tid);
+        });
+        const auto measured = traceFootprint(traces);
+        EXPECT_GT(measured[0], 0u) << app;
+        VerifyReport rep = s.app().workloadCheck(s.rt());
+        EXPECT_EQ(traceFootprint(traces), measured)
+            << app << ": workloadCheck() was traced";
+        if (lincheck) {
+            s.checkHistory(rep);
+            EXPECT_EQ(traceFootprint(traces), measured)
+                << app << ": the final probes were traced";
+        }
+        EXPECT_TRUE(rep.ok()) << app << ":\n" << rep.describe();
+    }
 }
 
 TEST(Harness, UnknownAppIsFatal)
