@@ -65,7 +65,7 @@ if [[ "$docs_only" == 0 && "$skip_asan" == 0 ]]; then
     cmake -B build-asan -S . -DWHISPER_SANITIZE=ON >/dev/null
     cmake --build build-asan -j "$(nproc)" --target whisper_tests
     run_leg build-asan/tests/whisper_tests \
-        --gtest_filter='CrashFuzz.*:PmPool.*:TraceBuffer.*:PmContext.*:Bloom.*:Mnemosyne*:Nvml*:Mod*'
+        --gtest_filter='CrashFuzz.*:PmPool.*:TraceBuffer.*:PmContext.*:Bloom.*:Mnemosyne*:Nvml*:Mod*:Crc32.*:LogicalClock.*'
 
     # Media-fault smoke sweep, one app per access layer, under ASan:
     # 256 (crash point x fault plan) cases each must end scrubbed or
@@ -89,7 +89,7 @@ if [[ "$docs_only" == 0 && "$skip_tsan" == 0 ]]; then
     cmake -B build-tsan -S . -DWHISPER_SANITIZE=thread >/dev/null
     cmake --build build-tsan -j "$(nproc)" --target whisper_tests
     run_leg build-tsan/tests/whisper_tests \
-        --gtest_filter='PmPool.*:PmContext.*:TraceBuffer.*:ModConcurrency.*:ModHeap.*:CrashFuzz.MultiThread*:HaloDirectory.ReadersStayConsistentThroughDoubling:HaloFuzz.*:Lincheck.*:LincheckWorkload.*:LincheckFuzz.CaseReplayIsBitIdentical:LincheckFuzz.BrokenSweepLeavesConcurrentPlainSweepAlone'
+        --gtest_filter='PmPool.*:PmContext.*:TraceBuffer.*:LogicalClock.*:ModConcurrency.*:ModHeap.*:CrashFuzz.MultiThread*:HaloDirectory.ReadersStayConsistentThroughDoubling:HaloFuzz.*:Lincheck.*:LincheckWorkload.*:LincheckFuzz.CaseReplayIsBitIdentical:LincheckFuzz.BrokenSweepLeavesConcurrentPlainSweepAlone'
 fi
 
 # ---------------------------------------------------------------

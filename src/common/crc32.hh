@@ -10,6 +10,10 @@
  * (zero-filled) region of a record produces. Record checksums are
  * computed over the record header with its checksum field zeroed,
  * extended over the payload, so header corruption is caught too.
+ *
+ * Computed by slicing-by-8: eight lookup tables fold eight bytes per
+ * step, and only a tail under eight bytes goes bytewise. The values
+ * are those of the bytewise algorithm (Crc32.MatchesBytewiseReference).
  */
 
 #ifndef WHISPER_COMMON_CRC32_HH

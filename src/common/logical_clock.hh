@@ -44,6 +44,19 @@ class LogicalClock
     }
 
     /**
+     * advance() for a clock only the calling thread writes (a split
+     * clock): a plain load and store, no locked instruction. Other
+     * threads may still read now().
+     */
+    Tick
+    advanceOwned(Tick cost)
+    {
+        const Tick t = ticks.load(std::memory_order_relaxed) + cost;
+        ticks.store(t, std::memory_order_relaxed);
+        return t;
+    }
+
+    /**
      * Set to @p to (only between experiments, or to start a split
      * clock at its shared clock's time).
      */

@@ -21,8 +21,7 @@ void
 PmContext::emit(EventKind kind, Addr addr, std::uint32_t size,
                 DataClass cls, std::uint8_t aux, Tick cost)
 {
-    localTicks_ += cost;
-    const Tick now = clock_->advance(cost);
+    const Tick now = tick(cost);
     if (tb_)
         tb_->push({now, addr, size, kind, cls, aux, origin_});
 }
@@ -217,8 +216,7 @@ PmContext::vBurst(const void *base, std::size_t span, unsigned loads,
         }
         return;
     }
-    localTicks_ += cost;
-    clock_->advance(cost);
+    tick(cost);
     if (tb_)
         tb_->addVolatileBulk(loads, stores);
 }
@@ -226,8 +224,7 @@ PmContext::vBurst(const void *base, std::size_t span, unsigned loads,
 void
 PmContext::compute(Tick ns)
 {
-    localTicks_ += ns;
-    clock_->advance(ns);
+    tick(ns);
 }
 
 void

@@ -369,6 +369,19 @@ class PmContext
               DataClass cls, std::uint8_t aux, Tick cost);
 
     /**
+     * Charge @p cost to this context and its clock; returns the new
+     * time. A split clock has one writer, this context, so it steps
+     * without a locked instruction.
+     */
+    Tick
+    tick(Tick cost)
+    {
+        localTicks_ += cost;
+        return clock_ == &ownClock_ ? ownClock_.advanceOwned(cost)
+                                    : clock_->advance(cost);
+    }
+
+    /**
      * Trace address of volatile host address @p host: its DramPages
      * page number with the offset within the page kept.
      */

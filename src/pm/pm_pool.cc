@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstring>
 #include <functional>
+#include <thread>
 
 #include "common/logging.hh"
 
@@ -12,6 +13,17 @@ namespace whisper::pm
 
 namespace
 {
+
+/** The spin-wait hint: lets a sibling hyperthread run meanwhile. */
+inline void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield");
+#endif
+}
 
 std::size_t
 checkedSize(std::size_t size)
@@ -101,23 +113,39 @@ PmPool::contains(const void *p) const
     return bytes >= arch_.data() && bytes < arch_.data() + size_;
 }
 
-PmPool::ShardGuard::ShardGuard(const PmPool &pool, LineAddr first,
-                               LineAddr last)
-    : pool_(pool), shards_(std::uint64_t(1) << shardOf(first))
+void
+PmPool::LineShard::lockContended()
 {
-    // A one-line access (nearly every one) takes its one shard; a
-    // wider one stops collecting once it has every shard.
+    // Spin on a plain load so waiters share the line until it is
+    // released; yield once the holder seems descheduled.
+    constexpr unsigned kSpinsBeforeYield = 128;
+    for (unsigned spins = 0;; spins++) {
+        if (locked.load(std::memory_order_relaxed) == 0 &&
+            locked.exchange(1, std::memory_order_acquire) == 0)
+            return;
+        if (spins < kSpinsBeforeYield)
+            cpuRelax();
+        else
+            std::this_thread::yield();
+    }
+}
+
+void
+PmPool::ShardGuard::lockRange(LineAddr first, LineAddr last)
+{
+    // A wider access stops collecting once it has every shard.
     constexpr std::uint64_t kAll = ~std::uint64_t(0);
     for (LineAddr line = first + 1; line <= last && shards_ != kAll; line++)
         shards_ |= std::uint64_t(1) << shardOf(line);
     for (std::uint64_t m = shards_; m != 0; m &= m - 1)
-        pool_.lineShards_[std::countr_zero(m)].mutex.lock();
+        pool_.lineShards_[std::countr_zero(m)].lock();
 }
 
-PmPool::ShardGuard::~ShardGuard()
+void
+PmPool::ShardGuard::unlockAll()
 {
     for (std::uint64_t m = shards_; m != 0; m &= m - 1)
-        pool_.lineShards_[std::countr_zero(m)].mutex.unlock();
+        pool_.lineShards_[std::countr_zero(m)].unlock();
 }
 
 void

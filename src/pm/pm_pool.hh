@@ -36,8 +36,8 @@
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 #include "common/dimm.hh"
@@ -274,7 +274,10 @@ class PmPool
      * the lines it touches, so a concurrent 8-byte CAS commit and a
      * reader's load of the same slot never tear, and a fence draining
      * one thread's flush queue never races another thread's store to
-     * a neighboring word in the same line.
+     * a neighboring word in the same line. A shard's lock is one spin
+     * word (test-and-test-and-set), taken inline: every access holds
+     * it only for a copy of a few bytes, so the calls into a mutex
+     * would cost more than the wait.
      *
      * Threads working on disjoint lines should not meet here. Each
      * shard fills its own cache lines, and a line picks its shard by
@@ -300,27 +303,61 @@ class PmPool
   private:
     struct alignas(64) LineShard
     {
-        std::mutex mutex;
+        /** 1 while a thread holds this shard. */
+        std::atomic<std::uint32_t> locked{0};
         /**
          * Lines persisted under this shard's lock, per DIMM. Only the
          * lock holder bumps them (a plain load and store); atomic so
          * stats() reads them without the lock.
          */
         std::array<std::atomic<std::uint64_t>, kMaxDimms> persisted{};
+
+        void
+        lock()
+        {
+            if (locked.exchange(1, std::memory_order_acquire) != 0)
+                lockContended();
+        }
+
+        void unlock() { locked.store(0, std::memory_order_release); }
+
+        /** Spin with pause until the word reads free, then retry. */
+        void lockContended();
     };
 
     /**
      * Lock the shards of lines [first, last] in ascending shard
      * order: the global lock order that keeps concurrent multi-line
-     * accesses deadlock-free.
+     * accesses deadlock-free. A one-line access (nearly every one)
+     * takes its one shard inline.
      */
     class ShardGuard
     {
       public:
-        ShardGuard(const PmPool &pool, LineAddr first, LineAddr last);
-        ~ShardGuard();
+        ShardGuard(const PmPool &pool, LineAddr first, LineAddr last)
+            : pool_(pool), shards_(std::uint64_t(1) << shardOf(first))
+        {
+            if (first == last)
+                pool_.lineShards_[shardOf(first)].lock();
+            else
+                lockRange(first, last);
+        }
+
+        ~ShardGuard()
+        {
+            if (std::has_single_bit(shards_))
+                pool_.lineShards_[std::countr_zero(shards_)].unlock();
+            else
+                unlockAll();
+        }
+
+        ShardGuard(const ShardGuard &) = delete;
+        ShardGuard &operator=(const ShardGuard &) = delete;
 
       private:
+        void lockRange(LineAddr first, LineAddr last);
+        void unlockAll();
+
         const PmPool &pool_;
         std::uint64_t shards_; //!< bit s set == shard s held
     };

@@ -31,12 +31,14 @@ undoCrc(const UndoHeader &hdr, const void *payload, std::size_t n)
 
 /** Terminating sentinel record, CRC-stamped like any other. */
 UndoHeader
-endRecord()
+makeEndRecord()
 {
     UndoHeader end{UndoHeader::kMagic, UndoKind::End, 0, 0, 0};
     end.checksum = undoCrc(end, nullptr, 0);
     return end;
 }
+
+const UndoHeader kEndRecord = makeEndRecord();
 
 } // namespace
 
@@ -53,9 +55,9 @@ NvmlPool::NvmlPool(pm::PmContext &ctx, Addr base, std::size_t size,
         for (unsigned seg = 0; seg < kLogSegments; seg++) {
             const Addr seg_base =
                 logBase(slot) + seg * segmentBytes();
-            const UndoHeader end = endRecord();
-            ctx.store(seg_base, &end, sizeof(end), DataClass::Log);
-            ctx.flush(seg_base, sizeof(end));
+            ctx.store(seg_base, &kEndRecord, sizeof(kEndRecord),
+                      DataClass::Log);
+            ctx.flush(seg_base, sizeof(kEndRecord));
         }
     }
     const Addr null_root = kNullAddr;
@@ -179,9 +181,9 @@ NvmlPool::recover(pm::PmContext &ctx)
         // Clear the logs and descriptor either way.
         for (unsigned seg = 0; seg < kLogSegments; seg++) {
             const Addr seg_base = logBase(slot) + seg * segmentBytes();
-            const UndoHeader end = endRecord();
-            ctx.store(seg_base, &end, sizeof(end), DataClass::Log);
-            ctx.flush(seg_base, sizeof(end));
+            ctx.store(seg_base, &kEndRecord, sizeof(kEndRecord),
+                      DataClass::Log);
+            ctx.flush(seg_base, sizeof(kEndRecord));
         }
         const auto none = static_cast<std::uint64_t>(TxState::None);
         ctx.store(stateOff(slot), &none, 8, DataClass::TxMeta);
@@ -487,8 +489,8 @@ TxContext::clearLog()
             UndoHeader hdr{};
             ctx_.load(cursor, &hdr, sizeof(hdr));
             recs.push_back(cursor);
-            const UndoHeader end = endRecord();
-            ctx_.store(cursor, &end, sizeof(end), DataClass::Log);
+            ctx_.store(cursor, &kEndRecord, sizeof(kEndRecord),
+                       DataClass::Log);
             cursor = lineBase(cursor + sizeof(UndoHeader) + hdr.size +
                               kCacheLineSize - 1);
         }
@@ -505,9 +507,8 @@ TxContext::clearLog()
     while (cursor < logHead_) {
         UndoHeader hdr{};
         ctx_.load(cursor, &hdr, sizeof(hdr));
-        const UndoHeader end = endRecord();
-        ctx_.store(cursor, &end, sizeof(end), DataClass::Log);
-        ctx_.flush(cursor, sizeof(end));
+        ctx_.store(cursor, &kEndRecord, sizeof(kEndRecord), DataClass::Log);
+        ctx_.flush(cursor, sizeof(kEndRecord));
         ctx_.fence(FenceKind::Ordering);
         cursor = lineBase(cursor + sizeof(UndoHeader) + hdr.size +
                           kCacheLineSize - 1);

@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for src/common: RNG, histograms, tables, logical clock.
+ * Unit tests for src/common: RNG, histograms, tables, logical clock,
+ * CRC32.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32.hh"
 #include "common/flags.hh"
 #include "common/histogram.hh"
 #include "common/logical_clock.hh"
@@ -320,9 +322,51 @@ TEST(LogicalClock, AdvancesMonotonically)
     EXPECT_EQ(clock.now(), 0u);
     EXPECT_EQ(clock.advance(5), 5u);
     EXPECT_EQ(clock.advance(3), 8u);
-    EXPECT_EQ(clock.now(), 8u);
+    EXPECT_EQ(clock.advanceOwned(4), 12u);
+    EXPECT_EQ(clock.now(), 12u);
     clock.reset();
     EXPECT_EQ(clock.now(), 0u);
+}
+
+/** Bit-at-a-time CRC32 (reflected 0xEDB88320): the definition. */
+std::uint32_t
+crc32Bitwise(const std::uint8_t *bytes, std::size_t n)
+{
+    std::uint32_t crc = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < n; i++) {
+        crc ^= bytes[i];
+        for (int k = 0; k < 8; k++)
+            crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+    return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, MatchesBytewiseReference)
+{
+    EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
+
+    // Every length at every start offset within a word: the slicing
+    // loop, its bytewise tail and unaligned loads all take part.
+    std::vector<std::uint8_t> buf(8 + 300);
+    Rng rng(11);
+    for (std::uint8_t &b : buf)
+        b = static_cast<std::uint8_t>(rng.next(256));
+    for (std::size_t start = 0; start <= 8; start++) {
+        for (std::size_t n = 0; n <= 300; n++) {
+            ASSERT_EQ(crc32(buf.data() + start, n),
+                      crc32Bitwise(buf.data() + start, n))
+                << "start " << start << " length " << n;
+        }
+    }
+
+    // Feeding a range in two pieces gives the one-shot value.
+    const std::uint32_t whole = crc32(buf.data(), buf.size());
+    for (std::size_t cut = 0; cut <= buf.size(); cut++) {
+        ASSERT_EQ(crc32Update(crc32(buf.data(), cut), buf.data() + cut,
+                              buf.size() - cut),
+                  whole)
+            << "split at " << cut;
+    }
 }
 
 // ----------------------------------------------------------- flags

@@ -363,6 +363,65 @@ TEST(PmPool, PersistCountsExactAcrossThreads)
     EXPECT_EQ(pool.dirtyLineCount(), 0u);
 }
 
+TEST(PmContext, SplitClockAdvancesOnlyItsOwnClock)
+{
+    pm::PmPool pool(1 << 20);
+    LogicalClock shared;
+    constexpr Tick kBase = 1000;
+    shared.reset(kBase);
+    constexpr unsigned kThreads = 4;
+    constexpr unsigned kRounds = 1000;
+    std::vector<std::unique_ptr<pm::PmContext>> ctxs;
+    for (unsigned t = 0; t < kThreads; t++) {
+        ctxs.push_back(std::make_unique<pm::PmContext>(pool, shared, t));
+        ctxs.back()->splitClock();
+    }
+
+    // One round: store, load, flush, fence, vBurst, compute(t + 1).
+    const auto roundCost = [](unsigned t) {
+        return LogicalClock::kStoreCost + LogicalClock::kLoadCost +
+               LogicalClock::kFlushCost + LogicalClock::kFenceCost +
+               2 * LogicalClock::kLoadCost + (t + 1);
+    };
+    std::atomic<unsigned> done{0};
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < kThreads; t++) {
+        threads.emplace_back([&, t] {
+            pm::PmContext &ctx = *ctxs[t];
+            std::uint64_t scratch[8] = {};
+            for (unsigned i = 0; i < kRounds; i++) {
+                const Addr off =
+                    static_cast<Addr>(t * kRounds + i) << kCacheLineBits;
+                const std::uint64_t v = off + t;
+                ctx.store(off, &v, 8);
+                std::uint64_t back = 0;
+                ctx.load(off, &back, 8);
+                ctx.persist(off, 8);
+                ctx.vBurst(scratch, sizeof(scratch), 1, 1);
+                ctx.compute(t + 1);
+            }
+            done++;
+        });
+    }
+    // Other threads may read a split clock while its owner writes it.
+    std::vector<Tick> seen(kThreads, kBase);
+    while (done.load() < kThreads) {
+        for (unsigned t = 0; t < kThreads; t++) {
+            const Tick now = ctxs[t]->now();
+            EXPECT_GE(now, seen[t]);
+            seen[t] = now;
+        }
+    }
+    for (std::thread &th : threads)
+        th.join();
+
+    for (unsigned t = 0; t < kThreads; t++) {
+        EXPECT_EQ(ctxs[t]->localTicks(), kRounds * roundCost(t)) << t;
+        EXPECT_EQ(ctxs[t]->now(), kBase + kRounds * roundCost(t)) << t;
+    }
+    EXPECT_EQ(shared.now(), kBase);
+}
+
 TEST(PmContext, LongFlushAbsorbsOverlappingReflushes)
 {
     PoolWorld w;
