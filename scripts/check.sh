@@ -438,10 +438,11 @@ fi
 # ---------------------------------------------------------------
 # One mixer: the splitmix64 finalizer lives in src/common/hash.hh
 # only. A private copy elsewhere would let digests drift apart, so
-# its multiplier may not appear anywhere else under src/.
+# neither its multiplier nor its golden gamma may appear anywhere
+# else under src/ (other users spell the gamma kGoldenGamma).
 # ---------------------------------------------------------------
 echo "== source: single splitmix64 definition =="
-copies=$(grep -rniI '0xbf58476d1ce4e5b9' src |
+copies=$(grep -rniIE '0xbf58476d1ce4e5b9|0x9e3779b97f4a7c15' src |
          grep -v '^src/common/hash\.hh:' || true)
 if [[ -n "$copies" ]]; then
     echo "FAIL: splitmix64 constant outside src/common/hash.hh:"
@@ -449,6 +450,23 @@ if [[ -n "$copies" ]]; then
     failures=$((failures + 1))
 else
     echo "ok: splitmix64 defined once (src/common/hash.hh)"
+fi
+
+# ---------------------------------------------------------------
+# One MOD commit point: every MOD update ends in mod::RootTable's
+# commit (ordering fence, root-slot CAS, slot flush). A second
+# casStore under src/mod would be a second copy of the protocol that
+# could drift in fence kind or order.
+# ---------------------------------------------------------------
+echo "== source: single MOD commit point =="
+copies=$(grep -rnF 'casStore(' src/mod |
+         grep -v '^src/mod/root_table\.cc:' || true)
+if [[ -n "$copies" ]]; then
+    echo "FAIL: casStore under src/mod outside mod::RootTable::commit:"
+    echo "$copies"
+    failures=$((failures + 1))
+else
+    echo "ok: MOD updates commit through mod::RootTable"
 fi
 
 # ---------------------------------------------------------------

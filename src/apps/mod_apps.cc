@@ -108,7 +108,7 @@ class ModApp : public PartitionedKvApp<ModInstance<Structure>>
         inst.tableOff = base;
         inst.units = tableUnits(workload);
         inst.heapBase =
-            base + lineBase(Structure::tableBytes(inst.units) +
+            base + lineBase(mod::RootTable::bytes(inst.units) +
                             2 * kCacheLineSize);
         panic_if(inst.heapBase >= base + bytes,
                  "%s: pool too small for its %s table",

@@ -14,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.hh"
+
 namespace whisper
 {
 
@@ -28,7 +30,7 @@ class Rng
   public:
     using result_type = std::uint64_t;
 
-    explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull);
+    explicit Rng(std::uint64_t seed = kGoldenGamma);
 
     static constexpr result_type min() { return 0; }
     static constexpr result_type max() { return ~result_type(0); }

@@ -33,6 +33,7 @@
 #include <string>
 
 #include "mod/mod_heap.hh"
+#include "mod/root_table.hh"
 
 namespace whisper::core
 {
@@ -45,7 +46,7 @@ namespace whisper::mod
 /** One immutable chain node (a single cache line in the 64B slab). */
 struct MapEntry
 {
-    std::uint64_t checksum; //!< entryChecksum(key, vals)
+    std::uint64_t checksum; //!< nodeChecksum(key, vals, kValWords)
     std::uint64_t key;
     Addr next;
     std::uint64_t vals[3];  //!< inline 24-byte value payload
@@ -54,10 +55,8 @@ struct MapEntry
 /**
  * The persistent MOD hashmap.
  *
- * Table layout at @c table_off: {magic, bucketCount, headerCrc,
- * buckets[bucketCount]}. The CRC word protects the root metadata
- * against media corruption; a scrub pass rebuilds the header (and
- * nulls any bucket slots the media lost) from the attach parameters.
+ * The buckets are a RootTable at @c table_off with one slot per
+ * bucket, each naming the head of the bucket's chain.
  */
 class ModHashmap
 {
@@ -66,17 +65,6 @@ class ModHashmap
     static constexpr std::uint64_t kValWords = 3;
     /** Writer stripes per bucket partition. */
     static constexpr std::uint64_t kStripesPerPartition = 8;
-    /** Bytes of {magic, bucketCount, headerCrc} before the buckets. */
-    static constexpr std::size_t kHeaderBytes = 24;
-
-    static std::size_t
-    tableBytes(std::uint64_t bucket_count)
-    {
-        return kHeaderBytes + bucket_count * 8;
-    }
-
-    /** CRC32 (widened) of the {magic, bucketCount} header words. */
-    static std::uint64_t headerCrc(std::uint64_t bucket_count);
 
     /**
      * Format (all buckets empty; durably fenced).
@@ -130,13 +118,11 @@ class ModHashmap
     void reachable(pm::PmContext &ctx, std::vector<Addr> &out);
 
     /**
-     * Media-fault scrub (runs before recover()): repair what the
-     * table's redundancy allows and degrade the rest. Lines in
-     * @p lines were poisoned (and zero-filled); the scrub rewrites
-     * the header from the attach parameters, nulls bucket slots the
-     * media lost (degrading "mod-root-lost"), truncates chains at the
-     * first corrupt node (degrading "mod-chain-corrupt") and erases
-     * every line it handled from @p lines.
+     * Media-fault scrub (runs before recover()): the root table's
+     * scrub ("mod-root-lost": a lost bucket line empties its
+     * buckets), then every chain is truncated at its first corrupt
+     * node (degrading "mod-chain-corrupt"). Node-region lines stay in
+     * @p lines for the heap scrub.
      */
     void scrub(pm::PmContext &ctx, std::vector<LineAddr> &lines,
                core::VerifyReport &report);
@@ -144,17 +130,31 @@ class ModHashmap
     std::uint64_t countReachable(pm::PmContext &ctx);
 
     std::uint64_t bucketOf(std::uint64_t key) const;
-    Addr bucketOff(std::uint64_t bucket) const;
-    std::uint64_t bucketCount() const { return bucketCount_; }
 
     /** Writer stripe of @p bucket (partition-local; exposed for tests). */
     std::uint64_t stripeOf(std::uint64_t bucket) const;
 
-    static std::uint64_t entryChecksum(std::uint64_t key,
-                                       const std::uint64_t *vals);
-
   private:
-    Addr loadBucket(pm::PmContext &ctx, std::uint64_t bucket);
+    /** A bucket's chain from its head down to @p key's node, if any. */
+    struct ChainPath
+    {
+        Addr head = kNullAddr;
+        std::vector<Addr> addrs;
+        std::vector<MapEntry> nodes;
+        bool found = false;
+    };
+
+    ChainPath walk(pm::PmContext &ctx, std::uint64_t bucket,
+                   std::uint64_t key);
+
+    /**
+     * The one shadow update of put and remove. The found node and
+     * its predecessors are path-copied over the untouched suffix;
+     * @p fresh (null for a remove) replaces the found node, or goes
+     * in front of the head when the key is absent.
+     */
+    bool rewrite(pm::PmContext &ctx, ThreadId tid, std::uint64_t bucket,
+                 const ChainPath &path, const MapEntry *fresh);
 
     /**
      * Store one shadow node. @p fresh_payload marks key/vals as new
@@ -165,8 +165,7 @@ class ModHashmap
                    const MapEntry &entry, bool fresh_payload);
 
     ModHeap &heap_;
-    Addr tableOff_;
-    std::uint64_t bucketCount_;
+    RootTable root_;
     unsigned partitions_;
     /** put() runs the seeded broken commit (see the constructor). */
     bool brokenCommit_;

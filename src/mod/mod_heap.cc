@@ -150,6 +150,23 @@ ModHeap::alloc(pm::PmContext &ctx, std::size_t n)
     return arenas_[ctx.tid() % maxThreads_]->alloc(ctx, n);
 }
 
+std::optional<TxId>
+ModHeap::beginShadows(pm::PmContext &ctx, ThreadId tid,
+                      std::span<Addr> out, std::size_t bytes)
+{
+    const TxId tx = ctx.txBegin();
+    for (std::size_t i = 0; i < out.size(); i++) {
+        out[i] = alloc(ctx, bytes);
+        if (out[i] == kNullAddr) {
+            for (std::size_t j = 0; j < i; j++)
+                retire(ctx, tid, out[j]);
+            ctx.txAbort(tx);
+            return std::nullopt;
+        }
+    }
+    return tx;
+}
+
 void
 ModHeap::retire(pm::PmContext &ctx, ThreadId tid, Addr node)
 {

@@ -39,6 +39,8 @@
 #include <atomic>
 #include <deque>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -131,6 +133,17 @@ class ModHeap
      * ordering point and contends no cross-thread lock.
      */
     Addr alloc(pm::PmContext &ctx, std::size_t n);
+
+    /**
+     * Open an update: begin its transaction and allocate its shadow
+     * nodes, @p bytes each, into @p out. When the arena runs dry the
+     * nodes already carved out go on @p tid's garbage lane (nothing
+     * reaches them, so the next durability point reclaims them), the
+     * transaction is aborted and nullopt returned.
+     */
+    std::optional<TxId> beginShadows(pm::PmContext &ctx, ThreadId tid,
+                                     std::span<Addr> out,
+                                     std::size_t bytes);
 
     /**
      * Publish @p node on @p tid's garbage lane: it is superseded by a

@@ -1,9 +1,7 @@
 #include "mod/mod_vector.hh"
 
-#include <algorithm>
-#include <cstring>
+#include <cstddef>
 
-#include "common/crc32.hh"
 #include "common/logging.hh"
 #include "core/verify_report.hh"
 
@@ -11,56 +9,41 @@ namespace whisper::mod
 {
 
 using pm::DataClass;
-using pm::FenceKind;
 
-std::uint64_t
-ModVector::chunkChecksum(std::uint64_t count,
-                         const std::uint64_t *elems)
+namespace
 {
-    // Two chained CRC32 passes over count and the full element array
-    // fill the 64-bit field; a zero-filled (scrubbed) chunk can never
-    // validate, so media loss is always detected.
-    std::uint64_t buf[1 + kElems];
-    buf[0] = count;
-    for (std::uint64_t i = 0; i < kElems; i++)
-        buf[1 + i] = elems[i];
-    const std::uint32_t lo = crc32(buf, sizeof(buf));
-    const std::uint32_t hi = crc32Update(lo, buf, sizeof(buf));
-    return static_cast<std::uint64_t>(hi) << 32 | lo;
+
+/** One stripe per kSlotsPerStripe slots, plus a spare. */
+std::unique_ptr<std::mutex[]>
+makeStripes(std::uint64_t slot_count)
+{
+    return std::make_unique<std::mutex[]>(
+        (slot_count + ModVector::kSlotsPerStripe - 1) /
+            ModVector::kSlotsPerStripe +
+        1);
 }
 
-std::uint64_t
-ModVector::headerCrc(std::uint64_t slot_count)
+bool
+chunkValid(const VecChunk &chunk)
 {
-    const std::uint64_t hdr[2] = {kMagic, slot_count};
-    return crc32(hdr, sizeof(hdr));
+    return chunk.count >= 1 && chunk.count <= ModVector::kElems &&
+           chunk.checksum ==
+               nodeChecksum(chunk.count, chunk.elems, ModVector::kElems);
 }
+
+} // namespace
 
 ModVector::ModVector(pm::PmContext &ctx, ModHeap &heap, Addr table_off,
                      std::uint64_t slot_count)
-    : heap_(heap), tableOff_(table_off), slotCount_(slot_count),
-      stripeCount_((slot_count + kSlotsPerStripe - 1) /
-                       kSlotsPerStripe +
-                   1),
-      stripes_(std::make_unique<std::mutex[]>(stripeCount_))
+    : ModVector(heap, table_off, slot_count)
 {
-    ctx.store(tableOff_, &kMagic, 8, DataClass::TxMeta);
-    ctx.store(tableOff_ + 8, &slotCount_, 8, DataClass::TxMeta);
-    const std::uint64_t crc = headerCrc(slotCount_);
-    ctx.store(tableOff_ + 16, &crc, 8, DataClass::TxMeta);
-    for (std::uint64_t s = 0; s < slotCount_; s++)
-        ctx.store(slotOff(s), &kNullAddr, 8, DataClass::TxMeta);
-    ctx.flush(tableOff_, tableBytes(slotCount_));
-    ctx.fence(FenceKind::Durability);
+    root_.format(ctx, kMagic);
 }
 
 ModVector::ModVector(ModHeap &heap, Addr table_off,
                      std::uint64_t slot_count)
-    : heap_(heap), tableOff_(table_off), slotCount_(slot_count),
-      stripeCount_((slot_count + kSlotsPerStripe - 1) /
-                       kSlotsPerStripe +
-                   1),
-      stripes_(std::make_unique<std::mutex[]>(stripeCount_))
+    : heap_(heap), root_(table_off, slot_count),
+      stripes_(makeStripes(slot_count))
 {
 }
 
@@ -74,21 +57,6 @@ ModVector::stripeOf(std::uint64_t slot) const
     return slot / kSlotsPerStripe;
 }
 
-Addr
-ModVector::slotOff(std::uint64_t slot) const
-{
-    panic_if(slot >= slotCount_, "mod vector: slot out of range");
-    return tableOff_ + kHeaderBytes + slot * 8;
-}
-
-Addr
-ModVector::loadSlot(pm::PmContext &ctx, std::uint64_t slot)
-{
-    Addr off = kNullAddr;
-    ctx.load(slotOff(slot), &off, 8);
-    return off;
-}
-
 bool
 ModVector::write(pm::PmContext &ctx, ThreadId tid, std::uint64_t slot,
                  std::uint64_t first, const std::uint64_t *vals,
@@ -98,19 +66,18 @@ ModVector::write(pm::PmContext &ctx, ThreadId tid, std::uint64_t slot,
                  first + k > new_count,
              "mod vector: bad write shape");
     // Stripe taken before the slot is read: the slot cannot move under
-    // this writer, so the commit CAS below must succeed.
+    // this writer, so the commit CAS must succeed.
     std::lock_guard<std::mutex> guard(stripes_[stripeOf(slot)]);
-    const Addr old = loadSlot(ctx, slot);
+    const Addr old = root_.load(ctx, slot);
     VecChunk prev{};
     if (old != kNullAddr)
         ctx.load(old, &prev, sizeof(prev));
 
-    const TxId tx = ctx.txBegin();
-    const Addr node = heap_.alloc(ctx, sizeof(VecChunk));
-    if (node == kNullAddr) {
-        ctx.txAbort(tx);
+    Addr node = kNullAddr;
+    const std::optional<TxId> tx =
+        heap_.beginShadows(ctx, tid, {&node, 1}, sizeof(VecChunk));
+    if (!tx)
         return false;
-    }
 
     // Assemble the shadow image, then store it with per-class
     // attribution: fresh values are user bytes, carried-over values
@@ -121,7 +88,7 @@ ModVector::write(pm::PmContext &ctx, ThreadId tid, std::uint64_t slot,
         elems[i] = i < prev.count ? prev.elems[i] : 0;
     for (std::uint64_t i = 0; i < k; i++)
         elems[first + i] = vals[i];
-    const std::uint64_t checksum = chunkChecksum(new_count, elems);
+    const std::uint64_t checksum = nodeChecksum(new_count, elems, kElems);
 
     ctx.store(node + offsetof(VecChunk, checksum), &checksum, 8,
               DataClass::TxMeta);
@@ -134,24 +101,17 @@ ModVector::write(pm::PmContext &ctx, ThreadId tid, std::uint64_t slot,
     }
     ctx.flush(node, sizeof(VecChunk));
 
-    // The one ordering point: shadow chunk (and the allocator's
-    // bitmap word) durable before the commit swap can be observed.
-    ctx.fence(FenceKind::Ordering);
-
-    panic_if(!ctx.casStore(slotOff(slot), old, node,
-                           DataClass::TxMeta),
-             "mod vector: commit CAS lost despite stripe lock");
-    ctx.flush(slotOff(slot), 8);
+    root_.commit(ctx, slot, old, node);
     if (old != kNullAddr)
         heap_.retire(ctx, tid, old);
-    ctx.txEnd(tx);
+    ctx.txEnd(*tx);
     return true;
 }
 
 std::uint64_t
 ModVector::chunkCount(pm::PmContext &ctx, std::uint64_t slot)
 {
-    const Addr off = loadSlot(ctx, slot);
+    const Addr off = root_.load(ctx, slot);
     if (off == kNullAddr)
         return 0;
     std::uint64_t count = 0;
@@ -163,7 +123,7 @@ bool
 ModVector::get(pm::PmContext &ctx, std::uint64_t slot,
                std::uint64_t idx, std::uint64_t &out)
 {
-    const Addr off = loadSlot(ctx, slot);
+    const Addr off = root_.load(ctx, slot);
     if (off == kNullAddr || idx >= kElems)
         return false;
     VecChunk chunk{};
@@ -177,20 +137,10 @@ ModVector::get(pm::PmContext &ctx, std::uint64_t slot,
 bool
 ModVector::check(pm::PmContext &ctx, std::string *why)
 {
-    std::uint64_t hdr[3] = {};
-    ctx.load(tableOff_, hdr, sizeof(hdr));
-    if (hdr[0] != kMagic) {
-        if (why)
-            *why = "mod vector: bad table magic";
+    if (!root_.checkHeader(ctx, kMagic, "mod vector", why))
         return false;
-    }
-    if (hdr[1] != slotCount_ || hdr[2] != headerCrc(slotCount_)) {
-        if (why)
-            *why = "mod vector: table header CRC mismatch";
-        return false;
-    }
-    for (std::uint64_t s = 0; s < slotCount_; s++) {
-        const Addr off = loadSlot(ctx, s);
+    for (std::uint64_t s = 0; s < root_.slotCount(); s++) {
+        const Addr off = root_.load(ctx, s);
         if (off == kNullAddr)
             continue;
         if (!heap_.isBlockStart(off)) {
@@ -205,7 +155,7 @@ ModVector::check(pm::PmContext &ctx, std::string *why)
                 *why = "mod vector: chunk count out of range";
             return false;
         }
-        if (chunk.checksum != chunkChecksum(chunk.count, chunk.elems)) {
+        if (!chunkValid(chunk)) {
             if (why)
                 *why = "mod vector: chunk checksum mismatch";
             return false;
@@ -217,8 +167,8 @@ ModVector::check(pm::PmContext &ctx, std::string *why)
 void
 ModVector::reachable(pm::PmContext &ctx, std::vector<Addr> &out)
 {
-    for (std::uint64_t s = 0; s < slotCount_; s++) {
-        const Addr off = loadSlot(ctx, s);
+    for (std::uint64_t s = 0; s < root_.slotCount(); s++) {
+        const Addr off = root_.load(ctx, s);
         if (off != kNullAddr && heap_.isBlockStart(off))
             out.push_back(off);
     }
@@ -228,88 +178,38 @@ void
 ModVector::scrub(pm::PmContext &ctx, std::vector<LineAddr> &lines,
                  core::VerifyReport &report)
 {
+    root_.scrub(ctx, kMagic, lines, report,
+                "spine line(s) lost to media faults; affected slots "
+                "nulled");
     if (lines.empty())
         return;
-    const Addr table_end = tableOff_ + tableBytes(slotCount_);
-    const LineAddr t_first = lineOf(tableOff_);
-    const LineAddr t_last = lineOf(table_end - 1);
-
-    // Phase 1 — table lines. The header is fully redundant (attach
-    // parameters) and repairs silently; a lost spine slot becomes a
-    // null slot, *declared* data loss.
-    std::vector<LineAddr> table_lines;
-    std::vector<LineAddr> chunk_lines;
-    for (const LineAddr line : lines) {
-        (line >= t_first && line <= t_last ? table_lines : chunk_lines)
-            .push_back(line);
-    }
-    std::vector<LineAddr> root_lost;
-    for (const LineAddr line : table_lines) {
-        const Addr lo = std::max<Addr>(line << kCacheLineBits,
-                                       tableOff_);
-        const Addr hi = std::min<Addr>((line + 1) << kCacheLineBits,
-                                       table_end);
-        for (Addr off = lo; off < hi; off += 8) {
-            if (off == tableOff_) {
-                ctx.store(off, &kMagic, 8, DataClass::TxMeta);
-            } else if (off == tableOff_ + 8) {
-                ctx.store(off, &slotCount_, 8, DataClass::TxMeta);
-            } else if (off == tableOff_ + 16) {
-                const std::uint64_t crc = headerCrc(slotCount_);
-                ctx.store(off, &crc, 8, DataClass::TxMeta);
-            } else {
-                ctx.store(off, &kNullAddr, 8, DataClass::TxMeta);
-                if (root_lost.empty() || root_lost.back() != line)
-                    root_lost.push_back(line);
-            }
+    // A poisoned chunk line was zero-filled, so the chunk fails its
+    // CRC; null the referencing slot (the chunk block itself is
+    // reclaimed when recovery rebuilds occupancy).
+    std::vector<LineAddr> cut_lines;
+    for (std::uint64_t s = 0; s < root_.slotCount(); s++) {
+        const Addr off = root_.load(ctx, s);
+        if (off == kNullAddr)
+            continue;
+        bool ok = heap_.isBlockStart(off);
+        if (ok) {
+            VecChunk chunk{};
+            ctx.load(off, &chunk, sizeof(chunk));
+            ok = chunkValid(chunk);
         }
-        ctx.persist(lo, hi - lo);
-    }
-    if (!root_lost.empty()) {
-        report.degrade("mod-root-lost",
-                       std::to_string(root_lost.size()) +
-                           " spine line(s) lost to media faults; "
-                           "affected slots nulled",
-                       root_lost);
-    }
-
-    // Phase 2 — chunks. A poisoned chunk line was zero-filled, so the
-    // chunk fails its CRC; null the referencing slot (the chunk block
-    // itself is reclaimed when recovery rebuilds occupancy).
-    if (!chunk_lines.empty()) {
-        std::uint64_t cut = 0;
-        std::vector<LineAddr> cut_lines;
-        for (std::uint64_t s = 0; s < slotCount_; s++) {
-            const Addr off = loadSlot(ctx, s);
-            if (off == kNullAddr)
-                continue;
-            bool ok = heap_.isBlockStart(off);
-            if (ok) {
-                VecChunk chunk{};
-                ctx.load(off, &chunk, sizeof(chunk));
-                ok = chunk.count >= 1 && chunk.count <= kElems &&
-                     chunk.checksum ==
-                         chunkChecksum(chunk.count, chunk.elems);
-            }
-            if (!ok) {
-                ctx.store(slotOff(s), &kNullAddr, 8,
-                          DataClass::TxMeta);
-                ctx.persist(slotOff(s), 8);
-                cut++;
-                cut_lines.push_back(lineOf(off));
-            }
-        }
-        if (cut) {
-            report.degrade("mod-chunk-corrupt",
-                           std::to_string(cut) +
-                               " chunk(s) failed their CRC; "
-                               "referencing slots nulled",
-                           cut_lines);
+        if (!ok) {
+            ctx.store(root_.slotOff(s), &kNullAddr, 8, DataClass::TxMeta);
+            ctx.persist(root_.slotOff(s), 8);
+            cut_lines.push_back(lineOf(off));
         }
     }
-    // Table lines are fully handled here; chunk-region lines are left
-    // for the heap scrub (occupancy is rebuilt from reachability).
-    lines = std::move(chunk_lines);
+    if (!cut_lines.empty()) {
+        report.degrade("mod-chunk-corrupt",
+                       std::to_string(cut_lines.size()) +
+                           " chunk(s) failed their CRC; "
+                           "referencing slots nulled",
+                       cut_lines);
+    }
 }
 
 } // namespace whisper::mod

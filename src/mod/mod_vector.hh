@@ -33,6 +33,7 @@
 #include <string>
 
 #include "mod/mod_heap.hh"
+#include "mod/root_table.hh"
 
 namespace whisper::core
 {
@@ -45,7 +46,7 @@ namespace whisper::mod
 /** One persistent vector chunk (two cache lines in the 128B slab). */
 struct VecChunk
 {
-    std::uint64_t checksum; //!< chunkChecksum(count, elems)
+    std::uint64_t checksum; //!< nodeChecksum(count, elems, kElems)
     std::uint64_t count;    //!< live elements, 1..kElems
     std::uint64_t elems[8];
 };
@@ -53,13 +54,10 @@ struct VecChunk
 /**
  * The persistent COW vector.
  *
- * Table layout at @c table_off: {magic, slotCount, headerCrc,
- * slots[slotCount]}. The CRC word protects the root metadata against
- * media corruption; a scrub pass rebuilds the header (and nulls any
- * spine slots the media lost) from the attach parameters. Slots are
- * grouped into fixed-size regions so concurrent writers can partition
- * the spine; the structure itself only validates per-chunk invariants
- * and leaves region discipline to the caller.
+ * The spine is a RootTable at @c table_off with one slot per chunk.
+ * Slots are grouped into fixed-size regions so concurrent writers can
+ * partition the spine; the structure itself only validates per-chunk
+ * invariants and leaves region discipline to the caller.
  */
 class ModVector
 {
@@ -68,18 +66,6 @@ class ModVector
     static constexpr std::uint64_t kElems = 8;
     /** Consecutive spine slots sharing one writer stripe. */
     static constexpr std::uint64_t kSlotsPerStripe = 64;
-    /** Bytes of {magic, slotCount, headerCrc} before the slots. */
-    static constexpr std::size_t kHeaderBytes = 24;
-
-    /** Bytes the table occupies for @p slot_count slots. */
-    static std::size_t
-    tableBytes(std::uint64_t slot_count)
-    {
-        return kHeaderBytes + slot_count * 8;
-    }
-
-    /** CRC32 (widened) of the {magic, slotCount} header words. */
-    static std::uint64_t headerCrc(std::uint64_t slot_count);
 
     /** Format a vector (all slots null; durably fenced). */
     ModVector(pm::PmContext &ctx, ModHeap &heap, Addr table_off,
@@ -118,33 +104,20 @@ class ModVector
     void reachable(pm::PmContext &ctx, std::vector<Addr> &out);
 
     /**
-     * Media-fault scrub (runs before recover()): rewrites the header
-     * from the attach parameters, nulls spine slots the media lost
-     * (degrading "mod-root-lost"), nulls slots whose chunk fails its
-     * CRC (degrading "mod-chunk-corrupt") and erases every line it
-     * handled from @p lines.
+     * Media-fault scrub (runs before recover()): the root table's
+     * scrub ("mod-root-lost"), then slots whose chunk fails its CRC
+     * are nulled (degrading "mod-chunk-corrupt"). Chunk-region lines
+     * stay in @p lines for the heap scrub.
      */
     void scrub(pm::PmContext &ctx, std::vector<LineAddr> &lines,
                core::VerifyReport &report);
 
-    /** Pool offset of a slot's pointer cell. */
-    Addr slotOff(std::uint64_t slot) const;
-
-    std::uint64_t slotCount() const { return slotCount_; }
-
     /** Writer stripe of @p slot (slot / kSlotsPerStripe). */
     std::uint64_t stripeOf(std::uint64_t slot) const;
 
-    static std::uint64_t chunkChecksum(std::uint64_t count,
-                                       const std::uint64_t *elems);
-
   private:
-    Addr loadSlot(pm::PmContext &ctx, std::uint64_t slot);
-
     ModHeap &heap_;
-    Addr tableOff_;
-    std::uint64_t slotCount_;
-    std::uint64_t stripeCount_;
+    RootTable root_;
     /** Range-striped writer locks over the spine. */
     std::unique_ptr<std::mutex[]> stripes_;
 };

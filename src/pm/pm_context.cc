@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/hash.hh"
 #include "common/logging.hh"
 
 namespace whisper::pm
@@ -205,7 +206,7 @@ PmContext::vBurst(const void *base, std::size_t span, unsigned loads,
         // neither depends on where the allocator put the buffer.
         const std::uintptr_t first =
             reinterpret_cast<std::uintptr_t>(base) & ~DramPages::kPageMask;
-        std::uint64_t x = dramAddr(first) ^ 0x9e3779b97f4a7c15ull;
+        std::uint64_t x = dramAddr(first) ^ kGoldenGamma;
         const std::size_t lines = std::max<std::size_t>(1, span / 64);
         const unsigned total = loads + stores;
         for (unsigned i = 0; i < total; i++) {

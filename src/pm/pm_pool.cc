@@ -34,10 +34,9 @@ checkedSize(std::size_t size)
 
 } // namespace
 
-PmPool::PmPool(std::size_t size, const DimmConfig &dimms)
+PmPool::PmPool(std::size_t size)
     : size_(checkedSize(size)),
       lines_((size + kCacheLineSize - 1) / kCacheLineSize),
-      dimms_(dimms),
       arch_(size),
       durable_(size),
       lineStates_(lines_),
@@ -247,7 +246,7 @@ PmPool::persistLineLocked(LineAddr line)
     lineState(line).store(0, std::memory_order_relaxed);
     // The caller holds this shard's lock: no other thread writes it.
     std::atomic<std::uint64_t> &count =
-        lineShards_[shardOf(line)].persisted[dimms_.dimmOf(line)];
+        lineShards_[shardOf(line)].persisted[kDimms.dimmOf(line)];
     count.store(count.load(std::memory_order_relaxed) + 1,
                 std::memory_order_relaxed);
 }

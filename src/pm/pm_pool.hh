@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "common/dimm.hh"
+#include "common/hash.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
 #include "pm/fault_plan.hh"
@@ -77,21 +78,22 @@ class PmPool
 {
   public:
     /**
-     * Create a pool of @p size bytes, zero-filled and clean, spread
-     * across @p dimms (the default geometry matches the simulator's
-     * four-DIMM platform at 256 B interleaving; the mapping only
-     * affects per-DIMM statistics and placement advice, never data).
+     * The pool's DIMM geometry: the simulator's four-DIMM platform at
+     * 256 B interleaving. It only affects per-DIMM statistics, never
+     * data.
      */
-    explicit PmPool(std::size_t size,
-                    const DimmConfig &dimms = DimmConfig{4, 4});
+    static constexpr DimmConfig kDimms{4, 4};
+
+    /** Create a pool of @p size bytes, zero-filled and clean. */
+    explicit PmPool(std::size_t size);
 
     std::size_t size() const { return size_; }
     std::size_t lineCount() const { return lines_; }
 
-    /** Home DIMM of @p off: pure in (off, the pool's DimmConfig). */
+    /** Home DIMM of @p off: pure in (off, kDimms). */
     unsigned dimmOf(Addr off) const
     {
-        return dimms_.dimmOf(lineOf(off));
+        return kDimms.dimmOf(lineOf(off));
     }
 
     /** @{ Raw image access (bounds-checked in at()/durableAt()). */
@@ -297,7 +299,7 @@ class PmPool
     shardOf(LineAddr line)
     {
         return static_cast<std::size_t>(
-            (line * 0x9e3779b97f4a7c15ull) >> (64 - kLineShardBits));
+            (line * kGoldenGamma) >> (64 - kLineShardBits));
     }
 
   private:
@@ -414,7 +416,6 @@ class PmPool
 
     std::size_t size_;
     std::size_t lines_;
-    DimmConfig dimms_;
     LazyRegion arch_;
     LazyRegion durable_;
     /** One byte per line, 1 == dirty; written through lineState(). */

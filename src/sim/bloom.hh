@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/hash.hh"
 #include "common/logging.hh"
 #include "common/types.hh"
 
@@ -79,8 +80,8 @@ class CountingBloom
     std::size_t
     slot(LineAddr line, int h) const
     {
-        std::uint64_t x = line + static_cast<std::uint64_t>(h) *
-                                     0x9e3779b97f4a7c15ull;
+        std::uint64_t x =
+            line + static_cast<std::uint64_t>(h) * kGoldenGamma;
         x ^= x >> 31;
         x *= 0x7fb5d329728ea185ull;
         x ^= x >> 29;

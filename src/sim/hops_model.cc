@@ -45,15 +45,6 @@ class HopsModel : public PersistModel
             t.open.ts = 1;
     }
 
-    std::string
-    name() const override
-    {
-        if (params_.dpoMode)
-            return "DPO (BSP)";
-        return params_.persistentWriteQueue ? "HOPS (PWQ)"
-                                            : "HOPS (NVM)";
-    }
-
     std::uint64_t
     onPmStore(unsigned core, LineAddr line) override
     {

@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 
 #include "sim/params.hh"
 #include "sim/pm_device.hh"
@@ -57,8 +56,6 @@ class PersistModel
     {
     }
     virtual ~PersistModel() = default;
-
-    virtual std::string name() const = 0;
 
     /** A PM store by @p core touching @p line. Returns stall cycles. */
     virtual std::uint64_t onPmStore(unsigned core, LineAddr line) = 0;

@@ -30,13 +30,6 @@ class X86Model : public PersistModel
     {
     }
 
-    std::string
-    name() const override
-    {
-        return params_.persistentWriteQueue ? "x86-64 (PWQ)"
-                                            : "x86-64 (NVM)";
-    }
-
     std::uint64_t
     onPmStore(unsigned core, LineAddr line) override
     {
@@ -105,8 +98,6 @@ class IdealModel : public PersistModel
     explicit IdealModel(const SimParams &params) : PersistModel(params)
     {
     }
-
-    std::string name() const override { return "ideal (non-CC)"; }
 
     std::uint64_t
     onPmStore(unsigned, LineAddr) override

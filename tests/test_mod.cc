@@ -11,8 +11,10 @@
 #include "analysis/access_mix.hh"
 #include "analysis/epoch.hh"
 #include "analysis/epoch_stats.hh"
+#include "common/crc32.hh"
 #include "core/harness.hh"
 #include "core/runtime.hh"
+#include "core/verify_report.hh"
 #include "mod/mod_hashmap.hh"
 #include "mod/mod_heap.hh"
 #include "mod/mod_vector.hh"
@@ -38,6 +40,23 @@ appConfig()
     config.poolBytes = 192 << 20;
     config.seed = 7;
     return config;
+}
+
+/** {ordering, durability} fences in thread 0's trace. */
+std::pair<std::uint64_t, std::uint64_t>
+fencesByKind(core::Runtime &rt)
+{
+    std::pair<std::uint64_t, std::uint64_t> n{0, 0};
+    const trace::TraceBuffer *tb = rt.traces().buffer(0);
+    for (std::size_t i = 0; tb && i < tb->size(); i++) {
+        if (tb->at(i).kind != trace::EventKind::Fence)
+            continue;
+        if (tb->at(i).fenceKind() == trace::FenceKind::Ordering)
+            n.first++;
+        else
+            n.second++;
+    }
+    return n;
 }
 
 TEST(ModHeap, RetireReclaimsOnlyAtDurabilityPoints)
@@ -152,6 +171,62 @@ TEST(ModHashmap, PutLookupRemoveRoundTrip)
     EXPECT_TRUE(map.check(ctx, &why)) << why;
 }
 
+TEST(ModHashmap, ExactlyOneOrderingFencePerPut)
+{
+    core::Runtime rt(kPool, 1);
+    pm::PmContext &ctx = rt.ctx(0);
+    mod::ModHeap heap(ctx, kHeapBase, kPool - kHeapBase, 1);
+    mod::ModHashmap map(ctx, heap, 0, 8, 1);
+
+    // 24 keys over 8 buckets: updates path-copy chains of several
+    // nodes, still behind the one ofence.
+    constexpr std::uint64_t kKeys = 24;
+    for (const bool update : {false, true}) {
+        rt.clearTraces();
+        for (std::uint64_t key = 0; key < kKeys; key++) {
+            const std::uint64_t vals[3] = {key, update, 7};
+            bool inserted = false;
+            ASSERT_TRUE(map.put(ctx, 0, key, vals, inserted));
+            EXPECT_EQ(inserted, !update) << "key " << key;
+        }
+        EXPECT_EQ(fencesByKind(rt), std::make_pair(kKeys, std::uint64_t(0)))
+            << (update ? "update" : "insert");
+    }
+    std::string why;
+    EXPECT_TRUE(map.check(ctx, &why)) << why;
+}
+
+TEST(ModHashmap, ExactlyOneOrderingFencePerRemove)
+{
+    core::Runtime rt(kPool, 1);
+    pm::PmContext &ctx = rt.ctx(0);
+    mod::ModHeap heap(ctx, kHeapBase, kPool - kHeapBase, 1);
+    mod::ModHashmap map(ctx, heap, 0, 8, 1);
+
+    constexpr std::uint64_t kKeys = 24;
+    for (std::uint64_t key = 0; key < kKeys; key++) {
+        const std::uint64_t vals[3] = {key, 1, 2};
+        bool inserted = false;
+        ASSERT_TRUE(map.put(ctx, 0, key, vals, inserted));
+    }
+    heap.durabilityPoint(ctx, 0);
+
+    rt.clearTraces();
+    for (std::uint64_t key = 0; key < kKeys; key += 2)
+        ASSERT_TRUE(map.remove(ctx, 0, key));
+    EXPECT_EQ(fencesByKind(rt),
+              std::make_pair(kKeys / 2, std::uint64_t(0)));
+
+    // Removing an absent key commits nothing, so it fences nothing.
+    rt.clearTraces();
+    EXPECT_FALSE(map.remove(ctx, 0, 0));
+    EXPECT_EQ(fencesByKind(rt),
+              std::make_pair(std::uint64_t(0), std::uint64_t(0)));
+    std::string why;
+    EXPECT_TRUE(map.check(ctx, &why)) << why;
+    EXPECT_EQ(map.countReachable(ctx), kKeys / 2);
+}
+
 TEST(ModHeap, RecoveryRebuildsOccupancyFromReachability)
 {
     core::Runtime rt(kPool, 1);
@@ -204,6 +279,204 @@ TEST(ModHeap, GraceDefersReclaimUntilPeersQuiesce)
     heap.durabilityPoint(ctx, 0);
     EXPECT_EQ(heap.gcStats().reclaimed, 1u);
     EXPECT_FALSE(heap.isLiveNode(a));
+}
+
+// -------------------------------------------------------- root table
+
+// Both structures keep their roots in one table format at the table
+// offset (0 here): a 24-byte {magic, count, CRC32(magic, count)}
+// header, then one 8-byte root slot per bucket or spine slot. These
+// tests pin the format and its media-fault scrub from outside.
+
+constexpr std::uint64_t kRoots = 64;
+
+/** Cache line holding root slot @p s. */
+LineAddr
+rootLine(std::uint64_t s)
+{
+    return lineOf(24 + s * 8);
+}
+
+std::vector<Addr>
+loadRoots(pm::PmContext &ctx)
+{
+    std::vector<Addr> roots(kRoots);
+    ctx.load(24, roots.data(), kRoots * 8);
+    return roots;
+}
+
+/**
+ * Poison @p lines, zero-fill them as the harness does before a scrub,
+ * then run the structure's scrub and the heap's. Returns the lines
+ * neither claimed.
+ */
+template <class Structure>
+std::vector<LineAddr>
+poisonAndScrub(core::Runtime &rt, Structure &structure,
+               mod::ModHeap &heap, const std::vector<LineAddr> &lines,
+               core::VerifyReport &rep)
+{
+    for (const LineAddr line : lines)
+        rt.pool().poisonLine(line);
+    std::vector<LineAddr> work = rt.pool().poisonedLines();
+    EXPECT_EQ(work.size(), lines.size());
+    for (const LineAddr line : work)
+        rt.pool().scrubLine(line);
+    structure.scrub(rt.ctx(0), work, rep);
+    heap.scrub(rt.ctx(0), work);
+    return work;
+}
+
+/** The table header reads {magic, kRoots, CRC32 of those two}. */
+void
+expectHeaderRepaired(pm::PmContext &ctx, std::uint64_t magic)
+{
+    std::uint64_t hdr[3] = {};
+    ctx.load(0, hdr, sizeof(hdr));
+    EXPECT_EQ(hdr[0], magic);
+    EXPECT_EQ(hdr[1], kRoots);
+    const std::uint64_t words[2] = {magic, kRoots};
+    EXPECT_EQ(hdr[2], crc32(words, sizeof(words)));
+}
+
+void
+expectDegraded(const core::VerifyViolation &v, const char *invariant,
+               const std::string &detail,
+               const std::vector<LineAddr> &lines)
+{
+    EXPECT_EQ(v.invariant, invariant);
+    EXPECT_EQ(v.severity, core::Severity::Degraded) << invariant;
+    EXPECT_EQ(v.detail, detail) << invariant;
+    EXPECT_EQ(v.lines, lines) << invariant;
+}
+
+TEST(ModRootTable, HashmapScrubRepairsHeaderAndNamesLostRoots)
+{
+    core::Runtime rt(kPool, 1);
+    pm::PmContext &ctx = rt.ctx(0);
+    mod::ModHeap heap(ctx, kHeapBase, kPool - kHeapBase, 1);
+    mod::ModHashmap map(ctx, heap, 0, kRoots, 1);
+    constexpr std::uint64_t kKeys = 200;
+    for (std::uint64_t key = 0; key < kKeys; key++) {
+        const std::uint64_t vals[3] = {key, key + 1, key + 2};
+        bool inserted = false;
+        ASSERT_TRUE(map.put(ctx, 0, key, vals, inserted));
+    }
+    heap.durabilityPoint(ctx, 0);
+
+    // Lose the header line (which also holds buckets 0-4), one line
+    // of buckets, and the head node of a bucket in neither.
+    const LineAddr slot_line = rootLine(16);
+    const std::vector<Addr> before = loadRoots(ctx);
+    std::uint64_t victim = kRoots;
+    for (std::uint64_t b = 0; b < kRoots && victim == kRoots; b++) {
+        if (rootLine(b) != 0 && rootLine(b) != slot_line &&
+            before[b] != kNullAddr)
+            victim = b;
+    }
+    ASSERT_LT(victim, kRoots);
+    const LineAddr node_line = lineOf(before[victim]);
+
+    core::VerifyReport rep;
+    EXPECT_TRUE(poisonAndScrub(rt, map, heap, {0, slot_line, node_line},
+                               rep)
+                    .empty());
+
+    expectHeaderRepaired(ctx, mod::ModHashmap::kMagic);
+    const std::vector<Addr> after = loadRoots(ctx);
+    for (std::uint64_t b = 0; b < kRoots; b++) {
+        const bool lost = rootLine(b) == 0 || rootLine(b) == slot_line ||
+                          b == victim;
+        EXPECT_EQ(after[b], lost ? kNullAddr : before[b]) << "bucket " << b;
+    }
+    EXPECT_TRUE(rep.ok());
+    ASSERT_EQ(rep.violations().size(), 2u);
+    expectDegraded(rep.violations()[0], "mod-root-lost",
+                   "2 bucket line(s) lost to media faults; affected "
+                   "buckets emptied",
+                   {0, slot_line});
+    expectDegraded(rep.violations()[1], "mod-chain-corrupt",
+                   "1 chain(s) truncated at a corrupt node", {node_line});
+
+    // Re-mount and mark-sweep: the table checks clean and every key of
+    // a surviving bucket still reads back.
+    mod::ModHeap reheap(kHeapBase, kPool - kHeapBase, 1);
+    mod::ModHashmap remap(reheap, 0, kRoots, 1);
+    std::vector<Addr> live;
+    remap.reachable(ctx, live);
+    reheap.recover(ctx, live);
+    std::string why;
+    EXPECT_TRUE(remap.check(ctx, &why)) << why;
+    EXPECT_TRUE(reheap.gcQuiescent(ctx, &why)) << why;
+    for (std::uint64_t key = 0; key < kKeys; key++) {
+        std::uint64_t out[3] = {};
+        const bool kept = after[remap.bucketOf(key)] != kNullAddr;
+        ASSERT_EQ(remap.lookup(ctx, key, out), kept) << "key " << key;
+        if (kept) {
+            EXPECT_EQ(out[2], key + 2);
+        }
+    }
+}
+
+TEST(ModRootTable, VectorScrubRepairsHeaderAndNamesLostRoots)
+{
+    core::Runtime rt(kPool, 1);
+    pm::PmContext &ctx = rt.ctx(0);
+    mod::ModHeap heap(ctx, kHeapBase, kPool - kHeapBase, 1);
+    mod::ModVector vec(ctx, heap, 0, kRoots);
+    for (std::uint64_t s = 0; s < kRoots; s++) {
+        const std::uint64_t vals[8] = {s, 1, 2, 3, 4, 5, 6, 7};
+        ASSERT_TRUE(vec.write(ctx, 0, s, 0, vals, 8, 8));
+    }
+    heap.durabilityPoint(ctx, 0);
+
+    // Lose the header line (which also holds slots 0-4), one line of
+    // slots, and the first line of a chunk in neither.
+    const LineAddr slot_line = rootLine(16);
+    const std::uint64_t victim = 40;
+    ASSERT_NE(rootLine(victim), slot_line);
+    const std::vector<Addr> before = loadRoots(ctx);
+    const LineAddr chunk_line = lineOf(before[victim]);
+
+    core::VerifyReport rep;
+    EXPECT_TRUE(poisonAndScrub(rt, vec, heap, {0, slot_line, chunk_line},
+                               rep)
+                    .empty());
+
+    expectHeaderRepaired(ctx, mod::ModVector::kMagic);
+    const std::vector<Addr> after = loadRoots(ctx);
+    for (std::uint64_t s = 0; s < kRoots; s++) {
+        const bool lost = rootLine(s) == 0 || rootLine(s) == slot_line ||
+                          s == victim;
+        EXPECT_EQ(after[s], lost ? kNullAddr : before[s]) << "slot " << s;
+    }
+    EXPECT_TRUE(rep.ok());
+    ASSERT_EQ(rep.violations().size(), 2u);
+    expectDegraded(rep.violations()[0], "mod-root-lost",
+                   "2 spine line(s) lost to media faults; affected "
+                   "slots nulled",
+                   {0, slot_line});
+    expectDegraded(rep.violations()[1], "mod-chunk-corrupt",
+                   "1 chunk(s) failed their CRC; referencing slots "
+                   "nulled",
+                   {chunk_line});
+
+    mod::ModHeap reheap(kHeapBase, kPool - kHeapBase, 1);
+    mod::ModVector revec(reheap, 0, kRoots);
+    std::vector<Addr> live;
+    revec.reachable(ctx, live);
+    reheap.recover(ctx, live);
+    std::string why;
+    EXPECT_TRUE(revec.check(ctx, &why)) << why;
+    EXPECT_TRUE(reheap.gcQuiescent(ctx, &why)) << why;
+    for (std::uint64_t s = 0; s < kRoots; s++) {
+        std::uint64_t out = 0;
+        const bool kept = after[s] != kNullAddr;
+        ASSERT_EQ(revec.get(ctx, s, 0, out), kept) << "slot " << s;
+        if (kept) {
+            EXPECT_EQ(out, s);
+        }
+    }
 }
 
 // ------------------------------------------------------- concurrency
