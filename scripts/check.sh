@@ -79,13 +79,13 @@ fi
 
 # ---------------------------------------------------------------
 # TSan: a separate build tree (TSan and ASan cannot coexist) running
-# the PM pool's line-shard and persist-counter tests, the MOD
+# the PM pool's line-lock and persist-counter tests, the MOD
 # concurrency stress tests and the multi-threaded crash-fuzz replays —
 # racing striped writers, lock-free readers, grace GC.
 # Skip with --no-tsan when iterating on docs.
 # ---------------------------------------------------------------
 if [[ "$docs_only" == 0 && "$skip_tsan" == 0 ]]; then
-    echo "== tsan: PM shards + MOD + halo concurrency stress =="
+    echo "== tsan: PM line locks + MOD + halo concurrency stress =="
     cmake -B build-tsan -S . -DWHISPER_SANITIZE=thread >/dev/null
     cmake --build build-tsan -j "$(nproc)" --target whisper_tests
     run_leg build-tsan/tests/whisper_tests \
@@ -467,6 +467,22 @@ if [[ -n "$copies" ]]; then
     failures=$((failures + 1))
 else
     echo "ok: MOD updates commit through mod::RootTable"
+fi
+
+# ---------------------------------------------------------------
+# One PM lock scheme: a line's lock is a bit of its own state byte
+# (PmPool::LineGuard, DESIGN.md §6). The hashed line shards it
+# replaced shared lock lines between threads on disjoint pages; a
+# second lock scheme beside the line locks would bring that back.
+# ---------------------------------------------------------------
+echo "== source: single PM lock scheme =="
+copies=$(grep -rnE 'shardOf|LineShard|kLineShards' src/pm || true)
+if [[ -n "$copies" ]]; then
+    echo "FAIL: hashed line shards under src/pm (use the line locks):"
+    echo "$copies"
+    failures=$((failures + 1))
+else
+    echo "ok: PM accesses lock their own lines"
 fi
 
 # ---------------------------------------------------------------

@@ -7,6 +7,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include <unistd.h>
+
 #include "alloc/buddy_alloc.hh"
 #include "common/flags.hh"
 #include "common/hash.hh"
@@ -218,15 +220,29 @@ runCaseWorkload(core::Session &s, const FuzzConfig &config,
  */
 constexpr unsigned kLincheckDumpWarnCap = 4;
 
+/**
+ * Write @p history to a new file named for the app and case, with a
+ * unique suffix, so sweeps in one process or in several never write
+ * one file: `$TMPDIR/whisper-lincheck-<app>-<case>-XXXXXX.hist`.
+ * Returns its path, or "" when it could not be written.
+ */
 std::string
-lincheckDumpPath(const FuzzCase &c)
+dumpLincheckHistory(const FuzzCase &c, const lincheck::History &history)
 {
     const char *dir = std::getenv("TMPDIR");
     std::string path = dir && *dir ? dir : "/tmp";
     if (!path.empty() && path.back() == '/')
         path.pop_back();
     path += "/whisper-lincheck-" + c.app + "-" +
-            std::to_string(c.caseId) + ".hist";
+            std::to_string(c.caseId) + "-XXXXXX.hist";
+    const int fd = mkstemps(path.data(), 5);
+    if (fd < 0)
+        return "";
+    close(fd);
+    if (!lincheck::writeHistoryFile(path, history)) {
+        std::remove(path.c_str());
+        return "";
+    }
     return path;
 }
 
@@ -378,10 +394,8 @@ runCase(const FuzzCase &c, const FuzzConfig &config,
         out.lincheckKeys = lc.keys.size();
         out.lincheckViolations = hc.violations;
         if (!lc.ok && !excused) {
-            const std::string path = lincheckDumpPath(c);
-            if (lincheck::writeHistoryFile(
-                    path, lincheck::minimizeViolation(hc.history)))
-                out.lincheckDump = path;
+            out.lincheckDump = dumpLincheckHistory(
+                c, lincheck::minimizeViolation(hc.history));
         }
     }
 
@@ -549,6 +563,9 @@ shrink(const FuzzCase &c, const CaseOutcome &outcome,
                      std::uint64_t at = ~std::uint64_t(0)) {
         CaseOutcome out = runCase(fc, config, survivors, at);
         warnRecoveryNotes(fc.app, fc.caseId, out);
+        // A trial's history dump is never reported: drop it.
+        if (!out.lincheckDump.empty())
+            std::remove(out.lincheckDump.c_str());
         return out;
     };
 

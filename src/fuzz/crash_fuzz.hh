@@ -126,7 +126,8 @@ struct CaseOutcome
     bool lincheckBudget = false;  //!< some key degraded to lincheck-budget
     std::uint64_t lincheckKeys = 0;       //!< keys checked
     std::uint64_t lincheckViolations = 0; //!< keys without a witness
-    std::string lincheckDump; //!< minimized history file (violations)
+    /** Minimized history of a violation: a new, uniquely named file. */
+    std::string lincheckDump;
     /** @} */
     /** Merged scrub + invariant + recovery report (for --json). */
     core::VerifyReport report;

@@ -16,6 +16,12 @@ PmContext::PmContext(PmPool &pool, LogicalClock &clock, ThreadId tid,
       // Spread tx ids across threads so they are globally unique.
       nextTx_(static_cast<TxId>(tid) << 40)
 {
+    pool_.registerCounts(persisted_);
+}
+
+PmContext::~PmContext()
+{
+    pool_.retireCounts(persisted_);
 }
 
 void
@@ -103,10 +109,10 @@ PmContext::fence(FenceKind kind)
     // write-combining traffic reach the durable image before the fence
     // retires.
     for (const LineAddr line : pendingFlush_)
-        pool_.persistLine(line);
+        pool_.persistLine(line, &persisted_);
     pendingFlush_.clear();
     for (const auto &[off, n] : pendingNt_)
-        pool_.persistRange(off, n);
+        pool_.persistRange(off, n, &persisted_);
     pendingNt_.clear();
     emit(EventKind::Fence, 0, 0, DataClass::None,
          static_cast<std::uint8_t>(kind), LogicalClock::kFenceCost);
@@ -128,8 +134,8 @@ void
 PmContext::load(Addr off, void *dst, std::size_t n)
 {
     // Loads are not counted against crash plans (reads cannot lose
-    // data), but they do go through the pool's line shards so a
-    // lock-free reader never observes a torn 8-byte commit.
+    // data), but they do take the pool's line locks so a lock-free
+    // reader never observes a torn 8-byte commit.
     pool_.applyLoad(off, dst, n);
     emit(EventKind::PmLoad, off, static_cast<std::uint32_t>(n),
          DataClass::None, 0, LogicalClock::kLoadCost);

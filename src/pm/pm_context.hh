@@ -159,6 +159,12 @@ class PmContext
               std::shared_ptr<DramPages> dram =
                   std::make_shared<DramPages>());
 
+    /** Folds this context's persist counts into the pool's. */
+    ~PmContext();
+
+    PmContext(const PmContext &) = delete;
+    PmContext &operator=(const PmContext &) = delete;
+
     PmPool &pool() { return pool_; }
     ThreadId tid() const { return tid_; }
     std::uint32_t elisionPolicy() const { return elision_; }
@@ -458,6 +464,15 @@ class PmContext
 
     /** This context's own clock once split (splitClock()). */
     alignas(64) LogicalClock ownClock_;
+
+    /**
+     * Lines this context's fences persisted, per DIMM, in the clock's
+     * cache line: only this context's thread writes either (the pool
+     * reads the counts for stats()). Keeping them in that line's
+     * padding keeps sizeof(PmContext), and so the heap offsets a
+     * one-thread trace records (PmPool::heapPad_).
+     */
+    PmPool::PersistCounts persisted_;
 
     alignas(64) unsigned char scratch_[64] = {};
 };

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstring>
 #include <functional>
+#include <mutex>
 #include <thread>
 
 #include "common/logging.hh"
@@ -112,39 +113,25 @@ PmPool::contains(const void *p) const
     return bytes >= arch_.data() && bytes < arch_.data() + size_;
 }
 
-void
-PmPool::LineShard::lockContended()
+std::uint8_t
+PmPool::lockLineContended(LineAddr line) const
 {
-    // Spin on a plain load so waiters share the line until it is
+    // Spin on a plain load so waiters share the lock line until it is
     // released; yield once the holder seems descheduled.
     constexpr unsigned kSpinsBeforeYield = 128;
+    const std::atomic_ref<std::uint8_t> state = lineState(line);
     for (unsigned spins = 0;; spins++) {
-        if (locked.load(std::memory_order_relaxed) == 0 &&
-            locked.exchange(1, std::memory_order_acquire) == 0)
-            return;
+        if (!(state.load(std::memory_order_relaxed) & kLock)) {
+            const std::uint8_t old =
+                state.fetch_or(kLock, std::memory_order_acquire);
+            if (!(old & kLock))
+                return old;
+        }
         if (spins < kSpinsBeforeYield)
             cpuRelax();
         else
             std::this_thread::yield();
     }
-}
-
-void
-PmPool::ShardGuard::lockRange(LineAddr first, LineAddr last)
-{
-    // A wider access stops collecting once it has every shard.
-    constexpr std::uint64_t kAll = ~std::uint64_t(0);
-    for (LineAddr line = first + 1; line <= last && shards_ != kAll; line++)
-        shards_ |= std::uint64_t(1) << shardOf(line);
-    for (std::uint64_t m = shards_; m != 0; m &= m - 1)
-        pool_.lineShards_[std::countr_zero(m)].lock();
-}
-
-void
-PmPool::ShardGuard::unlockAll()
-{
-    for (std::uint64_t m = shards_; m != 0; m &= m - 1)
-        pool_.lineShards_[std::countr_zero(m)].unlock();
 }
 
 void
@@ -156,12 +143,11 @@ PmPool::applyStore(Addr off, const void *src, std::size_t n)
     const LineAddr first = lineOf(off);
     const LineAddr last = lineOf(off + n - 1);
     markWritten(first, last);
-    ShardGuard guard(*this, first, last);
+    LineGuard guard(*this, first, last);
     std::memcpy(arch_.data() + off, src, n);
-    for (LineAddr line = first; line <= last; line++) {
-        lineState(line).store(1, std::memory_order_relaxed);
+    for (LineAddr line = first; line <= last; line++)
         clearPoison(line);
-    }
+    guard.settle(kDirty);
 }
 
 void
@@ -183,15 +169,15 @@ PmPool::applyCas64(Addr off, std::uint64_t expected, std::uint64_t desired)
     panic_if(off % 8 != 0, "unaligned 8-byte CAS at %llu",
              static_cast<unsigned long long>(off));
     const LineAddr line = lineOf(off);
-    ShardGuard guard(*this, line, line);
+    LineGuard guard(*this, line, line);
     std::uint64_t cur;
     std::memcpy(&cur, arch_.data() + off, 8);
     if (cur != expected)
         return false;
     markWritten(line, line);
     std::memcpy(arch_.data() + off, &desired, 8);
-    lineState(line).store(1, std::memory_order_relaxed);
     clearPoison(line);
+    guard.settle(kDirty);
     return true;
 }
 
@@ -215,7 +201,7 @@ PmPool::applyLoad(Addr off, void *dst, std::size_t n) const
             faultPlan_.transientEvery - 1)
             events_.transientFaults++;
     }
-    ShardGuard guard(*this, first, last);
+    LineGuard guard(*this, first, last);
     for (LineAddr line = first; line <= last; line++) {
         if (poison(line).load(std::memory_order_relaxed)) {
             // Uncorrectable: retries cannot help, the media lost the
@@ -229,40 +215,66 @@ PmPool::applyLoad(Addr off, void *dst, std::size_t n) const
 }
 
 void
-PmPool::persistLine(LineAddr line)
+PmPool::persistLine(LineAddr line, PersistCounts *counts)
 {
     panic_if(line >= lines_, "persist of line %llu beyond pool",
              static_cast<unsigned long long>(line));
-    ShardGuard guard(*this, line, line);
-    persistLineLocked(line);
+    {
+        LineGuard guard(*this, line, line);
+        const Addr base = line << kCacheLineBits;
+        const std::size_t n = std::min(kCacheLineSize, size_ - base);
+        std::memcpy(durable_.data() + base, arch_.data() + base, n);
+        guard.settle(0);
+    }
+    const unsigned d = kDimms.dimmOf(line);
+    if (counts)
+        counts->bump(d);
+    else
+        poolPersisted_.dimm[d].fetch_add(1, std::memory_order_relaxed);
 }
 
 void
-PmPool::persistLineLocked(LineAddr line)
+PmPool::registerCounts(PersistCounts &counts)
 {
-    const Addr base = line << kCacheLineBits;
-    const std::size_t n = std::min(kCacheLineSize, size_ - base);
-    std::memcpy(durable_.data() + base, arch_.data() + base, n);
-    lineState(line).store(0, std::memory_order_relaxed);
-    // The caller holds this shard's lock: no other thread writes it.
-    std::atomic<std::uint64_t> &count =
-        lineShards_[shardOf(line)].persisted[kDimms.dimmOf(line)];
-    count.store(count.load(std::memory_order_relaxed) + 1,
-                std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(countsMutex_);
+    counts.next = liveCounts_;
+    liveCounts_ = &counts;
+}
+
+void
+PmPool::retireCounts(PersistCounts &counts)
+{
+    std::lock_guard<std::mutex> lock(countsMutex_);
+    PersistCounts **link = &liveCounts_;
+    while (*link != &counts) {
+        panic_if(!*link, "retiring unregistered persist counts");
+        link = &(*link)->next;
+    }
+    *link = counts.next;
+    for (unsigned d = 0; d < kDimms.count; d++)
+        retiredPersisted_[d] +=
+            counts.dimm[d].load(std::memory_order_relaxed);
 }
 
 PoolStats
 PmPool::stats() const
 {
     PoolStats out;
-    for (const LineShard &shard : lineShards_) {
-        for (unsigned d = 0; d < kMaxDimms; d++) {
-            const std::uint64_t n =
-                shard.persisted[d].load(std::memory_order_relaxed);
-            out.dimmLinesPersisted[d] += n;
-            out.linesPersisted += n;
-        }
+    {
+        std::lock_guard<std::mutex> lock(countsMutex_);
+        const auto fold = [&](const PersistCounts &counts) {
+            for (unsigned d = 0; d < kDimms.count; d++)
+                out.dimmLinesPersisted[d] +=
+                    counts.dimm[d].load(std::memory_order_relaxed);
+        };
+        for (unsigned d = 0; d < kDimms.count; d++)
+            out.dimmLinesPersisted[d] = retiredPersisted_[d];
+        fold(poolPersisted_);
+        for (const PersistCounts *c = liveCounts_; c; c = c->next)
+            fold(*c);
     }
+    for (const std::uint64_t n : out.dimmLinesPersisted)
+        out.linesPersisted += n;
     out.linesEvicted = events_.linesEvicted;
     out.linesSurvivedCrash = events_.linesSurvivedCrash;
     out.crashes = events_.crashes;
@@ -276,7 +288,7 @@ PmPool::stats() const
 }
 
 void
-PmPool::persistRange(Addr off, std::size_t n)
+PmPool::persistRange(Addr off, std::size_t n, PersistCounts *counts)
 {
     if (n == 0)
         return;
@@ -284,7 +296,7 @@ PmPool::persistRange(Addr off, std::size_t n)
     const LineAddr first = lineOf(off);
     const LineAddr last = lineOf(off + n - 1);
     for (LineAddr line = first; line <= last; line++)
-        persistLine(line);
+        persistLine(line, counts);
 }
 
 bool
@@ -292,18 +304,20 @@ PmPool::lineDirty(LineAddr line) const
 {
     panic_if(line >= lines_, "line %llu beyond pool",
              static_cast<unsigned long long>(line));
-    return lineState(line).load(std::memory_order_relaxed) != 0;
+    return dirtyFlag(line);
 }
 
 // Only a store marks a line dirty, and a store marks its page written:
-// the walks below skip nothing but clean lines.
+// the walks below skip nothing but clean lines. A line's lock bit is
+// set while any access holds it, load or store, so they read only
+// kDirty.
 
 std::uint64_t
 PmPool::dirtyLineCount() const
 {
     std::uint64_t n = 0;
     forEachWrittenLine([&](LineAddr line) {
-        n += lineState(line).load(std::memory_order_relaxed) != 0;
+        n += dirtyFlag(line);
     });
     return n;
 }
@@ -313,7 +327,7 @@ PmPool::dirtyLines() const
 {
     std::vector<LineAddr> lines;
     forEachWrittenLine([&](LineAddr line) {
-        if (lineState(line).load(std::memory_order_relaxed))
+        if (dirtyFlag(line))
             lines.push_back(line);
     });
     return lines;
@@ -326,8 +340,7 @@ PmPool::pickSurvivors(Rng &rng, double survival) const
     // line would make: survivor sets do not depend on the walk.
     std::vector<LineAddr> survivors;
     forEachWrittenLine([&](LineAddr line) {
-        if (lineState(line).load(std::memory_order_relaxed) &&
-            rng.chance(survival)) {
+        if (dirtyFlag(line) && rng.chance(survival)) {
             survivors.push_back(line);
         }
     });
@@ -427,7 +440,7 @@ PmPool::crashWithFaults(const std::vector<LineAddr> &survivors,
         }
         // Torn: only the masked 8-byte words reached the media; the
         // rest keep their previous durable value.
-        ShardGuard guard(*this, line, line);
+        LineGuard guard(*this, line, line);
         markWritten(line, line);
         const Addr base = line << kCacheLineBits;
         for (unsigned w = 0; w < 8; w++) {
@@ -439,13 +452,13 @@ PmPool::crashWithFaults(const std::vector<LineAddr> &survivors,
             std::memcpy(durable_.data() + word, arch_.data() + word,
                         8);
         }
-        lineState(line).store(0, std::memory_order_relaxed);
+        guard.settle(0);
         events_.linesTorn++;
     }
     for (const LineAddr line : faults.poisoned) {
         panic_if(line >= lines_, "poison of line %llu beyond pool",
                  static_cast<unsigned long long>(line));
-        ShardGuard guard(*this, line, line);
+        LineGuard guard(*this, line, line);
         markWritten(line, line);
         const Addr base = line << kCacheLineBits;
         const std::size_t n = std::min(kCacheLineSize, size_ - base);
@@ -472,14 +485,14 @@ PmPool::scrubLine(LineAddr line)
 {
     panic_if(line >= lines_, "scrub of line %llu beyond pool",
              static_cast<unsigned long long>(line));
-    ShardGuard guard(*this, line, line);
+    LineGuard guard(*this, line, line);
     markWritten(line, line);
     const Addr base = line << kCacheLineBits;
     const std::size_t n = std::min(kCacheLineSize, size_ - base);
     std::memset(arch_.data() + base, 0, n);
     std::memset(durable_.data() + base, 0, n);
-    lineState(line).store(0, std::memory_order_relaxed);
     poison(line).store(0, std::memory_order_relaxed);
+    guard.settle(0);
     events_.linesScrubbed++;
 }
 
@@ -518,7 +531,7 @@ PmPool::evictRandomLines(Rng &rng, std::uint64_t n)
 {
     for (std::uint64_t i = 0; i < n; i++) {
         const LineAddr line = rng.next(lines_);
-        if (lineState(line).load(std::memory_order_relaxed)) {
+        if (dirtyFlag(line)) {
             persistLine(line);
             events_.linesEvicted++;
         }

@@ -21,14 +21,21 @@
  * Persistent data structures store POff<T> offsets, never pointers;
  * offsets remain valid across crash()/recover().
  *
- * Both images and the per-line dirty and poison bytes live in
+ * Both images and the per-line state and poison bytes live in
  * kernel-zeroed anonymous mappings (LazyRegion), so a pool costs time
  * and memory in proportion to the 4 KiB pages written, not to its
  * size. A written-page map (one bit per 4 KiB of the pool, set on the
- * first write of any of the four arrays in that page and never
- * cleared) bounds every whole-pool walk: the dirty and poisoned line
- * lists, the crash's survivor draw and its durable-to-architectural
- * reload visit only marked pages, in ascending line order.
+ * first write of either image or a line's dirty or poison flag in
+ * that page and never cleared) bounds every whole-pool walk: the
+ * dirty and poisoned line lists, the crash's survivor draw and its
+ * durable-to-architectural reload visit only marked pages, in
+ * ascending line order.
+ *
+ * A line's state byte is also its lock, so the 64 lock bytes in one
+ * cache line cover one 4 KiB page of the pool, and threads on
+ * disjoint pages share no lock line. Persist counts live in
+ * per-context blocks (PersistCounts) that the pool folds when stats()
+ * is read.
  */
 
 #ifndef WHISPER_PM_PM_POOL_HH
@@ -36,12 +43,11 @@
 
 #include <array>
 #include <atomic>
-#include <bit>
 #include <cstdint>
+#include <mutex>
 #include <vector>
 
 #include "common/dimm.hh"
-#include "common/hash.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
 #include "pm/fault_plan.hh"
@@ -73,8 +79,26 @@ struct PoolStats
 
 /**
  * The simulated PM device (one pool == one DAX mapping).
+ *
+ * Line-granular synchronization: every image access (applyStore,
+ * applyCas64, applyLoad, persistLine) holds the locks of the lines it
+ * touches, so a concurrent 8-byte CAS commit and a reader's load of
+ * the same slot never tear, and a fence draining one thread's flush
+ * queue never races another thread's store to a neighboring word in
+ * the same line. A line's lock is a bit of its own state byte, the
+ * byte that holds its dirty flag: a one-line access sets it with one
+ * `fetch_or` (test-and-test-and-set when contended) and releases it
+ * with one store of the line's final state. Every access holds it
+ * only for a copy of a few bytes, so a mutex would cost more than
+ * the wait. A wider access locks its lines in ascending line order,
+ * the one global lock order.
+ *
+ * Threads on disjoint lines should not meet here: the state bytes of
+ * one 4 KiB page fill one cache line, so threads on disjoint pages
+ * share no lock line. Nor do they share a counter: each PmContext
+ * counts its persists in its own PersistCounts block.
  */
-class PmPool
+class alignas(64) PmPool
 {
   public:
     /**
@@ -83,6 +107,28 @@ class PmPool
      * data.
      */
     static constexpr DimmConfig kDimms{4, 4};
+
+    /**
+     * Lines persisted by one writer, per DIMM. A PmContext owns one,
+     * in a cache line only its thread writes, and is its only writer,
+     * so a count is a relaxed load and store, not a locked add; the
+     * pool links the block in (registerCounts()) and sums every linked
+     * block when stats() is read.
+     */
+    struct PersistCounts
+    {
+        std::array<std::atomic<std::uint64_t>, kDimms.count> dimm{};
+        /** Next registered block: the pool's link, under its mutex. */
+        PersistCounts *next = nullptr;
+
+        /** Count one line on DIMM @p d; the owner thread only. */
+        void
+        bump(unsigned d)
+        {
+            dimm[d].store(dimm[d].load(std::memory_order_relaxed) + 1,
+                          std::memory_order_relaxed);
+        }
+    };
 
     /** Create a pool of @p size bytes, zero-filled and clean. */
     explicit PmPool(std::size_t size);
@@ -157,12 +203,26 @@ class PmPool
      */
     void applyLoad(Addr off, void *dst, std::size_t n) const;
 
-    /** Copy one line arch -> durable and mark it clean. */
-    void persistLine(LineAddr line);
+    /**
+     * Copy one line arch -> durable and mark it clean. The caller
+     * owns @p counts, if given; otherwise the line is counted in the
+     * pool's own block (by a locked add: any thread may call this).
+     */
+    void persistLine(LineAddr line, PersistCounts *counts = nullptr);
 
-    /** Persist every line overlapping [off, off+n). */
-    void persistRange(Addr off, std::size_t n);
+    /** Persist every line overlapping [off, off+n), as persistLine(). */
+    void persistRange(Addr off, std::size_t n,
+                      PersistCounts *counts = nullptr);
 
+    /** @} */
+
+    /**
+     * @{ Fold @p counts into stats() from now on. retireCounts() adds
+     * its final values to a retired total and forgets the block, which
+     * its owner may then free.
+     */
+    void registerCounts(PersistCounts &counts);
+    void retireCounts(PersistCounts &counts);
     /** @} */
 
     /** True if the line differs (dirty) from the durable image. */
@@ -265,103 +325,60 @@ class PmPool
     /** @} */
 
     /**
-     * Fold the shards' persist counters and the pool's event counters
-     * into a snapshot.
+     * Fold the registered, retired and pool-side persist counts and
+     * the pool's event counters into a snapshot.
      */
     PoolStats stats() const;
 
-    /**
-     * Line-granular synchronization: every image access (applyStore,
-     * applyCas64, applyLoad, persistLine) holds the shard lock(s) of
-     * the lines it touches, so a concurrent 8-byte CAS commit and a
-     * reader's load of the same slot never tear, and a fence draining
-     * one thread's flush queue never races another thread's store to
-     * a neighboring word in the same line. A shard's lock is one spin
-     * word (test-and-test-and-set), taken inline: every access holds
-     * it only for a copy of a few bytes, so the calls into a mutex
-     * would cost more than the wait.
-     *
-     * Threads working on disjoint lines should not meet here. Each
-     * shard fills its own cache lines, and a line picks its shard by
-     * a multiplicative hash: PoolSlices bases are multiples of a
-     * large power of two (2^20 lines for four clients of a 256 MB
-     * pool), so `line % kLineShards` would put every client's
-     * tx-state, log and root lines in the same shards. A shard also
-     * counts the lines persisted under its lock, per DIMM; stats()
-     * sums them, so a persist writes no pool-wide counter.
-     */
-    static constexpr unsigned kLineShardBits = 6;
-    static constexpr std::size_t kLineShards = std::size_t(1)
-                                               << kLineShardBits;
-
-    /** The shard whose lock guards @p line. */
-    static std::size_t
-    shardOf(LineAddr line)
-    {
-        return static_cast<std::size_t>(
-            (line * kGoldenGamma) >> (64 - kLineShardBits));
-    }
-
   private:
-    struct alignas(64) LineShard
-    {
-        /** 1 while a thread holds this shard. */
-        std::atomic<std::uint32_t> locked{0};
-        /**
-         * Lines persisted under this shard's lock, per DIMM. Only the
-         * lock holder bumps them (a plain load and store); atomic so
-         * stats() reads them without the lock.
-         */
-        std::array<std::atomic<std::uint64_t>, kMaxDimms> persisted{};
-
-        void
-        lock()
-        {
-            if (locked.exchange(1, std::memory_order_acquire) != 0)
-                lockContended();
-        }
-
-        void unlock() { locked.store(0, std::memory_order_release); }
-
-        /** Spin with pause until the word reads free, then retry. */
-        void lockContended();
-    };
+    /** @{ Line-state bits: the line differs from its durable copy. */
+    static constexpr std::uint8_t kDirty = 1;
+    /** Set while a thread holds the line. */
+    static constexpr std::uint8_t kLock = 0x80;
+    /** @} */
 
     /**
-     * Lock the shards of lines [first, last] in ascending shard
-     * order: the global lock order that keeps concurrent multi-line
-     * accesses deadlock-free. A one-line access (nearly every one)
-     * takes its one shard inline.
+     * Locks lines [first, last] in ascending line order; the
+     * destructor releases each with one store of its final state:
+     * the state it had, or the one given to settle().
      */
-    class ShardGuard
+    class LineGuard
     {
       public:
-        ShardGuard(const PmPool &pool, LineAddr first, LineAddr last)
-            : pool_(pool), shards_(std::uint64_t(1) << shardOf(first))
+        LineGuard(const PmPool &pool, LineAddr first, LineAddr last)
+            : pool_(pool), first_(first), last_(last),
+              state_(pool.lockLine(first))
         {
-            if (first == last)
-                pool_.lineShards_[shardOf(first)].lock();
-            else
-                lockRange(first, last);
+            for (LineAddr line = first + 1; line <= last; line++)
+                pool.lockLine(line);
         }
 
-        ~ShardGuard()
+        ~LineGuard()
         {
-            if (std::has_single_bit(shards_))
-                pool_.lineShards_[std::countr_zero(shards_)].unlock();
-            else
-                unlockAll();
+            for (LineAddr line = first_ + 1; line <= last_; line++) {
+                pool_.unlockLine(line,
+                                 keep_ ? pool_.heldState(line) : state_);
+            }
+            pool_.unlockLine(first_, state_);
         }
 
-        ShardGuard(const ShardGuard &) = delete;
-        ShardGuard &operator=(const ShardGuard &) = delete;
+        /** Release every line in state @p state. */
+        void
+        settle(std::uint8_t state)
+        {
+            state_ = state;
+            keep_ = false;
+        }
+
+        LineGuard(const LineGuard &) = delete;
+        LineGuard &operator=(const LineGuard &) = delete;
 
       private:
-        void lockRange(LineAddr first, LineAddr last);
-        void unlockAll();
-
         const PmPool &pool_;
-        std::uint64_t shards_; //!< bit s set == shard s held
+        const LineAddr first_;
+        const LineAddr last_;
+        std::uint8_t state_; //!< first line's, until settle()
+        bool keep_ = true;
     };
 
     /** Counters of events off the persist path (faults, crashes). */
@@ -383,11 +400,10 @@ class PmPool
     static constexpr unsigned kLinesPerPageBits = kPageBits - kCacheLineBits;
 
     void boundsCheck(Addr off, std::size_t n) const;
-    void persistLineLocked(LineAddr line);
-    /** Clear @p line's poison, if any; the caller holds its shard. */
+    /** Clear @p line's poison, if any; the caller holds its lock. */
     void clearPoison(LineAddr line);
 
-    /** @{ Atomic views of one line's dirty and poison bytes. */
+    /** @{ Atomic views of one line's state and poison bytes. */
     std::atomic_ref<std::uint8_t>
     lineState(LineAddr line) const
     {
@@ -400,6 +416,39 @@ class PmPool
         return std::atomic_ref<std::uint8_t>(poisoned_.data()[line]);
     }
     /** @} */
+
+    /** Lock @p line; returns its state (lock bit clear). */
+    std::uint8_t
+    lockLine(LineAddr line) const
+    {
+        const std::uint8_t old =
+            lineState(line).fetch_or(kLock, std::memory_order_acquire);
+        return old & kLock ? lockLineContended(line) : old;
+    }
+
+    /** Spin with pause until @p line reads unlocked, then retry. */
+    std::uint8_t lockLineContended(LineAddr line) const;
+
+    /** State of @p line, which the caller holds, without the lock. */
+    std::uint8_t
+    heldState(LineAddr line) const
+    {
+        return lineState(line).load(std::memory_order_relaxed) & ~kLock;
+    }
+
+    /** Release @p line, leaving it in @p state. */
+    void
+    unlockLine(LineAddr line, std::uint8_t state) const
+    {
+        lineState(line).store(state, std::memory_order_release);
+    }
+
+    /** True if @p line is dirty; reads without its lock. */
+    bool
+    dirtyFlag(LineAddr line) const
+    {
+        return lineState(line).load(std::memory_order_relaxed) & kDirty;
+    }
 
     /**
      * Mark the pages holding lines [first, last] written. A marked
@@ -418,18 +467,34 @@ class PmPool
     std::size_t lines_;
     LazyRegion arch_;
     LazyRegion durable_;
-    /** One byte per line, 1 == dirty; written through lineState(). */
+    /** One byte per line: kDirty and kLock, through lineState(). */
     LazyRegion lineStates_;
     /** One byte per line, 1 == poisoned: loads raise PmMediaError. */
     LazyRegion poisoned_;
     /** One bit per 4 KiB page, 64-bit words; set, never cleared. */
     LazyRegion written_;
-    mutable std::array<LineShard, kLineShards> lineShards_;
     FaultPlan faultPlan_;
     /** Global load index driving transient-fault injection. */
     mutable std::atomic<std::uint64_t> loadIndex_{0};
     /** Mutable: applyLoad() is const but counts faults it injects. */
     mutable EventCounters events_;
+    /** Direct persistLine() calls, crash survivals and evictions. */
+    PersistCounts poolPersisted_;
+    /** Guards liveCounts_ and retiredPersisted_. */
+    mutable std::mutex countsMutex_;
+    /** Registered blocks (one per live PmContext), linked by next. */
+    PersistCounts *liveCounts_ = nullptr;
+    /** Final counts of retired blocks, per DIMM. */
+    std::array<std::uint64_t, kDimms.count> retiredPersisted_{};
+    /**
+     * Unused: pads sizeof(PmPool) to 8448 bytes on x86-64 glibc, its
+     * size with the line shards the line locks replaced. A one-thread
+     * trace records each DRAM buffer at its in-page heap offset, which
+     * follows the size of every earlier allocation (ROADMAP item 12),
+     * and a Runtime allocates its pool first; the pad keeps recorded
+     * traces byte-identical until those offsets stop mattering.
+     */
+    std::uint8_t heapPad_[8064];
 };
 
 } // namespace whisper::pm

@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <set>
 #include <string>
 #include <thread>
 
@@ -532,6 +533,36 @@ TEST(LincheckFuzz, CatchesBrokenCommitStructuralChecksMiss)
 }
 
 /**
+ * The `lincheck: ` notice lines of a sweep's stderr, each with its
+ * history path; the suppression note has none.
+ */
+struct DumpNotice
+{
+    std::string line; //!< the notice with the path's unique part masked
+    std::string path; //!< the history file, "" for the suppression note
+};
+
+std::vector<DumpNotice>
+dumpNotices(const std::string &err)
+{
+    std::vector<DumpNotice> out;
+    std::size_t pos = 0;
+    while ((pos = err.find("lincheck: ", pos)) != std::string::npos) {
+        const std::size_t eol = err.find('\n', pos);
+        DumpNotice n{err.substr(pos, eol - pos), ""};
+        pos = eol;
+        const std::size_t at = n.line.find("(history: ");
+        if (at != std::string::npos) {
+            n.path = n.line.substr(at + 10, n.line.size() - at - 11);
+            // .../whisper-lincheck-<app>-<case>-XXXXXX.hist)
+            n.line.replace(n.line.size() - 12, 6, "XXXXXX");
+        }
+        out.push_back(n);
+    }
+    return out;
+}
+
+/**
  * Violation notices come from the sweep itself, throttled per sweep:
  * a second sweep in the same process prints the same notices, in case
  * order, instead of finding a shared throttle already spent.
@@ -556,12 +587,8 @@ TEST(LincheckFuzz, DumpNoticesThrottledPerSweep)
         const std::string err = testing::internal::GetCapturedStderr();
         ASSERT_EQ(reports.size(), 1u);
         violations = reports[0].violations;
-        std::size_t pos = 0;
-        while ((pos = err.find("lincheck: ", pos)) != std::string::npos) {
-            const std::size_t eol = err.find('\n', pos);
-            lines.push_back(err.substr(pos, eol - pos));
-            pos = eol;
-        }
+        for (const DumpNotice &n : dumpNotices(err))
+            lines.push_back(n.line);
     }
     ASSERT_GT(violations, 0u) << "the broken commit went unnoticed";
     EXPECT_EQ(notices[0], notices[1]);
@@ -570,6 +597,72 @@ TEST(LincheckFuzz, DumpNoticesThrottledPerSweep)
     EXPECT_NE(notices[0][0].find("lincheck: mod-hashmap-broken case "),
               std::string::npos)
         << notices[0][0];
+}
+
+/**
+ * Two sweeps of the same cases in one process dump to distinct files:
+ * every warned history exists, holds its case's whole history (the
+ * bytes a fresh run of that case dumps) and still fails the checker.
+ */
+TEST(LincheckFuzz, ConcurrentSweepsDumpDistinctHistories)
+{
+    const ScopedTmpdir tmpdir;
+    fuzz::SweepOptions options;
+    options.cases = 32;
+    options.jobs = 2;
+    options.apps = {"mod-hashmap-broken"};
+    options.config.opsPerThread = 12;
+    options.config.lincheck = true;
+    options.shrinkViolations = false;
+
+    testing::internal::CaptureStderr();
+    std::vector<fuzz::AppSweepReport> first;
+    std::thread other([&] { first = fuzz::sweep(options); });
+    const std::vector<fuzz::AppSweepReport> second =
+        fuzz::sweep(options);
+    other.join();
+    const std::string err = testing::internal::GetCapturedStderr();
+    ASSERT_EQ(first.size(), 1u);
+    ASSERT_EQ(second.size(), 1u);
+    ASSERT_GT(first[0].lincheckViolations, 0u);
+
+    const auto slurp = [](const std::string &path) {
+        std::string bytes;
+        if (FILE *f = std::fopen(path.c_str(), "rb")) {
+            char buf[4096];
+            for (std::size_t n; (n = std::fread(buf, 1, sizeof(buf), f));)
+                bytes.append(buf, n);
+            std::fclose(f);
+        }
+        return bytes;
+    };
+    const std::string app = "mod-hashmap-broken";
+    const std::uint64_t total = fuzz::profilePmOps(app, options.config);
+    std::vector<DumpNotice> notices = dumpNotices(err);
+    std::erase_if(notices,
+                  [](const DumpNotice &n) { return n.path.empty(); });
+    // Each sweep warns up to four paths.
+    EXPECT_EQ(notices.size(),
+              2 * std::min<std::uint64_t>(first[0].lincheckViolations, 4));
+    std::set<std::string> paths;
+    for (const DumpNotice &n : notices) {
+        EXPECT_TRUE(paths.insert(n.path).second) << "warned twice: "
+                                                 << n.path;
+        ASSERT_TRUE(std::filesystem::exists(n.path)) << n.line;
+        const std::size_t at = n.line.find(" case ") + 6;
+        const std::uint64_t id = std::stoull(n.line.substr(at));
+        const fuzz::CaseOutcome again = fuzz::runCase(
+            fuzz::deriveCase(app, id, total, options.config),
+            options.config);
+        ASSERT_FALSE(again.lincheckDump.empty()) << n.line;
+        EXPECT_EQ(slurp(n.path), slurp(again.lincheckDump)) << n.line;
+        std::remove(again.lincheckDump.c_str());
+        History dumped;
+        std::string error;
+        ASSERT_TRUE(lincheck::readHistoryFile(n.path, dumped, error))
+            << error;
+        EXPECT_FALSE(lincheck::check(dumped).ok) << n.path;
+    }
 }
 
 /**

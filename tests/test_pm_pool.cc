@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <numeric>
@@ -237,32 +240,38 @@ TEST(PmPool, EvictRandomLinesPersistsSome)
     EXPECT_LT(w.pool.dirtyLineCount(), 64u);
 }
 
-TEST(PmPool, ConcurrentOpsOnCollidingShards)
+TEST(PmPool, ConcurrentOpsOnSharedLockLines)
 {
     // Every 8-byte word a thread writes is (n << 32 | n): a torn read
     // shows halves that differ.
     const auto word = [](std::uint64_t n) { return n << 32 | n; };
     const auto torn = [](std::uint64_t v) { return v >> 32 != (v & ~0u); };
+    const auto at = [](LineAddr line) { return line << kCacheLineBits; };
 
+    // One 4 KiB page is 64 lines, whose lock bytes fill one cache
+    // line. Both regions start and end mid-page, and each CAS slot
+    // line shares its page with a region's edge line.
     pm::PmPool pool(1 << 20);
     constexpr std::size_t kRegionLines = 1024;
-    const Addr regions[2] = {0, 4 * kRegionLines * kCacheLineSize};
-    // Two 8-byte slots in each of two lines outside both regions that
-    // share a shard with the first region's first line.
-    std::vector<Addr> slots;
-    for (LineAddr line = 8 * kRegionLines; slots.size() < 4; line++) {
-        if (pm::PmPool::shardOf(line) != pm::PmPool::shardOf(0))
-            continue;
-        slots.push_back(line << kCacheLineBits);
-        slots.push_back((line << kCacheLineBits) + 24);
-    }
+    constexpr LineAddr kRegionFirst[2] = {32, 4 * kRegionLines + 32};
+    const std::vector<Addr> slots = {
+        at(kRegionFirst[0] - 1), at(kRegionFirst[0] - 1) + 24,
+        at(kRegionFirst[1] + kRegionLines),
+        at(kRegionFirst[1] + kRegionLines) + 24};
+    // Eight lines across the edge of pages 127 and 128: the store and
+    // the loads inside it lock lines of two lock lines.
+    constexpr LineAddr kStraddleFirst = 8188;
+    constexpr std::size_t kStraddleLines = 8;
 
     constexpr std::uint64_t kCasRounds = 20000;
     constexpr std::uint64_t kStoreRounds = 5000;
-    constexpr int kThreads = 4 + 2 + 1;
+    constexpr int kThreads = 4 + 2 + 1 + 1;
     std::atomic<bool> failed{false};
     std::atomic<int> started{0};
-    std::atomic<int> writersDone{0};
+    std::atomic<int> finished{0};
+    std::atomic<int> regionWritersDone{0};
+    std::atomic<bool> straddleDone{false};
+    std::uint64_t straddleRounds = 0;
     // Every thread starts its loop once all are running.
     const auto startTogether = [&] {
         started++;
@@ -286,47 +295,90 @@ TEST(PmPool, ConcurrentOpsOnCollidingShards)
                     failed = true;
                 seen = v;
             }
+            finished++;
         });
     }
-    for (const Addr base : regions) {
-        threads.emplace_back([&, base] {
+    for (const LineAddr first : kRegionFirst) {
+        threads.emplace_back([&, first] {
             startTogether();
             std::vector<std::uint64_t> buf(kRegionLines * 8);
             for (std::uint64_t n = 1; n <= kStoreRounds; n++) {
                 std::fill(buf.begin(), buf.end(), word(n));
-                pool.applyStore(base, buf.data(), buf.size() * 8);
+                pool.applyStore(at(first), buf.data(), buf.size() * 8);
             }
-            writersDone++;
+            regionWritersDone++;
+            finished++;
         });
     }
     threads.emplace_back([&] {
-        // A load of half a region that starts inside it (so its first
-        // shard is not the store's) sees one whole store. A reader
-        // that starts behind a store's copy and overtakes it would
-        // see new lines, then old ones.
+        // Keeps storing while the regions do, so loads keep meeting it.
+        startTogether();
+        std::vector<std::uint64_t> buf(kStraddleLines * 8);
+        std::uint64_t n = 1;
+        for (;; n++) {
+            std::fill(buf.begin(), buf.end(), word(n));
+            pool.applyStore(at(kStraddleFirst), buf.data(),
+                            buf.size() * 8);
+            if (n >= kStoreRounds && regionWritersDone.load() == 2)
+                break;
+        }
+        straddleRounds = n;
+        straddleDone = true;
+        finished++;
+    });
+    threads.emplace_back([&] {
+        // A load that starts inside a store (so its first line is not
+        // the store's) sees one whole store. A reader that starts
+        // behind a store's copy and overtakes it would see new lines,
+        // then old ones. Loads of half a region and four-line loads
+        // across the page edge take turns.
         startTogether();
         std::vector<std::uint64_t> buf(kRegionLines / 2 * 8);
-        for (std::uint64_t n = 0; writersDone.load() < 2; n++) {
-            const Addr off = (1 + n % (kRegionLines / 2)) * kCacheLineSize;
-            pool.applyLoad(regions[n % 2] + off, buf.data(),
-                           buf.size() * 8);
-            for (const std::uint64_t v : buf) {
-                if (torn(v) || v != buf[0])
+        for (std::uint64_t n = 0;
+             regionWritersDone.load() < 2 || !straddleDone.load(); n++) {
+            Addr off;
+            std::size_t words;
+            if (n % 3 < 2) {
+                off = at(kRegionFirst[n % 3] + 1 + n % (kRegionLines / 2));
+                words = buf.size();
+            } else {
+                off = at(kStraddleFirst + 1 + n / 3 % 3);
+                words = 4 * 8;
+            }
+            pool.applyLoad(off, buf.data(), words * 8);
+            for (std::size_t i = 0; i < words; i++) {
+                if (torn(buf[i]) || buf[i] != buf[0])
                     failed = true;
             }
         }
+        finished++;
     });
+    // Lines locked out of the one order can deadlock: fail, not hang.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(120);
+    while (finished.load() < kThreads) {
+        if (std::chrono::steady_clock::now() > deadline) {
+            std::fprintf(stderr, "ConcurrentOpsOnSharedLockLines: %d of "
+                                 "%d threads still locked after 120 s\n",
+                         kThreads - finished.load(), kThreads);
+            std::abort();
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
     for (std::thread &th : threads)
         th.join();
 
     EXPECT_FALSE(failed);
     for (const Addr slot : slots)
         EXPECT_EQ(*pool.at<std::uint64_t>(slot), word(kCasRounds));
-    for (const Addr base : regions) {
+    for (const LineAddr first : kRegionFirst) {
         for (std::size_t i = 0; i < kRegionLines * 8; i++)
-            ASSERT_EQ(*pool.at<std::uint64_t>(base + i * 8),
-                      word(kStoreRounds)) << base << "+" << i * 8;
+            ASSERT_EQ(*pool.at<std::uint64_t>(at(first) + i * 8),
+                      word(kStoreRounds)) << first << "+" << i * 8;
     }
+    for (std::size_t i = 0; i < kStraddleLines * 8; i++)
+        ASSERT_EQ(*pool.at<std::uint64_t>(at(kStraddleFirst) + i * 8),
+                  word(straddleRounds)) << i * 8;
 }
 
 TEST(PmPool, PersistCountsExactAcrossThreads)
@@ -360,6 +412,85 @@ TEST(PmPool, PersistCountsExactAcrossThreads)
                               stats.dimmLinesPersisted.end(),
                               std::uint64_t(0)),
               stats.linesPersisted);
+    EXPECT_EQ(pool.dirtyLineCount(), 0u);
+}
+
+TEST(PmPool, PersistCountsSurviveContextTeardown)
+{
+    // Contexts fold their counts into the pool when destroyed; the
+    // pool's own block counts direct persists, evictions and crash
+    // survivals. The sum must match a count of every persisted line.
+    pm::PmPool pool(1 << 20);
+    LogicalClock clock;
+    constexpr unsigned kThreads = 4;
+    constexpr LineAddr kLines = 300;
+    std::array<std::uint64_t, kMaxDimms> want{};
+    const auto count = [&](LineAddr line) {
+        want[pool.dimmOf(line << kCacheLineBits)]++;
+    };
+    const std::uint64_t v = 0x1234;
+    {
+        std::vector<std::thread> threads;
+        for (unsigned t = 0; t < kThreads; t++) {
+            threads.emplace_back([&, t] {
+                pm::PmContext ctx(pool, clock, t);
+                // Every even line persisted, every odd one left dirty.
+                for (LineAddr i = 0; i < kLines; i++) {
+                    const Addr off = (t * kLines + i) << kCacheLineBits;
+                    ctx.store(off, &v, 8);
+                    if (i % 2 == 0)
+                        ctx.persist(off, 8);
+                }
+            });
+        }
+        for (std::thread &th : threads)
+            th.join();
+    }
+    for (LineAddr line = 0; line < kThreads * kLines; line += 2)
+        count(line);
+    EXPECT_EQ(pool.stats().dimmLinesPersisted, want);
+
+    // Direct persists of a few dirty lines.
+    for (const LineAddr line : {LineAddr(1), LineAddr(301), LineAddr(777)}) {
+        ASSERT_TRUE(pool.lineDirty(line));
+        pool.persistLine(line);
+        count(line);
+    }
+
+    // Evictions: replay the draws over the dirty set.
+    std::set<LineAddr> dirty;
+    for (const LineAddr line : pool.dirtyLines())
+        dirty.insert(line);
+    Rng replay(99);
+    for (int i = 0; i < 20000; i++) {
+        const LineAddr line = replay.next(pool.lineCount());
+        if (dirty.erase(line))
+            count(line);
+    }
+    Rng rng(99);
+    pool.evictRandomLines(rng, 20000);
+    ASSERT_EQ(pool.dirtyLines(),
+              std::vector<LineAddr>(dirty.begin(), dirty.end()));
+
+    // Crash survivals: every other dirty line, plus clean ones (which
+    // a crash skips).
+    std::vector<LineAddr> survivors;
+    for (LineAddr line = 0; line < kThreads * kLines; line++) {
+        if (line % 4 == 1 || line % 4 == 2)
+            survivors.push_back(line);
+    }
+    for (const LineAddr line : survivors) {
+        if (dirty.count(line))
+            count(line);
+    }
+    pool.crashWithSurvivors(survivors);
+
+    const pm::PoolStats stats = pool.stats();
+    EXPECT_EQ(stats.dimmLinesPersisted, want);
+    EXPECT_EQ(stats.linesPersisted,
+              std::accumulate(want.begin(), want.end(), std::uint64_t(0)));
+    EXPECT_GT(stats.linesEvicted, 0u);
+    EXPECT_GT(stats.linesSurvivedCrash, 0u);
     EXPECT_EQ(pool.dirtyLineCount(), 0u);
 }
 
